@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 
 from .catalog import NAMED_FUNCTIONS, resolve_function
@@ -33,6 +34,15 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_GATE = 3
 EXIT_EVAL = 4
+
+
+class _Parser(argparse.ArgumentParser):
+    """Takes negative numbers in exponent notation, such as ``-1.5e-05``, for
+    values; argparse's own pattern knows only ``-1`` and ``-1.5``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _f17(v: float) -> str:
@@ -66,7 +76,7 @@ def _add_scheme(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="hh-bounds",
         description="Certified enclosures and inequality chains for double "
                     "integrals of coordinate-convex functions. Note: unary "
@@ -185,8 +195,9 @@ def _chain_human(label: str, report) -> None:
 def cmd_chain(args) -> int:
     rect, fn = _prepare(args)
     scheme = _scheme(args)
-    classic = classic_chain(fn, rect, scheme, args.grid)
-    refined = refined_chain(fn, rect, scheme, args.grid)
+    integral = reference_integral_2d(fn, rect, args.grid).value
+    classic = classic_chain(fn, rect, scheme, args.grid, integral=integral)
+    refined = refined_chain(fn, rect, scheme, args.grid, integral=integral)
     scheme_label = (f"nested:{args.m}" if args.scheme == "nested"
                     else f"quadrature:{args.quad_tol:g} (diagnostic, not certified)")
     if args.output == "json":

@@ -3,6 +3,14 @@
 Composite Simpson with a Richardson error estimate, deliberately a different
 rule (and separate summation code) from the midpoint/trapezoid bounds under
 test, so enclosure checks are never self-referential.
+
+The 2-D oracle refines on nested dyadic levels 64, 128, ..., ``grid``. Every
+level's nodes are a stride of the finest ``grid + 1`` nodes per axis, so a
+new level evaluates only the points the coarser levels lack, copies the rest
+from the level below, and no point is evaluated twice. Each level's Richardson estimate compares it with the level
+below; refinement stops at the first level whose estimate is ``<= target``,
+or at ``grid``. ``target=None`` asks for the explicit grid: a single
+full-grid evaluation at level ``grid``.
 """
 
 from __future__ import annotations
@@ -14,6 +22,8 @@ import numpy as np
 from .errors import DomainError, EvaluationError
 
 DEFAULT_GRID = 1024
+#: Coarsest level of the nested ladder.
+FIRST_LEVEL = 64
 
 
 @dataclass(frozen=True)
@@ -28,17 +38,31 @@ class OracleResult:
 
 
 def _check_grid(grid: int) -> None:
-    if grid < 64 or grid & (grid - 1):
+    if grid < FIRST_LEVEL or grid & (grid - 1):
         raise DomainError(f"oracle grid must be a power of two >= 64, got {grid}")
 
 
-def _finite(vals: np.ndarray, xs, ys=None) -> np.ndarray:
+def _evaluate(ev, xs: np.ndarray, ys: np.ndarray | None = None) -> np.ndarray:
+    """Values of ``ev`` on the nodes ``xs`` (1-D) or the block ``xs x ys`` (2-D).
+
+    Array-at-once, with a per-point scalar fallback for callbacks that do not
+    return an array of the block's shape; a non-finite value raises
+    :class:`EvaluationError` naming its point.
+    """
+    args = (xs,) if ys is None else (xs[:, None], ys[None, :])
+    shape = np.broadcast_shapes(*(a.shape for a in args))
+    with np.errstate(all="ignore"):
+        try:
+            vals = np.asarray(ev(*args), dtype=float)
+            if vals.shape != shape:
+                raise TypeError
+        except (TypeError, ValueError):
+            points = zip(*(a.ravel() for a in np.broadcast_arrays(*args)))
+            vals = np.array([float(ev(*map(float, p))) for p in points]).reshape(shape)
     bad = ~np.isfinite(vals)
     if bad.any():
-        idx = np.unravel_index(int(np.argmax(bad)), vals.shape)
-        where = (float(np.broadcast_to(xs, vals.shape)[idx]),)
-        if ys is not None:
-            where = where + (float(np.broadcast_to(ys, vals.shape)[idx]),)
+        idx = np.unravel_index(int(np.argmax(bad)), shape)
+        where = tuple(float(np.broadcast_to(a, shape)[idx]) for a in args)
         raise EvaluationError(f"non-finite value at {where}", where=where)
     return vals
 
@@ -48,6 +72,13 @@ def _simpson_1d(vals: np.ndarray, h: float) -> float:
     return h / 3.0 * float(vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-2:2].sum())
 
 
+def _tensor_simpson(v: np.ndarray, hx: float, hy: float) -> float:
+    w = np.ones(v.shape[0])
+    w[1:-1:2] = 4.0
+    w[2:-2:2] = 2.0
+    return hx * hy / 9.0 * float(w @ v @ w)
+
+
 def reference_integral_1d(fn, iv, grid: int = DEFAULT_GRID) -> OracleResult:
     """Composite Simpson on ``grid`` subintervals, error from the grid/2 value.
 
@@ -55,50 +86,41 @@ def reference_integral_1d(fn, iv, grid: int = DEFAULT_GRID) -> OracleResult:
     scalar fallback.
     """
     _check_grid(grid)
-    ev = getattr(fn, "eval", fn)
-    xs = np.linspace(iv.lo, iv.hi, grid + 1)
-    with np.errstate(all="ignore"):
-        try:
-            vals = np.asarray(ev(xs), dtype=float)
-            if vals.shape != xs.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            vals = np.array([float(ev(float(t))) for t in xs])
-    _finite(vals, xs)
+    vals = _evaluate(getattr(fn, "eval", fn), np.linspace(iv.lo, iv.hi, grid + 1))
     h = (iv.hi - iv.lo) / grid
     v_full = _simpson_1d(vals, h)
     v_half = _simpson_1d(vals[::2], 2.0 * h)
     return OracleResult(value=v_full, error_estimate=abs(v_full - v_half) / 15.0, grid=grid)
 
 
-def reference_integral_2d(fn, rect, grid: int = DEFAULT_GRID) -> OracleResult:
-    """Tensor-product composite Simpson over a rectangle with Richardson estimate."""
+def reference_integral_2d(fn, rect, grid: int = DEFAULT_GRID,
+                          target: float | None = None) -> OracleResult:
+    """Tensor-product composite Simpson over a rectangle with Richardson estimate.
+
+    Refines on nested levels 64, 128, ..., ``grid`` until the error estimate
+    is ``<= target``; the result's ``grid`` is the level it stopped at.
+    ``target=None`` computes the explicit ``grid`` directly.
+    """
     _check_grid(grid)
     ev = getattr(fn, "eval", fn)
     xs = np.linspace(rect.a, rect.b, grid + 1)
     ys = np.linspace(rect.c, rect.d, grid + 1)
-    gx, gy = xs[:, None], ys[None, :]
-    shape = (xs.size, ys.size)
-    with np.errstate(all="ignore"):
-        try:
-            vals = np.asarray(ev(gx, gy), dtype=float)
-            if vals.shape != shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            bx, by = np.broadcast_arrays(gx, gy)
-            vals = np.array([float(ev(float(x), float(y)))
-                             for x, y in zip(bx.ravel(), by.ravel())]).reshape(shape)
-    _finite(vals, gx, gy)
-
-    def tensor_simpson(v: np.ndarray, hx: float, hy: float) -> float:
-        npts = v.shape[0]
-        w = np.ones(npts)
-        w[1:-1:2] = 4.0
-        w[2:-2:2] = 2.0
-        return hx * hy / 9.0 * float(w @ v @ w)
-
-    hx = (rect.b - rect.a) / grid
-    hy = (rect.d - rect.c) / grid
-    v_full = tensor_simpson(vals, hx, hy)
-    v_half = tensor_simpson(vals[::2, ::2], 2.0 * hx, 2.0 * hy)
-    return OracleResult(value=v_full, error_estimate=abs(v_full - v_half) / 15.0, grid=grid)
+    level = grid if target is None else FIRST_LEVEL
+    s = grid // level
+    vals = _evaluate(ev, xs[::s], ys[::s])
+    while True:
+        hx = (rect.b - rect.a) / level
+        hy = (rect.d - rect.c) / level
+        v_full = _tensor_simpson(vals, hx, hy)
+        v_half = _tensor_simpson(vals[::2, ::2], 2.0 * hx, 2.0 * hy)
+        estimate = abs(v_full - v_half) / 15.0
+        if level == grid or estimate <= target:
+            return OracleResult(value=v_full, error_estimate=estimate, grid=level)
+        # halve the stride; the new points are the odd rows x all columns,
+        # then the even rows x the odd columns of the finer level
+        level, coarse, s = 2 * level, s, s // 2
+        finer = np.empty((level + 1, level + 1))
+        finer[::2, ::2] = vals
+        finer[1::2, :] = _evaluate(ev, xs[s::coarse], ys[::s])
+        finer[::2, 1::2] = _evaluate(ev, xs[::coarse], ys[s::coarse])
+        vals = finer

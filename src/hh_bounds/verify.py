@@ -11,8 +11,6 @@ negative margin per property is reported as its worst slack.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,19 +108,20 @@ def _run_case(index: int, seed: int, n_values, m_values, scheme: InnerScheme,
         raise ConvexityRejection(gate, context)
 
     out = _CaseEvents()
-    oracle = reference_integral_2d(f, rect, oracle_grid)
+    enclosures = [(n, m, discrete_enclosure(f, rect, n, m))
+                  for n in n_values for m in m_values]
+    # refine the oracle only as far as the tightest enclosure check needs
+    target = 1e-3 * min(bp.gap for _, _, bp in enclosures) + 1e-12
+    oracle = reference_integral_2d(f, rect, oracle_grid, target)
     integral = oracle.value
     scale = max(1.0, abs(integral))
 
-    for n in n_values:
-        for m in m_values:
-            bp = discrete_enclosure(f, rect, n, m)
-            ctx = f"{context} n={n} m={m}"
-            if oracle.error_estimate > 1e-3 * bp.gap + 1e-12:
-                out.skipped += 1
-            else:
-                margin = min(integral - bp.lower, bp.upper - integral) / scale
-                out.add("enclosure_soundness", margin, REL_TOL, ctx)
+    for n, m, bp in enclosures:
+        if oracle.error_estimate > 1e-3 * bp.gap + 1e-12:
+            out.skipped += 1
+        else:
+            margin = min(integral - bp.lower, bp.upper - integral) / scale
+            out.add("enclosure_soundness", margin, REL_TOL, f"{context} n={n} m={m}")
 
     for n in n_values:
         lhs, rhs = centerline_bound(f, rect, n, scheme)
@@ -157,32 +156,21 @@ def _run_case(index: int, seed: int, n_values, m_values, scheme: InnerScheme,
 def run_verification(cases: int, seed: int, *, n_values=(1, 2, 4), m_values=(1, 2),
                      scheme: InnerScheme = NestedDiscrete(16), oracle_grid: int = 1024,
                      gate_samples: int = 10_000, gate_tol: float = 1e-10,
-                     inject_concave: bool = False, threads: int | None = None
-                     ) -> VerifySummary:
+                     inject_concave: bool = False) -> VerifySummary:
     """Run the whole property suite on ``cases`` random instances.
 
-    Deterministic given ``seed``: the per-case work is independent and results
-    are folded in case order, so the summary is identical whether or not the
-    thread pool (sized by HH_BOUNDS_THREADS when ``threads`` is None) is used.
+    Deterministic given ``seed``: cases run in order and each case's results
+    depend only on ``seed`` and its index. ``oracle_grid`` is the finest level
+    the oracle may refine to.
     """
     if cases < 1:
         raise DomainError(f"cases must be >= 1, got {cases}")
-    if threads is None:
-        threads = max(1, int(os.environ.get("HH_BOUNDS_THREADS", "1")))
-
-    def job(i: int) -> _CaseEvents:
-        return _run_case(i, seed, n_values, m_values, scheme, oracle_grid,
-                         gate_samples, gate_tol, inject_concave)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, range(cases)))
-    else:
-        results = [job(i) for i in range(cases)]
 
     stats = {name: PropertyStat(name) for name in PROPERTY_NAMES}
     summary = VerifySummary(cases=cases, seed=seed, properties=list(stats.values()))
-    for res in results:
+    for i in range(cases):
+        res = _run_case(i, seed, n_values, m_values, scheme, oracle_grid,
+                        gate_samples, gate_tol, inject_concave)
         for name, margin, tol, context in res.events:
             stats[name].record(margin, tol, context)
         summary.equality_cases += int(res.equality)

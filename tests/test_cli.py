@@ -1,15 +1,22 @@
 import json
-import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+
+import hh_bounds.cli
+import hh_bounds.rect
+from hh_bounds.cli import main
+from hh_bounds.oracle import reference_integral_2d
+
+#: Outputs recorded before the oracle became nested, to pin them byte for byte.
+DATA = Path(__file__).resolve().parent / "data"
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "hh_bounds", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
 
 
 class TestBounds:
@@ -108,6 +115,31 @@ class TestChain:
         payload = json.loads(cp.stdout)
         assert all(t["value"] == 0.0 for t in payload["classic"]["terms"])
 
+    def test_one_oracle_per_chain(self, monkeypatch, capsys):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return reference_integral_2d(*args, **kwargs)
+
+        # rect holds its own reference, used when no integral is passed in
+        monkeypatch.setattr(hh_bounds.cli, "reference_integral_2d", counting)
+        monkeypatch.setattr(hh_bounds.rect, "reference_integral_2d", counting)
+        code = main(["chain", "--f", "x^2+y^2", "--rect", "0", "1", "0", "1",
+                     "--grid", "64", "--output", "json"])
+        assert code == 0
+        assert len(calls) == 1
+        assert json.loads(capsys.readouterr().out)["classic"]["terms"][2]["value"] \
+            == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("scheme", ["nested", "quadrature"])
+    def test_json_matches_golden(self, scheme, capsys):
+        code = main(["chain", "--f", "exp(x+y)", "--rect", "0", "1", "0", "1",
+                     "--scheme", scheme, "--output", "json"])
+        assert code == 0
+        golden = (DATA / f"chain_expsum_{scheme}.json").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == golden
+
 
 class TestConverge:
     def test_expsum_ratios_approach_quarter(self):
@@ -155,12 +187,6 @@ class TestVerify:
         assert a.stdout == b.stdout
         assert a.returncode == b.returncode == 0
 
-    def test_threads_do_not_change_output(self):
-        a = run_cli("verify", "--cases", "6", "--seed", "2", "--output", "json")
-        b = run_cli("verify", "--cases", "6", "--seed", "2", "--output", "json",
-                    env_extra={"HH_BOUNDS_THREADS": "4"})
-        assert a.stdout == b.stdout
-
     def test_inject_concave_exit_3(self):
         cp = run_cli("verify", "--cases", "1", "--seed", "7", "--inject-concave")
         assert cp.returncode == 3
@@ -183,6 +209,17 @@ def test_negative_rect_coordinates():
     assert cp.returncode == 0, cp.stderr
     payload = json.loads(cp.stdout)
     assert payload["lower"] <= 8.0 / 3.0 <= payload["upper"]
+
+
+def test_negative_rect_endpoints_in_exponent_notation():
+    cp = run_cli("bounds", "--f", "x*y", "--rect", "-1.5e-05", "1", "0", "1",
+                 "--output", "json")
+    assert cp.returncode == 0, cp.stderr
+    assert json.loads(cp.stdout)["rect"] == [-1.5e-05, 1.0, 0.0, 1.0]
+    cp = run_cli("bounds", "--f", "x*y", "--rect", "-0.5", "1", "0", "1",
+                 "--output", "json")
+    assert cp.returncode == 0, cp.stderr
+    assert json.loads(cp.stdout)["rect"] == [-0.5, 1.0, 0.0, 1.0]
 
 
 def test_bounds_and_converge_byte_stable():
