@@ -118,26 +118,51 @@ class BoundPair:
         return self.upper - self.lower
 
 
-def values_1d(fn: Fn1D, ts: np.ndarray) -> np.ndarray:
-    """Evaluate ``fn`` at every point of ``ts``, insisting on finite results."""
+def evaluate(ev: Callable, *args) -> np.ndarray:
+    """Values of ``ev`` at the broadcast of ``args``, insisting on finite results.
+
+    The only evaluator in the package. ``ev`` is called once, array-at-once,
+    with ``args`` as given; a callback whose result does not have the
+    broadcast shape (a scalar-only callback) is called once per point
+    instead, lazily. A failure of such a call (``ArithmeticError`` or
+    ``ValueError``) and a non-finite value both raise
+    :class:`EvaluationError` whose ``where`` is the full point. The result
+    is a C-contiguous float array of the broadcast shape.
+    """
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
     with np.errstate(all="ignore"):
         try:
-            out = np.asarray(fn.eval(ts), dtype=float)
-            if out.shape != ts.shape:
+            out = np.asarray(ev(*args), dtype=float, order="C")
+            if out.shape != shape:
                 raise TypeError("scalar-only callback")
-        except (TypeError, ValueError):
-            out = np.empty(ts.shape, dtype=float)
-            for i, t in enumerate(ts):
-                try:
-                    out[i] = float(fn.eval(float(t)))
-                except (ArithmeticError, ValueError) as exc:
-                    raise EvaluationError(f"evaluation failed at t={float(t)!r}: {exc}",
-                                          where=(float(t),)) from exc
+        except (TypeError, ValueError, ArithmeticError):
+            points = zip(*(np.broadcast_to(a, shape).flat for a in args))
+            out = np.fromiter((_point_value(ev, p) for p in points), float,
+                              count=math.prod(shape)).reshape(shape)
     bad = ~np.isfinite(out)
     if bad.any():
-        t = float(ts[int(np.argmax(bad))])
-        raise EvaluationError(f"non-finite value at t={t!r}", where=(t,))
+        idx = np.unravel_index(int(np.argmax(bad)), shape)
+        where = tuple(float(np.broadcast_to(a, shape)[idx]) for a in args)
+        raise EvaluationError(f"non-finite value at {where}", where=where)
     return out
+
+
+def _point_value(ev: Callable, point) -> float:
+    point = tuple(map(float, point))
+    try:
+        return float(ev(*point))
+    except (ArithmeticError, ValueError) as exc:
+        raise EvaluationError(f"evaluation failed at {point}: {exc}", where=point) from exc
+
+
+def midpoint_sum(v: np.ndarray, h: float):
+    """Composite midpoint value of each row of ``v`` (values at the cell midpoints)."""
+    return h * v.sum(-1)
+
+
+def trapezoid_sum(v: np.ndarray, h: float):
+    """Composite trapezoid value of each row of ``v`` (values at the nodes)."""
+    return h * (0.5 * (v[..., 0] + v[..., -1]) + v[..., 1:-1].sum(-1))
 
 
 def midpoint_lower(fn: Fn1D, iv: Interval, n: int) -> float:
@@ -146,7 +171,7 @@ def midpoint_lower(fn: Fn1D, iv: Interval, n: int) -> float:
     For F convex on ``iv`` this is a lower bound on the integral of F.
     """
     part = Partition1D(iv, n)
-    return part.h * float(values_1d(fn, part.midpoints()).sum())
+    return float(midpoint_sum(evaluate(fn.eval, part.midpoints()), part.h))
 
 
 def trapezoid_upper(fn: Fn1D, iv: Interval, n: int) -> float:
@@ -155,8 +180,7 @@ def trapezoid_upper(fn: Fn1D, iv: Interval, n: int) -> float:
     For F convex on ``iv`` this is an upper bound on the integral of F.
     """
     part = Partition1D(iv, n)
-    v = values_1d(fn, part.nodes())
-    return part.h * float(0.5 * (v[0] + v[-1]) + v[1:-1].sum())
+    return float(trapezoid_sum(evaluate(fn.eval, part.nodes()), part.h))
 
 
 def integral_enclosure(fn: Fn1D, iv: Interval, n: int) -> BoundPair:

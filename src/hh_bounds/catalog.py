@@ -31,7 +31,11 @@ def _with_positivity(ev, rect: Rect) -> Fn2D:
 
 
 def function_from_ast(ast: Node, rect: Rect) -> Fn2D:
-    return _with_positivity(lambda x, y: eval_ast(ast, x, y), rect)
+    """The parsed expression as a function; values always take the shape of
+    the broadcast of (x, y), so a constant expression is not mistaken
+    for a scalar-only callback."""
+    return _with_positivity(
+        lambda x, y: np.broadcast_to(eval_ast(ast, x, y), np.broadcast(x, y).shape), rect)
 
 
 def resolve_function(name_or_expr: str, rect: Rect) -> Fn2D:

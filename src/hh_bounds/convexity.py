@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds1d import Fn1D, Interval, values_1d
+from .bounds1d import Fn1D, Interval, evaluate
 from .errors import DomainError, PreconditionError
-from .rect import Fn2D, Rect, spot_minimum, values_2d
+from .rect import Fn2D, Rect, spot_minimum
 
 AXIS_X = "x"
 AXIS_Y = "y"
@@ -86,12 +86,12 @@ def check_coordinate_convexity(f: Fn2D, r: Rect, samples: int = 10_000,
         lam = rng.uniform(0.0, 1.0, samples)
         blend = lam * u1 + (1.0 - lam) * u2
         if axis == AXIS_X:
-            s = (lam * values_2d(f, u1, fixed) + (1.0 - lam) * values_2d(f, u2, fixed)
-                 - values_2d(f, blend, fixed))
+            s = (lam * evaluate(f.eval, u1, fixed) + (1.0 - lam) * evaluate(f.eval, u2, fixed)
+                 - evaluate(f.eval, blend, fixed))
             points.append(np.column_stack([blend, fixed]))
         else:
-            s = (lam * values_2d(f, fixed, u1) + (1.0 - lam) * values_2d(f, fixed, u2)
-                 - values_2d(f, fixed, blend))
+            s = (lam * evaluate(f.eval, fixed, u1) + (1.0 - lam) * evaluate(f.eval, fixed, u2)
+                 - evaluate(f.eval, fixed, blend))
             points.append(np.column_stack([fixed, blend]))
         slacks.append(s)
         lams.append(lam)
@@ -231,5 +231,5 @@ def random_convex_1d(seed: int, iv: Interval, atom_count: int,
         return acc
 
     grid = np.linspace(iv.lo, iv.hi, 257)
-    positive = bool(values_1d(Fn1D(eval=ev), grid).min() > 0.0)
+    positive = bool(evaluate(ev, grid).min() > 0.0)
     return Fn1D(eval=ev, positive=positive)

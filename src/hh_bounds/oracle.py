@@ -2,7 +2,8 @@
 
 Composite Simpson with a Richardson error estimate, deliberately a different
 rule (and separate summation code) from the midpoint/trapezoid bounds under
-test, so enclosure checks are never self-referential.
+test, so enclosure checks are never self-referential. It shares only the
+evaluator, :func:`bounds1d.evaluate`, with them.
 
 The 2-D oracle refines on nested dyadic levels 64, 128, ..., ``grid``. Every
 level's nodes are a stride of the finest ``grid + 1`` nodes per axis, so a
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError
+from .bounds1d import evaluate
+from .errors import DomainError
 
 DEFAULT_GRID = 1024
 #: Coarsest level of the nested ladder.
@@ -42,31 +44,6 @@ def _check_grid(grid: int) -> None:
         raise DomainError(f"oracle grid must be a power of two >= 64, got {grid}")
 
 
-def _evaluate(ev, xs: np.ndarray, ys: np.ndarray | None = None) -> np.ndarray:
-    """Values of ``ev`` on the nodes ``xs`` (1-D) or the block ``xs x ys`` (2-D).
-
-    Array-at-once, with a per-point scalar fallback for callbacks that do not
-    return an array of the block's shape; a non-finite value raises
-    :class:`EvaluationError` naming its point.
-    """
-    args = (xs,) if ys is None else (xs[:, None], ys[None, :])
-    shape = np.broadcast_shapes(*(a.shape for a in args))
-    with np.errstate(all="ignore"):
-        try:
-            vals = np.asarray(ev(*args), dtype=float)
-            if vals.shape != shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            points = zip(*(a.ravel() for a in np.broadcast_arrays(*args)))
-            vals = np.array([float(ev(*map(float, p))) for p in points]).reshape(shape)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        idx = np.unravel_index(int(np.argmax(bad)), shape)
-        where = tuple(float(np.broadcast_to(a, shape)[idx]) for a in args)
-        raise EvaluationError(f"non-finite value at {where}", where=where)
-    return vals
-
-
 def _simpson_1d(vals: np.ndarray, h: float) -> float:
     # vals holds an odd number of equally spaced samples
     return h / 3.0 * float(vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-2:2].sum())
@@ -86,7 +63,7 @@ def reference_integral_1d(fn, iv, grid: int = DEFAULT_GRID) -> OracleResult:
     scalar fallback.
     """
     _check_grid(grid)
-    vals = _evaluate(getattr(fn, "eval", fn), np.linspace(iv.lo, iv.hi, grid + 1))
+    vals = evaluate(getattr(fn, "eval", fn), np.linspace(iv.lo, iv.hi, grid + 1))
     h = (iv.hi - iv.lo) / grid
     v_full = _simpson_1d(vals, h)
     v_half = _simpson_1d(vals[::2], 2.0 * h)
@@ -107,7 +84,7 @@ def reference_integral_2d(fn, rect, grid: int = DEFAULT_GRID,
     ys = np.linspace(rect.c, rect.d, grid + 1)
     level = grid if target is None else FIRST_LEVEL
     s = grid // level
-    vals = _evaluate(ev, xs[::s], ys[::s])
+    vals = evaluate(ev, xs[::s, None], ys[None, ::s])
     while True:
         hx = (rect.b - rect.a) / level
         hy = (rect.d - rect.c) / level
@@ -121,6 +98,6 @@ def reference_integral_2d(fn, rect, grid: int = DEFAULT_GRID,
         level, coarse, s = 2 * level, s, s // 2
         finer = np.empty((level + 1, level + 1))
         finer[::2, ::2] = vals
-        finer[1::2, :] = _evaluate(ev, xs[s::coarse], ys[::s])
-        finer[::2, 1::2] = _evaluate(ev, xs[::coarse], ys[s::coarse])
+        finer[1::2, :] = evaluate(ev, xs[s::coarse, None], ys[None, ::s])
+        finer[::2, 1::2] = evaluate(ev, xs[::coarse, None], ys[None, s::coarse])
         vals = finer

@@ -7,13 +7,18 @@ terms of one two-sided (or one-sided) bound on the double integral and, for
 the chain operations, reports whether every adjacent ordering holds at the
 computed values.
 
-Line integrals inside the bound expressions are resolved through an
-InnerScheme. In NestedDiscrete mode the direction is chosen per use site:
-integrals sitting below the double integral in a chain are resolved with the
-midpoint rule (an underestimate for convex restrictions), integrals sitting
-above with the trapezoid rule (an overestimate), so every reported ordering
-is still certified. The double integral term itself always comes from the
-independent Simpson oracle.
+Every term is a weighted sum of point values and of integrals along lines
+parallel to an axis. All the line integrals of one kind are resolved
+together by :func:`_lines` through an InnerScheme. In NestedDiscrete mode the
+direction is chosen per use site: integrals sitting below the double
+integral in a chain are resolved with the midpoint rule (an underestimate
+for convex restrictions), integrals sitting above with the trapezoid rule
+(an overestimate), so every reported ordering is still certified. The double
+integral term itself always comes from the independent Simpson oracle.
+
+Callbacks receive blocks of points as numpy arrays (lines x points per line,
+or a handful of corner and edge points); a scalar-only callback is called
+once per point instead.
 """
 
 from __future__ import annotations
@@ -24,13 +29,19 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bounds1d import BoundPair, Fn1D, Interval, Partition1D, midpoint_lower, trapezoid_upper
-from .errors import DomainError, EvaluationError, PreconditionError
+from .bounds1d import (BoundPair, Interval, Partition1D, evaluate, midpoint_sum,
+                       trapezoid_sum)
+# still importable from here, as before (bench/test_bench.py relies on it)
+from .bounds1d import midpoint_lower, trapezoid_upper  # noqa: F401
+from .errors import DomainError, PreconditionError
 from .oracle import DEFAULT_GRID, reference_integral_2d
-from .schemes import InnerScheme, NestedDiscrete, Quadrature, adaptive_simpson
+from .schemes import InnerScheme, NestedDiscrete, adaptive_simpson
 
 #: Grid used for positivity spot checks (and by the convexity generator).
 SPOT_GRID = 33
+#: Points per evaluated block of lines (whole lines, at least one). Much
+#: smaller blocks pay per-call overhead; much larger ones only add memory.
+BLOCK_POINTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -70,8 +81,10 @@ class Rect:
 class Fn2D:
     """A real function of two variables given as a black-box callback.
 
-    ``eval`` must be deterministic and finite on the rectangle it is used on,
-    and ideally accepts numpy arrays elementwise (a scalar fallback exists).
+    ``eval`` must be deterministic and finite on the rectangle it is used on.
+    It receives blocks of points as numpy arrays and should evaluate them
+    elementwise, returning the broadcast shape; a scalar-only callback is
+    called once per point instead.
     ``positive`` asserts the range is >= 0 and gates :func:`positive_upper`.
     """
 
@@ -127,58 +140,46 @@ def chain_report(terms: list[tuple[str, float]], tolerance: float | None = None)
     return ChainReport(terms=tuple(terms), orderings=tuple(orderings), tolerance=tolerance)
 
 
-def point_value(f: Fn2D, x: float, y: float) -> float:
-    with np.errstate(all="ignore"):
-        try:
-            v = float(f.eval(x, y))
-        except (ArithmeticError, ValueError) as exc:
-            raise EvaluationError(f"evaluation failed at ({x!r}, {y!r}): {exc}",
-                                  where=(float(x), float(y))) from exc
-    if not math.isfinite(v):
-        raise EvaluationError(f"non-finite value at ({x!r}, {y!r})", where=(float(x), float(y)))
-    return v
-
-
-def values_2d(f: Fn2D, xs, ys) -> np.ndarray:
-    """Elementwise evaluation at broadcast (xs, ys), insisting on finite results."""
-    bx, by = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
-    with np.errstate(all="ignore"):
-        try:
-            out = np.asarray(f.eval(bx, by), dtype=float)
-            if out.shape != bx.shape:
-                raise TypeError("scalar-only callback")
-        except (TypeError, ValueError):
-            out = np.array([float(f.eval(float(x), float(y)))
-                            for x, y in zip(bx.ravel(), by.ravel())]).reshape(bx.shape)
-    bad = ~np.isfinite(out)
-    if bad.any():
-        idx = np.unravel_index(int(np.argmax(bad)), out.shape)
-        raise EvaluationError(
-            f"non-finite value at ({float(bx[idx])!r}, {float(by[idx])!r})",
-            where=(float(bx[idx]), float(by[idx])))
-    return out
+def _points(f: Fn2D, xs, ys) -> list[float]:
+    """Values of f at the points (xs[i], ys[i]), from one evaluation."""
+    return evaluate(f.eval, np.array(xs, dtype=float), np.array(ys, dtype=float)).tolist()
 
 
 def spot_minimum(f: Fn2D, r: Rect, k: int = SPOT_GRID) -> float:
     """Minimum of f over the k x k sample grid of the rectangle."""
     xs = np.linspace(r.a, r.b, k)
     ys = np.linspace(r.c, r.d, k)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    return float(values_2d(f, gx, gy).min())
+    return float(evaluate(f.eval, xs[:, None], ys[None, :]).min())
 
 
-def _lower_1d(g: Callable, iv: Interval, scheme: InnerScheme, cells: int) -> float:
-    """Resolve an integral that must stay below its true value."""
-    if isinstance(scheme, NestedDiscrete):
-        return midpoint_lower(Fn1D(eval=g), iv, scheme.m * cells)
-    return adaptive_simpson(g, iv.lo, iv.hi, scheme.tol)
+def _lines(f: Fn2D, r: Rect, along: str, at, upper: bool, scheme: InnerScheme,
+           cells: int) -> list[float]:
+    """Integrals of f along the lines through ``at``, resolved per ``scheme``.
 
-
-def _upper_1d(g: Callable, iv: Interval, scheme: InnerScheme, cells: int) -> float:
-    """Resolve an integral that must stay above its true value."""
-    if isinstance(scheme, NestedDiscrete):
-        return trapezoid_upper(Fn1D(eval=g), iv, scheme.m * cells)
-    return adaptive_simpson(g, iv.lo, iv.hi, scheme.tol)
+    The lines run in the variable ``along`` ("x" or "y") across the whole
+    rectangle; ``at`` holds each line's other coordinate. ``upper`` marks
+    integrals that must stay above their true value. In NestedDiscrete mode
+    those get the composite trapezoid value, the others the composite
+    midpoint value, on m * ``cells`` subintervals; the lines are the rows of
+    one block of values, evaluated about BLOCK_POINTS points at a time.
+    Quadrature resolves each line with adaptive Simpson.
+    """
+    at = np.asarray(at, dtype=float)
+    iv = r.x_interval if along == "x" else r.y_interval
+    if not isinstance(scheme, NestedDiscrete):
+        restrict = f.restrict_y if along == "x" else f.restrict_x
+        return [adaptive_simpson(restrict(t), iv.lo, iv.hi, scheme.tol) for t in at]
+    part = Partition1D(iv, scheme.m * cells)
+    pts = part.nodes() if upper else part.midpoints()
+    rule = trapezoid_sum if upper else midpoint_sum
+    rows = max(1, BLOCK_POINTS // pts.size)
+    out = np.empty(at.size)
+    for i in range(0, at.size, rows):
+        fixed = at[i:i + rows, None]
+        block = (evaluate(f.eval, pts[None, :], fixed) if along == "x"
+                 else evaluate(f.eval, fixed, pts[None, :]))
+        out[i:i + rows] = rule(block, part.h)
+    return out.tolist()
 
 
 def _partition_sums(f: Fn2D, r: Rect, n: int, scheme: InnerScheme) -> tuple[float, float]:
@@ -190,19 +191,18 @@ def _partition_sums(f: Fn2D, r: Rect, n: int, scheme: InnerScheme) -> tuple[floa
     """
     px = Partition1D(r.x_interval, n)
     py = Partition1D(r.y_interval, n)
-    x_iv, y_iv = r.x_interval, r.y_interval
     wy = (r.d - r.c) / (2.0 * n)
     wx = (r.b - r.a) / (2.0 * n)
 
-    lower = wy * sum(_lower_1d(f.restrict_y(ym), x_iv, scheme, n) for ym in py.midpoints())
-    lower += wx * sum(_lower_1d(f.restrict_x(xm), y_iv, scheme, n) for xm in px.midpoints())
+    lower = wy * sum(_lines(f, r, "x", py.midpoints(), False, scheme, n))
+    lower += wx * sum(_lines(f, r, "y", px.midpoints(), False, scheme, n))
 
-    upper = 0.5 * wy * (_upper_1d(f.restrict_y(r.c), x_iv, scheme, n)
-                        + _upper_1d(f.restrict_y(r.d), x_iv, scheme, n))
-    upper += 0.5 * wx * (_upper_1d(f.restrict_x(r.a), y_iv, scheme, n)
-                         + _upper_1d(f.restrict_x(r.b), y_iv, scheme, n))
-    upper += wy * sum(_upper_1d(f.restrict_y(yk), x_iv, scheme, n) for yk in py.nodes()[1:-1])
-    upper += wx * sum(_upper_1d(f.restrict_x(xk), y_iv, scheme, n) for xk in px.nodes()[1:-1])
+    ux = _lines(f, r, "x", py.nodes(), True, scheme, n)
+    uy = _lines(f, r, "y", px.nodes(), True, scheme, n)
+    upper = 0.5 * wy * (ux[0] + ux[-1])
+    upper += 0.5 * wx * (uy[0] + uy[-1])
+    upper += wy * sum(ux[1:-1])
+    upper += wx * sum(uy[1:-1])
     return lower, upper
 
 
@@ -232,17 +232,9 @@ def discrete_enclosure(f: Fn2D, r: Rect, n: int, m: int = 16) -> BoundPair:
     (m subintervals per partition cell), so lower <= integral <= upper holds
     for any f convex on the coordinates.
     """
-    count = 0
-
-    def counting(x, y):
-        nonlocal count
-        out = f.eval(x, y)
-        count += int(np.size(out))
-        return out
-
-    lower, upper = _partition_sums(Fn2D(eval=counting, positive=f.positive),
-                                   r, n, NestedDiscrete(m))
-    return BoundPair(lower=lower, upper=upper, n=n, evals=count)
+    lower, upper = _partition_sums(f, r, n, NestedDiscrete(m))
+    k = m * n  # subintervals per line
+    return BoundPair(lower=lower, upper=upper, n=n, evals=2 * n * k + (2 * n + 2) * (k + 1))
 
 
 def centerline_bound(f: Fn2D, r: Rect, n: int,
@@ -258,10 +250,10 @@ def centerline_bound(f: Fn2D, r: Rect, n: int,
     cx, cy = r.center
     px = Partition1D(r.x_interval, n)
     py = Partition1D(r.y_interval, n)
-    lhs = float(values_2d(f, cx, py.midpoints()).sum())
-    lhs += float(values_2d(f, px.midpoints(), cy).sum())
-    rhs = n / (r.d - r.c) * _lower_1d(f.restrict_x(cx), r.y_interval, scheme, n)
-    rhs += n / (r.b - r.a) * _lower_1d(f.restrict_y(cy), r.x_interval, scheme, n)
+    lhs = float(evaluate(f.eval, cx, py.midpoints()).sum())
+    lhs += float(evaluate(f.eval, px.midpoints(), cy).sum())
+    rhs = n / (r.d - r.c) * _lines(f, r, "y", [cx], False, scheme, n)[0]
+    rhs += n / (r.b - r.a) * _lines(f, r, "x", [cy], False, scheme, n)[0]
     return lhs, rhs
 
 
@@ -275,16 +267,19 @@ def boundary_bound(f: Fn2D, r: Rect, n: int,
     """
     px = Partition1D(r.x_interval, n)
     py = Partition1D(r.y_interval, n)
-    lhs = n / (r.d - r.c) * (_upper_1d(f.restrict_x(r.a), r.y_interval, scheme, n)
-                             + _upper_1d(f.restrict_x(r.b), r.y_interval, scheme, n))
-    lhs += n / (r.b - r.a) * (_upper_1d(f.restrict_y(r.c), r.x_interval, scheme, n)
-                              + _upper_1d(f.restrict_y(r.d), r.x_interval, scheme, n))
-    rhs = (point_value(f, r.a, r.c) + point_value(f, r.a, r.d)
-           + point_value(f, r.b, r.c) + point_value(f, r.b, r.d))
-    for yk in py.nodes()[1:-1]:
-        rhs += point_value(f, r.a, yk) + point_value(f, r.b, yk)
-    for xk in px.nodes()[1:-1]:
-        rhs += point_value(f, xk, r.c) + point_value(f, xk, r.d)
+    uy = _lines(f, r, "y", [r.a, r.b], True, scheme, n)
+    ux = _lines(f, r, "x", [r.c, r.d], True, scheme, n)
+    lhs = n / (r.d - r.c) * (uy[0] + uy[1])
+    lhs += n / (r.b - r.a) * (ux[0] + ux[1])
+    # f on the sides x = a, b at every y node (corners included), and on the
+    # sides y = c, d at the interior x nodes
+    side = evaluate(f.eval, np.array([[r.a], [r.b]]), py.nodes())
+    cap = evaluate(f.eval, px.nodes()[1:-1], np.array([[r.c], [r.d]]))
+    (ac, *_, ad), (bc, *_, bd) = side.tolist()
+    rhs = ac + ad + bc + bd
+    # opposite node pairs, added one pair at a time in node order
+    for pair in (side[0, 1:-1] + side[1, 1:-1]).tolist() + (cap[0] + cap[1]).tolist():
+        rhs += pair
     return lhs, rhs
 
 
@@ -308,16 +303,12 @@ def positive_upper(f: Fn2D, r: Rect, n: int,
     gate the computation; a negative sample is a hard error.
     """
     _require_positive(f, r)
-    px = Partition1D(r.x_interval, n)
-    py = Partition1D(r.y_interval, n)
-    x_iv, y_iv = r.x_interval, r.y_interval
-
-    col = (n + 1) * (_upper_1d(f.restrict_x(r.a), y_iv, scheme, n)
-                     + _upper_1d(f.restrict_x(r.b), y_iv, scheme, n))
-    col += 2.0 * sum(_upper_1d(f.restrict_x(xk), y_iv, scheme, n) for xk in px.nodes()[1:-1])
-    row = (n + 1) * (_upper_1d(f.restrict_y(r.c), x_iv, scheme, n)
-                     + _upper_1d(f.restrict_y(r.d), x_iv, scheme, n))
-    row += 2.0 * sum(_upper_1d(f.restrict_y(yk), x_iv, scheme, n) for yk in py.nodes()[1:-1])
+    uy = _lines(f, r, "y", Partition1D(r.x_interval, n).nodes(), True, scheme, n)
+    ux = _lines(f, r, "x", Partition1D(r.y_interval, n).nodes(), True, scheme, n)
+    col = (n + 1) * (uy[0] + uy[-1])
+    col += 2.0 * sum(uy[1:-1])
+    row = (n + 1) * (ux[0] + ux[-1])
+    row += 2.0 * sum(ux[1:-1])
     return (r.b - r.a) / (4.0 * n) * col + (r.d - r.c) / (4.0 * n) * row
 
 
@@ -329,9 +320,9 @@ def _shared_chain_head(f: Fn2D, r: Rect, scheme: InnerScheme, oracle_grid: int,
                        integral: float | None):
     """First three terms common to both five-term chains (mean-value scale)."""
     cx, cy = r.center
-    t1 = point_value(f, cx, cy)
-    qx = _lower_1d(f.restrict_y(cy), r.x_interval, scheme, 1)
-    qy = _lower_1d(f.restrict_x(cx), r.y_interval, scheme, 1)
+    t1 = _points(f, [cx], [cy])[0]
+    qx = _lines(f, r, "x", [cy], False, scheme, 1)[0]
+    qy = _lines(f, r, "y", [cx], False, scheme, 1)[0]
     t2 = 0.5 * (qx / (r.b - r.a) + qy / (r.d - r.c))
     if integral is None:
         integral = reference_integral_2d(f, r, oracle_grid).value
@@ -349,12 +340,12 @@ def classic_chain(f: Fn2D, r: Rect, scheme: InnerScheme = NestedDiscrete(),
     NestedDiscrete mode.
     """
     t1, t2, t3 = _shared_chain_head(f, r, scheme, oracle_grid, integral)
-    t4 = (_upper_1d(f.restrict_y(r.c), r.x_interval, scheme, 1)
-          + _upper_1d(f.restrict_y(r.d), r.x_interval, scheme, 1)) / (4.0 * (r.b - r.a))
-    t4 += (_upper_1d(f.restrict_x(r.a), r.y_interval, scheme, 1)
-           + _upper_1d(f.restrict_x(r.b), r.y_interval, scheme, 1)) / (4.0 * (r.d - r.c))
-    t5 = 0.25 * (point_value(f, r.a, r.c) + point_value(f, r.a, r.d)
-                 + point_value(f, r.b, r.c) + point_value(f, r.b, r.d))
+    ux = _lines(f, r, "x", [r.c, r.d], True, scheme, 1)
+    uy = _lines(f, r, "y", [r.a, r.b], True, scheme, 1)
+    t4 = (ux[0] + ux[1]) / (4.0 * (r.b - r.a))
+    t4 += (uy[0] + uy[1]) / (4.0 * (r.d - r.c))
+    ac, ad, bc, bd = _points(f, [r.a, r.a, r.b, r.b], [r.c, r.d, r.c, r.d])
+    t5 = 0.25 * (ac + ad + bc + bd)
     return chain_report(list(zip(CLASSIC_TERM_NAMES, (t1, t2, t3, t4, t5))), tolerance)
 
 
@@ -374,17 +365,15 @@ def refined_chain(f: Fn2D, r: Rect, scheme: InnerScheme = NestedDiscrete(),
     """
     t1, t2, t3 = _shared_chain_head(f, r, scheme, oracle_grid, integral)
     cx, cy = r.center
-    t4 = (_upper_1d(f.restrict_y(r.c), r.x_interval, scheme, 1)
-          + _upper_1d(f.restrict_y(r.d), r.x_interval, scheme, 1)
-          + 2.0 * _upper_1d(f.restrict_y(cy), r.x_interval, scheme, 1)) / (8.0 * (r.b - r.a))
-    t4 += (_upper_1d(f.restrict_x(r.a), r.y_interval, scheme, 1)
-           + _upper_1d(f.restrict_x(r.b), r.y_interval, scheme, 1)
-           + 2.0 * _upper_1d(f.restrict_x(cx), r.y_interval, scheme, 1)) / (8.0 * (r.d - r.c))
-    t5 = (point_value(f, r.a, r.c) + point_value(f, r.a, r.d)
-          + point_value(f, r.b, r.c) + point_value(f, r.b, r.d)) / 16.0
+    ux = _lines(f, r, "x", [r.c, r.d, cy], True, scheme, 1)
+    uy = _lines(f, r, "y", [r.a, r.b, cx], True, scheme, 1)
+    t4 = (ux[0] + ux[1] + 2.0 * ux[2]) / (8.0 * (r.b - r.a))
+    t4 += (uy[0] + uy[1] + 2.0 * uy[2]) / (8.0 * (r.d - r.c))
+    ac, ad, bc, bd = _points(f, [r.a, r.a, r.b, r.b], [r.c, r.d, r.c, r.d])
+    t5 = (ac + ad + bc + bd) / 16.0
     t5 += 0.25 * t1
-    t5 += (point_value(f, cx, r.c) + point_value(f, cx, r.d)
-           + point_value(f, r.a, cy) + point_value(f, r.b, cy)) / 8.0
+    xc, xd, ay, by = _points(f, [cx, cx, r.a, r.b], [r.c, r.d, cy, cy])
+    t5 += (xc + xd + ay + by) / 8.0
     return chain_report(list(zip(REFINED_TERM_NAMES, (t1, t2, t3, t4, t5))), tolerance)
 
 

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hh_bounds import (BoundPair, DomainError, EvaluationError, Fn1D, Interval,
-                       Partition1D, PreconditionError, deficit_upper,
+from hh_bounds import (BoundPair, DomainError, EvaluationError, Fn1D, Fn2D, Interval,
+                       Partition1D, PreconditionError, Rect,
+                       check_coordinate_convexity, deficit_upper,
                        integral_enclosure, machine_tol, midpoint_lower,
-                       trapezoid_upper)
+                       spot_minimum, trapezoid_upper)
 from hh_bounds.convexity import random_convex_1d
-from hh_bounds.oracle import reference_integral_1d
+from hh_bounds.oracle import reference_integral_1d, reference_integral_2d
 
 from conftest import counting_fn1d
 
@@ -98,6 +99,24 @@ class TestMidpointTrapezoid:
     def test_boundpair_rejects_disorder(self):
         with pytest.raises(PreconditionError):
             BoundPair(lower=1.0, upper=0.5, n=1, evals=3)
+
+
+#: A scalar-only callback that fails (math domain error) wherever x <= 0.
+LOG = Fn2D(eval=lambda x, y: math.log(x) + y)
+LOG_RECT = Rect(-1.0, 1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda: reference_integral_2d(LOG, LOG_RECT, 64),
+    lambda: reference_integral_1d(LOG.restrict_y(0.5), LOG_RECT.x_interval, 64),
+    lambda: spot_minimum(LOG, LOG_RECT),
+    lambda: check_coordinate_convexity(LOG, LOG_RECT, samples=100),
+], ids=["oracle_2d", "oracle_1d", "spot_minimum", "convexity"])
+def test_scalar_callback_failure_is_evaluation_error(entry):
+    with pytest.raises(EvaluationError) as exc:
+        entry()
+    assert exc.value.where is not None
+    assert exc.value.where[0] <= 0.0
 
 
 class TestDeficitUpper:

@@ -10,7 +10,8 @@ import hh_bounds.rect
 from hh_bounds.cli import main
 from hh_bounds.oracle import reference_integral_2d
 
-#: Outputs recorded before the oracle became nested, to pin them byte for byte.
+#: Outputs recorded before a refactor of the code under them, to pin them byte
+#: for byte.
 DATA = Path(__file__).resolve().parent / "data"
 
 
@@ -139,6 +140,19 @@ class TestChain:
         assert code == 0
         golden = (DATA / f"chain_expsum_{scheme}.json").read_text(encoding="utf-8")
         assert capsys.readouterr().out == golden
+
+
+MULTITERM = ("--f", "exp(x+y)+0.5*abs(x-0.3)*y^2+x*y", "--rect", "-0.5", "1", "0", "1.5",
+             "--m", "4", "--output", "json")
+
+
+@pytest.mark.parametrize("command, n, golden", [
+    ("bounds", "8", "bounds_multiterm.json"),
+    ("converge", "1:16", "converge_multiterm.json"),
+])
+def test_multiterm_json_matches_golden(command, n, golden, capsys):
+    assert main([command, *MULTITERM, "--n", n]) == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")
 
 
 class TestConverge:

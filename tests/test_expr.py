@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hh_bounds import EvaluationError
+from hh_bounds import EvaluationError, Rect
+from hh_bounds.catalog import resolve_function
 from hh_bounds.expr import (Binary, Call, Number, ParseError, Unary, Var,
                             eval_ast, parse, to_string)
 
@@ -70,6 +71,17 @@ class TestEval:
         with pytest.raises(EvaluationError) as exc:
             eval_ast(parse("1+y/x"), 0.0, 1.0)
         assert "offsets 2..5" in str(exc.value)
+
+
+@pytest.mark.parametrize("src", ["1", "2.5*3", "x^2", "exp(y)"])
+def test_resolved_expression_values_take_the_broadcast_shape(src):
+    # constant and one-variable expressions are not scalar-only callbacks
+    fn = resolve_function(src, Rect(0.0, 1.0, 0.0, 1.0))
+    xs, ys = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 3)
+    out = fn.eval(xs[:, None], ys[None, :])
+    assert out.shape == (len(xs), len(ys))
+    ast = parse(src)
+    assert np.array_equal(out, [[eval_ast(ast, x, y) for y in ys] for x in xs])
 
 
 class TestGrammarDetails:

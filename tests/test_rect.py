@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from hh_bounds import (DomainError, EvaluationError, Fn2D, NestedDiscrete,
@@ -9,7 +10,7 @@ from hh_bounds import (DomainError, EvaluationError, Fn2D, NestedDiscrete,
                        positive_upper, refined_chain)
 from hh_bounds.convexity import random_coordinate_convex
 from hh_bounds.oracle import reference_integral_2d
-from hh_bounds.rect import chain_report
+from hh_bounds.rect import BLOCK_POINTS, chain_report
 
 from conftest import counting_fn2d
 
@@ -109,6 +110,22 @@ class TestDiscreteEnclosure:
         with pytest.raises(EvaluationError) as exc:
             discrete_enclosure(f, UNIT2, 1, 1)
         assert exc.value.where is not None
+        assert len(exc.value.where) == 2
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(f.eval(*np.array(exc.value.where)))
+
+    def test_lines_are_evaluated_in_bounded_blocks(self):
+        sizes = []
+
+        def ev(x, y):
+            out = x * x + y * y
+            sizes.append(out.size)
+            return out
+
+        discrete_enclosure(Fn2D(eval=ev), UNIT2, 256, 16)
+        assert max(sizes) <= BLOCK_POINTS
+        # whole lines of up to 4097 points per block, not one call per line
+        assert len(sizes) <= 4 * math.ceil(257 / (BLOCK_POINTS // 4097))
 
     def test_gap_dyadic_monotonicity(self):
         r = Rect(-0.5, 1.0, 0.0, 1.5)
@@ -231,6 +248,20 @@ class TestChains:
         for (_, v), e in zip(rep.terms, expected):
             assert v == pytest.approx(e, abs=1e-9)
         assert rep.all_satisfied
+
+    @pytest.mark.parametrize("m", [1, 2, 16])
+    def test_sumsq_nested_closed_forms(self, m):
+        # midpoint and trapezoid values of t^2 on [0, 1] with m subintervals
+        # are 1/3 - 1/(12 m^2) and 1/3 + 1/(6 m^2)
+        head = (0.5, 7.0 / 12.0 - 1.0 / (12 * m * m), 2.0 / 3.0)
+        classic = head + (5.0 / 6.0 + 1.0 / (6 * m * m), 1.0)
+        refined = head + (17.0 / 24.0 + 1.0 / (6 * m * m), 0.75)
+        scheme = NestedDiscrete(m)
+        for values, expected in (
+                (classic_chain(SUMSQ, UNIT2, scheme, integral=2.0 / 3.0).values, classic),
+                (refined_chain(SUMSQ, UNIT2, scheme, integral=2.0 / 3.0).values, refined),
+                (assemble_classic_terms(SUMSQ, UNIT2, scheme, integral=2.0 / 3.0), classic)):
+            assert values == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_refined_tightens_classic(self):
         r = Rect(-0.5, 1.5, 0.25, 2.0)
