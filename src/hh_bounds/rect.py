@@ -83,8 +83,13 @@ class Fn2D:
 
     ``eval`` must be deterministic and finite on the rectangle it is used on.
     It receives blocks of points as numpy arrays and should evaluate them
-    elementwise, returning the broadcast shape; a scalar-only callback is
-    called once per point instead.
+    elementwise, returning the broadcast shape of ``x`` and ``y``; a
+    scalar-only callback is called once per point instead. So is a numpy
+    callback whose result has any other shape, such as
+    ``lambda x, y: x * x``, which ignores ``y`` and returns the shape of
+    ``x`` alone: write ``x * x + 0.0 * y`` to keep it array-at-once. Such a
+    result is not broadcast for the caller, because a result of another
+    shape, a 0-d one included, may be a reduction rather than values.
     ``positive`` asserts the range is >= 0 and gates :func:`positive_upper`.
     """
 
@@ -162,13 +167,15 @@ def _lines(f: Fn2D, r: Rect, along: str, at, upper: bool, scheme: InnerScheme,
     those get the composite trapezoid value, the others the composite
     midpoint value, on m * ``cells`` subintervals; the lines are the rows of
     one block of values, evaluated about BLOCK_POINTS points at a time.
-    Quadrature resolves each line with adaptive Simpson.
+    Quadrature resolves each line with adaptive Simpson, which evaluates one
+    refinement level per call; its evaluator takes both coordinates, so a
+    failure names the full point.
     """
     at = np.asarray(at, dtype=float)
     iv = r.x_interval if along == "x" else r.y_interval
     if not isinstance(scheme, NestedDiscrete):
-        restrict = f.restrict_y if along == "x" else f.restrict_x
-        return [adaptive_simpson(restrict(t), iv.lo, iv.hi, scheme.tol) for t in at]
+        return [adaptive_simpson(_line_eval(f, along, t), iv.lo, iv.hi, scheme.tol)
+                for t in at]
     part = Partition1D(iv, scheme.m * cells)
     pts = part.nodes() if upper else part.midpoints()
     rule = trapezoid_sum if upper else midpoint_sum
@@ -180,6 +187,13 @@ def _lines(f: Fn2D, r: Rect, along: str, at, upper: bool, scheme: InnerScheme,
                  else evaluate(f.eval, fixed, pts[None, :]))
         out[i:i + rows] = rule(block, part.h)
     return out.tolist()
+
+
+def _line_eval(f: Fn2D, along: str, t) -> Callable:
+    """f on the line through ``t`` running in ``along``, as a 1-D evaluator."""
+    if along == "x":
+        return lambda s: evaluate(f.eval, s, t)
+    return lambda s: evaluate(f.eval, t, s)
 
 
 def _partition_sums(f: Fn2D, r: Rect, n: int, scheme: InnerScheme) -> tuple[float, float]:

@@ -8,16 +8,20 @@ a partition into n cells resolves each line integral with m*n subintervals
 and the enclosure keeps its O(1/n^2) decay as n grows.
 
 Quadrature resolves every integral with adaptive Simpson instead. Simpson's
-error is not one-sided, so this mode is diagnostic, not certified.
+error is not one-sided, so this mode is diagnostic, not certified. The
+refinement goes one level at a time, and each level's new points are
+evaluated in one call, so array-capable callbacks are not called per point.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import DomainError, EvaluationError
+import numpy as np
+
+from .bounds1d import evaluate
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -41,38 +45,56 @@ class Quadrature:
 InnerScheme = Union[NestedDiscrete, Quadrature]
 
 _MAX_DEPTH = 48
+#: Widest level refined in one piece. A wider level is split in halves, each
+#: refined on its own, so memory stays bounded as the depth cap bounds a
+#: depth-first stack.
+_LEVEL_NODES = 1024
 
 
 def adaptive_simpson(fn, lo: float, hi: float, tol: float) -> float:
     """Adaptive Simpson with the standard |S2 - S1|/15 acceptance test.
 
+    The refinement runs level by level: ``fn`` is evaluated through
+    :func:`evaluate` once at the ends and the midpoint, then once per depth
+    at the two quarter points of every subinterval still open there (a
+    level wider than ``_LEVEL_NODES`` subintervals is refined in halves). Each
+    subinterval's arithmetic, and the tree in which a split subinterval's
+    value is the sum of its halves, are those of the depth-first recursion.
     Depth is capped; a subinterval that still disagrees at the cap keeps its
     refined estimate, which is adequate for this diagnostic use.
     """
+    m = 0.5 * (lo + hi)
+    fa, fb, fm = evaluate(fn, np.array([lo, hi, m])).tolist()
+    whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
+    return float(_refine(fn, np.array([[lo, m, hi]]), np.array([[fa, fm, fb]]),
+                         np.array([whole]), tol, 0)[0])
 
-    def ev(t: float) -> float:
-        try:
-            v = float(fn(t))
-        except (ArithmeticError, ValueError) as exc:
-            raise EvaluationError(f"evaluation failed at t={t!r}: {exc}", where=(t,)) from exc
-        if not math.isfinite(v):
-            raise EvaluationError(f"non-finite value at t={t!r}", where=(t,))
-        return v
 
-    def simpson(a: float, fa: float, b: float, fb: float):
-        m = 0.5 * (a + b)
-        fm = ev(m)
-        return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+def _refine(fn, t: np.ndarray, ft: np.ndarray, whole: np.ndarray, tol: float,
+            depth: int) -> np.ndarray:
+    """Values of the subintervals of one depth, one per row.
 
-    def recurse(a, fa, b, fb, m, fm, whole, tol, depth):
-        lm, flm, left = simpson(a, fa, m, fm)
-        rm, frm, right = simpson(m, fm, b, fb)
-        delta = left + right - whole
-        if depth >= _MAX_DEPTH or abs(delta) <= 15.0 * tol:
-            return left + right + delta / 15.0
-        return (recurse(a, fa, m, fm, lm, flm, left, 0.5 * tol, depth + 1)
-                + recurse(m, fm, b, fb, rm, frm, right, 0.5 * tol, depth + 1))
-
-    fa, fb = ev(lo), ev(hi)
-    m, fm, whole = simpson(lo, fa, hi, fb)
-    return recurse(lo, fa, hi, fb, m, fm, whole, tol, 0)
+    Row i of ``t`` holds a subinterval's ends and midpoint (a, m, b), of
+    ``ft`` the values there, ``whole[i]`` its Simpson value; ``tol`` is the
+    tolerance at this depth.
+    """
+    if len(t) > _LEVEL_NODES:
+        h = len(t) // 2
+        return np.concatenate([_refine(fn, t[:h], ft[:h], whole[:h], tol, depth),
+                               _refine(fn, t[h:], ft[h:], whole[h:], tol, depth)])
+    # column 0 is the left half [a, m], column 1 the right half [m, b]
+    lo, hi, flo, fhi = t[:, :2], t[:, 1:], ft[:, :2], ft[:, 1:]
+    q = 0.5 * (lo + hi)
+    fq = evaluate(fn, q)
+    half = (hi - lo) / 6.0 * (flo + 4.0 * fq + fhi)
+    left, right = half[:, 0], half[:, 1]
+    delta = left + right - whole
+    out = left + right + delta / 15.0
+    if depth < _MAX_DEPTH:
+        s = np.flatnonzero(~(np.abs(delta) <= 15.0 * tol))
+        if s.size:
+            sub = _refine(fn, np.stack([lo, q, hi], axis=2)[s].reshape(-1, 3),
+                          np.stack([flo, fq, fhi], axis=2)[s].reshape(-1, 3),
+                          half[s].ravel(), 0.5 * tol, depth + 1)
+            out[s] = sub[0::2] + sub[1::2]
+    return out

@@ -10,8 +10,10 @@ from hh_bounds import (BoundPair, DomainError, EvaluationError, Fn1D, Fn2D, Inte
                        check_coordinate_convexity, deficit_upper,
                        integral_enclosure, machine_tol, midpoint_lower,
                        spot_minimum, trapezoid_upper)
+import hh_bounds.schemes
 from hh_bounds.convexity import random_convex_1d
 from hh_bounds.oracle import reference_integral_1d, reference_integral_2d
+from hh_bounds.schemes import adaptive_simpson
 
 from conftest import counting_fn1d
 
@@ -117,6 +119,63 @@ def test_scalar_callback_failure_is_evaluation_error(entry):
         entry()
     assert exc.value.where is not None
     assert exc.value.where[0] <= 0.0
+
+
+def _kinked(t):
+    return np.abs(t - 0.3) + t * t
+
+
+class TestAdaptiveSimpson:
+    def test_one_call_per_level(self):
+        calls = []
+
+        def ev(t):
+            calls.append(np.array(t, dtype=float).ravel())
+            return _kinked(t)
+
+        value = adaptive_simpson(ev, 0.0, 1.0, 1e-10)
+        assert value == pytest.approx(0.49 / 2 + 0.09 / 2 + 1.0 / 3.0, abs=1e-9)
+        points = np.concatenate(calls)
+        assert points.size >= 100
+        # every point is k / 2**e on [0, 1]; the finest, 2**-(depth + 2), are
+        # the quarter points of the deepest subintervals
+        finest = max(math.frexp(float(t).as_integer_ratio()[1])[1] - 1 for t in points)
+        assert len(calls) <= finest
+
+    def test_scalar_only_callback(self):
+        ndims = []
+
+        def ev(t):
+            ndims.append(np.ndim(t))
+            return math.exp(t)
+
+        assert adaptive_simpson(ev, 0.0, 1.0, 1e-10) == pytest.approx(math.e - 1.0, abs=1e-9)
+        # each level is offered as one array, refused, then taken point by point
+        assert 1 in ndims and 0 in ndims
+        with pytest.raises(EvaluationError) as exc:
+            adaptive_simpson(math.log, -1.0, 1.0, 1e-9)
+        assert exc.value.where is not None and exc.value.where[0] <= 0.0
+
+    @pytest.mark.parametrize("fn, lo, hi, tol", [
+        (_kinked, 0.0, 1.0, 1e-12),
+        (lambda t: np.cos(40.0 * t), 0.0, 1.0, 1e-10),
+        (lambda t: np.sqrt(np.abs(t)), -1.3, 2.1, 1e-10),
+    ])
+    def test_level_width_does_not_change_result(self, fn, lo, hi, tol, monkeypatch):
+        sizes = []
+
+        def ev(t):
+            sizes.append(np.size(t))
+            return fn(t)
+
+        wide = adaptive_simpson(ev, lo, hi, tol)
+        assert max(sizes) > 2
+        monkeypatch.setattr(hh_bounds.schemes, "_LEVEL_NODES", 1)
+        sizes.clear()
+        narrow = adaptive_simpson(ev, lo, hi, tol)
+        assert narrow.hex() == wide.hex()
+        # the ends and the midpoint, then one subinterval's quarter points
+        assert sizes[0] == 3 and set(sizes[1:]) == {2}
 
 
 class TestDeficitUpper:

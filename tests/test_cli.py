@@ -155,6 +155,16 @@ def test_multiterm_json_matches_golden(command, n, golden, capsys):
     assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("tol, golden", [
+    (None, "chain_multiterm_quadrature.json"),
+    ("1e-12", "chain_multiterm_quadrature_tol1e-12.json"),
+])
+def test_multiterm_quadrature_chain_matches_golden(tol, golden, capsys):
+    extra = [] if tol is None else ["--quad-tol", tol]
+    assert main(["chain", *MULTITERM, "--scheme", "quadrature", *extra]) == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")
+
+
 class TestConverge:
     def test_expsum_ratios_approach_quarter(self):
         cp = run_cli("converge", "--f", "exp(x+y)", "--rect", "0", "1", "0", "1",

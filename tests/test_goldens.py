@@ -3,22 +3,27 @@
 Every bound, both chains and the n=1 assembly are recorded as ``float.hex``
 strings for eight random coordinate-convex functions under three inner
 schemes, so a refactor of the evaluation or summation code cannot move a
-single bit unnoticed. ``python tests/test_goldens.py`` rewrites the golden
-file from the current code; do so only for a change meant to alter the
-numbers, and say so.
+single bit unnoticed. A second file pins both chains and adaptive Simpson
+under ``Quadrature(1e-10)`` for scalar-only callbacks built on ``math``,
+which are evaluated one point per call. ``python tests/test_goldens.py``
+rewrites both golden files from the current code; do so only for a change
+meant to alter the numbers, and say so.
 """
 
 import json
+import math
 from pathlib import Path
 
-from hh_bounds import (NestedDiscrete, Quadrature, Rect, assemble_classic_terms,
+from hh_bounds import (Fn2D, NestedDiscrete, Quadrature, Rect, assemble_classic_terms,
                        boundary_bound, centerline_bound, classic_chain,
                        discrete_enclosure, partition_chain, positive_upper,
                        refined_chain)
 from hh_bounds.convexity import random_coordinate_convex
 from hh_bounds.oracle import reference_integral_2d
+from hh_bounds.schemes import adaptive_simpson
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "library_goldens.json"
+SCALAR_GOLDEN = GOLDEN.with_name("quadrature_scalar_goldens.json")
 
 RECT = Rect(-0.4, 1.3, -0.2, 1.1)
 SCHEMES = {"nested16": NestedDiscrete(16), "nested3": NestedDiscrete(3),
@@ -54,13 +59,44 @@ def records() -> dict[str, list[str]]:
     return {k: [float(v).hex() for v in vals] for k, vals in out.items()}
 
 
-def test_library_values_match_goldens():
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    got = records()
+#: Coordinate-convex functions that only accept Python floats (``math``).
+SCALAR_FUNCTIONS = {
+    "exp_kink": lambda x, y: math.exp(0.7 * x + 0.3 * y) + abs(x - 0.2) * (1.0 + y * y),
+    "hypot": lambda x, y: math.hypot(x - 0.3, y - 0.6) + x * y,
+}
+SCALAR_RECTS = {"rect": RECT, "unit": Rect(0.0, 1.0, 0.0, 1.0)}
+
+
+def scalar_records() -> dict[str, list[str]]:
+    out = {}
+    scheme = Quadrature(1e-10)
+    for name, ev in SCALAR_FUNCTIONS.items():
+        f = Fn2D(eval=ev)
+        for label, r in SCALAR_RECTS.items():
+            key = f"{name} {label}"
+            integral = reference_integral_2d(f, r, 64).value
+            out[f"{key} classic_chain"] = classic_chain(f, r, scheme, integral=integral).values
+            out[f"{key} refined_chain"] = refined_chain(f, r, scheme, integral=integral).values
+            out[f"{key} adaptive_simpson"] = [adaptive_simpson(f.restrict_x(r.b), r.c, r.d,
+                                                               scheme.tol)]
+    return {k: [float(v).hex() for v in vals] for k, vals in out.items()}
+
+
+def _check(path: Path, got: dict[str, list[str]]) -> None:
+    golden = json.loads(path.read_text(encoding="utf-8"))
     assert list(got) == list(golden)
     mismatched = [k for k in golden if got[k] != golden[k]]
     assert not mismatched, mismatched[:5]
 
 
+def test_library_values_match_goldens():
+    _check(GOLDEN, records())
+
+
+def test_scalar_quadrature_values_match_goldens():
+    _check(SCALAR_GOLDEN, scalar_records())
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(records(), indent=1) + "\n", encoding="utf-8")
+    SCALAR_GOLDEN.write_text(json.dumps(scalar_records(), indent=1) + "\n", encoding="utf-8")

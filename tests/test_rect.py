@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,16 @@ class TestChains:
         f = random_coordinate_convex(4, r, 3)
         for m in (2, 4, 6, 16):
             assert refined_chain(f, r, NestedDiscrete(m)).all_satisfied
+
+    def test_quadrature_error_names_both_coordinates(self):
+        f = Fn2D(eval=lambda x, y: np.log(x + y))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError) as exc:
+                classic_chain(f, UNIT2, Quadrature(1e-9), integral=0.0)
+        assert len(exc.value.where) == 2
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(f.eval(*np.array(exc.value.where)))
 
 
 class TestAssembly:
