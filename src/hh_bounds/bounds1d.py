@@ -59,7 +59,7 @@ class Partition1D:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"partition size must be >= 1, got {self.n}")
-        if not np.all(np.diff(self.nodes()) > 0.0):
+        if not (np.diff(self.nodes()) > 0.0).all():
             raise DomainError(f"partition into {self.n} cells has coincident nodes")
 
     @property

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
 from .expr import Node, eval_ast, parse
 from .rect import Fn2D, Rect, spot_minimum
 
@@ -44,16 +43,3 @@ def resolve_function(name_or_expr: str, rect: Rect) -> Fn2D:
         return _with_positivity(_NAMED[name_or_expr], rect)
     return function_from_ast(parse(name_or_expr), rect)
 
-
-def named_source(name: str) -> str:
-    """Expression-equivalent source of a named entry (for reports)."""
-    sources = {
-        "xy": "x*y",
-        "sumsq": "x^2+y^2",
-        "expsum": "exp(x+y)",
-        "absdist": "abs(x-0.5)+abs(y-0.5)",
-        "const1": "1",
-    }
-    if name not in sources:
-        raise DomainError(f"unknown named function {name!r}")
-    return sources[name]

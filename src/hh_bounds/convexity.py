@@ -3,15 +3,18 @@
 Functions arrive as black boxes (parser output or user callbacks), so
 convexity is verified probabilistically: random chords along each axis, with
 the convexity slack lam*f(u1) + (1-lam)*f(u2) - f(lam*u1 + (1-lam)*u2)
-required to be nonnegative up to a tolerance. The generators build functions
-that are coordinate-convex by construction: sums of products of nonnegative
-convex one-variable atoms with nonnegative coefficients, plus an affine part.
-Coordinate convexity, unlike joint convexity, is closed under such products.
+required to be nonnegative up to a tolerance. One chord-test body serves
+both axes; the axis only decides which coordinate is held fixed. The
+generators build functions that are coordinate-convex by construction: sums
+of products of nonnegative convex one-variable atoms (plain functions of t)
+with nonnegative coefficients, plus an affine part. Coordinate convexity,
+unlike joint convexity, is closed under such products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -73,40 +76,26 @@ def check_coordinate_convexity(f: Fn2D, r: Rect, samples: int = 10_000,
         raise DomainError(f"tol must be >= 0, got {tol}")
     rng = np.random.default_rng(seed)
 
-    slacks, points, lams, axes = [], [], [], []
-    for axis in (AXIS_X, AXIS_Y):
-        if axis == AXIS_X:
-            fixed = rng.uniform(r.c, r.d, samples)
-            u1 = rng.uniform(r.a, r.b, samples)
-            u2 = rng.uniform(r.a, r.b, samples)
-        else:
-            fixed = rng.uniform(r.a, r.b, samples)
-            u1 = rng.uniform(r.c, r.d, samples)
-            u2 = rng.uniform(r.c, r.d, samples)
+    max_violation, witness = np.inf, None
+    for axis, chord, other in ((AXIS_X, (r.a, r.b), (r.c, r.d)),
+                               (AXIS_Y, (r.c, r.d), (r.a, r.b))):
+        fixed = rng.uniform(*other, samples)
+        u1 = rng.uniform(*chord, samples)
+        u2 = rng.uniform(*chord, samples)
         lam = rng.uniform(0.0, 1.0, samples)
         blend = lam * u1 + (1.0 - lam) * u2
-        if axis == AXIS_X:
-            s = (lam * evaluate(f.eval, u1, fixed) + (1.0 - lam) * evaluate(f.eval, u2, fixed)
-                 - evaluate(f.eval, blend, fixed))
-            points.append(np.column_stack([blend, fixed]))
-        else:
-            s = (lam * evaluate(f.eval, fixed, u1) + (1.0 - lam) * evaluate(f.eval, fixed, u2)
-                 - evaluate(f.eval, fixed, blend))
-            points.append(np.column_stack([fixed, blend]))
-        slacks.append(s)
-        lams.append(lam)
-        axes.append(axis)
 
-    all_slacks = np.concatenate(slacks)
-    worst = int(np.argmin(all_slacks))
-    max_violation = float(all_slacks[worst])
+        def at(u):
+            return (u, fixed) if axis == AXIS_X else (fixed, u)
 
-    witness = None
-    if max_violation < 0.0:
-        block, offset = divmod(worst, samples)
-        pt = points[block][offset]
-        witness = Witness(x=float(pt[0]), y=float(pt[1]),
-                          lam=float(lams[block][offset]), axis=axes[block])
+        s = (lam * evaluate(f.eval, *at(u1)) + (1.0 - lam) * evaluate(f.eval, *at(u2))
+             - evaluate(f.eval, *at(blend)))
+        i = int(np.argmin(s))
+        if s[i] < max_violation:
+            max_violation = float(s[i])
+            if max_violation < 0.0:
+                x, y = (float(v[i]) for v in at(blend))
+                witness = Witness(x=x, y=y, lam=float(lam[i]), axis=axis)
     return ConvexityReport(samples=2 * samples, max_violation=max_violation,
                            witness=witness, passed=max_violation >= -tol)
 
@@ -115,63 +104,25 @@ def check_coordinate_convexity(f: Fn2D, r: Rect, samples: int = 10_000,
 # Random convex instances
 
 
-@dataclass(frozen=True)
-class Square:
-    """t^2; convex and nonnegative everywhere."""
-
-    def value(self, t):
-        return t * t
-
-
-@dataclass(frozen=True)
-class AbsShift:
-    """|t - center|; convex and nonnegative everywhere."""
-
-    center: float
-
-    def value(self, t):
-        return np.abs(t - self.center)
-
-
-@dataclass(frozen=True)
-class Exp:
-    """exp(rate * t); convex and positive everywhere."""
-
-    rate: float
-
-    def value(self, t):
-        return np.exp(self.rate * t)
-
-
-@dataclass(frozen=True)
-class Affine:
-    """slope * t + intercept; used in products only when nonnegative on the range."""
-
-    slope: float
-    intercept: float
-
-    def value(self, t):
-        return self.slope * t + self.intercept
-
-
-ConvexAtom = Square | AbsShift | Exp | Affine
-
-
-def _draw_atom(rng: np.random.Generator, iv: Interval) -> ConvexAtom:
-    """Draw one atom, convex and nonnegative on the given interval."""
+def _draw_atom(rng: np.random.Generator, iv: Interval) -> Callable:
+    """Draw one atom, a function of t convex and nonnegative on ``iv``:
+    t^2, |t - center|, exp(rate*t), or slope*t + intercept with the intercept
+    lifted until the line is nonnegative on ``iv``."""
     kind = int(rng.integers(0, 4))
     if kind == 0:
-        return Square()
+        return lambda t: t * t
     if kind == 1:
-        return AbsShift(center=float(rng.uniform(iv.lo, iv.hi)))
+        center = float(rng.uniform(iv.lo, iv.hi))
+        return lambda t: np.abs(t - center)
     if kind == 2:
-        return Exp(rate=float(rng.uniform(-1.5, 1.5)))
+        rate = float(rng.uniform(-1.5, 1.5))
+        return lambda t: np.exp(rate * t)
     slope = float(rng.uniform(-1.5, 1.5))
     intercept = float(rng.uniform(0.0, 1.0))
     low = min(slope * iv.lo + intercept, slope * iv.hi + intercept)
     if low < 0.0:
-        intercept -= low  # clamp so the factor stays nonnegative
-    return Affine(slope=slope, intercept=intercept)
+        intercept -= low
+    return lambda t: slope * t + intercept
 
 
 def random_coordinate_convex(seed: int, r: Rect, atom_count: int) -> Fn2D:
@@ -197,7 +148,7 @@ def random_coordinate_convex(seed: int, r: Rect, atom_count: int) -> Fn2D:
     def ev(x, y):
         acc = beta + px * x + py * y
         for c, gx, hy in terms:
-            acc = acc + c * gx.value(x) * hy.value(y)
+            acc = acc + c * gx(x) * hy(y)
         return acc
 
     fn = Fn2D(eval=ev)
@@ -227,7 +178,7 @@ def random_convex_1d(seed: int, iv: Interval, atom_count: int,
     def ev(t):
         acc = beta + slope * t
         for c, atom in terms:
-            acc = acc + c * atom.value(t)
+            acc = acc + c * atom(t)
         return acc
 
     grid = np.linspace(iv.lo, iv.hi, 257)

@@ -227,13 +227,6 @@ def _where(node: Node) -> str:
     return "in subexpression"
 
 
-def _finite(out, node: Node):
-    ok = np.all(np.isfinite(out)) if isinstance(out, np.ndarray) else np.isfinite(out)
-    if not ok:
-        raise EvaluationError(f"non-finite result {_where(node)}")
-    return out
-
-
 def eval_ast(node: Node, x, y):
     """Evaluate at scalars or numpy arrays (elementwise); non-finite results raise."""
     with np.errstate(all="ignore"):
@@ -247,26 +240,30 @@ def _eval(node: Node, x, y):
         case Var(name=name):
             return x if name == "x" else y
         case Unary(op="neg", arg=arg):
-            return _finite(-_eval(arg, x, y), node)
+            out = -_eval(arg, x, y)
         case Unary(op="abs", arg=arg):
-            return _finite(np.abs(_eval(arg, x, y)), node)
+            out = np.abs(_eval(arg, x, y))
         case Unary(op="exp", arg=arg):
-            return _finite(np.exp(_eval(arg, x, y)), node)
+            out = np.exp(_eval(arg, x, y))
         case Binary(op="+", left=l, right=r):
-            return _finite(_eval(l, x, y) + _eval(r, x, y), node)
+            out = _eval(l, x, y) + _eval(r, x, y)
         case Binary(op="-", left=l, right=r):
-            return _finite(_eval(l, x, y) - _eval(r, x, y), node)
+            out = _eval(l, x, y) - _eval(r, x, y)
         case Binary(op="*", left=l, right=r):
-            return _finite(_eval(l, x, y) * _eval(r, x, y), node)
+            out = _eval(l, x, y) * _eval(r, x, y)
         case Binary(op="/", left=l, right=r):
-            return _finite(np.true_divide(_eval(l, x, y), _eval(r, x, y)), node)
+            out = np.true_divide(_eval(l, x, y), _eval(r, x, y))
         case Binary(op="^", left=l, right=r):
-            return _finite(np.power(_eval(l, x, y), _eval(r, x, y)), node)
+            out = np.power(_eval(l, x, y), _eval(r, x, y))
         case Call(fn="max", args=(a, b)):
-            return _finite(np.maximum(_eval(a, x, y), _eval(b, x, y)), node)
+            out = np.maximum(_eval(a, x, y), _eval(b, x, y))
         case Call(fn="min", args=(a, b)):
-            return _finite(np.minimum(_eval(a, x, y), _eval(b, x, y)), node)
-    raise EvaluationError(f"malformed syntax tree node {node!r}")
+            out = np.minimum(_eval(a, x, y), _eval(b, x, y))
+        case _:
+            raise EvaluationError(f"malformed syntax tree node {node!r}")
+    if not np.isfinite(out).all():
+        raise EvaluationError(f"non-finite result {_where(node)}")
+    return out
 
 
 _BINARY_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}

@@ -8,10 +8,11 @@ evaluator, :func:`bounds1d.evaluate`, with them.
 The 2-D oracle refines on nested dyadic levels 64, 128, ..., ``grid``. Every
 level's nodes are a stride of the finest ``grid + 1`` nodes per axis, so a
 new level evaluates only the points the coarser levels lack, copies the rest
-from the level below, and no point is evaluated twice. Each level's Richardson estimate compares it with the level
-below; refinement stops at the first level whose estimate is ``<= target``,
-or at ``grid``. ``target=None`` asks for the explicit grid: a single
-full-grid evaluation at level ``grid``.
+from the level below, and no point is evaluated twice. Each level's
+Richardson estimate compares it with the level below; refinement stops at
+the first level whose estimate is ``<= target``, or at ``grid``.
+``target=None`` asks for the explicit grid: a single full-grid evaluation
+at level ``grid``.
 """
 
 from __future__ import annotations

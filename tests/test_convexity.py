@@ -54,6 +54,23 @@ class TestChecker:
         with pytest.raises(DomainError):
             check_coordinate_convexity(f, UNIT2, tol=-1.0)
 
+    def test_evaluation_pattern(self):
+        # three calls per axis (u1, u2, blend), x-axis first, each over all
+        # samples: a merged block was slower on generated functions, and the
+        # order decides which failing point an EvaluationError names
+        calls = []
+
+        def ev(x, y):
+            calls.append((x, y))
+            return x * x + y * y
+
+        check_coordinate_convexity(Fn2D(eval=ev), UNIT2, samples=257)
+        assert len(calls) == 6
+        assert all(np.shape(x) == np.shape(y) == (257,) for x, y in calls)
+        assert all(calls[k][1] is calls[0][1] for k in (1, 2))
+        assert all(calls[k][0] is calls[3][0] for k in (4, 5))
+        assert not np.array_equal(calls[0][0], calls[1][0])
+
     def test_flags_saddle_within_100_seeds(self):
         # concave in x, convex in y; every one of 100 seeded runs must reject
         f = Fn2D(eval=lambda x, y: -((x - 0.5) ** 2) + y * y)

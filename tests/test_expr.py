@@ -72,6 +72,13 @@ class TestEval:
             eval_ast(parse("1+y/x"), 0.0, 1.0)
         assert "offsets 2..5" in str(exc.value)
 
+    @pytest.mark.parametrize("x", [1.0, np.array([0.0, 1.0])])
+    def test_every_node_is_checked_not_only_the_root(self, x):
+        # exp(1000) overflows; 1/inf would be a finite 0 at the root
+        with pytest.raises(EvaluationError) as exc:
+            eval_ast(parse("1/exp(1000*x)"), x, 0.0)
+        assert "offsets 2..13" in str(exc.value)
+
 
 @pytest.mark.parametrize("src", ["1", "2.5*3", "x^2", "exp(y)"])
 def test_resolved_expression_values_take_the_broadcast_shape(src):
