@@ -11,7 +11,8 @@ from .expr import ParseError, eval_ast, parse, to_string
 from .oracle import OracleResult, reference_integral_1d, reference_integral_2d
 from .rect import (ChainReport, Fn2D, Ordering, Rect, assemble_classic_terms,
                    boundary_bound, centerline_bound, classic_chain, discrete_enclosure,
-                   partition_chain, positive_upper, refined_chain, spot_minimum)
+                   five_term_chains, partition_chain, positive_upper, refined_chain,
+                   spot_minimum)
 from .schemes import InnerScheme, NestedDiscrete, Quadrature, adaptive_simpson
 from .verify import VerifySummary, run_verification
 
@@ -23,8 +24,8 @@ __all__ = [
     "VerifySummary", "Witness", "adaptive_simpson", "assemble_classic_terms",
     "boundary_bound", "centerline_bound", "check_coordinate_convexity",
     "classic_chain", "deficit_upper", "discrete_enclosure", "eval_ast",
-    "integral_enclosure", "machine_tol", "midpoint_lower", "parse",
-    "partition_chain", "positive_upper", "random_convex_1d",
+    "five_term_chains", "integral_enclosure", "machine_tol", "midpoint_lower",
+    "parse", "partition_chain", "positive_upper", "random_convex_1d",
     "random_coordinate_convex", "reference_integral_1d", "reference_integral_2d",
     "refined_chain", "run_verification", "spot_minimum", "to_string",
     "trapezoid_upper",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .expr import Node, eval_ast, parse
-from .rect import Fn2D, Rect, spot_minimum
+from .rect import Fn2D, Rect, with_positivity
 
 _NAMED = {
     "xy": lambda x, y: x * y,
@@ -24,22 +24,17 @@ _NAMED = {
 NAMED_FUNCTIONS = tuple(sorted(_NAMED))
 
 
-def _with_positivity(ev, rect: Rect) -> Fn2D:
-    fn = Fn2D(eval=ev)
-    return Fn2D(eval=ev, positive=spot_minimum(fn, rect) > 0.0)
-
-
 def function_from_ast(ast: Node, rect: Rect) -> Fn2D:
     """The parsed expression as a function; values always take the shape of
     the broadcast of (x, y), so a constant expression is not mistaken
     for a scalar-only callback."""
-    return _with_positivity(
+    return with_positivity(
         lambda x, y: np.broadcast_to(eval_ast(ast, x, y), np.broadcast(x, y).shape), rect)
 
 
 def resolve_function(name_or_expr: str, rect: Rect) -> Fn2D:
     """Resolve a named corpus entry, or else parse the string as an expression."""
     if name_or_expr in _NAMED:
-        return _with_positivity(_NAMED[name_or_expr], rect)
+        return with_positivity(_NAMED[name_or_expr], rect)
     return function_from_ast(parse(name_or_expr), rect)
 

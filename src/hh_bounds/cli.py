@@ -25,7 +25,7 @@ from .convexity import ConvexityRejection, check_coordinate_convexity
 from .errors import DomainError, EvaluationError, PreconditionError
 from .expr import ParseError
 from .oracle import reference_integral_2d
-from .rect import Rect, classic_chain, discrete_enclosure, refined_chain
+from .rect import Rect, discrete_enclosure, five_term_chains
 from .schemes import NestedDiscrete, Quadrature
 from .verify import run_verification
 
@@ -194,10 +194,7 @@ def _chain_human(label: str, report) -> None:
 
 def cmd_chain(args) -> int:
     rect, fn = _prepare(args)
-    scheme = _scheme(args)
-    integral = reference_integral_2d(fn, rect, args.grid).value
-    classic = classic_chain(fn, rect, scheme, args.grid, integral=integral)
-    refined = refined_chain(fn, rect, scheme, args.grid, integral=integral)
+    classic, refined = five_term_chains(fn, rect, _scheme(args), args.grid)
     scheme_label = (f"nested:{args.m}" if args.scheme == "nested"
                     else f"quadrature:{args.quad_tol:g} (diagnostic, not certified)")
     if args.output == "json":

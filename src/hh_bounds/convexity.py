@@ -20,7 +20,7 @@ import numpy as np
 
 from .bounds1d import Fn1D, Interval, evaluate
 from .errors import DomainError, PreconditionError
-from .rect import Fn2D, Rect, spot_minimum
+from .rect import Fn2D, Rect, with_positivity
 
 AXIS_X = "x"
 AXIS_Y = "y"
@@ -151,8 +151,7 @@ def random_coordinate_convex(seed: int, r: Rect, atom_count: int) -> Fn2D:
             acc = acc + c * gx(x) * hy(y)
         return acc
 
-    fn = Fn2D(eval=ev)
-    return Fn2D(eval=ev, positive=spot_minimum(fn, r) > 0.0)
+    return with_positivity(ev, r)
 
 
 def random_convex_1d(seed: int, iv: Interval, atom_count: int,

@@ -16,6 +16,10 @@ for convex restrictions), integrals sitting above with the trapezoid rule
 (an overestimate), so every reported ordering is still certified. The double
 integral term itself always comes from the independent Simpson oracle.
 
+The two five-term chains share their first three terms, boundary lines and
+corners, so :func:`five_term_chains` builds both in one pass, and
+:func:`classic_chain` and :func:`refined_chain` are views of it.
+
 Callbacks receive blocks of points as numpy arrays (lines x points per line,
 or a handful of corner and edge points); a scalar-only callback is called
 once per point instead.
@@ -46,7 +50,8 @@ BLOCK_POINTS = 1 << 16
 
 @dataclass(frozen=True)
 class Rect:
-    """The integration domain [a, b] x [c, d], nondegenerate and finite."""
+    """The integration domain [a, b] x [c, d], nondegenerate and finite,
+    with finite widths and area."""
 
     a: float
     b: float
@@ -59,6 +64,8 @@ class Rect:
                 raise DomainError(f"rectangle corners must be finite, got {self}")
         if not (self.a < self.b and self.c < self.d):
             raise DomainError(f"degenerate rectangle [{self.a}, {self.b}] x [{self.c}, {self.d}]")
+        if not all(map(math.isfinite, (self.b - self.a, self.d - self.c, self.area))):
+            raise DomainError(f"rectangle widths and area must be finite, got {self}")
 
     @property
     def x_interval(self) -> Interval:
@@ -155,6 +162,12 @@ def spot_minimum(f: Fn2D, r: Rect, k: int = SPOT_GRID) -> float:
     xs = np.linspace(r.a, r.b, k)
     ys = np.linspace(r.c, r.d, k)
     return float(evaluate(f.eval, xs[:, None], ys[None, :]).min())
+
+
+def with_positivity(ev: Callable, r: Rect) -> Fn2D:
+    """``ev`` as an Fn2D, flagged positive when its minimum over the spot
+    grid of ``r`` is strictly positive."""
+    return Fn2D(eval=ev, positive=spot_minimum(Fn2D(eval=ev), r) > 0.0)
 
 
 def _lines(f: Fn2D, r: Rect, along: str, at, upper: bool, scheme: InnerScheme,
@@ -330,65 +343,67 @@ CLASSIC_TERM_NAMES = ("center", "midline_avg", "mean", "boundary_avg", "corner_a
 REFINED_TERM_NAMES = ("center", "midline_avg", "mean", "boundary_midline_avg", "nine_point_avg")
 
 
-def _shared_chain_head(f: Fn2D, r: Rect, scheme: InnerScheme, oracle_grid: int,
-                       integral: float | None):
-    """First three terms common to both five-term chains (mean-value scale)."""
+def five_term_chains(f: Fn2D, r: Rect, scheme: InnerScheme = NestedDiscrete(),
+                     oracle_grid: int = DEFAULT_GRID,
+                     tolerance: float | None = None,
+                     integral: float | None = None) -> tuple[ChainReport, ChainReport]:
+    """The classic and the refined five-term mean-value chains, in one pass.
+
+    Classic: center value <= average of center-line means <= mean of f <=
+    average of boundary-line means <= corner average. Every ordering is
+    certified in NestedDiscrete mode.
+
+    Refined: the same first three terms; the fourth term averages boundary
+    and doubled center-line integrals with weight 1/8, the fifth is the
+    nine-point corner/edge-midpoint/center combination with weights 1/16,
+    1/8, 1/4. Terms four and five never exceed their classic counterparts.
+    In NestedDiscrete mode the fourth-to-fifth ordering is guaranteed for
+    even inner counts (they coincide at two subintervals); an odd ``m`` can
+    report a violation caused by resolution alone.
+
+    Each shared piece is resolved once: the nine points in one evaluation,
+    the lower center lines, the oracle (unless ``integral`` is given) and,
+    per direction, the boundary lines with the upper center line.
+    """
     cx, cy = r.center
-    t1 = _points(f, [cx], [cy])[0]
+    # the center, the corners, then the edge midpoints
+    t1, ac, ad, bc, bd, xc, xd, ay, by = _points(
+        f, [cx, r.a, r.a, r.b, r.b, cx, cx, r.a, r.b],
+        [cy, r.c, r.d, r.c, r.d, r.c, r.d, cy, cy])
     qx = _lines(f, r, "x", [cy], False, scheme, 1)[0]
     qy = _lines(f, r, "y", [cx], False, scheme, 1)[0]
     t2 = 0.5 * (qx / (r.b - r.a) + qy / (r.d - r.c))
     if integral is None:
         integral = reference_integral_2d(f, r, oracle_grid).value
-    return t1, t2, integral / r.area
+    head = (t1, t2, integral / r.area)
+    ux = _lines(f, r, "x", [r.c, r.d, cy], True, scheme, 1)
+    uy = _lines(f, r, "y", [r.a, r.b, cx], True, scheme, 1)
+    c4 = (ux[0] + ux[1]) / (4.0 * (r.b - r.a))
+    c4 += (uy[0] + uy[1]) / (4.0 * (r.d - r.c))
+    r4 = (ux[0] + ux[1] + 2.0 * ux[2]) / (8.0 * (r.b - r.a))
+    r4 += (uy[0] + uy[1] + 2.0 * uy[2]) / (8.0 * (r.d - r.c))
+    r5 = (ac + ad + bc + bd) / 16.0
+    r5 += 0.25 * t1
+    r5 += (xc + xd + ay + by) / 8.0
+    classic = head + (c4, 0.25 * (ac + ad + bc + bd))
+    return (chain_report(list(zip(CLASSIC_TERM_NAMES, classic)), tolerance),
+            chain_report(list(zip(REFINED_TERM_NAMES, head + (r4, r5))), tolerance))
 
 
 def classic_chain(f: Fn2D, r: Rect, scheme: InnerScheme = NestedDiscrete(),
                   oracle_grid: int = DEFAULT_GRID,
                   tolerance: float | None = None,
                   integral: float | None = None) -> ChainReport:
-    """Five-term mean-value chain for coordinate-convex f.
-
-    center value <= average of center-line means <= mean of f <= average of
-    boundary-line means <= corner average. Every ordering is certified in
-    NestedDiscrete mode.
-    """
-    t1, t2, t3 = _shared_chain_head(f, r, scheme, oracle_grid, integral)
-    ux = _lines(f, r, "x", [r.c, r.d], True, scheme, 1)
-    uy = _lines(f, r, "y", [r.a, r.b], True, scheme, 1)
-    t4 = (ux[0] + ux[1]) / (4.0 * (r.b - r.a))
-    t4 += (uy[0] + uy[1]) / (4.0 * (r.d - r.c))
-    ac, ad, bc, bd = _points(f, [r.a, r.a, r.b, r.b], [r.c, r.d, r.c, r.d])
-    t5 = 0.25 * (ac + ad + bc + bd)
-    return chain_report(list(zip(CLASSIC_TERM_NAMES, (t1, t2, t3, t4, t5))), tolerance)
+    """The classic chain of :func:`five_term_chains`."""
+    return five_term_chains(f, r, scheme, oracle_grid, tolerance, integral)[0]
 
 
 def refined_chain(f: Fn2D, r: Rect, scheme: InnerScheme = NestedDiscrete(),
                   oracle_grid: int = DEFAULT_GRID,
                   tolerance: float | None = None,
                   integral: float | None = None) -> ChainReport:
-    """Sharper five-term chain: boundary means augmented with the center lines.
-
-    Same first three terms as :func:`classic_chain`; the fourth term averages
-    boundary and doubled center-line integrals with weight 1/8, the fifth is
-    the nine-point corner/edge-midpoint/center combination with weights
-    1/16, 1/8, 1/4. Terms four and five never exceed their classic
-    counterparts. In NestedDiscrete mode the fourth-to-fifth ordering is
-    guaranteed for even inner counts (they coincide at two subintervals);
-    an odd ``m`` can report a violation caused by resolution alone.
-    """
-    t1, t2, t3 = _shared_chain_head(f, r, scheme, oracle_grid, integral)
-    cx, cy = r.center
-    ux = _lines(f, r, "x", [r.c, r.d, cy], True, scheme, 1)
-    uy = _lines(f, r, "y", [r.a, r.b, cx], True, scheme, 1)
-    t4 = (ux[0] + ux[1] + 2.0 * ux[2]) / (8.0 * (r.b - r.a))
-    t4 += (uy[0] + uy[1] + 2.0 * uy[2]) / (8.0 * (r.d - r.c))
-    ac, ad, bc, bd = _points(f, [r.a, r.a, r.b, r.b], [r.c, r.d, r.c, r.d])
-    t5 = (ac + ad + bc + bd) / 16.0
-    t5 += 0.25 * t1
-    xc, xd, ay, by = _points(f, [cx, cx, r.a, r.b], [r.c, r.d, cy, cy])
-    t5 += (xc + xd + ay + by) / 8.0
-    return chain_report(list(zip(REFINED_TERM_NAMES, (t1, t2, t3, t4, t5))), tolerance)
+    """The refined chain of :func:`five_term_chains`."""
+    return five_term_chains(f, r, scheme, oracle_grid, tolerance, integral)[1]
 
 
 def assemble_classic_terms(f: Fn2D, r: Rect, scheme: InnerScheme = NestedDiscrete(),

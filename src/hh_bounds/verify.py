@@ -11,7 +11,7 @@ negative margin per property is reported as its worst slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .convexity import ConvexityRejection, check_coordinate_convexity, random_co
 from .errors import DomainError
 from .oracle import reference_integral_2d
 from .rect import (Fn2D, Rect, assemble_classic_terms, boundary_bound, centerline_bound,
-                   classic_chain, discrete_enclosure, positive_upper, refined_chain)
+                   discrete_enclosure, five_term_chains, positive_upper)
 from .schemes import InnerScheme, NestedDiscrete
 
 PROPERTY_NAMES = (
@@ -66,16 +66,6 @@ class VerifySummary:
         return all(p.violations == 0 for p in self.properties)
 
 
-@dataclass
-class _CaseEvents:
-    events: list[tuple[str, float, float, str]] = field(default_factory=list)
-    equality: bool = False
-    skipped: int = 0
-
-    def add(self, name: str, margin: float, tol: float, context: str) -> None:
-        self.events.append((name, margin, tol, context))
-
-
 def case_instance(seed: int, index: int, inject_concave: bool = False
                   ) -> tuple[Rect, Fn2D, str]:
     """Deterministically draw the rectangle and function for one case."""
@@ -97,9 +87,15 @@ def case_instance(seed: int, index: int, inject_concave: bool = False
     return rect, random_coordinate_convex(fn_seed, rect, atoms), context
 
 
+def _oracle_tol(gap: float) -> float:
+    """The oracle error estimate that still lets an enclosure of ``gap`` be checked."""
+    return 1e-3 * gap + 1e-12
+
+
 def _run_case(index: int, seed: int, n_values, m_values, scheme: InnerScheme,
               oracle_grid: int, gate_samples: int, gate_tol: float,
-              inject_concave: bool) -> _CaseEvents:
+              inject_concave: bool, summary: VerifySummary) -> None:
+    """Run one case, recording its margins, skips and equality into ``summary``."""
     rect, f, context = case_instance(seed, index, inject_concave and index == 0)
 
     gate = check_coordinate_convexity(f, rect, gate_samples, gate_tol,
@@ -107,50 +103,50 @@ def _run_case(index: int, seed: int, n_values, m_values, scheme: InnerScheme,
     if not gate.passed:
         raise ConvexityRejection(gate, context)
 
-    out = _CaseEvents()
+    stat = {p.name: p for p in summary.properties}
     enclosures = [(n, m, discrete_enclosure(f, rect, n, m))
                   for n in n_values for m in m_values]
     # refine the oracle only as far as the tightest enclosure check needs
-    target = 1e-3 * min(bp.gap for _, _, bp in enclosures) + 1e-12
+    target = _oracle_tol(min(bp.gap for _, _, bp in enclosures))
     oracle = reference_integral_2d(f, rect, oracle_grid, target)
     integral = oracle.value
     scale = max(1.0, abs(integral))
 
     for n, m, bp in enclosures:
-        if oracle.error_estimate > 1e-3 * bp.gap + 1e-12:
-            out.skipped += 1
+        if oracle.error_estimate > _oracle_tol(bp.gap):
+            summary.skipped_oracle_checks += 1
         else:
             margin = min(integral - bp.lower, bp.upper - integral) / scale
-            out.add("enclosure_soundness", margin, REL_TOL, f"{context} n={n} m={m}")
+            stat["enclosure_soundness"].record(margin, REL_TOL, f"{context} n={n} m={m}")
 
     for n in n_values:
         lhs, rhs = centerline_bound(f, rect, n, scheme)
-        out.add("centerline_inequality", (rhs - lhs) / max(1.0, abs(rhs)), REL_TOL,
-                f"{context} n={n}")
+        stat["centerline_inequality"].record((rhs - lhs) / max(1.0, abs(rhs)), REL_TOL,
+                                             f"{context} n={n}")
         lhs, rhs = boundary_bound(f, rect, n, scheme)
-        out.add("boundary_inequality", (rhs - lhs) / max(1.0, abs(rhs)), REL_TOL,
-                f"{context} n={n}")
+        stat["boundary_inequality"].record((rhs - lhs) / max(1.0, abs(rhs)), REL_TOL,
+                                           f"{context} n={n}")
         if f.positive:
             bound = positive_upper(f, rect, n, scheme)
-            out.add("positive_upper_bound", (bound - integral) / max(1.0, abs(bound)),
-                    REL_TOL, f"{context} n={n}")
+            stat["positive_upper_bound"].record((bound - integral) / max(1.0, abs(bound)),
+                                                REL_TOL, f"{context} n={n}")
 
-    classic = classic_chain(f, rect, scheme, oracle_grid, integral=integral)
+    classic, refined = five_term_chains(f, rect, scheme, oracle_grid, integral=integral)
     assembled = assemble_classic_terms(f, rect, scheme, oracle_grid, integral=integral)
     for (name, cv), av in zip(classic.terms, assembled):
         margin = -abs(av - cv) / max(1.0, abs(av), abs(cv))
-        out.add("chain_recapture", margin, EQ_TOL, f"{context} term={name}")
+        stat["chain_recapture"].record(margin, EQ_TOL, f"{context} term={name}")
 
-    refined = refined_chain(f, rect, scheme, oracle_grid, integral=integral)
     for idx in (3, 4):
         cv = classic.terms[idx][1]
         rv = refined.terms[idx][1]
-        out.add("refined_tightens", (cv - rv) / max(1.0, abs(cv)), EQ_TOL,
-                f"{context} term_index={idx}")
+        stat["refined_tightens"].record((cv - rv) / max(1.0, abs(cv)), EQ_TOL,
+                                        f"{context} term_index={idx}")
 
-    bp1 = discrete_enclosure(f, rect, 1, 1)
-    out.equality = bp1.gap <= EQ_TOL * scale
-    return out
+    bp1 = next((bp for n, m, bp in enclosures if n == m == 1), None)
+    if bp1 is None:
+        bp1 = discrete_enclosure(f, rect, 1, 1)
+    summary.equality_cases += int(bp1.gap <= EQ_TOL * scale)
 
 
 def run_verification(cases: int, seed: int, *, n_values=(1, 2, 4), m_values=(1, 2),
@@ -166,13 +162,9 @@ def run_verification(cases: int, seed: int, *, n_values=(1, 2, 4), m_values=(1, 
     if cases < 1:
         raise DomainError(f"cases must be >= 1, got {cases}")
 
-    stats = {name: PropertyStat(name) for name in PROPERTY_NAMES}
-    summary = VerifySummary(cases=cases, seed=seed, properties=list(stats.values()))
+    summary = VerifySummary(cases=cases, seed=seed,
+                            properties=[PropertyStat(name) for name in PROPERTY_NAMES])
     for i in range(cases):
-        res = _run_case(i, seed, n_values, m_values, scheme, oracle_grid,
-                        gate_samples, gate_tol, inject_concave)
-        for name, margin, tol, context in res.events:
-            stats[name].record(margin, tol, context)
-        summary.equality_cases += int(res.equality)
-        summary.skipped_oracle_checks += res.skipped
+        _run_case(i, seed, n_values, m_values, scheme, oracle_grid,
+                  gate_samples, gate_tol, inject_concave, summary)
     return summary

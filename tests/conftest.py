@@ -1,4 +1,6 @@
+import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,12 @@ import pytest
 from hh_bounds import Fn1D, Fn2D
 from hh_bounds.oracle import reference_integral_2d
 from hh_bounds.verify import case_instance
+
+# The CLI tests run ``python -m hh_bounds`` in a subprocess, which imports
+# the package from this checkout's src/ as the tests themselves do.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                  os.environ.get("PYTHONPATH")]))
 
 #: Seed for the shared random-instance corpus used by the acceptance suite.
 CORPUS_SEED = 20170

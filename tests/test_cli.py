@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import hh_bounds.cli
 import hh_bounds.rect
 from hh_bounds.cli import main
 from hh_bounds.oracle import reference_integral_2d
+from hh_bounds.schemes import adaptive_simpson
 
 #: Outputs recorded before a refactor of the code under them, to pin them byte
 #: for byte.
@@ -89,6 +91,19 @@ class TestBounds:
         cp = run_cli("bounds", "--f", "x*y")
         assert cp.returncode == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--f", "x^2", "--rect", "-1e308", "1e308", "0", "1"],
+        ["--f", "1", "--rect", "0", "1e200", "0", "1e200", "--n", "1", "--m", "1",
+         "--output", "json"],
+    ])
+    def test_non_finite_rectangle_size_exit_2(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bounds", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: rectangle widths and area must be finite")
+
 
 class TestChain:
     def test_xy_all_quarter(self):
@@ -132,6 +147,21 @@ class TestChain:
         assert len(calls) == 1
         assert json.loads(capsys.readouterr().out)["classic"]["terms"][2]["value"] \
             == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+    def test_quadrature_resolves_shared_lines_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return adaptive_simpson(*args, **kwargs)
+
+        monkeypatch.setattr(hh_bounds.rect, "adaptive_simpson", counting)
+        code = main(["chain", "--f", "exp(x+y)", "--rect", "0", "1", "0", "1",
+                     "--scheme", "quadrature", "--grid", "64", "--output", "json"])
+        assert code == 0
+        # two lower center lines, then the boundary and upper center lines
+        # per direction
+        assert len(calls) == 8
 
     @pytest.mark.parametrize("scheme", ["nested", "quadrature"])
     def test_json_matches_golden(self, scheme, capsys):

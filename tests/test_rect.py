@@ -7,8 +7,8 @@ import pytest
 from hh_bounds import (DomainError, EvaluationError, Fn2D, NestedDiscrete,
                        PreconditionError, Quadrature, Rect, assemble_classic_terms,
                        boundary_bound, centerline_bound, classic_chain,
-                       discrete_enclosure, machine_tol, partition_chain,
-                       positive_upper, refined_chain)
+                       discrete_enclosure, five_term_chains, machine_tol,
+                       partition_chain, positive_upper, refined_chain)
 from hh_bounds.convexity import random_coordinate_convex
 from hh_bounds.oracle import reference_integral_2d
 from hh_bounds.rect import BLOCK_POINTS, chain_report
@@ -29,6 +29,16 @@ class TestRect:
             Rect(0.0, 1.0, 2.0, 1.0)
         with pytest.raises(DomainError):
             Rect(0.0, math.nan, 0.0, 1.0)
+
+    def test_rejects_non_finite_width_and_area(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="width"):
+                Rect(-1e308, 1e308, 0.0, 1.0)
+            with pytest.raises(DomainError, match="width"):
+                Rect(0.0, 1.0, -1e308, 1e308)
+            with pytest.raises(DomainError, match="area"):
+                Rect(0.0, 1e200, 0.0, 1e200)
 
     def test_geometry(self):
         r = Rect(-1.0, 3.0, 0.0, 2.0)
@@ -279,6 +289,21 @@ class TestChains:
         f = random_coordinate_convex(4, r, 3)
         for m in (2, 4, 6, 16):
             assert refined_chain(f, r, NestedDiscrete(m)).all_satisfied
+
+    def test_both_chains_from_five_array_calls(self):
+        calls = []
+
+        def ev(x, y):
+            calls.append(np.broadcast(x, y).shape)
+            return np.exp(x - 0.5 * y) + x * x * y * y
+
+        f = Fn2D(eval=ev)
+        r = Rect(-0.5, 1.5, 0.25, 2.0)
+        scheme = NestedDiscrete(5)
+        classic, refined = five_term_chains(f, r, scheme, integral=1.25)
+        assert len(calls) <= 5
+        assert repr(classic) == repr(classic_chain(f, r, scheme, integral=1.25))
+        assert repr(refined) == repr(refined_chain(f, r, scheme, integral=1.25))
 
     def test_quadrature_error_names_both_coordinates(self):
         f = Fn2D(eval=lambda x, y: np.log(x + y))
