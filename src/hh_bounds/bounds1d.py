@@ -10,7 +10,7 @@ module, never inside these routines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -28,14 +28,16 @@ def machine_tol(*values: float) -> float:
 
 @dataclass(frozen=True)
 class Interval:
-    """A nondegenerate finite interval [lo, hi]."""
+    """A nondegenerate finite interval [lo, hi] whose endpoints stay finite
+    when doubled, so that every midpoint of two points in it is finite."""
 
     lo: float
     hi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise DomainError(f"interval endpoints must be finite, got [{self.lo}, {self.hi}]")
+        if not (math.isfinite(2.0 * self.lo) and math.isfinite(2.0 * self.hi)):
+            raise DomainError(f"interval endpoints must be finite and at most half the "
+                              f"largest float in magnitude, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise DomainError(f"degenerate interval [{self.lo}, {self.hi}]")
 
@@ -50,31 +52,40 @@ class Partition1D:
 
     Node k is lo + k*(hi-lo)/n, computed directly from k (no running
     accumulation) so roundoff cannot drift nodes outside the interval; the
-    last node is pinned to ``hi`` exactly.
+    last node is pinned to ``hi`` exactly. The nodes are computed and checked
+    once, on construction: k*(hi-lo) can overflow on a wide interval, and
+    roundoff can make neighbouring nodes coincide on a narrow one.
     """
 
     interval: Interval
     n: int
+    _nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"partition size must be >= 1, got {self.n}")
-        if not (np.diff(self.nodes()) > 0.0).all():
+        iv = self.interval
+        with np.errstate(all="ignore"):
+            xs = iv.lo + np.arange(self.n + 1, dtype=float) * (iv.hi - iv.lo) / self.n
+        xs[0] = iv.lo
+        xs[-1] = iv.hi
+        if not (np.diff(xs) > 0.0).all():
+            # a non-finite node between the finite ends always lands here
+            if not np.isfinite(xs).all():
+                raise DomainError(f"partition of [{iv.lo}, {iv.hi}] into {self.n} cells "
+                                  "has non-finite nodes")
             raise DomainError(f"partition into {self.n} cells has coincident nodes")
+        object.__setattr__(self, "_nodes", xs)
 
     @property
     def h(self) -> float:
         return self.interval.length / self.n
 
     def nodes(self) -> np.ndarray:
-        iv = self.interval
-        xs = iv.lo + np.arange(self.n + 1, dtype=float) * (iv.hi - iv.lo) / self.n
-        xs[0] = iv.lo
-        xs[-1] = iv.hi
-        return xs
+        return self._nodes.copy()
 
     def midpoints(self) -> np.ndarray:
-        xs = self.nodes()
+        xs = self._nodes
         return 0.5 * (xs[:-1] + xs[1:])
 
 
@@ -97,7 +108,11 @@ class Fn1D:
 
 @dataclass(frozen=True)
 class BoundPair:
-    """A certified (lower, upper) enclosure together with its cost."""
+    """A certified (lower, upper) enclosure together with its cost.
+
+    The bounds and their gap must be finite: an overflowing bound is an
+    :class:`EvaluationError`.
+    """
 
     lower: float
     upper: float
@@ -107,6 +122,9 @@ class BoundPair:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"BoundPair.n must be >= 1, got {self.n}")
+        for name, value in (("lower", self.lower), ("upper", self.upper), ("gap", self.gap)):
+            if not math.isfinite(value):
+                raise EvaluationError(f"enclosure {name} is not finite: {value!r}")
         if self.lower > self.upper + machine_tol(self.lower, self.upper):
             raise PreconditionError(
                 f"bounds out of order: lower={self.lower!r} > upper={self.upper!r}; "
@@ -156,13 +174,21 @@ def _point_value(ev: Callable, point) -> float:
 
 
 def midpoint_sum(v: np.ndarray, h: float):
-    """Composite midpoint value of each row of ``v`` (values at the cell midpoints)."""
-    return h * v.sum(-1)
+    """Composite midpoint value of each row of ``v`` (values at the cell midpoints).
+
+    A row whose value overflows comes out infinite, without a warning.
+    """
+    with np.errstate(all="ignore"):
+        return h * v.sum(-1)
 
 
 def trapezoid_sum(v: np.ndarray, h: float):
-    """Composite trapezoid value of each row of ``v`` (values at the nodes)."""
-    return h * (0.5 * (v[..., 0] + v[..., -1]) + v[..., 1:-1].sum(-1))
+    """Composite trapezoid value of each row of ``v`` (values at the nodes).
+
+    A row whose value overflows comes out infinite, without a warning.
+    """
+    with np.errstate(all="ignore"):
+        return h * (0.5 * (v[..., 0] + v[..., -1]) + v[..., 1:-1].sum(-1))
 
 
 def midpoint_lower(fn: Fn1D, iv: Interval, n: int) -> float:

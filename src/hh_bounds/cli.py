@@ -21,10 +21,10 @@ import re
 import sys
 
 from .catalog import NAMED_FUNCTIONS, resolve_function
-from .convexity import ConvexityRejection, check_coordinate_convexity
+from .convexity import GATE_SAMPLES, GATE_TOL, ConvexityRejection, check_coordinate_convexity
 from .errors import DomainError, EvaluationError, PreconditionError
 from .expr import ParseError
-from .oracle import reference_integral_2d
+from .oracle import DEFAULT_GRID, reference_integral_2d
 from .rect import Rect, discrete_enclosure, five_term_chains
 from .schemes import NestedDiscrete, Quadrature
 from .verify import run_verification
@@ -34,6 +34,16 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_GATE = 3
 EXIT_EVAL = 4
+
+#: How ``main`` reports a failure: the first entry whose class matches gives
+#: the exit code and the stderr prefix, so a subclass comes before its base.
+FAILURES = (
+    (ParseError, EXIT_USAGE, "expression error"),
+    (DomainError, EXIT_USAGE, "error"),
+    (ConvexityRejection, EXIT_GATE, "convexity gate"),
+    (PreconditionError, EXIT_GATE, "precondition"),
+    (EvaluationError, EXIT_EVAL, "evaluation error"),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,8 +70,11 @@ def _add_common(p: argparse.ArgumentParser, needs_fn: bool = True) -> None:
                        help="integration rectangle [A,B] x [C,D]")
         p.add_argument("--skip-convexity-check", action="store_true",
                        help="bypass the sampling convexity gate")
-        p.add_argument("--gate-samples", type=int, default=10_000)
-        p.add_argument("--gate-tol", type=float, default=1e-10)
+        p.add_argument("--gate-samples", type=int, default=GATE_SAMPLES)
+        p.add_argument("--gate-tol", type=float, default=GATE_TOL)
+        p.add_argument("--m", type=int, default=NestedDiscrete.m,
+                       help="inner subintervals per partition cell "
+                            "(chain: --scheme nested only)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", choices=("human", "json", "csv"), default="human")
 
@@ -70,9 +83,7 @@ def _add_scheme(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scheme", choices=("nested", "quadrature"), default="nested",
                    help="how 1-D integrals in chain terms are resolved; 'nested' "
                         "keeps every ordering certified, 'quadrature' is diagnostic")
-    p.add_argument("--m", type=int, default=16,
-                   help="inner subintervals per partition cell (nested mode)")
-    p.add_argument("--quad-tol", type=float, default=1e-10)
+    p.add_argument("--quad-tol", type=float, default=Quadrature.tol)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,21 +97,19 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bounds", help="certified lower/upper enclosure")
     _add_common(b)
     b.add_argument("--n", type=int, default=4, help="partition cells per axis")
-    b.add_argument("--m", type=int, default=16, help="inner subintervals per cell")
-    b.add_argument("--grid", type=int, default=1024, help="oracle grid")
+    b.add_argument("--grid", type=int, default=DEFAULT_GRID, help="oracle grid")
     b.set_defaults(handler=cmd_bounds)
 
     c = sub.add_parser("chain", help="five-term inequality chains")
     _add_common(c)
     _add_scheme(c)
-    c.add_argument("--grid", type=int, default=1024)
+    c.add_argument("--grid", type=int, default=DEFAULT_GRID)
     c.set_defaults(handler=cmd_chain)
 
     g = sub.add_parser("converge", help="enclosure gap decay over a dyadic n sweep")
     _add_common(g)
     g.add_argument("--n", required=True, metavar="LO:HI",
                    help="dyadic sweep LO, 2*LO, ... up to HI (or a single n)")
-    g.add_argument("--m", type=int, default=16)
     g.set_defaults(handler=cmd_converge)
 
     v = sub.add_parser("verify", help="random-instance property suite")
@@ -314,25 +323,14 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"expression error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConvexityRejection as exc:
-        print(f"convexity gate: {exc}", file=sys.stderr)
-        return EXIT_GATE
-    except PreconditionError as exc:
-        print(f"precondition: {exc}", file=sys.stderr)
-        return EXIT_GATE
-    except EvaluationError as exc:
-        print(f"evaluation error: {exc}", file=sys.stderr)
-        return EXIT_EVAL
+    except tuple(cls for cls, _, _ in FAILURES) as exc:
+        code, prefix = next((code, prefix) for cls, code, prefix in FAILURES
+                            if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

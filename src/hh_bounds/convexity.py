@@ -24,6 +24,9 @@ from .rect import Fn2D, Rect, with_positivity
 
 AXIS_X = "x"
 AXIS_Y = "y"
+#: Chord draws per axis, and the most negative slack the gate still passes.
+GATE_SAMPLES = 10_000
+GATE_TOL = 1e-10
 
 
 class ConvexityRejection(PreconditionError):
@@ -61,8 +64,8 @@ class ConvexityReport:
     passed: bool
 
 
-def check_coordinate_convexity(f: Fn2D, r: Rect, samples: int = 10_000,
-                               tol: float = 1e-10, seed: int = 0) -> ConvexityReport:
+def check_coordinate_convexity(f: Fn2D, r: Rect, samples: int = GATE_SAMPLES,
+                               tol: float = GATE_TOL, seed: int = 0) -> ConvexityReport:
     """Sample convexity slacks of both partial mappings.
 
     Per axis, draws ``samples`` tuples (fixed other-coordinate, chord ends

@@ -17,12 +17,13 @@ at level ``grid``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds1d import evaluate
-from .errors import DomainError
+from .errors import DomainError, EvaluationError
 
 DEFAULT_GRID = 1024
 #: Coarsest level of the nested ladder.
@@ -36,6 +37,9 @@ class OracleResult:
     grid: int
 
     def __post_init__(self):
+        for name, value in (("value", self.value), ("error estimate", self.error_estimate)):
+            if not math.isfinite(value):
+                raise EvaluationError(f"oracle {name} is not finite: {value!r}")
         if self.error_estimate < 0.0:
             raise DomainError("error estimate must be nonnegative")
 
@@ -46,15 +50,19 @@ def _check_grid(grid: int) -> None:
 
 
 def _simpson_1d(vals: np.ndarray, h: float) -> float:
-    # vals holds an odd number of equally spaced samples
-    return h / 3.0 * float(vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-2:2].sum())
+    # vals holds an odd number of equally spaced samples; an overflowing sum
+    # comes out infinite, without a warning
+    with np.errstate(all="ignore"):
+        return h / 3.0 * float(vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum()
+                               + 2.0 * vals[2:-2:2].sum())
 
 
 def _tensor_simpson(v: np.ndarray, hx: float, hy: float) -> float:
     w = np.ones(v.shape[0])
     w[1:-1:2] = 4.0
     w[2:-2:2] = 2.0
-    return hx * hy / 9.0 * float(w @ v @ w)
+    with np.errstate(all="ignore"):
+        return hx * hy / 9.0 * float(w @ v @ w)
 
 
 def reference_integral_1d(fn, iv, grid: int = DEFAULT_GRID) -> OracleResult:

@@ -27,7 +27,9 @@ once per point instead.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -37,7 +39,7 @@ from .bounds1d import (BoundPair, Interval, Partition1D, evaluate, midpoint_sum,
                        trapezoid_sum)
 # still importable from here, as before (bench/test_bench.py relies on it)
 from .bounds1d import midpoint_lower, trapezoid_upper  # noqa: F401
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, EvaluationError, PreconditionError
 from .oracle import DEFAULT_GRID, reference_integral_2d
 from .schemes import InnerScheme, NestedDiscrete, adaptive_simpson
 
@@ -51,7 +53,8 @@ BLOCK_POINTS = 1 << 16
 @dataclass(frozen=True)
 class Rect:
     """The integration domain [a, b] x [c, d], nondegenerate and finite,
-    with finite widths and area."""
+    with finite widths and area, and corners that stay finite when doubled
+    (so every midpoint, the center included, is finite)."""
 
     a: float
     b: float
@@ -64,8 +67,12 @@ class Rect:
                 raise DomainError(f"rectangle corners must be finite, got {self}")
         if not (self.a < self.b and self.c < self.d):
             raise DomainError(f"degenerate rectangle [{self.a}, {self.b}] x [{self.c}, {self.d}]")
-        if not all(map(math.isfinite, (self.b - self.a, self.d - self.c, self.area))):
+        # a non-finite width makes the area non-finite too
+        if not math.isfinite(self.area):
             raise DomainError(f"rectangle widths and area must be finite, got {self}")
+        if not all(math.isfinite(2.0 * v) for v in (self.a, self.b, self.c, self.d)):
+            raise DomainError("rectangle corners must be at most half the largest float "
+                              f"in magnitude, got {self}")
 
     @property
     def x_interval(self) -> Interval:
@@ -143,6 +150,10 @@ class ChainReport:
 
 
 def chain_report(terms: list[tuple[str, float]], tolerance: float | None = None) -> ChainReport:
+    """Orderings of ``terms``; a non-finite term is an :class:`EvaluationError`."""
+    for name, value in terms:
+        if not math.isfinite(value):
+            raise EvaluationError(f"chain term {name} is not finite: {value!r}")
     if tolerance is None:
         tolerance = 1e-9 * max(1.0, *(abs(v) for _, v in terms))
     orderings = []
@@ -209,6 +220,15 @@ def _line_eval(f: Fn2D, along: str, t) -> Callable:
     return lambda s: evaluate(f.eval, t, s)
 
 
+def _fold(values, start: float = 0.0) -> float:
+    """``start`` plus ``values``, added left to right.
+
+    Not ``sum``: from Python 3.12 it compensates float sums, so its bits
+    would depend on the interpreter. This is what it computes on 3.10 and 3.11.
+    """
+    return functools.reduce(operator.add, values, start)
+
+
 def _partition_sums(f: Fn2D, r: Rect, n: int, scheme: InnerScheme) -> tuple[float, float]:
     """Lower and upper partitioned line-integral sums for a partition into n cells.
 
@@ -221,15 +241,15 @@ def _partition_sums(f: Fn2D, r: Rect, n: int, scheme: InnerScheme) -> tuple[floa
     wy = (r.d - r.c) / (2.0 * n)
     wx = (r.b - r.a) / (2.0 * n)
 
-    lower = wy * sum(_lines(f, r, "x", py.midpoints(), False, scheme, n))
-    lower += wx * sum(_lines(f, r, "y", px.midpoints(), False, scheme, n))
+    lower = wy * _fold(_lines(f, r, "x", py.midpoints(), False, scheme, n))
+    lower += wx * _fold(_lines(f, r, "y", px.midpoints(), False, scheme, n))
 
     ux = _lines(f, r, "x", py.nodes(), True, scheme, n)
     uy = _lines(f, r, "y", px.nodes(), True, scheme, n)
     upper = 0.5 * wy * (ux[0] + ux[-1])
     upper += 0.5 * wx * (uy[0] + uy[-1])
-    upper += wy * sum(ux[1:-1])
-    upper += wx * sum(uy[1:-1])
+    upper += wy * _fold(ux[1:-1])
+    upper += wx * _fold(uy[1:-1])
     return lower, upper
 
 
@@ -251,7 +271,7 @@ def partition_chain(f: Fn2D, r: Rect, n: int, scheme: InnerScheme = NestedDiscre
         tolerance)
 
 
-def discrete_enclosure(f: Fn2D, r: Rect, n: int, m: int = 16) -> BoundPair:
+def discrete_enclosure(f: Fn2D, r: Rect, n: int, m: int = NestedDiscrete.m) -> BoundPair:
     """Fully discrete enclosure of the double integral from point values only.
 
     Every line integral in the lower sum is itself bounded below by the
@@ -303,11 +323,9 @@ def boundary_bound(f: Fn2D, r: Rect, n: int,
     side = evaluate(f.eval, np.array([[r.a], [r.b]]), py.nodes())
     cap = evaluate(f.eval, px.nodes()[1:-1], np.array([[r.c], [r.d]]))
     (ac, *_, ad), (bc, *_, bd) = side.tolist()
-    rhs = ac + ad + bc + bd
-    # opposite node pairs, added one pair at a time in node order
-    for pair in (side[0, 1:-1] + side[1, 1:-1]).tolist() + (cap[0] + cap[1]).tolist():
-        rhs += pair
-    return lhs, rhs
+    # the corners, then the opposite node pairs, one pair at a time in node order
+    pairs = (side[0, 1:-1] + side[1, 1:-1]).tolist() + (cap[0] + cap[1]).tolist()
+    return lhs, _fold(pairs, ac + ad + bc + bd)
 
 
 def _require_positive(f: Fn2D, r: Rect) -> None:
@@ -333,9 +351,9 @@ def positive_upper(f: Fn2D, r: Rect, n: int,
     uy = _lines(f, r, "y", Partition1D(r.x_interval, n).nodes(), True, scheme, n)
     ux = _lines(f, r, "x", Partition1D(r.y_interval, n).nodes(), True, scheme, n)
     col = (n + 1) * (uy[0] + uy[-1])
-    col += 2.0 * sum(uy[1:-1])
+    col += 2.0 * _fold(uy[1:-1])
     row = (n + 1) * (ux[0] + ux[-1])
-    row += 2.0 * sum(ux[1:-1])
+    row += 2.0 * _fold(ux[1:-1])
     return (r.b - r.a) / (4.0 * n) * col + (r.d - r.c) / (4.0 * n) * row
 
 

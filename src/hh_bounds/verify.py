@@ -17,10 +17,10 @@ import numpy as np
 
 from .convexity import ConvexityRejection, check_coordinate_convexity, random_coordinate_convex
 from .errors import DomainError
-from .oracle import reference_integral_2d
+from .oracle import DEFAULT_GRID, reference_integral_2d
 from .rect import (Fn2D, Rect, assemble_classic_terms, boundary_bound, centerline_bound,
                    discrete_enclosure, five_term_chains, positive_upper)
-from .schemes import InnerScheme, NestedDiscrete
+from .schemes import NestedDiscrete
 
 PROPERTY_NAMES = (
     "enclosure_soundness",
@@ -33,6 +33,13 @@ PROPERTY_NAMES = (
 
 REL_TOL = 1e-9
 EQ_TOL = 1e-12
+
+#: The fixed suite: every case is enclosed at each (n, m) of N_VALUES x
+#: M_VALUES, which includes the (1, 1) enclosure the equality count reads,
+#: and resolves its line bounds and chains with SCHEME.
+N_VALUES = (1, 2, 4)
+M_VALUES = (1, 2)
+SCHEME = NestedDiscrete()
 
 
 @dataclass
@@ -92,79 +99,66 @@ def _oracle_tol(gap: float) -> float:
     return 1e-3 * gap + 1e-12
 
 
-def _run_case(index: int, seed: int, n_values, m_values, scheme: InnerScheme,
-              oracle_grid: int, gate_samples: int, gate_tol: float,
-              inject_concave: bool, summary: VerifySummary) -> None:
-    """Run one case, recording its margins, skips and equality into ``summary``."""
-    rect, f, context = case_instance(seed, index, inject_concave and index == 0)
-
-    gate = check_coordinate_convexity(f, rect, gate_samples, gate_tol,
-                                      seed=seed * 1_000_003 + index + 1)
-    if not gate.passed:
-        raise ConvexityRejection(gate, context)
-
-    stat = {p.name: p for p in summary.properties}
-    enclosures = [(n, m, discrete_enclosure(f, rect, n, m))
-                  for n in n_values for m in m_values]
-    # refine the oracle only as far as the tightest enclosure check needs
-    target = _oracle_tol(min(bp.gap for _, _, bp in enclosures))
-    oracle = reference_integral_2d(f, rect, oracle_grid, target)
-    integral = oracle.value
-    scale = max(1.0, abs(integral))
-
-    for n, m, bp in enclosures:
-        if oracle.error_estimate > _oracle_tol(bp.gap):
-            summary.skipped_oracle_checks += 1
-        else:
-            margin = min(integral - bp.lower, bp.upper - integral) / scale
-            stat["enclosure_soundness"].record(margin, REL_TOL, f"{context} n={n} m={m}")
-
-    for n in n_values:
-        lhs, rhs = centerline_bound(f, rect, n, scheme)
-        stat["centerline_inequality"].record((rhs - lhs) / max(1.0, abs(rhs)), REL_TOL,
-                                             f"{context} n={n}")
-        lhs, rhs = boundary_bound(f, rect, n, scheme)
-        stat["boundary_inequality"].record((rhs - lhs) / max(1.0, abs(rhs)), REL_TOL,
-                                           f"{context} n={n}")
-        if f.positive:
-            bound = positive_upper(f, rect, n, scheme)
-            stat["positive_upper_bound"].record((bound - integral) / max(1.0, abs(bound)),
-                                                REL_TOL, f"{context} n={n}")
-
-    classic, refined = five_term_chains(f, rect, scheme, oracle_grid, integral=integral)
-    assembled = assemble_classic_terms(f, rect, scheme, oracle_grid, integral=integral)
-    for (name, cv), av in zip(classic.terms, assembled):
-        margin = -abs(av - cv) / max(1.0, abs(av), abs(cv))
-        stat["chain_recapture"].record(margin, EQ_TOL, f"{context} term={name}")
-
-    for idx in (3, 4):
-        cv = classic.terms[idx][1]
-        rv = refined.terms[idx][1]
-        stat["refined_tightens"].record((cv - rv) / max(1.0, abs(cv)), EQ_TOL,
-                                        f"{context} term_index={idx}")
-
-    bp1 = next((bp for n, m, bp in enclosures if n == m == 1), None)
-    if bp1 is None:
-        bp1 = discrete_enclosure(f, rect, 1, 1)
-    summary.equality_cases += int(bp1.gap <= EQ_TOL * scale)
-
-
-def run_verification(cases: int, seed: int, *, n_values=(1, 2, 4), m_values=(1, 2),
-                     scheme: InnerScheme = NestedDiscrete(16), oracle_grid: int = 1024,
-                     gate_samples: int = 10_000, gate_tol: float = 1e-10,
-                     inject_concave: bool = False) -> VerifySummary:
+def run_verification(cases: int, seed: int, *, inject_concave: bool = False) -> VerifySummary:
     """Run the whole property suite on ``cases`` random instances.
 
     Deterministic given ``seed``: cases run in order and each case's results
-    depend only on ``seed`` and its index. ``oracle_grid`` is the finest level
-    the oracle may refine to.
+    depend only on ``seed`` and its index. Each case is gated with the gate's
+    default samples and tolerance, enclosed at every (n, m) of ``N_VALUES``
+    x ``M_VALUES``, and checked against an oracle refined at most to
+    ``DEFAULT_GRID``. ``inject_concave`` replaces case 0 with a concave
+    instance, which the gate rejects.
     """
     if cases < 1:
         raise DomainError(f"cases must be >= 1, got {cases}")
 
     summary = VerifySummary(cases=cases, seed=seed,
                             properties=[PropertyStat(name) for name in PROPERTY_NAMES])
-    for i in range(cases):
-        _run_case(i, seed, n_values, m_values, scheme, oracle_grid,
-                  gate_samples, gate_tol, inject_concave, summary)
+    stat = {p.name: p for p in summary.properties}
+    for index in range(cases):
+        rect, f, context = case_instance(seed, index, inject_concave and index == 0)
+        gate = check_coordinate_convexity(f, rect, seed=seed * 1_000_003 + index + 1)
+        if not gate.passed:
+            raise ConvexityRejection(gate, context)
+
+        enclosures = {(n, m): discrete_enclosure(f, rect, n, m)
+                      for n in N_VALUES for m in M_VALUES}
+        # refine the oracle only as far as the tightest enclosure check needs
+        target = _oracle_tol(min(bp.gap for bp in enclosures.values()))
+        oracle = reference_integral_2d(f, rect, DEFAULT_GRID, target)
+        integral = oracle.value
+        scale = max(1.0, abs(integral))
+
+        for (n, m), bp in enclosures.items():
+            if oracle.error_estimate > _oracle_tol(bp.gap):
+                summary.skipped_oracle_checks += 1
+            else:
+                margin = min(integral - bp.lower, bp.upper - integral) / scale
+                stat["enclosure_soundness"].record(margin, REL_TOL, f"{context} n={n} m={m}")
+
+        for n in N_VALUES:
+            lhs, rhs = centerline_bound(f, rect, n, SCHEME)
+            stat["centerline_inequality"].record((rhs - lhs) / max(1.0, abs(rhs)), REL_TOL,
+                                                 f"{context} n={n}")
+            lhs, rhs = boundary_bound(f, rect, n, SCHEME)
+            stat["boundary_inequality"].record((rhs - lhs) / max(1.0, abs(rhs)), REL_TOL,
+                                               f"{context} n={n}")
+            if f.positive:
+                bound = positive_upper(f, rect, n, SCHEME)
+                stat["positive_upper_bound"].record((bound - integral) / max(1.0, abs(bound)),
+                                                    REL_TOL, f"{context} n={n}")
+
+        classic, refined = five_term_chains(f, rect, SCHEME, integral=integral)
+        assembled = assemble_classic_terms(f, rect, SCHEME, integral=integral)
+        for (name, cv), av in zip(classic.terms, assembled):
+            margin = -abs(av - cv) / max(1.0, abs(av), abs(cv))
+            stat["chain_recapture"].record(margin, EQ_TOL, f"{context} term={name}")
+
+        for idx in (3, 4):
+            cv = classic.terms[idx][1]
+            rv = refined.terms[idx][1]
+            stat["refined_tightens"].record((cv - rv) / max(1.0, abs(cv)), EQ_TOL,
+                                            f"{context} term_index={idx}")
+
+        summary.equality_cases += int(enclosures[1, 1].gap <= EQ_TOL * scale)
     return summary

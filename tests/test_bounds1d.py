@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from hh_bounds import (BoundPair, DomainError, EvaluationError, Fn1D, Fn2D, Inte
                        spot_minimum, trapezoid_upper)
 import hh_bounds.schemes
 from hh_bounds.convexity import random_convex_1d
-from hh_bounds.oracle import reference_integral_1d, reference_integral_2d
+from hh_bounds.oracle import OracleResult, reference_integral_1d, reference_integral_2d
+from hh_bounds.rect import chain_report
 from hh_bounds.schemes import adaptive_simpson
 
 from conftest import counting_fn1d
@@ -41,6 +43,19 @@ class TestIntervalPartition:
     def test_partition_rejects_bad_n(self):
         with pytest.raises(DomainError):
             Partition1D(UNIT, 0)
+
+    def test_huge_interval_fails_fast_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # k*(hi-lo) overflows at k=2; the pinned last node hides it at n=2
+            part = Partition1D(Interval(-8e307, 8e307), 2)
+            assert part.nodes().tolist() == [-8e307, 0.0, 8e307]
+            with pytest.raises(DomainError, match="non-finite nodes"):
+                Partition1D(Interval(-8e307, 8e307), 3)
+            with pytest.raises(DomainError, match="half the largest float"):
+                Interval(0.0, 1e308)
+        part.nodes()[1] = 1.0
+        assert part.nodes()[1] == 0.0
 
     def test_midpoints_average_nodes(self):
         p = Partition1D(Interval(-1.0, 2.0), 4)
@@ -101,6 +116,20 @@ class TestMidpointTrapezoid:
     def test_boundpair_rejects_disorder(self):
         with pytest.raises(PreconditionError):
             BoundPair(lower=1.0, upper=0.5, n=1, evals=3)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: BoundPair(lower=math.inf, upper=math.inf, n=1, evals=3), "enclosure lower"),
+    (lambda: BoundPair(lower=0.0, upper=math.nan, n=1, evals=3), "enclosure upper"),
+    (lambda: BoundPair(lower=-1e308, upper=1e308, n=1, evals=3), "enclosure gap"),
+    (lambda: OracleResult(value=math.inf, error_estimate=0.0, grid=64), "oracle value"),
+    (lambda: OracleResult(value=1.0, error_estimate=math.nan, grid=64),
+     "oracle error estimate"),
+    (lambda: chain_report([("center", 1.0), ("mean", -math.inf)]), "chain term mean"),
+])
+def test_non_finite_result_is_evaluation_error(make, name):
+    with pytest.raises(EvaluationError, match=f"^{name} is not finite"):
+        make()
 
 
 #: A scalar-only callback that fails (math domain error) wherever x <= 0.

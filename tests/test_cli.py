@@ -105,6 +105,35 @@ class TestBounds:
         assert err.startswith("error: rectangle widths and area must be finite")
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["bounds", "--f", "1e300+0*x", "--rect", "0", "1e5", "0", "1e5", "--n", "1", "--m", "1",
+      "--output", "json"], "enclosure lower"),
+    (["bounds", "--f", "1e308+0*x", "--rect", "0", "1", "0", "1"], "enclosure lower"),
+    (["chain", "--f", "1e300+0*x", "--rect", "0", "1e5", "0", "1e5"], "oracle value"),
+])
+def test_overflowing_result_exit_4(argv, name, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"evaluation error: {name} is not finite")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--f", "x+y", "--rect", "1e308", "1.7e308", "0", "1", "--n", "1", "--m", "1"],
+    ["chain", "--f", "x+y", "--rect", "5e307", "1.2e308", "0", "1"],
+    ["bounds", "--f", "x", "--rect", "0", "1e308", "0", "1", "--n", "4", "--m", "16"],
+])
+def test_huge_corners_exit_2(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--skip-convexity-check"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: rectangle corners must be at most half the largest float")
+
+
 class TestChain:
     def test_xy_all_quarter(self):
         cp = run_cli("chain", "--f", "x*y", "--rect", "0", "1", "0", "1",
