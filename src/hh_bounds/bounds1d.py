@@ -26,6 +26,13 @@ def machine_tol(*values: float) -> float:
     return MACHINE_TOL * max(1.0, *(abs(v) for v in values))
 
 
+def require_finite(what: str, value: float) -> float:
+    """``value``, or an :class:`EvaluationError` naming ``what`` if it is not finite."""
+    if not math.isfinite(value):
+        raise EvaluationError(f"{what} is not finite: {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Interval:
     """A nondegenerate finite interval [lo, hi] whose endpoints stay finite
@@ -123,8 +130,7 @@ class BoundPair:
         if self.n < 1:
             raise DomainError(f"BoundPair.n must be >= 1, got {self.n}")
         for name, value in (("lower", self.lower), ("upper", self.upper), ("gap", self.gap)):
-            if not math.isfinite(value):
-                raise EvaluationError(f"enclosure {name} is not finite: {value!r}")
+            require_finite(f"enclosure {name}", value)
         if self.lower > self.upper + machine_tol(self.lower, self.upper):
             raise PreconditionError(
                 f"bounds out of order: lower={self.lower!r} > upper={self.upper!r}; "

@@ -103,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("chain", help="five-term inequality chains")
     _add_common(c)
     _add_scheme(c)
-    c.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    c.add_argument("--grid", type=int, default=DEFAULT_GRID,
+                   help="oracle grid of the mean term")
     c.set_defaults(handler=cmd_chain)
 
     g = sub.add_parser("converge", help="enclosure gap decay over a dyadic n sweep")
@@ -115,8 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="random-instance property suite")
     _add_common(v, needs_fn=False)
     v.add_argument("--cases", type=int, default=200)
-    v.add_argument("--inject-concave", action="store_true",
-                   help="test hook: replace the first instance with a concave one")
     v.set_defaults(handler=cmd_verify)
     return p
 
@@ -203,7 +202,9 @@ def _chain_human(label: str, report) -> None:
 
 def cmd_chain(args) -> int:
     rect, fn = _prepare(args)
-    classic, refined = five_term_chains(fn, rect, _scheme(args), args.grid)
+    scheme = _scheme(args)  # a bad --m or --quad-tol is reported before a bad --grid
+    integral = reference_integral_2d(fn, rect, args.grid).value
+    classic, refined = five_term_chains(fn, rect, scheme, integral=integral)
     scheme_label = (f"nested:{args.m}" if args.scheme == "nested"
                     else f"quadrature:{args.quad_tol:g} (diagnostic, not certified)")
     if args.output == "json":
@@ -279,10 +280,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.cases < 1:
-        raise DomainError(f"--cases must be >= 1, got {args.cases}")
-    summary = run_verification(args.cases, args.seed,
-                               inject_concave=args.inject_concave)
+    summary = run_verification(args.cases, args.seed)
     payload = {
         "command": "verify",
         "cases": summary.cases,

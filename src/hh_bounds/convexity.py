@@ -75,7 +75,7 @@ def check_coordinate_convexity(f: Fn2D, r: Rect, samples: int = GATE_SAMPLES,
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise DomainError(f"tol must be >= 0, got {tol}")
     rng = np.random.default_rng(seed)
 

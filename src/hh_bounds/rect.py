@@ -14,7 +14,10 @@ direction is chosen per use site: integrals sitting below the double
 integral in a chain are resolved with the midpoint rule (an underestimate
 for convex restrictions), integrals sitting above with the trapezoid rule
 (an overestimate), so every reported ordering is still certified. The double
-integral term itself always comes from the independent Simpson oracle.
+integral term is the caller's ``integral`` when given, and otherwise the
+independent Simpson oracle at its default grid. A chain's orderings hold
+when each slack is at least -1e-9 * max(1, |terms|); a non-finite term or
+bound is an :class:`EvaluationError`.
 
 The two five-term chains share their first three terms, boundary lines and
 corners, so :func:`five_term_chains` builds both in one pass, and
@@ -36,14 +39,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bounds1d import (BoundPair, Interval, Partition1D, evaluate, midpoint_sum,
-                       trapezoid_sum)
+                       require_finite, trapezoid_sum)
 # still importable from here, as before (bench/test_bench.py relies on it)
 from .bounds1d import midpoint_lower, trapezoid_upper  # noqa: F401
-from .errors import DomainError, EvaluationError, PreconditionError
-from .oracle import DEFAULT_GRID, reference_integral_2d
+from .errors import DomainError, PreconditionError
+from .oracle import reference_integral_2d
 from .schemes import InnerScheme, NestedDiscrete, adaptive_simpson
 
-#: Grid used for positivity spot checks (and by the convexity generator).
+#: Points per side of the grid sampled by positivity spot checks.
 SPOT_GRID = 33
 #: Points per evaluated block of lines (whole lines, at least one). Much
 #: smaller blocks pay per-call overhead; much larger ones only add memory.
@@ -133,7 +136,8 @@ class Ordering(NamedTuple):
 class ChainReport:
     """Named terms of an inequality chain plus every adjacent ordering verdict.
 
-    slack = value_j - value_i; an ordering is satisfied when slack >= -tolerance.
+    slack = value_j - value_i; an ordering is satisfied when slack >= -tolerance,
+    where tolerance = 1e-9 * max(1, |value| over all terms).
     """
 
     terms: tuple[tuple[str, float], ...]
@@ -149,13 +153,11 @@ class ChainReport:
         return all(o.satisfied for o in self.orderings)
 
 
-def chain_report(terms: list[tuple[str, float]], tolerance: float | None = None) -> ChainReport:
+def chain_report(terms: list[tuple[str, float]]) -> ChainReport:
     """Orderings of ``terms``; a non-finite term is an :class:`EvaluationError`."""
     for name, value in terms:
-        if not math.isfinite(value):
-            raise EvaluationError(f"chain term {name} is not finite: {value!r}")
-    if tolerance is None:
-        tolerance = 1e-9 * max(1.0, *(abs(v) for _, v in terms))
+        require_finite(f"chain term {name}", value)
+    tolerance = 1e-9 * max(1.0, *(abs(v) for _, v in terms))
     orderings = []
     for i in range(len(terms) - 1):
         slack = terms[i + 1][1] - terms[i][1]
@@ -168,10 +170,10 @@ def _points(f: Fn2D, xs, ys) -> list[float]:
     return evaluate(f.eval, np.array(xs, dtype=float), np.array(ys, dtype=float)).tolist()
 
 
-def spot_minimum(f: Fn2D, r: Rect, k: int = SPOT_GRID) -> float:
-    """Minimum of f over the k x k sample grid of the rectangle."""
-    xs = np.linspace(r.a, r.b, k)
-    ys = np.linspace(r.c, r.d, k)
+def spot_minimum(f: Fn2D, r: Rect) -> float:
+    """Minimum of f over the SPOT_GRID x SPOT_GRID sample grid of the rectangle."""
+    xs = np.linspace(r.a, r.b, SPOT_GRID)
+    ys = np.linspace(r.c, r.d, SPOT_GRID)
     return float(evaluate(f.eval, xs[:, None], ys[None, :]).min())
 
 
@@ -253,22 +255,23 @@ def _partition_sums(f: Fn2D, r: Rect, n: int, scheme: InnerScheme) -> tuple[floa
     return lower, upper
 
 
+def _integral(f: Fn2D, r: Rect, integral: float | None) -> float:
+    """``integral``, or the Simpson oracle's value at its default grid if None."""
+    return reference_integral_2d(f, r).value if integral is None else integral
+
+
 def partition_chain(f: Fn2D, r: Rect, n: int, scheme: InnerScheme = NestedDiscrete(),
-                    oracle_grid: int = DEFAULT_GRID,
-                    tolerance: float | None = None,
-                    integral: float | None = None) -> ChainReport:
+                    *, integral: float | None = None) -> ChainReport:
     """Three-term chain: midpoint-line sum <= double integral <= node-line sum.
 
-    The middle term is the independent Simpson oracle value (or a caller
-    supplied ``integral`` to avoid recomputing it); the outer terms are
-    resolved per ``scheme``.
+    The middle term is ``integral``, or the Simpson oracle's value at its
+    default grid when that is None; the outer terms are resolved per
+    ``scheme``.
     """
     lower, upper = _partition_sums(f, r, n, scheme)
-    if integral is None:
-        integral = reference_integral_2d(f, r, oracle_grid).value
     return chain_report(
-        [("midpoint_lines", lower), ("integral", integral), ("node_lines", upper)],
-        tolerance)
+        [("midpoint_lines", lower), ("integral", _integral(f, r, integral)),
+         ("node_lines", upper)])
 
 
 def discrete_enclosure(f: Fn2D, r: Rect, n: int, m: int = NestedDiscrete.m) -> BoundPair:
@@ -297,11 +300,12 @@ def centerline_bound(f: Fn2D, r: Rect, n: int,
     cx, cy = r.center
     px = Partition1D(r.x_interval, n)
     py = Partition1D(r.y_interval, n)
-    lhs = float(evaluate(f.eval, cx, py.midpoints()).sum())
-    lhs += float(evaluate(f.eval, px.midpoints(), cy).sum())
+    with np.errstate(over="ignore"):
+        lhs = float(evaluate(f.eval, cx, py.midpoints()).sum())
+        lhs += float(evaluate(f.eval, px.midpoints(), cy).sum())
     rhs = n / (r.d - r.c) * _lines(f, r, "y", [cx], False, scheme, n)[0]
     rhs += n / (r.b - r.a) * _lines(f, r, "x", [cy], False, scheme, n)[0]
-    return lhs, rhs
+    return require_finite("centerline_bound lhs", lhs), require_finite("centerline_bound rhs", rhs)
 
 
 def boundary_bound(f: Fn2D, r: Rect, n: int,
@@ -324,8 +328,10 @@ def boundary_bound(f: Fn2D, r: Rect, n: int,
     cap = evaluate(f.eval, px.nodes()[1:-1], np.array([[r.c], [r.d]]))
     (ac, *_, ad), (bc, *_, bd) = side.tolist()
     # the corners, then the opposite node pairs, one pair at a time in node order
-    pairs = (side[0, 1:-1] + side[1, 1:-1]).tolist() + (cap[0] + cap[1]).tolist()
-    return lhs, _fold(pairs, ac + ad + bc + bd)
+    with np.errstate(over="ignore"):
+        pairs = (side[0, 1:-1] + side[1, 1:-1]).tolist() + (cap[0] + cap[1]).tolist()
+    rhs = _fold(pairs, ac + ad + bc + bd)
+    return require_finite("boundary_bound lhs", lhs), require_finite("boundary_bound rhs", rhs)
 
 
 def _require_positive(f: Fn2D, r: Rect) -> None:
@@ -354,7 +360,8 @@ def positive_upper(f: Fn2D, r: Rect, n: int,
     col += 2.0 * _fold(uy[1:-1])
     row = (n + 1) * (ux[0] + ux[-1])
     row += 2.0 * _fold(ux[1:-1])
-    return (r.b - r.a) / (4.0 * n) * col + (r.d - r.c) / (4.0 * n) * row
+    return require_finite("positive_upper",
+                          (r.b - r.a) / (4.0 * n) * col + (r.d - r.c) / (4.0 * n) * row)
 
 
 CLASSIC_TERM_NAMES = ("center", "midline_avg", "mean", "boundary_avg", "corner_avg")
@@ -362,9 +369,7 @@ REFINED_TERM_NAMES = ("center", "midline_avg", "mean", "boundary_midline_avg", "
 
 
 def five_term_chains(f: Fn2D, r: Rect, scheme: InnerScheme = NestedDiscrete(),
-                     oracle_grid: int = DEFAULT_GRID,
-                     tolerance: float | None = None,
-                     integral: float | None = None) -> tuple[ChainReport, ChainReport]:
+                     *, integral: float | None = None) -> tuple[ChainReport, ChainReport]:
     """The classic and the refined five-term mean-value chains, in one pass.
 
     Classic: center value <= average of center-line means <= mean of f <=
@@ -391,9 +396,7 @@ def five_term_chains(f: Fn2D, r: Rect, scheme: InnerScheme = NestedDiscrete(),
     qx = _lines(f, r, "x", [cy], False, scheme, 1)[0]
     qy = _lines(f, r, "y", [cx], False, scheme, 1)[0]
     t2 = 0.5 * (qx / (r.b - r.a) + qy / (r.d - r.c))
-    if integral is None:
-        integral = reference_integral_2d(f, r, oracle_grid).value
-    head = (t1, t2, integral / r.area)
+    head = (t1, t2, _integral(f, r, integral) / r.area)
     ux = _lines(f, r, "x", [r.c, r.d, cy], True, scheme, 1)
     uy = _lines(f, r, "y", [r.a, r.b, cx], True, scheme, 1)
     c4 = (ux[0] + ux[1]) / (4.0 * (r.b - r.a))
@@ -404,29 +407,24 @@ def five_term_chains(f: Fn2D, r: Rect, scheme: InnerScheme = NestedDiscrete(),
     r5 += 0.25 * t1
     r5 += (xc + xd + ay + by) / 8.0
     classic = head + (c4, 0.25 * (ac + ad + bc + bd))
-    return (chain_report(list(zip(CLASSIC_TERM_NAMES, classic)), tolerance),
-            chain_report(list(zip(REFINED_TERM_NAMES, head + (r4, r5))), tolerance))
+    return (chain_report(list(zip(CLASSIC_TERM_NAMES, classic))),
+            chain_report(list(zip(REFINED_TERM_NAMES, head + (r4, r5)))))
 
 
 def classic_chain(f: Fn2D, r: Rect, scheme: InnerScheme = NestedDiscrete(),
-                  oracle_grid: int = DEFAULT_GRID,
-                  tolerance: float | None = None,
-                  integral: float | None = None) -> ChainReport:
+                  *, integral: float | None = None) -> ChainReport:
     """The classic chain of :func:`five_term_chains`."""
-    return five_term_chains(f, r, scheme, oracle_grid, tolerance, integral)[0]
+    return five_term_chains(f, r, scheme, integral=integral)[0]
 
 
 def refined_chain(f: Fn2D, r: Rect, scheme: InnerScheme = NestedDiscrete(),
-                  oracle_grid: int = DEFAULT_GRID,
-                  tolerance: float | None = None,
-                  integral: float | None = None) -> ChainReport:
+                  *, integral: float | None = None) -> ChainReport:
     """The refined chain of :func:`five_term_chains`."""
-    return five_term_chains(f, r, scheme, oracle_grid, tolerance, integral)[1]
+    return five_term_chains(f, r, scheme, integral=integral)[1]
 
 
 def assemble_classic_terms(f: Fn2D, r: Rect, scheme: InnerScheme = NestedDiscrete(),
-                           oracle_grid: int = DEFAULT_GRID,
-                           integral: float | None = None) -> tuple[float, ...]:
+                           *, integral: float | None = None) -> tuple[float, ...]:
     """Rebuild the five classic chain terms from the n=1 partitioned bounds.
 
     Combines :func:`centerline_bound`, :func:`partition_chain` and
@@ -436,7 +434,6 @@ def assemble_classic_terms(f: Fn2D, r: Rect, scheme: InnerScheme = NestedDiscret
     """
     c_lhs, _ = centerline_bound(f, r, 1, scheme)
     lower, upper = _partition_sums(f, r, 1, scheme)
-    if integral is None:
-        integral = reference_integral_2d(f, r, oracle_grid).value
+    integral = _integral(f, r, integral)
     _, b_rhs = boundary_bound(f, r, 1, scheme)
     return (c_lhs / 2.0, lower / r.area, integral / r.area, upper / r.area, b_rhs / 4.0)

@@ -73,8 +73,7 @@ class VerifySummary:
         return all(p.violations == 0 for p in self.properties)
 
 
-def case_instance(seed: int, index: int, inject_concave: bool = False
-                  ) -> tuple[Rect, Fn2D, str]:
+def case_instance(seed: int, index: int) -> tuple[Rect, Fn2D, str]:
     """Deterministically draw the rectangle and function for one case."""
     case_seed = seed * 1_000_003 + index
     rng = np.random.default_rng(case_seed)
@@ -87,10 +86,6 @@ def case_instance(seed: int, index: int, inject_concave: bool = False
     fn_seed = case_seed + 500_009
     context = (f"case={index} fn_seed={fn_seed} "
                f"rect=({a!r},{b!r},{c!r},{d!r}) atoms={atoms}")
-    if inject_concave:
-        cx, cy = rect.center
-        fn = Fn2D(eval=lambda x, y: -((x - cx) ** 2) + (y - cy) ** 2)
-        return rect, fn, context + " injected-concave"
     return rect, random_coordinate_convex(fn_seed, rect, atoms), context
 
 
@@ -99,15 +94,15 @@ def _oracle_tol(gap: float) -> float:
     return 1e-3 * gap + 1e-12
 
 
-def run_verification(cases: int, seed: int, *, inject_concave: bool = False) -> VerifySummary:
+def run_verification(cases: int, seed: int) -> VerifySummary:
     """Run the whole property suite on ``cases`` random instances.
 
     Deterministic given ``seed``: cases run in order and each case's results
     depend only on ``seed`` and its index. Each case is gated with the gate's
     default samples and tolerance, enclosed at every (n, m) of ``N_VALUES``
     x ``M_VALUES``, and checked against an oracle refined at most to
-    ``DEFAULT_GRID``. ``inject_concave`` replaces case 0 with a concave
-    instance, which the gate rejects.
+    ``DEFAULT_GRID``. A case the gate rejects stops the run with a
+    :class:`ConvexityRejection` naming the case.
     """
     if cases < 1:
         raise DomainError(f"cases must be >= 1, got {cases}")
@@ -116,7 +111,7 @@ def run_verification(cases: int, seed: int, *, inject_concave: bool = False) -> 
                             properties=[PropertyStat(name) for name in PROPERTY_NAMES])
     stat = {p.name: p for p in summary.properties}
     for index in range(cases):
-        rect, f, context = case_instance(seed, index, inject_concave and index == 0)
+        rect, f, context = case_instance(seed, index)
         gate = check_coordinate_convexity(f, rect, seed=seed * 1_000_003 + index + 1)
         if not gate.passed:
             raise ConvexityRejection(gate, context)

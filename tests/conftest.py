@@ -10,10 +10,12 @@ from hh_bounds.oracle import reference_integral_2d
 from hh_bounds.verify import case_instance
 
 # The CLI tests run ``python -m hh_bounds`` in a subprocess, which imports
-# the package from this checkout's src/ as the tests themselves do.
+# the package from this checkout's src/ as the tests themselves do, and turns
+# every warning into an error there as pytest does here.
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
                   os.environ.get("PYTHONPATH")]))
+os.environ["PYTHONWARNINGS"] = "error"
 
 #: Seed for the shared random-instance corpus used by the acceptance suite.
 CORPUS_SEED = 20170

@@ -7,10 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hh_bounds import (BoundPair, DomainError, EvaluationError, Fn1D, Fn2D, Interval,
-                       Partition1D, PreconditionError, Rect,
-                       check_coordinate_convexity, deficit_upper,
+                       Partition1D, PreconditionError, Rect, boundary_bound,
+                       centerline_bound, check_coordinate_convexity, deficit_upper,
                        integral_enclosure, machine_tol, midpoint_lower,
-                       spot_minimum, trapezoid_upper)
+                       positive_upper, spot_minimum, trapezoid_upper)
 import hh_bounds.schemes
 from hh_bounds.convexity import random_convex_1d
 from hh_bounds.oracle import OracleResult, reference_integral_1d, reference_integral_2d
@@ -118,6 +118,10 @@ class TestMidpointTrapezoid:
             BoundPair(lower=1.0, upper=0.5, n=1, evals=3)
 
 
+HUGE = Fn2D(eval=lambda x, y: 1e308 + 0.0 * x + 0.0 * y, positive=True)
+UNIT_SQUARE = Rect(0.0, 1.0, 0.0, 1.0)
+
+
 @pytest.mark.parametrize("make, name", [
     (lambda: BoundPair(lower=math.inf, upper=math.inf, n=1, evals=3), "enclosure lower"),
     (lambda: BoundPair(lower=0.0, upper=math.nan, n=1, evals=3), "enclosure upper"),
@@ -126,6 +130,10 @@ class TestMidpointTrapezoid:
     (lambda: OracleResult(value=1.0, error_estimate=math.nan, grid=64),
      "oracle error estimate"),
     (lambda: chain_report([("center", 1.0), ("mean", -math.inf)]), "chain term mean"),
+    # every value of HUGE is finite; the sums in these n=4 bounds are not
+    (lambda: centerline_bound(HUGE, UNIT_SQUARE, 4), "centerline_bound lhs"),
+    (lambda: boundary_bound(HUGE, UNIT_SQUARE, 4), "boundary_bound lhs"),
+    (lambda: positive_upper(HUGE, UNIT_SQUARE, 4), "positive_upper"),
 ])
 def test_non_finite_result_is_evaluation_error(make, name):
     with pytest.raises(EvaluationError, match=f"^{name} is not finite"):

@@ -8,6 +8,8 @@ import pytest
 
 import hh_bounds.cli
 import hh_bounds.rect
+import hh_bounds.verify
+from hh_bounds import Fn2D
 from hh_bounds.cli import main
 from hh_bounds.oracle import reference_integral_2d
 from hh_bounds.schemes import adaptive_simpson
@@ -200,6 +202,14 @@ class TestChain:
         golden = (DATA / f"chain_expsum_{scheme}.json").read_text(encoding="utf-8")
         assert capsys.readouterr().out == golden
 
+    def test_grid_json_matches_golden(self, capsys):
+        # --grid reaches the chain only through the oracle value cmd_chain passes in
+        code = main(["chain", "--f", "exp(x+y)", "--rect", "0", "1", "0", "1",
+                     "--grid", "64", "--output", "json"])
+        assert code == 0
+        golden = (DATA / "chain_expsum_nested_grid64.json").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == golden
+
 
 MULTITERM = ("--f", "exp(x+y)+0.5*abs(x-0.3)*y^2+x*y", "--rect", "-0.5", "1", "0", "1.5",
              "--m", "4", "--output", "json")
@@ -270,10 +280,15 @@ class TestVerify:
         assert a.stdout == b.stdout
         assert a.returncode == b.returncode == 0
 
-    def test_inject_concave_exit_3(self):
-        cp = run_cli("verify", "--cases", "1", "--seed", "7", "--inject-concave")
-        assert cp.returncode == 3
-        assert "convexity" in cp.stderr.lower()
+    def test_gate_rejection_exit_3(self, monkeypatch, capsys):
+        concave = Fn2D(eval=lambda x, y: -(x * x) + 0.0 * y)
+        monkeypatch.setattr(hh_bounds.verify, "random_coordinate_convex",
+                            lambda seed, r, atoms: concave)
+        assert main(["verify", "--cases", "1", "--seed", "7"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("convexity gate:")
+        assert "case=0" in err
 
     def test_zero_cases_exit_2(self):
         cp = run_cli("verify", "--cases", "0")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,9 @@ class TestChecker:
             check_coordinate_convexity(f, UNIT2, samples=0)
         with pytest.raises(DomainError):
             check_coordinate_convexity(f, UNIT2, tol=-1.0)
+        # max_violation >= -nan is False: a NaN tolerance would reject everything
+        with pytest.raises(DomainError):
+            check_coordinate_convexity(f, UNIT2, tol=math.nan)
 
     def test_evaluation_pattern(self):
         # three calls per axis (u1, u2, blend), x-axis first, each over all

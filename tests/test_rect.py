@@ -58,6 +58,20 @@ class TestChainReport:
         assert rep.tolerance == pytest.approx(2e-5)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: partition_chain(SUMSQ, UNIT2, 1, NestedDiscrete(), 1024),
+    lambda: five_term_chains(SUMSQ, UNIT2, NestedDiscrete(), 1024),
+    lambda: classic_chain(SUMSQ, UNIT2, NestedDiscrete(), 1024),
+    lambda: refined_chain(SUMSQ, UNIT2, NestedDiscrete(), 1024),
+    lambda: assemble_classic_terms(SUMSQ, UNIT2, NestedDiscrete(), 1024),
+], ids=["partition_chain", "five_term_chains", "classic_chain", "refined_chain",
+        "assemble_classic_terms"])
+def test_integral_is_keyword_only(call):
+    # an argument after the scheme is never read as the integral (or an oracle grid)
+    with pytest.raises(TypeError):
+        call()
+
+
 class TestPartitionChain:
     def test_xy_equality_n2(self):
         rep = partition_chain(XY, UNIT2, 2, NestedDiscrete(2))
