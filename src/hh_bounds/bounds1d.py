@@ -150,8 +150,11 @@ def evaluate(ev: Callable, *args) -> np.ndarray:
     broadcast shape (a scalar-only callback) is called once per point
     instead, lazily. A failure of such a call (``ArithmeticError`` or
     ``ValueError``) and a non-finite value both raise
-    :class:`EvaluationError` whose ``where`` is the full point. The result
-    is a C-contiguous float array of the broadcast shape.
+    :class:`EvaluationError` whose ``where`` is the full point. So does an
+    :class:`EvaluationError` the array call raises without a point, such as
+    an expression's: the first failing point of the block is located by
+    bisection and named, and the original message is kept. The result is a
+    C-contiguous float array of the broadcast shape.
     """
     shape = np.broadcast_shapes(*(np.shape(a) for a in args))
     with np.errstate(all="ignore"):
@@ -163,6 +166,11 @@ def evaluate(ev: Callable, *args) -> np.ndarray:
             points = zip(*(np.broadcast_to(a, shape).flat for a in args))
             out = np.fromiter((_point_value(ev, p) for p in points), float,
                               count=math.prod(shape)).reshape(shape)
+        except EvaluationError as exc:
+            if exc.where is not None:
+                raise
+            _locate(ev, [np.broadcast_to(a, shape).ravel() for a in args])
+            raise
     bad = ~np.isfinite(out)
     if bad.any():
         idx = np.unravel_index(int(np.argmax(bad)), shape)
@@ -175,8 +183,30 @@ def _point_value(ev: Callable, point) -> float:
     point = tuple(map(float, point))
     try:
         return float(ev(*point))
-    except (ArithmeticError, ValueError) as exc:
+    except (ArithmeticError, ValueError, EvaluationError) as exc:
+        if getattr(exc, "where", None) is not None:
+            raise
         raise EvaluationError(f"evaluation failed at {point}: {exc}", where=point) from exc
+
+
+def _locate(ev: Callable, flat: list[np.ndarray]) -> None:
+    """Raise the :class:`EvaluationError` of the first point of ``flat`` at
+    which ``ev`` raises one; return if no single point does.
+
+    ``ev`` raised on the whole block, so bisection keeps a half that still
+    raises, the front half first: about two evaluations of the block in all.
+    """
+    lo, hi = 0, flat[0].size
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            ev(*(a[lo:mid] for a in flat))
+        except EvaluationError:
+            hi = mid
+        else:
+            lo = mid
+    if hi > lo:
+        _point_value(ev, (a[lo] for a in flat))
 
 
 def midpoint_sum(v: np.ndarray, h: float):

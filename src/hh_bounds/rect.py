@@ -8,9 +8,12 @@ the chain operations, reports whether every adjacent ordering holds at the
 computed values.
 
 Every term is a weighted sum of point values and of integrals along lines
-parallel to an axis. All the line integrals of one kind are resolved
-together by :func:`_lines` through an InnerScheme. In NestedDiscrete mode the
-direction is chosen per use site: integrals sitting below the double
+parallel to an axis. Each bound declares the lines and points it needs on a
+:class:`PointPlan`, which evaluates all of them at once, and then reduces
+its values; a bound called on its own has a plan to itself, while ``verify``
+declares every bound of a case on one plan. The lines of one kind are
+declared together by :func:`_lines` through an InnerScheme. In
+NestedDiscrete mode the direction is chosen per use site: integrals sitting below the double
 integral in a chain are resolved with the midpoint rule (an underestimate
 for convex restrictions), integrals sitting above with the trapezoid rule
 (an overestimate), so every reported ordering is still certified. The double
@@ -23,9 +26,11 @@ The two five-term chains share their first three terms, boundary lines and
 corners, so :func:`five_term_chains` builds both in one pass, and
 :func:`classic_chain` and :func:`refined_chain` are views of it.
 
-Callbacks receive blocks of points as numpy arrays (lines x points per line,
-or a handful of corner and edge points); a scalar-only callback is called
-once per point instead.
+Callbacks receive blocks of points as numpy arrays. A plan packs its small
+requests, up to PACK_POINTS points in all, into flat 1-D arrays of both
+coordinates, one evaluation per pack; a larger line request is evaluated as
+broadcast ``lines x points per line`` blocks of about BLOCK_POINTS points.
+A scalar-only callback is called once per point instead.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from .bounds1d import (BoundPair, Interval, Partition1D, evaluate, midpoint_sum,
                        require_finite, trapezoid_sum)
 # still importable from here, as before (bench/test_bench.py relies on it)
 from .bounds1d import midpoint_lower, trapezoid_upper  # noqa: F401
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, EvaluationError, PreconditionError
 from .oracle import reference_integral_2d
 from .schemes import InnerScheme, NestedDiscrete, adaptive_simpson
 
@@ -51,6 +56,10 @@ SPOT_GRID = 33
 #: Points per evaluated block of lines (whole lines, at least one). Much
 #: smaller blocks pay per-call overhead; much larger ones only add memory.
 BLOCK_POINTS = 1 << 16
+#: Most points packed flat into one evaluation of small requests. Packing
+#: saves calls, but a flat block recomputes per-axis subexpressions such as
+#: exp(r*x) at every point, so larger requests keep their row blocks.
+PACK_POINTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -101,12 +110,15 @@ class Fn2D:
     ``eval`` must be deterministic and finite on the rectangle it is used on.
     It receives blocks of points as numpy arrays and should evaluate them
     elementwise, returning the broadcast shape of ``x`` and ``y``; a
-    scalar-only callback is called once per point instead. So is a numpy
+    scalar-only callback is called once per point instead. Small requests
+    come as two flat arrays of the same shape. A large line request comes as
+    a row of one coordinate and a column of the other, and there a numpy
     callback whose result has any other shape, such as
     ``lambda x, y: x * x``, which ignores ``y`` and returns the shape of
-    ``x`` alone: write ``x * x + 0.0 * y`` to keep it array-at-once. Such a
-    result is not broadcast for the caller, because a result of another
-    shape, a 0-d one included, may be a reduction rather than values.
+    ``x`` alone, is also called once per point: write ``x * x + 0.0 * y``
+    to keep it array-at-once. Such a result is not broadcast for the
+    caller, because a result of another shape, a 0-d one included, may be a
+    reduction rather than values.
     ``positive`` asserts the range is >= 0 and gates :func:`positive_upper`.
     """
 
@@ -165,16 +177,184 @@ def chain_report(terms: list[tuple[str, float]]) -> ChainReport:
     return ChainReport(terms=tuple(terms), orderings=tuple(orderings), tolerance=tolerance)
 
 
-def _points(f: Fn2D, xs, ys) -> list[float]:
-    """Values of f at the points (xs[i], ys[i]), from one evaluation."""
-    return evaluate(f.eval, np.array(xs, dtype=float), np.array(ys, dtype=float)).tolist()
+class _Grid(NamedTuple):
+    """A side cut into equal cells: cell width, nodes and midpoints."""
+
+    h: float
+    nodes: np.ndarray
+    midpoints: np.ndarray
+
+
+class _LineRequest(NamedTuple):
+    """Lines through ``at`` running in ``along``, sampled at ``pts`` and
+    reduced by the trapezoid (``upper``) or midpoint rule of width ``h``."""
+
+    along: str
+    at: np.ndarray
+    pts: np.ndarray
+    upper: bool
+    h: float
+
+    @property
+    def size(self) -> int:
+        return self.at.size * self.pts.size
+
+    def flat(self) -> tuple[np.ndarray, np.ndarray]:
+        run, fixed = np.tile(self.pts, self.at.size), np.repeat(self.at, self.pts.size)
+        return (run, fixed) if self.along == "x" else (fixed, run)
+
+    def reduce(self, values: np.ndarray) -> list[float]:
+        rule = trapezoid_sum if self.upper else midpoint_sum
+        return rule(values.reshape(-1, self.pts.size), self.h).tolist()
+
+    def evaluate(self, f: Fn2D) -> list[float]:
+        """The lines as rows of broadcast blocks of about BLOCK_POINTS points."""
+        rows = max(1, BLOCK_POINTS // self.pts.size)
+        out = []
+        for i in range(0, self.at.size, rows):
+            fixed = self.at[i:i + rows, None]
+            out += self.reduce(evaluate(f.eval, self.pts[None, :], fixed) if self.along == "x"
+                               else evaluate(f.eval, fixed, self.pts[None, :]))
+        return out
+
+
+class _PointRequest(NamedTuple):
+    """f at the broadcast of ``xs`` and ``ys``, which has ``shape``."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+    shape: tuple[int, ...]
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+    def flat(self) -> tuple[np.ndarray, np.ndarray]:
+        return (np.broadcast_to(self.xs, self.shape).ravel(),
+                np.broadcast_to(self.ys, self.shape).ravel())
+
+    def reduce(self, values: np.ndarray) -> np.ndarray:
+        return values.reshape(self.shape)
+
+    def evaluate(self, f: Fn2D) -> np.ndarray:
+        return evaluate(f.eval, self.xs, self.ys)
+
+
+class _Later(NamedTuple):
+    """A result computed by ``compute()`` in its turn, never packed."""
+
+    compute: Callable[[], object]
+    size = math.inf
+
+    def evaluate(self, f: Fn2D):
+        return self.compute()
+
+
+class PointPlan:
+    """The lines and points that some bounds need of ``f`` on ``r``,
+    evaluated together (internal to the package).
+
+    Each bound declares its requests with :meth:`lines` and :meth:`points`,
+    which return handles, and reduces ``plan[handle]`` once :meth:`resolve`
+    has run. A partition of a side into a given count of cells is built,
+    checked and turned into nodes and midpoints once per plan.
+    """
+
+    def __init__(self, f: Fn2D, r: Rect):
+        self.f = f
+        self.r = r
+        self._grids: dict[tuple[str, int], _Grid] = {}
+        self._requests: list = []
+        self._results: list = []
+        self._spot: int | None = None
+
+    def grid(self, side: str, count: int) -> _Grid:
+        """``side`` ("x" or "y") of the rectangle cut into ``count`` cells."""
+        key = (side, count)
+        if key not in self._grids:
+            part = Partition1D(self.r.x_interval if side == "x" else self.r.y_interval, count)
+            self._grids[key] = _Grid(part.h, part.nodes(), part.midpoints())
+        return self._grids[key]
+
+    def lines(self, along: str, at, upper: bool, count: int) -> int:
+        """Composite trapezoid (``upper``) or midpoint values, on ``count``
+        subintervals, of f along the lines through ``at`` running in ``along``.
+        The result is a list, one value per line."""
+        grid = self.grid(along, count)
+        return self._declare(_LineRequest(along, np.asarray(at, dtype=float),
+                                          grid.nodes if upper else grid.midpoints, upper, grid.h))
+
+    def points(self, xs, ys) -> int:
+        """f at the broadcast of ``xs`` and ``ys``, an array of that shape."""
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        return self._declare(_PointRequest(xs, ys, np.broadcast_shapes(xs.shape, ys.shape)))
+
+    def later(self, compute: Callable[[], object]) -> int:
+        """``compute()``, called in declaration order by :meth:`resolve`."""
+        return self._declare(_Later(compute))
+
+    def spot_grid(self) -> int:
+        """The SPOT_GRID x SPOT_GRID positivity sample grid, declared once per plan."""
+        if self._spot is None:
+            r = self.r
+            self._spot = self.points(np.linspace(r.a, r.b, SPOT_GRID)[:, None],
+                                     np.linspace(r.c, r.d, SPOT_GRID)[None, :])
+        return self._spot
+
+    def _declare(self, request) -> int:
+        self._requests.append(request)
+        return len(self._requests) - 1
+
+    def __getitem__(self, handle: int):
+        return self._results[handle]
+
+    def resolve(self) -> None:
+        """Evaluate every request, in declaration order.
+
+        Consecutive requests of at most PACK_POINTS points are packed flat
+        into one evaluation while the pack stays within PACK_POINTS. A
+        larger request is evaluated on its own, lines in row blocks.
+        """
+        self._results = [None] * len(self._requests)
+        pack, packed = [], 0
+        for i, req in enumerate(self._requests):
+            small = req.size <= PACK_POINTS
+            if not small or packed + req.size > PACK_POINTS:
+                self._evaluate_pack(pack)
+                pack, packed = [], 0
+            if small:
+                pack.append(i)
+                packed += req.size
+            else:
+                self._results[i] = req.evaluate(self.f)
+        self._evaluate_pack(pack)
+
+    def _evaluate_pack(self, pack: list[int]) -> None:
+        if not pack:
+            return
+        xs, ys = zip(*(self._requests[i].flat() for i in pack))
+        values = evaluate(self.f.eval, np.concatenate(xs), np.concatenate(ys))
+        start = 0
+        for i in pack:
+            req = self._requests[i]
+            self._results[i] = req.reduce(values[start:start + req.size])
+            start += req.size
+
+
+def _resolved(f: Fn2D, r: Rect, declare: Callable, *args) -> Callable:
+    """The finishing function of ``declare(plan, *args)`` on a plan of its own, resolved."""
+    plan = PointPlan(f, r)
+    finish = declare(plan, *args)
+    plan.resolve()
+    return finish
 
 
 def spot_minimum(f: Fn2D, r: Rect) -> float:
     """Minimum of f over the SPOT_GRID x SPOT_GRID sample grid of the rectangle."""
-    xs = np.linspace(r.a, r.b, SPOT_GRID)
-    ys = np.linspace(r.c, r.d, SPOT_GRID)
-    return float(evaluate(f.eval, xs[:, None], ys[None, :]).min())
+    plan = PointPlan(f, r)
+    spot = plan.spot_grid()
+    plan.resolve()
+    return float(plan[spot].min())
 
 
 def with_positivity(ev: Callable, r: Rect) -> Fn2D:
@@ -183,43 +363,40 @@ def with_positivity(ev: Callable, r: Rect) -> Fn2D:
     return Fn2D(eval=ev, positive=spot_minimum(Fn2D(eval=ev), r) > 0.0)
 
 
-def _lines(f: Fn2D, r: Rect, along: str, at, upper: bool, scheme: InnerScheme,
-           cells: int) -> list[float]:
-    """Integrals of f along the lines through ``at``, resolved per ``scheme``.
+def _lines(plan: PointPlan, along: str, at, upper: bool, scheme: InnerScheme,
+           cells: int) -> int:
+    """Declare the integrals of f along the lines through ``at``, resolved per ``scheme``.
 
     The lines run in the variable ``along`` ("x" or "y") across the whole
     rectangle; ``at`` holds each line's other coordinate. ``upper`` marks
     integrals that must stay above their true value. In NestedDiscrete mode
     those get the composite trapezoid value, the others the composite
-    midpoint value, on m * ``cells`` subintervals; the lines are the rows of
-    one block of values, evaluated about BLOCK_POINTS points at a time.
-    Quadrature resolves each line with adaptive Simpson, which evaluates one
-    refinement level per call; its evaluator takes both coordinates, so a
-    failure names the full point.
+    midpoint value, on m * ``cells`` subintervals, through
+    :meth:`PointPlan.lines`: the plan packs a request of at most PACK_POINTS
+    points flat with its neighbours into one evaluation, and evaluates a
+    larger one as rows of broadcast blocks of about BLOCK_POINTS points.
+    Quadrature resolves each line with adaptive Simpson in the plan's turn,
+    which evaluates one refinement level per call; its evaluator takes both
+    coordinates, so a failure names the full point.
     """
+    if isinstance(scheme, NestedDiscrete):
+        return plan.lines(along, at, upper, scheme.m * cells)
+    f, iv = plan.f, plan.r.x_interval if along == "x" else plan.r.y_interval
     at = np.asarray(at, dtype=float)
-    iv = r.x_interval if along == "x" else r.y_interval
-    if not isinstance(scheme, NestedDiscrete):
-        return [adaptive_simpson(_line_eval(f, along, t), iv.lo, iv.hi, scheme.tol)
-                for t in at]
-    part = Partition1D(iv, scheme.m * cells)
-    pts = part.nodes() if upper else part.midpoints()
-    rule = trapezoid_sum if upper else midpoint_sum
-    rows = max(1, BLOCK_POINTS // pts.size)
-    out = np.empty(at.size)
-    for i in range(0, at.size, rows):
-        fixed = at[i:i + rows, None]
-        block = (evaluate(f.eval, pts[None, :], fixed) if along == "x"
-                 else evaluate(f.eval, fixed, pts[None, :]))
-        out[i:i + rows] = rule(block, part.h)
-    return out.tolist()
+    return plan.later(lambda: [_quadrature(f, along, t, iv, scheme.tol) for t in at])
 
 
-def _line_eval(f: Fn2D, along: str, t) -> Callable:
-    """f on the line through ``t`` running in ``along``, as a 1-D evaluator."""
-    if along == "x":
-        return lambda s: evaluate(f.eval, s, t)
-    return lambda s: evaluate(f.eval, t, s)
+def _quadrature(f: Fn2D, along: str, t, iv: Interval, tol: float) -> float:
+    """Adaptive Simpson along one line; a failure with no point names the line."""
+    ev = ((lambda s: evaluate(f.eval, s, t)) if along == "x"
+          else (lambda s: evaluate(f.eval, t, s)))
+    try:
+        return adaptive_simpson(ev, iv.lo, iv.hi, tol)
+    except EvaluationError as exc:
+        if exc.where is not None:
+            raise
+        other = "y" if along == "x" else "x"
+        raise EvaluationError(f"line along {along} at {other}={float(t)!r}: {exc}") from exc
 
 
 def _fold(values, start: float = 0.0) -> float:
@@ -231,28 +408,33 @@ def _fold(values, start: float = 0.0) -> float:
     return functools.reduce(operator.add, values, start)
 
 
-def _partition_sums(f: Fn2D, r: Rect, n: int, scheme: InnerScheme) -> tuple[float, float]:
+def _declare_partition_sums(plan: PointPlan, n: int,
+                            scheme: InnerScheme) -> Callable[[], tuple[float, float]]:
     """Lower and upper partitioned line-integral sums for a partition into n cells.
 
     Lower: the cell-midpoint lines, (d-c)/(2n) * sum_k int f(x, ymid_k) dx plus
     the symmetric x-direction sum. Upper: the boundary lines with weight
     (len)/(4n) plus the interior node lines with weight (len)/(2n).
     """
-    px = Partition1D(r.x_interval, n)
-    py = Partition1D(r.y_interval, n)
-    wy = (r.d - r.c) / (2.0 * n)
-    wx = (r.b - r.a) / (2.0 * n)
+    r = plan.r
+    gx, gy = plan.grid("x", n), plan.grid("y", n)
+    lower_x = _lines(plan, "x", gy.midpoints, False, scheme, n)
+    lower_y = _lines(plan, "y", gx.midpoints, False, scheme, n)
+    upper_x = _lines(plan, "x", gy.nodes, True, scheme, n)
+    upper_y = _lines(plan, "y", gx.nodes, True, scheme, n)
 
-    lower = wy * _fold(_lines(f, r, "x", py.midpoints(), False, scheme, n))
-    lower += wx * _fold(_lines(f, r, "y", px.midpoints(), False, scheme, n))
-
-    ux = _lines(f, r, "x", py.nodes(), True, scheme, n)
-    uy = _lines(f, r, "y", px.nodes(), True, scheme, n)
-    upper = 0.5 * wy * (ux[0] + ux[-1])
-    upper += 0.5 * wx * (uy[0] + uy[-1])
-    upper += wy * _fold(ux[1:-1])
-    upper += wx * _fold(uy[1:-1])
-    return lower, upper
+    def finish() -> tuple[float, float]:
+        wy = (r.d - r.c) / (2.0 * n)
+        wx = (r.b - r.a) / (2.0 * n)
+        lower = wy * _fold(plan[lower_x])
+        lower += wx * _fold(plan[lower_y])
+        ux, uy = plan[upper_x], plan[upper_y]
+        upper = 0.5 * wy * (ux[0] + ux[-1])
+        upper += 0.5 * wx * (uy[0] + uy[-1])
+        upper += wy * _fold(ux[1:-1])
+        upper += wx * _fold(uy[1:-1])
+        return lower, upper
+    return finish
 
 
 def _integral(f: Fn2D, r: Rect, integral: float | None) -> float:
@@ -268,7 +450,7 @@ def partition_chain(f: Fn2D, r: Rect, n: int, scheme: InnerScheme = NestedDiscre
     default grid when that is None; the outer terms are resolved per
     ``scheme``.
     """
-    lower, upper = _partition_sums(f, r, n, scheme)
+    lower, upper = _resolved(f, r, _declare_partition_sums, n, scheme)()
     return chain_report(
         [("midpoint_lines", lower), ("integral", _integral(f, r, integral)),
          ("node_lines", upper)])
@@ -282,9 +464,14 @@ def discrete_enclosure(f: Fn2D, r: Rect, n: int, m: int = NestedDiscrete.m) -> B
     (m subintervals per partition cell), so lower <= integral <= upper holds
     for any f convex on the coordinates.
     """
-    lower, upper = _partition_sums(f, r, n, NestedDiscrete(m))
+    return _resolved(f, r, declare_enclosure, n, m)()
+
+
+def declare_enclosure(plan: PointPlan, n: int, m: int) -> Callable[[], BoundPair]:
+    """:func:`discrete_enclosure` on ``plan``: the finishing function returns it."""
+    sums = _declare_partition_sums(plan, n, NestedDiscrete(m))
     k = m * n  # subintervals per line
-    return BoundPair(lower=lower, upper=upper, n=n, evals=2 * n * k + (2 * n + 2) * (k + 1))
+    return lambda: BoundPair(*sums(), n=n, evals=2 * n * k + (2 * n + 2) * (k + 1))
 
 
 def centerline_bound(f: Fn2D, r: Rect, n: int,
@@ -297,15 +484,28 @@ def centerline_bound(f: Fn2D, r: Rect, n: int,
     the rhs integrals are resolved from below, so a reported pass is
     conservative.
     """
+    return _resolved(f, r, declare_centerline_bound, n, scheme)()
+
+
+def declare_centerline_bound(plan: PointPlan, n: int,
+                             scheme: InnerScheme) -> Callable[[], tuple[float, float]]:
+    """:func:`centerline_bound` on ``plan``: the finishing function returns it."""
+    r = plan.r
     cx, cy = r.center
-    px = Partition1D(r.x_interval, n)
-    py = Partition1D(r.y_interval, n)
-    with np.errstate(over="ignore"):
-        lhs = float(evaluate(f.eval, cx, py.midpoints()).sum())
-        lhs += float(evaluate(f.eval, px.midpoints(), cy).sum())
-    rhs = n / (r.d - r.c) * _lines(f, r, "y", [cx], False, scheme, n)[0]
-    rhs += n / (r.b - r.a) * _lines(f, r, "x", [cy], False, scheme, n)[0]
-    return require_finite("centerline_bound lhs", lhs), require_finite("centerline_bound rhs", rhs)
+    along_y = plan.points(cx, plan.grid("y", n).midpoints)
+    along_x = plan.points(plan.grid("x", n).midpoints, cy)
+    line_y = _lines(plan, "y", [cx], False, scheme, n)
+    line_x = _lines(plan, "x", [cy], False, scheme, n)
+
+    def finish() -> tuple[float, float]:
+        with np.errstate(over="ignore"):
+            lhs = float(plan[along_y].sum())
+            lhs += float(plan[along_x].sum())
+        rhs = n / (r.d - r.c) * plan[line_y][0]
+        rhs += n / (r.b - r.a) * plan[line_x][0]
+        return (require_finite("centerline_bound lhs", lhs),
+                require_finite("centerline_bound rhs", rhs))
+    return finish
 
 
 def boundary_bound(f: Fn2D, r: Rect, n: int,
@@ -316,31 +516,33 @@ def boundary_bound(f: Fn2D, r: Rect, n: int,
     In NestedDiscrete mode the lhs integrals are resolved from above, again
     making a pass conservative.
     """
-    px = Partition1D(r.x_interval, n)
-    py = Partition1D(r.y_interval, n)
-    uy = _lines(f, r, "y", [r.a, r.b], True, scheme, n)
-    ux = _lines(f, r, "x", [r.c, r.d], True, scheme, n)
-    lhs = n / (r.d - r.c) * (uy[0] + uy[1])
-    lhs += n / (r.b - r.a) * (ux[0] + ux[1])
+    return _resolved(f, r, declare_boundary_bound, n, scheme)()
+
+
+def declare_boundary_bound(plan: PointPlan, n: int,
+                           scheme: InnerScheme) -> Callable[[], tuple[float, float]]:
+    """:func:`boundary_bound` on ``plan``: the finishing function returns it."""
+    r = plan.r
+    lines_y = _lines(plan, "y", [r.a, r.b], True, scheme, n)
+    lines_x = _lines(plan, "x", [r.c, r.d], True, scheme, n)
     # f on the sides x = a, b at every y node (corners included), and on the
     # sides y = c, d at the interior x nodes
-    side = evaluate(f.eval, np.array([[r.a], [r.b]]), py.nodes())
-    cap = evaluate(f.eval, px.nodes()[1:-1], np.array([[r.c], [r.d]]))
-    (ac, *_, ad), (bc, *_, bd) = side.tolist()
-    # the corners, then the opposite node pairs, one pair at a time in node order
-    with np.errstate(over="ignore"):
-        pairs = (side[0, 1:-1] + side[1, 1:-1]).tolist() + (cap[0] + cap[1]).tolist()
-    rhs = _fold(pairs, ac + ad + bc + bd)
-    return require_finite("boundary_bound lhs", lhs), require_finite("boundary_bound rhs", rhs)
+    sides = plan.points(np.array([[r.a], [r.b]]), plan.grid("y", n).nodes)
+    caps = plan.points(plan.grid("x", n).nodes[1:-1], np.array([[r.c], [r.d]]))
 
-
-def _require_positive(f: Fn2D, r: Rect) -> None:
-    if not f.positive:
-        raise PreconditionError("positive_upper requires a function flagged positive")
-    lo = spot_minimum(f, r)
-    if lo < 0.0:
-        raise PreconditionError(
-            f"positivity spot check failed: sampled value {lo!r} < 0 on the grid")
+    def finish() -> tuple[float, float]:
+        uy, ux = plan[lines_y], plan[lines_x]
+        lhs = n / (r.d - r.c) * (uy[0] + uy[1])
+        lhs += n / (r.b - r.a) * (ux[0] + ux[1])
+        side, cap = plan[sides], plan[caps]
+        (ac, *_, ad), (bc, *_, bd) = side.tolist()
+        # the corners, then the opposite node pairs, one pair at a time in node order
+        with np.errstate(over="ignore"):
+            pairs = (side[0, 1:-1] + side[1, 1:-1]).tolist() + (cap[0] + cap[1]).tolist()
+        rhs = _fold(pairs, ac + ad + bc + bd)
+        return (require_finite("boundary_bound lhs", lhs),
+                require_finite("boundary_bound rhs", rhs))
+    return finish
 
 
 def positive_upper(f: Fn2D, r: Rect, n: int,
@@ -353,15 +555,33 @@ def positive_upper(f: Fn2D, r: Rect, n: int,
     preserving the bound. The positivity flag plus a sample-grid spot check
     gate the computation; a negative sample is a hard error.
     """
-    _require_positive(f, r)
-    uy = _lines(f, r, "y", Partition1D(r.x_interval, n).nodes(), True, scheme, n)
-    ux = _lines(f, r, "x", Partition1D(r.y_interval, n).nodes(), True, scheme, n)
-    col = (n + 1) * (uy[0] + uy[-1])
-    col += 2.0 * _fold(uy[1:-1])
-    row = (n + 1) * (ux[0] + ux[-1])
-    row += 2.0 * _fold(ux[1:-1])
-    return require_finite("positive_upper",
-                          (r.b - r.a) / (4.0 * n) * col + (r.d - r.c) / (4.0 * n) * row)
+    return _resolved(f, r, declare_positive_upper, n, scheme)()
+
+
+def declare_positive_upper(plan: PointPlan, n: int,
+                           scheme: InnerScheme) -> Callable[[], float]:
+    """:func:`positive_upper` on ``plan``: the finishing function returns it.
+    The positivity flag is checked here, the spot grid when it finishes."""
+    if not plan.f.positive:
+        raise PreconditionError("positive_upper requires a function flagged positive")
+    r = plan.r
+    spot = plan.spot_grid()
+    lines_y = _lines(plan, "y", plan.grid("x", n).nodes, True, scheme, n)
+    lines_x = _lines(plan, "x", plan.grid("y", n).nodes, True, scheme, n)
+
+    def finish() -> float:
+        lo = float(plan[spot].min())
+        if lo < 0.0:
+            raise PreconditionError(
+                f"positivity spot check failed: sampled value {lo!r} < 0 on the grid")
+        uy, ux = plan[lines_y], plan[lines_x]
+        col = (n + 1) * (uy[0] + uy[-1])
+        col += 2.0 * _fold(uy[1:-1])
+        row = (n + 1) * (ux[0] + ux[-1])
+        row += 2.0 * _fold(ux[1:-1])
+        return require_finite("positive_upper",
+                              (r.b - r.a) / (4.0 * n) * col + (r.d - r.c) / (4.0 * n) * row)
+    return finish
 
 
 CLASSIC_TERM_NAMES = ("center", "midline_avg", "mean", "boundary_avg", "corner_avg")
@@ -384,31 +604,43 @@ def five_term_chains(f: Fn2D, r: Rect, scheme: InnerScheme = NestedDiscrete(),
     even inner counts (they coincide at two subintervals); an odd ``m`` can
     report a violation caused by resolution alone.
 
-    Each shared piece is resolved once: the nine points in one evaluation,
-    the lower center lines, the oracle (unless ``integral`` is given) and,
-    per direction, the boundary lines with the upper center line.
+    Each shared piece is resolved once: the nine points, the lower center
+    lines and, per direction, the boundary lines with the upper center
+    line, all in one plan, then the oracle (unless ``integral`` is given).
     """
+    finish = _resolved(f, r, declare_five_term_chains, scheme)
+    return finish(_integral(f, r, integral))
+
+
+def declare_five_term_chains(
+        plan: PointPlan, scheme: InnerScheme) -> Callable[[float], tuple[ChainReport, ChainReport]]:
+    """:func:`five_term_chains` on ``plan``: the finishing function takes the integral."""
+    r = plan.r
     cx, cy = r.center
     # the center, the corners, then the edge midpoints
-    t1, ac, ad, bc, bd, xc, xd, ay, by = _points(
-        f, [cx, r.a, r.a, r.b, r.b, cx, cx, r.a, r.b],
-        [cy, r.c, r.d, r.c, r.d, r.c, r.d, cy, cy])
-    qx = _lines(f, r, "x", [cy], False, scheme, 1)[0]
-    qy = _lines(f, r, "y", [cx], False, scheme, 1)[0]
-    t2 = 0.5 * (qx / (r.b - r.a) + qy / (r.d - r.c))
-    head = (t1, t2, _integral(f, r, integral) / r.area)
-    ux = _lines(f, r, "x", [r.c, r.d, cy], True, scheme, 1)
-    uy = _lines(f, r, "y", [r.a, r.b, cx], True, scheme, 1)
-    c4 = (ux[0] + ux[1]) / (4.0 * (r.b - r.a))
-    c4 += (uy[0] + uy[1]) / (4.0 * (r.d - r.c))
-    r4 = (ux[0] + ux[1] + 2.0 * ux[2]) / (8.0 * (r.b - r.a))
-    r4 += (uy[0] + uy[1] + 2.0 * uy[2]) / (8.0 * (r.d - r.c))
-    r5 = (ac + ad + bc + bd) / 16.0
-    r5 += 0.25 * t1
-    r5 += (xc + xd + ay + by) / 8.0
-    classic = head + (c4, 0.25 * (ac + ad + bc + bd))
-    return (chain_report(list(zip(CLASSIC_TERM_NAMES, classic))),
-            chain_report(list(zip(REFINED_TERM_NAMES, head + (r4, r5)))))
+    nine = plan.points([cx, r.a, r.a, r.b, r.b, cx, cx, r.a, r.b],
+                       [cy, r.c, r.d, r.c, r.d, r.c, r.d, cy, cy])
+    lower_x = _lines(plan, "x", [cy], False, scheme, 1)
+    lower_y = _lines(plan, "y", [cx], False, scheme, 1)
+    upper_x = _lines(plan, "x", [r.c, r.d, cy], True, scheme, 1)
+    upper_y = _lines(plan, "y", [r.a, r.b, cx], True, scheme, 1)
+
+    def finish(integral: float) -> tuple[ChainReport, ChainReport]:
+        t1, ac, ad, bc, bd, xc, xd, ay, by = plan[nine].tolist()
+        t2 = 0.5 * (plan[lower_x][0] / (r.b - r.a) + plan[lower_y][0] / (r.d - r.c))
+        head = (t1, t2, integral / r.area)
+        ux, uy = plan[upper_x], plan[upper_y]
+        c4 = (ux[0] + ux[1]) / (4.0 * (r.b - r.a))
+        c4 += (uy[0] + uy[1]) / (4.0 * (r.d - r.c))
+        r4 = (ux[0] + ux[1] + 2.0 * ux[2]) / (8.0 * (r.b - r.a))
+        r4 += (uy[0] + uy[1] + 2.0 * uy[2]) / (8.0 * (r.d - r.c))
+        r5 = (ac + ad + bc + bd) / 16.0
+        r5 += 0.25 * t1
+        r5 += (xc + xd + ay + by) / 8.0
+        classic = head + (c4, 0.25 * (ac + ad + bc + bd))
+        return (chain_report(list(zip(CLASSIC_TERM_NAMES, classic))),
+                chain_report(list(zip(REFINED_TERM_NAMES, head + (r4, r5)))))
+    return finish
 
 
 def classic_chain(f: Fn2D, r: Rect, scheme: InnerScheme = NestedDiscrete(),
@@ -432,8 +664,21 @@ def assemble_classic_terms(f: Fn2D, r: Rect, scheme: InnerScheme = NestedDiscret
     upper/area, rhs/4. With a shared scheme these match
     :func:`classic_chain` term by term up to roundoff.
     """
-    c_lhs, _ = centerline_bound(f, r, 1, scheme)
-    lower, upper = _partition_sums(f, r, 1, scheme)
-    integral = _integral(f, r, integral)
-    _, b_rhs = boundary_bound(f, r, 1, scheme)
-    return (c_lhs / 2.0, lower / r.area, integral / r.area, upper / r.area, b_rhs / 4.0)
+    finish = _resolved(f, r, declare_classic_terms, scheme)
+    return finish(_integral(f, r, integral))
+
+
+def declare_classic_terms(plan: PointPlan,
+                          scheme: InnerScheme) -> Callable[[float], tuple[float, ...]]:
+    """:func:`assemble_classic_terms` on ``plan``: the finishing function takes the integral."""
+    centerline = declare_centerline_bound(plan, 1, scheme)
+    sums = _declare_partition_sums(plan, 1, scheme)
+    boundary = declare_boundary_bound(plan, 1, scheme)
+    area = plan.r.area
+
+    def finish(integral: float) -> tuple[float, ...]:
+        c_lhs, _ = centerline()
+        lower, upper = sums()
+        _, b_rhs = boundary()
+        return (c_lhs / 2.0, lower / area, integral / area, upper / area, b_rhs / 4.0)
+    return finish

@@ -18,8 +18,9 @@ import numpy as np
 from .convexity import ConvexityRejection, check_coordinate_convexity, random_coordinate_convex
 from .errors import DomainError
 from .oracle import DEFAULT_GRID, reference_integral_2d
-from .rect import (Fn2D, Rect, assemble_classic_terms, boundary_bound, centerline_bound,
-                   discrete_enclosure, five_term_chains, positive_upper)
+from .rect import (Fn2D, PointPlan, Rect, declare_boundary_bound, declare_centerline_bound,
+                   declare_classic_terms, declare_enclosure, declare_five_term_chains,
+                   declare_positive_upper)
 from .schemes import NestedDiscrete
 
 PROPERTY_NAMES = (
@@ -101,8 +102,9 @@ def run_verification(cases: int, seed: int) -> VerifySummary:
     depend only on ``seed`` and its index. Each case is gated with the gate's
     default samples and tolerance, enclosed at every (n, m) of ``N_VALUES``
     x ``M_VALUES``, and checked against an oracle refined at most to
-    ``DEFAULT_GRID``. A case the gate rejects stops the run with a
-    :class:`ConvexityRejection` naming the case.
+    ``DEFAULT_GRID``. The points of all of a case's bounds are evaluated
+    together on one plan, before its oracle. A case the gate rejects stops
+    the run with a :class:`ConvexityRejection` naming the case.
     """
     if cases < 1:
         raise DomainError(f"cases must be >= 1, got {cases}")
@@ -116,8 +118,19 @@ def run_verification(cases: int, seed: int) -> VerifySummary:
         if not gate.passed:
             raise ConvexityRejection(gate, context)
 
-        enclosures = {(n, m): discrete_enclosure(f, rect, n, m)
-                      for n in N_VALUES for m in M_VALUES}
+        # every bound's lines and points, evaluated together before the
+        # oracle, whose target the enclosure gaps set
+        plan = PointPlan(f, rect)
+        declared = {(n, m): declare_enclosure(plan, n, m) for n in N_VALUES for m in M_VALUES}
+        line_bounds = [(n, declare_centerline_bound(plan, n, SCHEME),
+                        declare_boundary_bound(plan, n, SCHEME),
+                        declare_positive_upper(plan, n, SCHEME) if f.positive else None)
+                       for n in N_VALUES]
+        chains = declare_five_term_chains(plan, SCHEME)
+        classic_terms = declare_classic_terms(plan, SCHEME)
+        plan.resolve()
+
+        enclosures = {key: finish() for key, finish in declared.items()}
         # refine the oracle only as far as the tightest enclosure check needs
         target = _oracle_tol(min(bp.gap for bp in enclosures.values()))
         oracle = reference_integral_2d(f, rect, DEFAULT_GRID, target)
@@ -131,20 +144,20 @@ def run_verification(cases: int, seed: int) -> VerifySummary:
                 margin = min(integral - bp.lower, bp.upper - integral) / scale
                 stat["enclosure_soundness"].record(margin, REL_TOL, f"{context} n={n} m={m}")
 
-        for n in N_VALUES:
-            lhs, rhs = centerline_bound(f, rect, n, SCHEME)
+        for n, centerline, boundary, positive in line_bounds:
+            lhs, rhs = centerline()
             stat["centerline_inequality"].record((rhs - lhs) / max(1.0, abs(rhs)), REL_TOL,
                                                  f"{context} n={n}")
-            lhs, rhs = boundary_bound(f, rect, n, SCHEME)
+            lhs, rhs = boundary()
             stat["boundary_inequality"].record((rhs - lhs) / max(1.0, abs(rhs)), REL_TOL,
                                                f"{context} n={n}")
-            if f.positive:
-                bound = positive_upper(f, rect, n, SCHEME)
+            if positive is not None:
+                bound = positive()
                 stat["positive_upper_bound"].record((bound - integral) / max(1.0, abs(bound)),
                                                     REL_TOL, f"{context} n={n}")
 
-        classic, refined = five_term_chains(f, rect, SCHEME, integral=integral)
-        assembled = assemble_classic_terms(f, rect, SCHEME, integral=integral)
+        classic, refined = chains(integral)
+        assembled = classic_terms(integral)
         for (name, cv), av in zip(classic.terms, assembled):
             margin = -abs(av - cv) / max(1.0, abs(av), abs(cv))
             stat["chain_recapture"].record(margin, EQ_TOL, f"{context} term={name}")

@@ -12,7 +12,9 @@ from hh_bounds import (BoundPair, DomainError, EvaluationError, Fn1D, Fn2D, Inte
                        integral_enclosure, machine_tol, midpoint_lower,
                        positive_upper, spot_minimum, trapezoid_upper)
 import hh_bounds.schemes
+from hh_bounds.bounds1d import evaluate
 from hh_bounds.convexity import random_convex_1d
+from hh_bounds.expr import eval_ast, parse
 from hh_bounds.oracle import OracleResult, reference_integral_1d, reference_integral_2d
 from hh_bounds.rect import chain_report
 from hh_bounds.schemes import adaptive_simpson
@@ -102,6 +104,15 @@ class TestMidpointTrapezoid:
         assert exc.value.where is not None
         assert exc.value.where[0] > 0.6
 
+    def test_expression_error_names_first_failing_point(self):
+        ast = parse("1/(x-0.5)^0.5+y")
+        xs = np.linspace(0.0, 1.0, 8)
+        with pytest.raises(EvaluationError) as exc:
+            evaluate(lambda x, y: eval_ast(ast, x, y), xs[::-1, None], xs[None, :])
+        # rows run from x = 1 down; x = 3/7 is the first below 0.5
+        assert exc.value.where == (float(xs[3]), 0.0)
+        assert "offsets 3..13" in str(exc.value)
+
     def test_scalar_only_callback_falls_back(self):
         fn = Fn1D(eval=lambda t: math.exp(t))
         assert midpoint_lower(fn, UNIT, 8) < math.e - 1.0 < trapezoid_upper(fn, UNIT, 8)
@@ -178,6 +189,18 @@ class TestAdaptiveSimpson:
         # the quarter points of the deepest subintervals
         finest = max(math.frexp(float(t).as_integer_ratio()[1])[1] - 1 for t in points)
         assert len(calls) <= finest
+
+    def test_unreachable_tolerance_fails_fast(self):
+        points = []
+
+        def ev(t):
+            points.append(np.size(t))
+            return np.exp(5.0 * t)
+
+        with pytest.raises(EvaluationError, match="more than 262144 subintervals"):
+            adaptive_simpson(ev, -0.37, 1.1, 1e-300)
+        # the refused level is never evaluated: three points, then two per subinterval
+        assert sum(points) <= 3 + 2 * hh_bounds.schemes.MAX_SUBINTERVALS
 
     def test_scalar_only_callback(self):
         ndims = []

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -88,6 +89,14 @@ class TestBounds:
         cp = run_cli("bounds", "--f", "1/x", "--rect", "0", "1", "0", "1")
         assert cp.returncode == 4
         assert "evaluation" in cp.stderr.lower() or "non-finite" in cp.stderr.lower()
+
+    def test_expression_error_names_point_and_span(self, capsys):
+        assert main(["bounds", "--f", "1/(x-0.5)^0.5+y", "--rect", "0", "1", "0", "1"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        # the positivity spot grid is evaluated first, from the corner (0, 0)
+        assert err == ("evaluation error: evaluation failed at (0.0, 0.0): "
+                       "non-finite result at offsets 3..13\n")
 
     def test_usage_error_exit_2(self):
         cp = run_cli("bounds", "--f", "x*y")
@@ -178,6 +187,18 @@ class TestChain:
         assert len(calls) == 1
         assert json.loads(capsys.readouterr().out)["classic"]["terms"][2]["value"] \
             == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+    def test_unreachable_quad_tol_exit_4(self, capsys):
+        start = time.perf_counter()
+        code = main(["chain", "--f", "exp(5*x+3*y)", "--rect", "-0.37", "1.1", "0.13", "1.9",
+                     "--scheme", "quadrature", "--quad-tol", "1e-300"])
+        assert code == 4
+        assert time.perf_counter() - start < 10.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        # the first line resolved is the lower center line along x
+        assert err == ("evaluation error: line along x at y=1.015: adaptive Simpson needs "
+                       "more than 262144 subintervals for this tolerance\n")
 
     def test_quadrature_resolves_shared_lines_once(self, monkeypatch, capsys):
         calls = []
@@ -279,6 +300,12 @@ class TestVerify:
         b = run_cli("verify", "--cases", "8", "--seed", "11", "--output", "json")
         assert a.stdout == b.stdout
         assert a.returncode == b.returncode == 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_json_matches_golden(self, seed, capsysbinary):
+        assert main(["verify", "--cases", "60", "--seed", str(seed), "--output", "json"]) == 0
+        golden = (DATA / f"verify_c60_seed{seed}.json").read_bytes()
+        assert capsysbinary.readouterr().out == golden
 
     def test_gate_rejection_exit_3(self, monkeypatch, capsys):
         concave = Fn2D(eval=lambda x, y: -(x * x) + 0.0 * y)
