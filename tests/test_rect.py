@@ -11,7 +11,10 @@ from hh_bounds import (DomainError, EvaluationError, Fn2D, NestedDiscrete,
                        partition_chain, positive_upper, refined_chain)
 from hh_bounds.convexity import random_coordinate_convex
 from hh_bounds.oracle import reference_integral_2d
-from hh_bounds.rect import BLOCK_POINTS, chain_report
+import hh_bounds.rect
+from hh_bounds import Partition1D
+from hh_bounds.rect import (BLOCK_POINTS, PointPlan, chain_report, declare_boundary_bound,
+                            declare_centerline_bound, declare_enclosure, declare_positive_upper)
 
 from conftest import counting_fn2d
 
@@ -328,6 +331,32 @@ class TestChains:
         assert len(exc.value.where) == 2
         with np.errstate(all="ignore"):
             assert not np.isfinite(f.eval(*np.array(exc.value.where)))
+
+
+class TestPointPlan:
+    def test_each_partition_built_once_per_plan(self, monkeypatch):
+        built = []
+
+        def counting(iv, n):
+            built.append((iv, n))
+            return Partition1D(iv, n)
+
+        monkeypatch.setattr(hh_bounds.rect, "Partition1D", counting)
+        r = Rect(-0.5, 1.5, 0.25, 2.0)
+        f = random_coordinate_convex(6, r, 2)
+        plan = PointPlan(f, r)
+        finish = [declare_enclosure(plan, 2, 2), declare_enclosure(plan, 4, 1)]
+        for n in (1, 2, 4):
+            finish += [declare_centerline_bound(plan, n, NestedDiscrete(2)),
+                       declare_boundary_bound(plan, n, NestedDiscrete(2)),
+                       declare_positive_upper(plan, n, NestedDiscrete(2))]
+        plan.resolve()
+        # cell counts 1, 2, 4 and line counts 2, 4, 8 per side, each built once
+        assert sorted(n for _, n in built) == [1, 1, 2, 2, 4, 4, 8, 8]
+        assert [g() for g in finish[2:5]] == [centerline_bound(f, r, 1, NestedDiscrete(2)),
+                                             boundary_bound(f, r, 1, NestedDiscrete(2)),
+                                             positive_upper(f, r, 1, NestedDiscrete(2))]
+        assert finish[0]() == discrete_enclosure(f, r, 2, 2)
 
 
 class TestAssembly:
