@@ -13,10 +13,11 @@ parallel to an axis. Each bound declares the lines and points it needs on a
 its values; a bound called on its own has a plan to itself, while ``verify``
 declares every bound of a case on one plan. The lines of one kind are
 declared together by :func:`_lines` through an InnerScheme. In
-NestedDiscrete mode the direction is chosen per use site: integrals sitting below the double
-integral in a chain are resolved with the midpoint rule (an underestimate
-for convex restrictions), integrals sitting above with the trapezoid rule
-(an overestimate), so every reported ordering is still certified. The double
+NestedDiscrete mode the direction is chosen per use site: integrals sitting
+below the double integral in a chain are resolved with the midpoint rule
+(an underestimate for convex restrictions), integrals sitting above with the
+trapezoid rule (an overestimate), so every reported ordering is still
+certified. The double
 integral term is the caller's ``integral`` when given, and otherwise the
 independent Simpson oracle at its default grid. A chain's orderings hold
 when each slack is at least -1e-9 * max(1, |terms|); a non-finite term or
@@ -617,8 +618,8 @@ def five_term_chains(f: Fn2D, r: Rect, scheme: InnerScheme = NestedDiscrete(),
     return finish(_integral(f, r, integral))
 
 
-def declare_five_term_chains(
-        plan: PointPlan, scheme: InnerScheme) -> Callable[[float], tuple[ChainReport, ChainReport]]:
+def declare_five_term_chains(plan: PointPlan, scheme: InnerScheme
+                             ) -> Callable[[float], tuple[ChainReport, ChainReport]]:
     """:func:`five_term_chains` on ``plan``: the finishing function takes the integral."""
     r = plan.r
     cx, cy = r.center
