@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -19,6 +19,9 @@ from .errors import DomainError, EvaluationError, PreconditionError
 
 #: Relative scale of the roundoff allowance used in enclosure invariants.
 MACHINE_TOL = 1e-12
+#: Points per evaluated block of lines (whole lines, at least one). Much
+#: smaller blocks pay per-call overhead; much larger ones only add memory.
+BLOCK_POINTS = 1 << 16
 
 
 def machine_tol(*values: float) -> float:
@@ -177,6 +180,26 @@ def evaluate(ev: Callable, *args) -> np.ndarray:
         where = tuple(float(np.broadcast_to(a, shape)[idx]) for a in args)
         raise EvaluationError(f"non-finite value at {where}", where=where)
     return out
+
+
+def line_blocks(ev: Callable, along: str, at: np.ndarray,
+                pts: np.ndarray) -> Iterator[np.ndarray]:
+    """Values of ``ev`` along the lines through ``at`` running in ``along``
+    ("x" or "y"), sampled at ``pts``, one block of lines at a time.
+
+    Each block is :func:`evaluate` of a row of ``pts`` against a column of
+    the next lines of ``at``, of about BLOCK_POINTS points: an array of
+    whole lines by ``pts``, in the order of ``at``.
+    """
+    rows = max(1, BLOCK_POINTS // pts.size)
+    run = pts[None, :]
+    for i in range(0, at.size, rows):
+        fixed = at[i:i + rows, None]
+        # the last block stays alive while the next is evaluated: freed
+        # first, glibc trims the heap top and faults it back in (about
+        # 60% more minor faults per enclosure at n=128, m=16)
+        block = evaluate(ev, run, fixed) if along == "x" else evaluate(ev, fixed, run)
+        yield block
 
 
 def _point_value(ev: Callable, point) -> float:

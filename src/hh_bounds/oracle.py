@@ -3,7 +3,7 @@
 Composite Simpson with a Richardson error estimate, deliberately a different
 rule (and separate summation code) from the midpoint/trapezoid bounds under
 test, so enclosure checks are never self-referential. It shares only the
-evaluator, :func:`bounds1d.evaluate`, with them.
+evaluator, :func:`bounds1d.evaluate`, and its row-block loop with them.
 
 The 2-D oracle refines on nested dyadic levels 64, 128, ..., ``grid``. Every
 level's nodes are a stride of the finest ``grid + 1`` nodes per axis, so a
@@ -11,8 +11,15 @@ new level evaluates only the points the coarser levels lack, copies the rest
 from the level below, and no point is evaluated twice. Each level's
 Richardson estimate compares it with the level below; refinement stops at
 the first level whose estimate is ``<= target``, or at ``grid``.
-``target=None`` asks for the explicit grid: a single full-grid evaluation
-at level ``grid``.
+``target=None`` asks for the explicit grid: level ``grid`` alone.
+
+A level's values are a preallocated array, filled by
+:func:`bounds1d.line_blocks` in row blocks of about ``BLOCK_POINTS`` points:
+row i holds f along the line x = x_i, at the y nodes. So an evaluation
+holds the level array plus one block of temporaries, not a full-grid
+temporary per operation of the integrand. Evaluation is elementwise, so
+the values, and the first failing point in row-major order, are those of
+one full-grid block.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds1d import evaluate
+from .bounds1d import evaluate, line_blocks
 from .errors import DomainError, EvaluationError
 
 DEFAULT_GRID = 1024
@@ -85,7 +92,9 @@ def reference_integral_2d(fn, rect, grid: int = DEFAULT_GRID,
 
     Refines on nested levels 64, 128, ..., ``grid`` until the error estimate
     is ``<= target``; the result's ``grid`` is the level it stopped at.
-    ``target=None`` computes the explicit ``grid`` directly.
+    ``target=None`` computes the explicit ``grid`` directly. Each level is
+    evaluated into its own array in row blocks, so memory is the level
+    array plus one block of about ``BLOCK_POINTS`` points.
     """
     _check_grid(grid)
     ev = getattr(fn, "eval", fn)
@@ -93,7 +102,8 @@ def reference_integral_2d(fn, rect, grid: int = DEFAULT_GRID,
     ys = np.linspace(rect.c, rect.d, grid + 1)
     level = grid if target is None else FIRST_LEVEL
     s = grid // level
-    vals = evaluate(ev, xs[::s, None], ys[None, ::s])
+    vals = np.empty((level + 1, level + 1))
+    _fill(vals, ev, xs[::s], ys[::s])
     while True:
         hx = (rect.b - rect.a) / level
         hy = (rect.d - rect.c) / level
@@ -107,6 +117,15 @@ def reference_integral_2d(fn, rect, grid: int = DEFAULT_GRID,
         level, coarse, s = 2 * level, s, s // 2
         finer = np.empty((level + 1, level + 1))
         finer[::2, ::2] = vals
-        finer[1::2, :] = evaluate(ev, xs[s::coarse, None], ys[None, ::s])
-        finer[::2, 1::2] = evaluate(ev, xs[::coarse, None], ys[None, s::coarse])
+        _fill(finer[1::2, :], ev, xs[s::coarse], ys[::s])
+        _fill(finer[::2, 1::2], ev, xs[::coarse], ys[s::coarse])
         vals = finer
+
+
+def _fill(out: np.ndarray, ev, xs: np.ndarray, ys: np.ndarray) -> None:
+    """Store f at ``xs`` x ``ys`` into ``out`` (a view of that shape), one
+    row block at a time: the lines along y through ``xs``, sampled at ``ys``."""
+    i = 0
+    for block in line_blocks(ev, "y", xs, ys):
+        out[i:i + len(block)] = block
+        i += len(block)

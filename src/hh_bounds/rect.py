@@ -30,8 +30,10 @@ corners, so :func:`five_term_chains` builds both in one pass, and
 Callbacks receive blocks of points as numpy arrays. A plan packs its small
 requests, fewer than PACK_POINTS points in all, into flat 1-D arrays of both
 coordinates, one evaluation per pack; a larger line request is evaluated as
-broadcast ``lines x points per line`` blocks of about BLOCK_POINTS points.
-A scalar-only callback is called once per point instead.
+broadcast ``lines x points per line`` blocks of about BLOCK_POINTS points by
+:func:`bounds1d.line_blocks`, the block loop the Simpson oracle fills its
+grid with (BLOCK_POINTS lives in bounds1d and is re-exported here). A
+scalar-only callback is called once per point instead.
 """
 
 from __future__ import annotations
@@ -44,19 +46,16 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bounds1d import (BoundPair, Interval, Partition1D, evaluate, midpoint_sum,
+from .bounds1d import (BoundPair, Interval, Partition1D, evaluate, line_blocks, midpoint_sum,
                        require_finite, trapezoid_sum)
-# still importable from here, as before (bench/test_bench.py relies on it)
-from .bounds1d import midpoint_lower, trapezoid_upper  # noqa: F401
+# still importable from here, as before (bench/test_bench.py and the tests rely on them)
+from .bounds1d import BLOCK_POINTS, midpoint_lower, trapezoid_upper  # noqa: F401
 from .errors import DomainError, EvaluationError, PreconditionError
 from .oracle import reference_integral_2d
 from .schemes import InnerScheme, NestedDiscrete, adaptive_simpson
 
 #: Points per side of the grid sampled by positivity spot checks.
 SPOT_GRID = 33
-#: Points per evaluated block of lines (whole lines, at least one). Much
-#: smaller blocks pay per-call overhead; much larger ones only add memory.
-BLOCK_POINTS = 1 << 16
 #: Most points packed flat into one evaluation of small requests. Packing
 #: saves calls, but a flat block recomputes per-axis subexpressions such as
 #: exp(r*x) at every point, so larger requests keep their row blocks.
@@ -188,7 +187,11 @@ class _Grid(NamedTuple):
 
 class _LineRequest(NamedTuple):
     """Lines through ``at`` running in ``along``, sampled at ``pts`` and
-    reduced by the trapezoid (``upper``) or midpoint rule of width ``h``."""
+    reduced by the trapezoid (``upper``) or midpoint rule of width ``h``.
+
+    Evaluated on its own, it reduces each block of about
+    ``bounds1d.BLOCK_POINTS`` points as :func:`bounds1d.line_blocks` yields
+    it; in a pack, through :meth:`flat`."""
 
     along: str
     at: np.ndarray
@@ -209,16 +212,9 @@ class _LineRequest(NamedTuple):
         return rule(values.reshape(-1, self.pts.size), self.h).tolist()
 
     def evaluate(self, f: Fn2D) -> list[float]:
-        """The lines as rows of broadcast blocks of about BLOCK_POINTS points."""
-        rows = max(1, BLOCK_POINTS // self.pts.size)
+        """The values of the lines, reduced block by block."""
         out = []
-        for i in range(0, self.at.size, rows):
-            fixed = self.at[i:i + rows, None]
-            # the last block stays alive while the next is evaluated: freed
-            # first, glibc trims the heap top and faults it back in (about
-            # 60% more minor faults per enclosure at n=128, m=16)
-            block = (evaluate(f.eval, self.pts[None, :], fixed) if self.along == "x"
-                     else evaluate(f.eval, fixed, self.pts[None, :]))
+        for block in line_blocks(f.eval, self.along, self.at, self.pts):
             out += self.reduce(block)
         return out
 
@@ -261,8 +257,11 @@ class PointPlan:
 
     Each bound declares its requests with :meth:`lines` and :meth:`points`,
     which return handles, and reduces ``plan[handle]`` once :meth:`resolve`
-    has run. A partition of a side into a given count of cells is built,
-    checked and turned into nodes and midpoints once per plan.
+    has run. A request equal to one already declared, the same lines (run,
+    fixed coordinates, rule and count) or the same points (coordinates and
+    shapes), gets that request's handle and is evaluated once. A partition
+    of a side into a given count of cells is built, checked and turned into
+    nodes and midpoints once per plan.
     """
 
     def __init__(self, f: Fn2D, r: Rect):
@@ -270,8 +269,8 @@ class PointPlan:
         self.r = r
         self._grids: dict[tuple[str, int], _Grid] = {}
         self._requests: list = []
+        self._handles: dict[tuple, int] = {}
         self._results: list = []
-        self._spot: int | None = None
 
     def grid(self, side: str, count: int) -> _Grid:
         """``side`` ("x" or "y") of the rectangle cut into ``count`` cells."""
@@ -285,30 +284,34 @@ class PointPlan:
         """Composite trapezoid (``upper``) or midpoint values, on ``count``
         subintervals, of f along the lines through ``at`` running in ``along``.
         The result is a list, one value per line."""
+        at = np.asarray(at, dtype=float)
         grid = self.grid(along, count)
-        return self._declare(_LineRequest(along, np.asarray(at, dtype=float),
-                                          grid.nodes if upper else grid.midpoints, upper, grid.h))
+        return self._declare(("lines", along, at.tobytes(), upper, count),
+                             _LineRequest(along, at, grid.nodes if upper else grid.midpoints,
+                                          upper, grid.h))
 
     def points(self, xs, ys) -> int:
         """f at the broadcast of ``xs`` and ``ys``, an array of that shape."""
         xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-        return self._declare(_PointRequest(xs, ys, np.broadcast_shapes(xs.shape, ys.shape)))
+        return self._declare(("points", xs.tobytes(), xs.shape, ys.tobytes(), ys.shape),
+                             _PointRequest(xs, ys, np.broadcast_shapes(xs.shape, ys.shape)))
 
     def later(self, compute: Callable[[], object]) -> int:
         """``compute()``, called in declaration order by :meth:`resolve`."""
-        return self._declare(_Later(compute))
+        return self._declare(("later", len(self._requests)), _Later(compute))
 
     def spot_grid(self) -> int:
-        """The SPOT_GRID x SPOT_GRID positivity sample grid, declared once per plan."""
-        if self._spot is None:
-            r = self.r
-            self._spot = self.points(np.linspace(r.a, r.b, SPOT_GRID)[:, None],
-                                     np.linspace(r.c, r.d, SPOT_GRID)[None, :])
-        return self._spot
+        """The SPOT_GRID x SPOT_GRID positivity sample grid."""
+        r = self.r
+        return self.points(np.linspace(r.a, r.b, SPOT_GRID)[:, None],
+                           np.linspace(r.c, r.d, SPOT_GRID)[None, :])
 
-    def _declare(self, request) -> int:
-        self._requests.append(request)
-        return len(self._requests) - 1
+    def _declare(self, key: tuple, request) -> int:
+        """The handle of the request declared under ``key``, ``request`` if none was."""
+        if key not in self._handles:
+            self._handles[key] = len(self._requests)
+            self._requests.append(request)
+        return self._handles[key]
 
     def __getitem__(self, handle: int):
         return self._results[handle]

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from hh_bounds import DomainError, EvaluationError, Fn1D, Fn2D, Interval, Rect
+from hh_bounds.bounds1d import evaluate
 from hh_bounds.convexity import random_coordinate_convex
+from hh_bounds.expr import eval_ast, parse
 from hh_bounds.oracle import reference_integral_1d, reference_integral_2d
+from hh_bounds.rect import BLOCK_POINTS
 
 UNIT = Interval(0.0, 1.0)
 UNIT2 = Rect(0.0, 1.0, 0.0, 1.0)
@@ -163,3 +166,75 @@ def test_non_finite_at_later_level_names_its_point():
     with pytest.raises(EvaluationError) as info:
         reference_integral_2d(fn, UNIT2, 1024, target=0.0)
     assert info.value.where == (x0, 0.0)
+
+
+# -- row blocks -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("target", [None, 0.0])
+def test_default_grid_in_row_blocks_each_point_once(target):
+    r = Rect(-0.3, 1.7, 0.1, 0.9)
+    sizes, seen = [], []
+
+    def ev(x, y):
+        bx, by = np.broadcast_arrays(x, y)
+        sizes.append(bx.size)
+        seen.append((bx + 1j * by).ravel())  # exact: the parts are stored, not added
+        return np.exp(x + y)
+
+    res = reference_integral_2d(ev, r, 1024, target)
+    assert res.grid == 1024
+    assert max(sizes) <= BLOCK_POINTS
+    xs = np.linspace(r.a, r.b, 1025)
+    ys = np.linspace(r.c, r.d, 1025)
+    grid = (xs[:, None] + 1j * ys[None, :]).ravel()
+    assert np.array_equal(np.sort(np.concatenate(seen)), np.sort(grid))
+
+
+def test_nan_in_a_late_block_names_the_unblocked_point():
+    # One unblocked evaluation of the grid names its first NaN in row-major
+    # order by construction; row blocks must name the same point.
+    xs = np.linspace(0.0, 1.0, 1025)
+    marks = [(xs[900], 0.25), (xs[900], 0.75), (xs[950], 0.0)]
+
+    def fn(x, y):
+        hit = np.zeros(np.broadcast(x, y).shape, dtype=bool)
+        for mx, my in marks:
+            hit |= (x == mx) & (y == my)
+        return np.where(hit, np.nan, np.exp(x) + y * y)
+
+    with pytest.raises(EvaluationError) as unblocked:
+        evaluate(fn, xs[:, None], xs[None, :])
+    with pytest.raises(EvaluationError) as blocked:
+        reference_integral_2d(fn, UNIT2, 1024)
+    assert blocked.value.where == unblocked.value.where == (float(xs[900]), 0.25)
+
+
+def test_expression_failing_past_the_first_block_names_its_first_point():
+    node = parse("(0.8-x)^0.5+y")
+    sizes = []
+
+    def ev(x, y):
+        sizes.append(np.broadcast(x, y).size)
+        return eval_ast(node, x, y)
+
+    with pytest.raises(EvaluationError, match="evaluation failed at") as info:
+        reference_integral_2d(ev, UNIT2, 1024)
+    # x = 820/1024 is the first node past 0.8; its row is in the 14th block
+    assert info.value.where == (0.80078125, 0.0)
+    assert max(sizes) <= BLOCK_POINTS
+
+
+def test_scalar_only_callback_in_two_blocks_is_bitwise_one_block():
+    array_calls = []
+
+    def ev(x, y):
+        if np.ndim(x) or np.ndim(y):
+            array_calls.append(np.broadcast(x, y).shape)
+        return math.exp(x) * y
+
+    r = Rect(-0.5, 1.0, 0.2, 1.4)
+    res = reference_integral_2d(ev, r, 256)
+    # 257 rows of 257 points: 255 rows, then 2
+    assert array_calls == [(255, 257), (2, 257)]
+    assert res.value == _full_grid_simpson(lambda x, y: evaluate(ev, x, y), r, 256)

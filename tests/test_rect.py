@@ -358,6 +358,26 @@ class TestPointPlan:
                                              positive_upper(f, r, 1, NestedDiscrete(2))]
         assert finish[0]() == discrete_enclosure(f, r, 2, 2)
 
+    def test_identical_requests_share_a_handle(self):
+        r = Rect(-0.5, 1.5, 0.25, 2.0)
+        f, count = counting_fn2d(lambda x, y: np.exp(x - y) + x * x)
+        plan = PointPlan(f, r)
+        lines = plan.lines("x", [0.5, 1.0], True, 8)
+        assert plan.lines("x", np.array([0.5, 1.0]), True, 8) == lines
+        others = {plan.lines("y", [0.5, 1.0], True, 8), plan.lines("x", [0.5, 1.0], False, 8),
+                  plan.lines("x", [0.5, 1.0], True, 4), plan.lines("x", [0.5], True, 8)}
+        points = plan.points([[0.0], [1.0]], [0.5, 1.5])
+        assert plan.points(np.array([[0.0], [1.0]]), [0.5, 1.5]) == points
+        # the same coordinates in other shapes are other requests
+        others |= {plan.points([0.0, 1.0], [[0.5], [1.5]]), plan.points([0.0, 1.0], [0.5, 1.5])}
+        assert plan.spot_grid() == plan.spot_grid()
+        assert len(others | {lines, points}) == 8
+        plan.resolve()
+        # each request once: 2 lines of 9 nodes along x and along y, 2 of 8
+        # midpoints, 2 of 5 nodes, 1 of 9 nodes, 2 x 2 points twice, 2 points
+        # and the spot grid
+        assert count["n"] == 2 * 9 + 9 * 2 + 2 * 8 + 2 * 5 + 9 + 4 + 4 + 2 + 33 * 33
+
 
 class TestAssembly:
     def test_matches_classic_chain_both_schemes(self):

@@ -1,3 +1,5 @@
+import numpy as np
+
 import hh_bounds.verify
 from hh_bounds import Fn2D, run_verification
 from hh_bounds.rect import declare_enclosure
@@ -43,31 +45,60 @@ def test_six_enclosures_per_case(monkeypatch):
     assert finished == expected
 
 
-def test_case_calls_f_at_most_ten_times_outside_the_gate(monkeypatch):
+def _counted_cases(monkeypatch, cases, seed, measure, uncounted):
+    """(positive, sum of ``measure(x, y)`` over f's calls) per case of
+    ``run_verification(cases, seed)``, leaving out the calls made inside
+    the ``verify`` functions named in ``uncounted``."""
     per_case = []
     counting = [True]
     make = hh_bounds.verify.random_coordinate_convex
-    gate = hh_bounds.verify.check_coordinate_convexity
 
     def counted_instance(*args):
         f = make(*args)
-        per_case.append(0)
+        per_case.append([f.positive, 0])
 
         def ev(x, y):
-            per_case[-1] += counting[0]
+            if counting[0]:
+                per_case[-1][1] += measure(x, y)
             return f.eval(x, y)
         return Fn2D(eval=ev, positive=f.positive)
 
-    def uncounted_gate(*args, **kwargs):
-        counting[0] = False
-        try:
-            return gate(*args, **kwargs)
-        finally:
-            counting[0] = True
+    def quiet(call):
+        def run(*args, **kwargs):
+            counting[0] = False
+            try:
+                return call(*args, **kwargs)
+            finally:
+                counting[0] = True
+        return run
 
     monkeypatch.setattr(hh_bounds.verify, "random_coordinate_convex", counted_instance)
-    monkeypatch.setattr(hh_bounds.verify, "check_coordinate_convexity", uncounted_gate)
-    run_verification(20, 1)
+    for name in uncounted:
+        monkeypatch.setattr(hh_bounds.verify, name, quiet(getattr(hh_bounds.verify, name)))
+    run_verification(cases, seed)
+    return [tuple(case) for case in per_case]
+
+
+def test_case_calls_f_at_most_ten_times_outside_the_gate(monkeypatch):
+    per_case = _counted_cases(monkeypatch, 20, 1, lambda x, y: 1,
+                              ["check_coordinate_convexity"])
     # every bound's points in one plan, then the oracle's levels
     assert len(per_case) == 20
-    assert max(per_case) <= 10
+    assert max(calls for _, calls in per_case) <= 10
+
+
+def test_case_plan_evaluates_each_distinct_request_once(monkeypatch):
+    # Points of a case's plan, bound by bound (m = 16 for the line bounds):
+    # enclosures, 2n lines of mn midpoints and 2n+2 of mn+1 nodes at each
+    # (n, m): 334; centre-line bounds, 34n at n = 1, 2, 4: 238; boundary
+    # bounds, 68n+4: 488; the chains' nine points and lines, less the lower
+    # centre lines the n=1 centre-line bound already declared: 143-32; the
+    # classic terms, n=1 bounds declared before: 0. A positive f adds the
+    # spot grid once, 33^2, and positive_upper's node lines at n = 2, 4,
+    # 2(n+1)(16n+1); its n=1 lines are the n=1 boundary lines: 1,937.
+    plain = 334 + 238 + 488 + 111
+    positive = plain + 33 * 33 + 198 + 650
+    per_case = _counted_cases(monkeypatch, 12, 1, lambda x, y: np.broadcast(x, y).size,
+                              ["check_coordinate_convexity", "reference_integral_2d"])
+    assert {flag for flag, _ in per_case} == {False, True}
+    assert per_case == [(flag, positive if flag else plain) for flag, _ in per_case]
