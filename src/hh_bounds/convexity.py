@@ -1,18 +1,33 @@
-"""Sampling-based coordinate-convexity checks and random convex test functions.
+"""Coordinate-convexity checks and random convex test functions.
 
-Functions arrive as black boxes (parser output or user callbacks), so
-convexity is verified probabilistically: random chords along each axis, with
-the convexity slack lam*f(u1) + (1-lam)*f(u2) - f(lam*u1 + (1-lam)*u2)
-required to be nonnegative up to a tolerance. One chord-test body serves
-both axes; the axis only decides which coordinate is held fixed. The
-generators build functions that are coordinate-convex by construction: sums
-of products of nonnegative convex one-variable atoms (plain functions of t)
-with nonnegative coefficients, plus an affine part. Coordinate convexity,
-unlike joint convexity, is closed under such products.
+The gate first tries a proof. When the function carries an expression tree
+(``Fn2D.expr``), one pass over the tree tracks, per variable, whether each
+subtree is constant, affine, convex or concave over the rectangle, together
+with an interval that encloses its values. It uses
+disciplined-convex-programming composition rules (Grant, Boyd & Ye 2006):
+sums, negation, a factor of known sign that is constant in the variable,
+squares and even powers of affine terms, ``exp`` of convex terms, ``abs``
+of affine terms and ``max`` of convex terms. The intervals are float
+intervals rounded outward; a polynomial factor whose lower bound lands
+just below 0 is re-checked exactly in rationals. A tree the rules do not
+cover, such as one with ``/``, ``min`` or an odd power, is not proved.
+
+Whatever is not proved, black-box callbacks included, is checked by
+sampling: random chords along each axis, with the convexity slack
+lam*f(u1) + (1-lam)*f(u2) - f(lam*u1 + (1-lam)*u2) required to be
+nonnegative up to a tolerance. One chord-test body serves both axes; the
+axis only decides which coordinate is held fixed. The generators build
+functions that are coordinate-convex by construction: sums of products of
+nonnegative convex one-variable atoms (plain functions of t) with
+nonnegative coefficients, plus an affine part. Coordinate convexity, unlike
+joint convexity, is closed under such products. The two-variable generator
+attaches the expression tree of the function it draws, built in the same
+operation order as its callback, so its instances are mostly proved.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,6 +35,7 @@ import numpy as np
 
 from .bounds1d import Fn1D, Interval, evaluate
 from .errors import DomainError, PreconditionError
+from .expr import Binary, Call, Node, Number, Unary, Var
 from .rect import Fn2D, Rect, with_positivity
 
 AXIS_X = "x"
@@ -27,6 +43,9 @@ AXIS_Y = "y"
 #: Chord draws per axis, and the most negative slack the gate still passes.
 GATE_SAMPLES = 10_000
 GATE_TOL = 1e-10
+#: A factor's float lower bound within this fraction of its magnitude below 0
+#: is re-checked exactly.
+TIE_BREAK = 1e-12
 
 
 class ConvexityRejection(PreconditionError):
@@ -55,8 +74,10 @@ class Witness:
 
 @dataclass(frozen=True)
 class ConvexityReport:
-    """Outcome of a sampling run. ``samples`` counts draws over both axes;
-    ``max_violation`` is the most negative slack observed (the minimum)."""
+    """Outcome of the gate. ``samples`` counts draws over both axes;
+    ``max_violation`` is the most negative slack observed (the minimum).
+    ``samples=0`` means the expression tree proved the function: nothing
+    was sampled, so ``max_violation`` is inf and there is no witness."""
 
     samples: int
     max_violation: float
@@ -66,17 +87,22 @@ class ConvexityReport:
 
 def check_coordinate_convexity(f: Fn2D, r: Rect, samples: int = GATE_SAMPLES,
                                tol: float = GATE_TOL, seed: int = 0) -> ConvexityReport:
-    """Sample convexity slacks of both partial mappings.
+    """Prove, or else sample, convexity of both partial mappings.
 
-    Per axis, draws ``samples`` tuples (fixed other-coordinate, chord ends
-    u1, u2, blend lam) and evaluates the slack. Deterministic given ``seed``;
-    the worst witness is the minimum slack, ties resolved by draw order
-    (x-axis block first).
+    When ``f.expr`` is given and the tree proves coordinate convexity on
+    ``r``, the report has ``samples=0`` and ``f`` is not evaluated.
+    Otherwise, per axis, draws ``samples`` tuples (fixed other-coordinate,
+    chord ends u1, u2, blend lam) and evaluates the slack. Deterministic
+    given ``seed``; the worst witness is the minimum slack, ties resolved by
+    draw order (x-axis block first). ``samples`` and ``tol`` are validated
+    either way.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     if not tol >= 0.0:
         raise DomainError(f"tol must be >= 0, got {tol}")
+    if f.expr is not None and _proves(f.expr, r):
+        return ConvexityReport(samples=0, max_violation=math.inf, witness=None, passed=True)
     rng = np.random.default_rng(seed)
 
     max_violation, witness = np.inf, None
@@ -104,28 +130,216 @@ def check_coordinate_convexity(f: Fn2D, r: Rect, samples: int = GATE_SAMPLES,
 
 
 # ---------------------------------------------------------------------------
+# Proof from the expression tree
+
+#: Curvature of a subtree in one variable. A constant is also affine, and an
+#: affine term is both convex and concave; None means nothing was proved.
+CONST, AFFINE, CONVEX, CONCAVE = "const", "affine", "convex", "concave"
+_CONVEX = (CONST, AFFINE, CONVEX)
+_CONCAVE = (CONST, AFFINE, CONCAVE)
+
+
+class _Unproved(Exception):
+    """A node outside the rules, or a range that is not finite."""
+
+
+def _proves(node: Node, r: Rect) -> bool:
+    """Whether the rules prove ``node`` convex in x and in y over ``r``."""
+    try:
+        cx, cy, _, _ = _shape(node, r)
+    except (_Unproved, OverflowError):
+        return False
+    return cx in _CONVEX and cy in _CONVEX
+
+
+def _down(v: float) -> float:
+    return math.nextafter(v, -math.inf)
+
+
+def _up(v: float) -> float:
+    return math.nextafter(v, math.inf)
+
+
+def _finite(lo: float, hi: float) -> tuple[float, float]:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise _Unproved
+    return lo, hi
+
+
+def _arith(op: str, a: tuple, b: tuple, down=_down, up=_up) -> tuple:
+    """The interval of ``a op b`` for op in + - *, widened by ``down`` and
+    ``up``. A sum or product of two nonnegative intervals keeps a lower
+    bound of at least 0."""
+    (alo, ahi), (blo, bhi) = a, b
+    if op == "+":
+        lo, hi = alo + blo, ahi + bhi
+    elif op == "-":
+        lo, hi = alo - bhi, ahi - blo
+    else:
+        ends = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+        lo, hi = min(ends), max(ends)
+    lo, hi = down(lo), up(hi)
+    if op != "-" and alo >= 0 and blo >= 0:
+        lo = max(lo, 0.0)
+    return lo, hi
+
+
+def _add(a: str | None, b: str | None) -> str | None:
+    for kind, family in ((CONST, (CONST,)), (AFFINE, (CONST, AFFINE)),
+                         (CONVEX, _CONVEX), (CONCAVE, _CONCAVE)):
+        if a in family and b in family:
+            return kind
+    return None
+
+
+def _negate(c: str | None) -> str | None:
+    return {CONVEX: CONCAVE, CONCAVE: CONVEX}.get(c, c)
+
+
+def _compose(c: str | None, accepts: tuple) -> str | None:
+    """A convex outer function of a term of curvature ``c``: constant stays
+    constant, and the result is convex when ``c`` is one of ``accepts``."""
+    if c == CONST:
+        return CONST
+    return CONVEX if c in accepts else None
+
+
+def _product(ca: str | None, cb: str | None, a: Node, b: Node, ra: tuple, rb: tuple,
+             r: Rect) -> str | None:
+    """Curvature of a*b in one variable, where a and b have curvatures ``ca``
+    and ``cb`` and ranges ``ra`` and ``rb``: a factor constant in the
+    variable scales the other term by its sign."""
+    if ca == CONST:
+        return _scaled(cb, a, ra, r)
+    if cb == CONST:
+        return _scaled(ca, b, rb, r)
+    return None
+
+
+def _scaled(c: str | None, factor: Node, rng: tuple, r: Rect) -> str | None:
+    """A term of curvature ``c`` times ``factor``, whose values lie in ``rng``."""
+    if c in (CONST, AFFINE, None):
+        return c
+    lo, hi = rng
+    if lo >= 0.0 or (lo < 0.0 < hi and -lo <= TIE_BREAK * hi and _exact_lower(factor, r) >= 0):
+        return c
+    return _negate(c) if hi <= 0.0 else None
+
+
+def _exact_lower(node: Node, r: Rect):
+    """The lower end of the interval of a polynomial subtree over ``r``, in
+    exact rationals; -1 for a subtree that is not a polynomial."""
+    from fractions import Fraction  # only ties pay for the import
+
+    def walk(n: Node) -> tuple:
+        match n:
+            case Number(value=v):
+                return Fraction(v), Fraction(v)
+            case Var(name=name):
+                lo, hi = (r.a, r.b) if name == "x" else (r.c, r.d)
+                return Fraction(lo), Fraction(hi)
+            case Unary(op="neg", arg=a):
+                lo, hi = walk(a)
+                return -hi, -lo
+            case Binary(op="+" | "-" | "*" as op, left=a, right=b):
+                return _arith(op, walk(a), walk(b), _same, _same)
+        raise _Unproved
+
+    try:
+        return walk(node)[0]
+    except _Unproved:
+        return -1
+
+
+def _same(v):
+    return v
+
+
+def _abs_range(lo: float, hi: float) -> tuple[float, float]:
+    """The interval of |t| over t in [lo, hi]."""
+    return (lo, hi) if lo >= 0.0 else (-hi, -lo) if hi <= 0.0 else (0.0, max(-lo, hi))
+
+
+def _even_power(shape: tuple, p: float) -> tuple:
+    """The shape of t**p for an even p >= 2, given the shape of t: convex in
+    a variable where t is affine. The interval goes two steps outward for
+    the rounding of ``**``."""
+    cx, cy, lo, hi = shape
+    small, big = _abs_range(lo, hi)
+    return (_compose(cx, (AFFINE,)), _compose(cy, (AFFINE,)),
+            *_finite(max(0.0, _down(_down(small ** p))), _up(_up(big ** p))))
+
+
+def _shape(node: Node, r: Rect) -> tuple:
+    """(curvature in x, curvature in y, lo, hi) of ``node`` over ``r``."""
+    match node:
+        case Number(value=v):
+            return (CONST, CONST, *_finite(v, v))
+        case Var(name="x"):
+            return AFFINE, CONST, r.a, r.b
+        case Var():
+            return CONST, AFFINE, r.c, r.d
+        case Unary(op="neg", arg=a):
+            cx, cy, lo, hi = _shape(a, r)
+            return _negate(cx), _negate(cy), -hi, -lo
+        case Unary(op="abs", arg=a):
+            cx, cy, lo, hi = _shape(a, r)
+            return _compose(cx, (AFFINE,)), _compose(cy, (AFFINE,)), *_abs_range(lo, hi)
+        case Unary(op="exp", arg=a):
+            cx, cy, lo, hi = _shape(a, r)
+            lo, hi = max(0.0, _down(_down(math.exp(lo)))), _up(_up(math.exp(hi)))
+            return (_compose(cx, (AFFINE, CONVEX)), _compose(cy, (AFFINE, CONVEX)),
+                    *_finite(lo, hi))
+        case Call(fn="max", args=(a, b)):
+            ax, ay, alo, ahi = _shape(a, r)
+            bx, by, blo, bhi = _shape(b, r)
+            return (_compose(_add(ax, bx), _CONVEX), _compose(_add(ay, by), _CONVEX),
+                    max(alo, blo), max(ahi, bhi))
+        case Binary(op="^", left=a, right=Number(value=p)) if p >= 2.0 and p % 2.0 == 0.0:
+            return _even_power(_shape(a, r), p)
+        case Binary(op="*", left=a, right=b) if a == b:
+            return _even_power(_shape(a, r), 2.0)
+        case Binary(op="+" | "-" as op, left=a, right=b):
+            ax, ay, alo, ahi = _shape(a, r)
+            bx, by, blo, bhi = _shape(b, r)
+            if op == "-":
+                bx, by = _negate(bx), _negate(by)
+            return _add(ax, bx), _add(ay, by), *_finite(*_arith(op, (alo, ahi), (blo, bhi)))
+        case Binary(op="*", left=a, right=b):
+            ax, ay, alo, ahi = _shape(a, r)
+            bx, by, blo, bhi = _shape(b, r)
+            return (_product(ax, bx, a, b, (alo, ahi), (blo, bhi), r),
+                    _product(ay, by, a, b, (alo, ahi), (blo, bhi), r),
+                    *_finite(*_arith("*", (alo, ahi), (blo, bhi))))
+    raise _Unproved
+
+
+# ---------------------------------------------------------------------------
 # Random convex instances
 
 
-def _draw_atom(rng: np.random.Generator, iv: Interval) -> Callable:
+def _draw_atom(rng: np.random.Generator, iv: Interval, t: Var) -> tuple[Callable, Node]:
     """Draw one atom, a function of t convex and nonnegative on ``iv``:
     t^2, |t - center|, exp(rate*t), or slope*t + intercept with the intercept
-    lifted until the line is nonnegative on ``iv``."""
+    lifted until the line is nonnegative on ``iv``. Returns the atom as a
+    callable and as a tree in ``t`` with the same operations in the same
+    order."""
     kind = int(rng.integers(0, 4))
     if kind == 0:
-        return lambda t: t * t
+        return (lambda t: t * t), Binary("*", t, t)
     if kind == 1:
         center = float(rng.uniform(iv.lo, iv.hi))
-        return lambda t: np.abs(t - center)
+        return (lambda t: np.abs(t - center)), Unary("abs", Binary("-", t, Number(center)))
     if kind == 2:
         rate = float(rng.uniform(-1.5, 1.5))
-        return lambda t: np.exp(rate * t)
+        return (lambda t: np.exp(rate * t)), Unary("exp", Binary("*", Number(rate), t))
     slope = float(rng.uniform(-1.5, 1.5))
     intercept = float(rng.uniform(0.0, 1.0))
     low = min(slope * iv.lo + intercept, slope * iv.hi + intercept)
     if low < 0.0:
         intercept -= low
-    return lambda t: slope * t + intercept
+    return ((lambda t: slope * t + intercept),
+            Binary("+", Binary("*", Number(slope), t), Number(intercept)))
 
 
 def random_coordinate_convex(seed: int, r: Rect, atom_count: int) -> Fn2D:
@@ -135,7 +349,9 @@ def random_coordinate_convex(seed: int, r: Rect, atom_count: int) -> Fn2D:
     and every g_i, h_i nonnegative convex on the corresponding side, so each
     partial mapping is a nonnegative combination of convex functions. The
     positive flag is set when the minimum over the sample grid is strictly
-    positive.
+    positive. The callback evaluates the function; ``expr`` is the same
+    function as a tree, in the callback's operation order, so
+    ``eval_ast(f.expr, x, y)`` gives its values bit for bit.
     """
     if atom_count < 0:
         raise DomainError(f"atom_count must be >= 0, got {atom_count}")
@@ -143,10 +359,15 @@ def random_coordinate_convex(seed: int, r: Rect, atom_count: int) -> Fn2D:
     beta = float(rng.uniform(-0.5, 1.5))
     px = float(rng.uniform(-0.75, 0.75))
     py = float(rng.uniform(-0.75, 0.75))
+    x, y = Var("x"), Var("y")
+    expr = Binary("+", Binary("+", Number(beta), Binary("*", Number(px), x)),
+                  Binary("*", Number(py), y))
     terms = []
     for _ in range(atom_count):
         coeff = float(rng.uniform(0.0, 2.0))
-        terms.append((coeff, _draw_atom(rng, r.x_interval), _draw_atom(rng, r.y_interval)))
+        (gx, g), (hy, h) = _draw_atom(rng, r.x_interval, x), _draw_atom(rng, r.y_interval, y)
+        terms.append((coeff, gx, hy))
+        expr = Binary("+", expr, Binary("*", Binary("*", Number(coeff), g), h))
 
     def ev(x, y):
         acc = beta + px * x + py * y
@@ -154,7 +375,7 @@ def random_coordinate_convex(seed: int, r: Rect, atom_count: int) -> Fn2D:
             acc = acc + c * gx(x) * hy(y)
         return acc
 
-    return with_positivity(ev, r)
+    return with_positivity(ev, r, expr)
 
 
 def random_convex_1d(seed: int, iv: Interval, atom_count: int,
@@ -171,7 +392,8 @@ def random_convex_1d(seed: int, iv: Interval, atom_count: int,
     rng = np.random.default_rng(seed)
     beta = float(rng.uniform(-0.5, 1.5))
     slope = float(rng.uniform(-1.0, 1.0))
-    terms = [(float(rng.uniform(0.0, 2.0)), _draw_atom(rng, iv)) for _ in range(atom_count)]
+    terms = [(float(rng.uniform(0.0, 2.0)), _draw_atom(rng, iv, Var("t"))[0])
+             for _ in range(atom_count)]
     if ensure_positive:
         floor = beta + min(slope * iv.lo, slope * iv.hi)
         if floor < 0.05:

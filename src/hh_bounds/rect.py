@@ -51,6 +51,7 @@ from .bounds1d import (BoundPair, Interval, Partition1D, evaluate, line_blocks, 
 # still importable from here, as before (bench/test_bench.py and the tests rely on them)
 from .bounds1d import BLOCK_POINTS, midpoint_lower, trapezoid_upper  # noqa: F401
 from .errors import DomainError, EvaluationError, PreconditionError
+from .expr import Node
 from .oracle import reference_integral_2d
 from .schemes import InnerScheme, NestedDiscrete, adaptive_simpson
 
@@ -120,10 +121,14 @@ class Fn2D:
     caller, because a result of another shape, a 0-d one included, may be a
     reduction rather than values.
     ``positive`` asserts the range is >= 0 and gates :func:`positive_upper`.
+    ``expr``, when given, is an expression tree that computes the same
+    function; the convexity gate tries to prove coordinate convexity from it
+    before it samples. Evaluation always goes through ``eval``.
     """
 
     eval: Callable
     positive: bool = False
+    expr: Node | None = None
 
     def __call__(self, x, y):
         return self.eval(x, y)
@@ -366,10 +371,10 @@ def spot_minimum(f: Fn2D, r: Rect) -> float:
     return float(plan[spot].min())
 
 
-def with_positivity(ev: Callable, r: Rect) -> Fn2D:
-    """``ev`` as an Fn2D, flagged positive when its minimum over the spot
-    grid of ``r`` is strictly positive."""
-    return Fn2D(eval=ev, positive=spot_minimum(Fn2D(eval=ev), r) > 0.0)
+def with_positivity(ev: Callable, r: Rect, expr: Node | None = None) -> Fn2D:
+    """``ev`` as an Fn2D carrying ``expr``, flagged positive when its
+    minimum over the spot grid of ``r`` is strictly positive."""
+    return Fn2D(eval=ev, positive=spot_minimum(Fn2D(eval=ev), r) > 0.0, expr=expr)
 
 
 def _lines(plan: PointPlan, along: str, at, upper: bool, scheme: InnerScheme,

@@ -2,8 +2,11 @@
 instances.
 
 Each case draws a rectangle and a random coordinate-convex function, gates it
-through the sampling convexity check, then exercises every inequality the
-package implements against the independent Simpson oracle. Margins are
+through the convexity check, then exercises every inequality the package
+implements against the independent Simpson oracle. The generated function
+carries its expression tree, so the gate proves most cases without
+sampling; a case the proof does not cover, such as one with a lifted linear
+atom whose exact minimum lies just below 0, is sampled. Margins are
 normalized so that "margin >= -tol" always means the property held; the most
 negative margin per property is reported as its worst slack.
 """
@@ -99,8 +102,9 @@ def run_verification(cases: int, seed: int) -> VerifySummary:
     """Run the whole property suite on ``cases`` random instances.
 
     Deterministic given ``seed``: cases run in order and each case's results
-    depend only on ``seed`` and its index. Each case is gated with the gate's
-    default samples and tolerance, enclosed at every (n, m) of ``N_VALUES``
+    depend only on ``seed`` and its index. Each case is gated, by a proof
+    from its expression tree or else with the gate's default samples and
+    tolerance, enclosed at every (n, m) of ``N_VALUES``
     x ``M_VALUES``, and checked against an oracle refined at most to
     ``DEFAULT_GRID``. The points of all of a case's bounds are evaluated
     together on one plan, before its oracle. A case the gate rejects stops

@@ -1,11 +1,18 @@
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hh_bounds import (DomainError, Fn2D, Interval, Rect,
+import hh_bounds.convexity
+from expr_corpus import CORPUS
+from hh_bounds import (ConvexityReport, DomainError, EvaluationError, Fn2D, Interval, Rect,
                        check_coordinate_convexity, random_convex_1d,
                        random_coordinate_convex, spot_minimum)
+from hh_bounds.convexity import GATE_SAMPLES, GATE_TOL
+from hh_bounds.expr import eval_ast, parse
+from hh_bounds.verify import case_instance
 
 UNIT2 = Rect(0.0, 1.0, 0.0, 1.0)
 
@@ -142,3 +149,119 @@ class TestGenerator1D:
             assert fn.positive
             grid = np.linspace(iv.lo, iv.hi, 501)
             assert float(fn.eval(grid).min()) > 0.0
+
+
+def _with_tree(src: str) -> Fn2D:
+    ast = parse(src)
+    return Fn2D(eval=lambda x, y: eval_ast(ast, x, y), expr=ast)
+
+
+def _lifted_line(slope: float, iv: Interval) -> tuple[float, Fraction]:
+    """The generator's lifted linear atom slope*t + intercept on ``iv``:
+    its intercept, and its exact minimum over ``iv``."""
+    intercept = 0.25
+    low = min(slope * iv.lo + intercept, slope * iv.hi + intercept)
+    intercept -= low
+    exact = min(Fraction(slope) * Fraction(t) + Fraction(intercept) for t in (iv.lo, iv.hi))
+    return intercept, exact
+
+
+LIFT_RECT = Rect(0.0, 1.0, 0.1, 1.3)
+
+
+class TestProof:
+    @pytest.mark.parametrize("src", [
+        "x*y", "exp(x+y)", "abs(x-0.5)+abs(y-0.5)", "x^2*y^2", "x*x+y*y",
+        "max(x^2,exp(y))+3*abs(x-y)", "-(0-x^2)*(y+2)", "(x+y)^4-x*y"])
+    def test_proves_without_evaluating(self, src):
+        f = _with_tree(src)
+        calls = []
+        counted = dataclasses.replace(f, eval=lambda x, y: calls.append(1) or f.eval(x, y))
+        rep = check_coordinate_convexity(counted, Rect(-1.0, 0.5, -0.75, 1.25))
+        assert rep == ConvexityReport(samples=0, max_violation=math.inf, witness=None,
+                                      passed=True)
+        assert calls == []
+
+    @pytest.mark.parametrize("src", [
+        "0-x^2", "-(x-0.5)^2+y^2", "x^3", "min(x^2,1)", "exp(-x^2)", "1/(x+2)",
+        "(x+1.5)^0.5", "x^2*(y-0.1)", "x^2*y^2*(x-y)", "abs(x^2-y)", "max(x^2,-y^2)"])
+    def test_never_proves_what_is_not_coordinate_convex(self, src):
+        # each is concave, or not convex, along some line of the rectangle,
+        # or outside the rules; the rectangle spans 0 on both axes
+        rep = check_coordinate_convexity(_with_tree(src), Rect(-1.0, 0.5, -0.75, 1.25))
+        assert rep.samples == 2 * GATE_SAMPLES
+
+    def test_fractional_power_and_division_are_left_to_the_sampler(self):
+        f = _with_tree("(x-0.5)^0.5+1/x+y^2")
+        rep = check_coordinate_convexity(f, Rect(0.5, 1.0, 0.0, 1.0))
+        assert rep.samples == 2 * GATE_SAMPLES
+
+    def test_lifted_line_below_zero_exactly_is_not_proved(self):
+        slope = -5 / 7
+        intercept, exact = _lifted_line(slope, LIFT_RECT.y_interval)
+        assert exact < 0  # the float lift leaves the line just below 0
+        f = _with_tree(f"x*x*({slope!r}*y+{intercept!r})")
+        assert check_coordinate_convexity(f, LIFT_RECT).samples == 2 * GATE_SAMPLES
+
+    def test_lifted_line_at_or_above_zero_exactly_is_proved(self, monkeypatch):
+        slope = -4 / 7
+        intercept, exact = _lifted_line(slope, LIFT_RECT.y_interval)
+        assert exact >= 0
+        f = _with_tree(f"x*x*({slope!r}*y+{intercept!r})")
+        assert check_coordinate_convexity(f, LIFT_RECT).samples == 0
+        # the float interval alone falls just below 0: the exact re-check proves it
+        monkeypatch.setattr(hh_bounds.convexity, "TIE_BREAK", 0.0)
+        assert check_coordinate_convexity(f, LIFT_RECT).samples == 2 * GATE_SAMPLES
+
+    def test_overflowing_range_is_not_proved(self):
+        # the sampler, not the proof, meets the overflow and names a point
+        with pytest.raises(EvaluationError, match="non-finite"):
+            check_coordinate_convexity(_with_tree("exp(800*x)*0+y^2"), UNIT2, samples=10)
+
+    def test_validates_parameters_before_proving(self):
+        f = _with_tree("x*y")
+        with pytest.raises(DomainError):
+            check_coordinate_convexity(f, UNIT2, samples=0)
+        with pytest.raises(DomainError):
+            check_coordinate_convexity(f, UNIT2, tol=math.nan)
+
+    def test_counting_callback_sees_no_gate_evaluation_when_proved(self):
+        for src, points in (("x^2+exp(y)", 0), ("x^2+exp(y)-x*x*y", 3 * 2 * GATE_SAMPLES)):
+            f = _with_tree(src)
+            seen = []
+            counted = dataclasses.replace(
+                f, eval=lambda x, y: seen.append(np.broadcast(x, y).size) or f.eval(x, y))
+            check_coordinate_convexity(counted, UNIT2)
+            assert sum(seen) == points, src
+
+    @pytest.mark.parametrize("r", [UNIT2, Rect(-1.0, 0.5, -0.75, 1.25)])
+    def test_every_proved_corpus_tree_passes_the_sampler(self, r):
+        proved = 0
+        for src, _ in CORPUS:
+            f = _with_tree(src)
+            if check_coordinate_convexity(f, r).samples:
+                continue
+            proved += 1
+            rep = check_coordinate_convexity(dataclasses.replace(f, expr=None), r, seed=1)
+            assert rep.max_violation >= -GATE_TOL, src
+        assert proved >= 25
+
+    def test_every_proved_generated_instance_passes_the_sampler(self):
+        proved = 0
+        for index in range(400):
+            r, f, context = case_instance(5, index)
+            if check_coordinate_convexity(f, r).samples:
+                continue
+            proved += 1
+            rep = check_coordinate_convexity(dataclasses.replace(f, expr=None), r, seed=index)
+            assert rep.max_violation >= -GATE_TOL, context
+        assert proved >= 300
+
+    def test_tree_and_callback_agree_bit_for_bit(self):
+        for seed in range(200):
+            r, _, _ = case_instance(0, seed)
+            f = random_coordinate_convex(seed, r, seed % 5)
+            xs, ys = np.meshgrid(np.linspace(r.a, r.b, 33), np.linspace(r.c, r.d, 33))
+            tree, callback = eval_ast(f.expr, xs, ys), f.eval(xs, ys)
+            assert tree.shape == callback.shape == (33, 33)
+            assert tree.tobytes() == callback.tobytes(), seed

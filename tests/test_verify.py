@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 
 import hh_bounds.verify
 from hh_bounds import Fn2D, run_verification
+from hh_bounds.convexity import GATE_SAMPLES
 from hh_bounds.rect import declare_enclosure
 
 #: run_verification(40, 7) as computed with the explicit 1024-grid oracle:
@@ -102,3 +105,33 @@ def test_case_plan_evaluates_each_distinct_request_once(monkeypatch):
                               ["check_coordinate_convexity", "reference_integral_2d"])
     assert {flag for flag, _ in per_case} == {False, True}
     assert per_case == [(flag, positive if flag else plain) for flag, _ in per_case]
+
+
+def _gate_samples(monkeypatch, cases, seed):
+    """The ``samples`` of every gate report of ``run_verification(cases, seed)``."""
+    seen = []
+    check = hh_bounds.verify.check_coordinate_convexity
+
+    def recorded(*args, **kwargs):
+        rep = check(*args, **kwargs)
+        seen.append(rep.samples)
+        return rep
+
+    monkeypatch.setattr(hh_bounds.verify, "check_coordinate_convexity", recorded)
+    run_verification(cases, seed)
+    return seen
+
+
+def test_gate_proves_most_cases_from_the_tree(monkeypatch):
+    # 53 of the first 60 cases of seed 1 are proved (337 of 400); the rest
+    # are sampled
+    seen = _gate_samples(monkeypatch, 60, 1)
+    assert set(seen) == {0, 2 * GATE_SAMPLES}
+    assert seen.count(0) == 53
+
+
+def test_cases_without_a_tree_are_sampled(monkeypatch):
+    make = hh_bounds.verify.random_coordinate_convex
+    monkeypatch.setattr(hh_bounds.verify, "random_coordinate_convex",
+                        lambda *args: dataclasses.replace(make(*args), expr=None))
+    assert _gate_samples(monkeypatch, 10, 1) == [2 * GATE_SAMPLES] * 10
