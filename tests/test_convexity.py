@@ -173,27 +173,22 @@ class TestProof:
     @pytest.mark.parametrize("src", [
         "x*y", "exp(x+y)", "abs(x-0.5)+abs(y-0.5)", "x^2*y^2", "x*x+y*y",
         "max(x^2,exp(y))+3*abs(x-y)", "-(0-x^2)*(y+2)", "(x+y)^4-x*y"])
-    def test_proves_without_evaluating(self, src):
-        f = _with_tree(src)
-        calls = []
-        counted = dataclasses.replace(f, eval=lambda x, y: calls.append(1) or f.eval(x, y))
-        rep = check_coordinate_convexity(counted, Rect(-1.0, 0.5, -0.75, 1.25))
+    def test_proves_from_the_tree(self, src):
+        rep = check_coordinate_convexity(_with_tree(src), Rect(-1.0, 0.5, -0.75, 1.25))
         assert rep == ConvexityReport(samples=0, max_violation=math.inf, witness=None,
                                       passed=True)
-        assert calls == []
 
-    @pytest.mark.parametrize("src", [
-        "0-x^2", "-(x-0.5)^2+y^2", "x^3", "min(x^2,1)", "exp(-x^2)", "1/(x+2)",
-        "(x+1.5)^0.5", "x^2*(y-0.1)", "x^2*y^2*(x-y)", "abs(x^2-y)", "max(x^2,-y^2)"])
-    def test_never_proves_what_is_not_coordinate_convex(self, src):
-        # each is concave, or not convex, along some line of the rectangle,
-        # or outside the rules; the rectangle spans 0 on both axes
-        rep = check_coordinate_convexity(_with_tree(src), Rect(-1.0, 0.5, -0.75, 1.25))
-        assert rep.samples == 2 * GATE_SAMPLES
-
-    def test_fractional_power_and_division_are_left_to_the_sampler(self):
-        f = _with_tree("(x-0.5)^0.5+1/x+y^2")
-        rep = check_coordinate_convexity(f, Rect(0.5, 1.0, 0.0, 1.0))
+    @pytest.mark.parametrize("src, r", [
+        *((src, Rect(-1.0, 0.5, -0.75, 1.25)) for src in (
+            "0-x^2", "-(x-0.5)^2+y^2", "x^3", "min(x^2,1)", "exp(-x^2)", "x^2*(y-0.1)",
+            "x^2*y^2*(x-y)", "abs(x^2-y)", "max(x^2,-y^2)")),
+        ("1/x", Rect(0.5, 1.0, 0.0, 1.0)), ("(x-0.5)^0.5", Rect(0.5, 1.0, 0.0, 1.0))])
+    def test_leaves_trees_outside_the_rules_to_the_sampler(self, src, r):
+        # none is proved: each is concave or not convex along some line of
+        # its rectangle, or falls outside the rules (/, min, an odd or
+        # fractional power, max of a concave term); the first rectangle
+        # spans 0 on both axes
+        rep = check_coordinate_convexity(_with_tree(src), r)
         assert rep.samples == 2 * GATE_SAMPLES
 
     def test_lifted_line_below_zero_exactly_is_not_proved(self):
@@ -244,7 +239,7 @@ class TestProof:
             proved += 1
             rep = check_coordinate_convexity(dataclasses.replace(f, expr=None), r, seed=1)
             assert rep.max_violation >= -GATE_TOL, src
-        assert proved >= 25
+        assert proved >= 40  # of 51
 
     def test_every_proved_generated_instance_passes_the_sampler(self):
         proved = 0
@@ -255,7 +250,7 @@ class TestProof:
             proved += 1
             rep = check_coordinate_convexity(dataclasses.replace(f, expr=None), r, seed=index)
             assert rep.max_violation >= -GATE_TOL, context
-        assert proved >= 300
+        assert proved == 328
 
     def test_tree_and_callback_agree_bit_for_bit(self):
         for seed in range(200):
