@@ -22,11 +22,21 @@ MACHINE_TOL = 1e-12
 #: Points per evaluated block of lines (whole lines, at least one). Much
 #: smaller blocks pay per-call overhead; much larger ones only add memory.
 BLOCK_POINTS = 1 << 16
+#: Most points an enclosure, a line request or an oracle grid may have, checked
+#: before anything is built; the benchmark's largest (n=1024, m=16) is 4.0x below.
+MAX_POINTS = 1 << 28
 
 
 def machine_tol(*values: float) -> float:
     """Roundoff allowance 1e-12 * max(1, |values|...)."""
     return MACHINE_TOL * max(1.0, *(abs(v) for v in values))
+
+
+def check_points(what: str, points: int) -> int:
+    """``points``, or a :class:`DomainError` naming ``what`` if it exceeds MAX_POINTS."""
+    if points > MAX_POINTS:
+        raise DomainError(f"{what} needs {points} points, more than the cap of {MAX_POINTS}")
+    return points
 
 
 def require_finite(what: str, value: float) -> float:

@@ -4,10 +4,10 @@ Subcommands: ``bounds`` (certified enclosure of a double integral), ``chain``
 (both five-term inequality chains), ``converge`` (gap decay over a dyadic
 sweep of the partition size), ``verify`` (the random-instance property
 suite). Output formats: human, json, csv; json and csv are byte-stable for
-identical invocations.
+identical invocations. The convexity gate runs with its library defaults.
 
-Exit codes: 0 ok, 1 property violation, 2 usage or expression parse error,
-3 convexity gate or positivity rejection, 4 evaluation error.
+Exit codes: 0 ok, 1 property violation, 2 usage, parse or size error (past
+``bounds1d.MAX_POINTS``), 3 gate or positivity rejection, 4 evaluation error.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ import re
 import sys
 
 from .catalog import NAMED_FUNCTIONS, resolve_function
-from .convexity import GATE_SAMPLES, GATE_TOL, ConvexityRejection, check_coordinate_convexity
+from .convexity import ConvexityRejection, check_coordinate_convexity
 from .errors import DomainError, EvaluationError, PreconditionError
 from .expr import ParseError
 from .oracle import DEFAULT_GRID, reference_integral_2d
-from .rect import Rect, discrete_enclosure, five_term_chains
+from .rect import Rect, discrete_enclosure, enclosure_points, five_term_chains
 from .schemes import NestedDiscrete, Quadrature
 from .verify import run_verification
 
@@ -69,13 +69,10 @@ def _add_common(p: argparse.ArgumentParser, needs_fn: bool = True) -> None:
                        metavar=("A", "B", "C", "D"),
                        help="integration rectangle [A,B] x [C,D]")
         p.add_argument("--skip-convexity-check", action="store_true",
-                       help="bypass the sampling convexity gate")
-        p.add_argument("--gate-samples", type=int, default=GATE_SAMPLES)
-        p.add_argument("--gate-tol", type=float, default=GATE_TOL)
+                       help="bypass the convexity gate")
         p.add_argument("--m", type=int, default=NestedDiscrete.m,
                        help="inner subintervals per partition cell "
                             "(chain: --scheme nested only)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", choices=("human", "json", "csv"), default="human")
 
 
@@ -116,6 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="random-instance property suite")
     _add_common(v, needs_fn=False)
     v.add_argument("--cases", type=int, default=200)
+    v.add_argument("--seed", type=int, default=0)
     v.set_defaults(handler=cmd_verify)
     return p
 
@@ -124,17 +122,10 @@ def _prepare(args) -> tuple:
     rect = Rect(*args.rect)
     fn = resolve_function(args.function, rect)
     if not args.skip_convexity_check:
-        rep = check_coordinate_convexity(fn, rect, args.gate_samples,
-                                         args.gate_tol, args.seed)
+        rep = check_coordinate_convexity(fn, rect)
         if not rep.passed:
             raise ConvexityRejection(rep, f"function {args.function!r}")
     return rect, fn
-
-
-def _scheme(args):
-    if args.scheme == "nested":
-        return NestedDiscrete(args.m)
-    return Quadrature(args.quad_tol)
 
 
 def _print_json(payload) -> None:
@@ -202,7 +193,8 @@ def _chain_human(label: str, report) -> None:
 
 def cmd_chain(args) -> int:
     rect, fn = _prepare(args)
-    scheme = _scheme(args)  # a bad --m or --quad-tol is reported before a bad --grid
+    # a bad --m or --quad-tol is reported before a bad --grid
+    scheme = NestedDiscrete(args.m) if args.scheme == "nested" else Quadrature(args.quad_tol)
     integral = reference_integral_2d(fn, rect, args.grid).value
     classic, refined = five_term_chains(fn, rect, scheme, integral=integral)
     scheme_label = (f"nested:{args.m}" if args.scheme == "nested"
@@ -254,6 +246,7 @@ def _parse_n_range(text: str) -> list[int]:
 def cmd_converge(args) -> int:
     rect, fn = _prepare(args)
     ns = _parse_n_range(args.n)
+    enclosure_points(ns[-1], args.m)  # a sweep past the budget fails before its first row
     rows = []
     prev_gap = None
     for n in ns:

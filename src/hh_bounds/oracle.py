@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds1d import evaluate, line_blocks
+from .bounds1d import check_points, evaluate, line_blocks
 from .errors import DomainError, EvaluationError
 
 DEFAULT_GRID = 1024
@@ -97,6 +97,7 @@ def reference_integral_2d(fn, rect, grid: int = DEFAULT_GRID,
     array plus one block of about ``BLOCK_POINTS`` points.
     """
     _check_grid(grid)
+    check_points(f"an oracle grid of {grid}", (grid + 1) ** 2)
     ev = getattr(fn, "eval", fn)
     xs = np.linspace(rect.a, rect.b, grid + 1)
     ys = np.linspace(rect.c, rect.d, grid + 1)

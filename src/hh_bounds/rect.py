@@ -46,8 +46,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bounds1d import (BoundPair, Interval, Partition1D, evaluate, line_blocks, midpoint_sum,
-                       require_finite, trapezoid_sum)
+from .bounds1d import (BoundPair, Interval, Partition1D, check_points, evaluate, line_blocks,
+                       midpoint_sum, require_finite, trapezoid_sum)
 # still importable from here, as before (bench/test_bench.py and the tests rely on them)
 from .bounds1d import BLOCK_POINTS, midpoint_lower, trapezoid_upper  # noqa: F401
 from .errors import DomainError, EvaluationError, PreconditionError
@@ -246,27 +246,42 @@ class _PointRequest(NamedTuple):
         return evaluate(f.eval, self.xs, self.ys)
 
 
-class _Later(NamedTuple):
-    """A result computed by ``compute()`` in its turn, never packed."""
+class _QuadratureLines(NamedTuple):
+    """Adaptive Simpson to ``tol`` along the lines through ``at`` running in
+    ``along`` across ``iv``, never packed; a failure names its point or line."""
 
-    compute: Callable[[], object]
+    along: str
+    at: np.ndarray
+    iv: Interval
+    tol: float
     size = math.inf
 
-    def evaluate(self, f: Fn2D):
-        return self.compute()
+    def evaluate(self, f: Fn2D) -> list[float]:
+        out, other = [], "y" if self.along == "x" else "x"
+        for t in self.at:
+            def ev(s, t=t):
+                return evaluate(f.eval, s, t) if self.along == "x" else evaluate(f.eval, t, s)
+            try:
+                out.append(adaptive_simpson(ev, self.iv.lo, self.iv.hi, self.tol))
+            except EvaluationError as exc:
+                if exc.where is not None:
+                    raise
+                raise EvaluationError(f"line along {self.along} at {other}={float(t)!r}: "
+                                      f"{exc}") from exc
+        return out
 
 
 class PointPlan:
     """The lines and points that some bounds need of ``f`` on ``r``,
     evaluated together (internal to the package).
 
-    Each bound declares its requests with :meth:`lines` and :meth:`points`,
-    which return handles, and reduces ``plan[handle]`` once :meth:`resolve`
-    has run. A request equal to one already declared, the same lines (run,
-    fixed coordinates, rule and count) or the same points (coordinates and
-    shapes), gets that request's handle and is evaluated once. A partition
-    of a side into a given count of cells is built, checked and turned into
-    nodes and midpoints once per plan.
+    Each bound declares its requests with :meth:`lines`, :meth:`quadrature`
+    and :meth:`points`, which return handles, and reduces ``plan[handle]``
+    once :meth:`resolve` has run. A request equal to one already declared
+    (the same lines and rule, or the same points and shapes) gets that
+    request's handle and is evaluated once. A partition of a side into a
+    given count of cells is built, checked and turned into nodes and
+    midpoints once per plan.
     """
 
     def __init__(self, f: Fn2D, r: Rect):
@@ -290,6 +305,7 @@ class PointPlan:
         subintervals, of f along the lines through ``at`` running in ``along``.
         The result is a list, one value per line."""
         at = np.asarray(at, dtype=float)
+        check_points(f"a line request ({at.size} x {count + upper})", at.size * (count + upper))
         grid = self.grid(along, count)
         return self._declare(("lines", along, at.tobytes(), upper, count),
                              _LineRequest(along, at, grid.nodes if upper else grid.midpoints,
@@ -301,9 +317,13 @@ class PointPlan:
         return self._declare(("points", xs.tobytes(), xs.shape, ys.tobytes(), ys.shape),
                              _PointRequest(xs, ys, np.broadcast_shapes(xs.shape, ys.shape)))
 
-    def later(self, compute: Callable[[], object]) -> int:
-        """``compute()``, called in declaration order by :meth:`resolve`."""
-        return self._declare(("later", len(self._requests)), _Later(compute))
+    def quadrature(self, along: str, at, tol: float) -> int:
+        """Adaptive Simpson values, to ``tol``, of f along the lines through
+        ``at`` running in ``along``, whichever side they bound: a list."""
+        at = np.asarray(at, dtype=float)
+        iv = self.r.x_interval if along == "x" else self.r.y_interval
+        return self._declare(("quadrature", along, at.tobytes(), tol),
+                             _QuadratureLines(along, at, iv, tol))
 
     def spot_grid(self) -> int:
         """The SPOT_GRID x SPOT_GRID positivity sample grid."""
@@ -385,32 +405,13 @@ def _lines(plan: PointPlan, along: str, at, upper: bool, scheme: InnerScheme,
     rectangle; ``at`` holds each line's other coordinate. ``upper`` marks
     integrals that must stay above their true value. In NestedDiscrete mode
     those get the composite trapezoid value, the others the composite
-    midpoint value, on m * ``cells`` subintervals, through
-    :meth:`PointPlan.lines`: the plan packs a request under PACK_POINTS
-    points flat with its neighbours into one evaluation, and evaluates a
-    larger one as rows of broadcast blocks of about BLOCK_POINTS points.
-    Quadrature resolves each line with adaptive Simpson in the plan's turn,
-    which evaluates one refinement level per call; its evaluator takes both
-    coordinates, so a failure names the full point.
+    midpoint value, on m * ``cells`` subintervals (:meth:`PointPlan.lines`).
+    Quadrature resolves each line with adaptive Simpson in the plan's turn
+    (:meth:`PointPlan.quadrature`), one refinement level per evaluation.
     """
     if isinstance(scheme, NestedDiscrete):
         return plan.lines(along, at, upper, scheme.m * cells)
-    f, iv = plan.f, plan.r.x_interval if along == "x" else plan.r.y_interval
-    at = np.asarray(at, dtype=float)
-    return plan.later(lambda: [_quadrature(f, along, t, iv, scheme.tol) for t in at])
-
-
-def _quadrature(f: Fn2D, along: str, t, iv: Interval, tol: float) -> float:
-    """Adaptive Simpson along one line; a failure with no point names the line."""
-    ev = ((lambda s: evaluate(f.eval, s, t)) if along == "x"
-          else (lambda s: evaluate(f.eval, t, s)))
-    try:
-        return adaptive_simpson(ev, iv.lo, iv.hi, tol)
-    except EvaluationError as exc:
-        if exc.where is not None:
-            raise
-        other = "y" if along == "x" else "x"
-        raise EvaluationError(f"line along {along} at {other}={float(t)!r}: {exc}") from exc
+    return plan.quadrature(along, at, scheme.tol)
 
 
 def _fold(values, start: float = 0.0) -> float:
@@ -483,9 +484,17 @@ def discrete_enclosure(f: Fn2D, r: Rect, n: int, m: int = NestedDiscrete.m) -> B
 
 def declare_enclosure(plan: PointPlan, n: int, m: int) -> Callable[[], BoundPair]:
     """:func:`discrete_enclosure` on ``plan``: the finishing function returns it."""
+    evals = enclosure_points(n, m)
     sums = _declare_partition_sums(plan, n, NestedDiscrete(m))
+    return lambda: BoundPair(*sums(), n=n, evals=evals)
+
+
+def enclosure_points(n: int, m: int) -> int:
+    """The points :func:`discrete_enclosure` evaluates; for n >= 1, more than
+    ``bounds1d.MAX_POINTS`` is a :class:`DomainError`."""
     k = m * n  # subintervals per line
-    return lambda: BoundPair(*sums(), n=n, evals=2 * n * k + (2 * n + 2) * (k + 1))
+    points = 2 * n * k + (2 * n + 2) * (k + 1)
+    return check_points(f"an enclosure with n={n}, m={m}", points) if n >= 1 else points
 
 
 def centerline_bound(f: Fn2D, r: Rect, n: int,

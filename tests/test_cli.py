@@ -76,6 +76,23 @@ class TestBounds:
         assert cp.returncode == 3
         assert "convexity" in cp.stderr.lower()
 
+    def test_steep_exponential_passes_the_gate(self, capsys):
+        # the worst slack is -524288, within its chord's roundoff allowance
+        assert main(["bounds", "--f", "exp(50*x)", "--rect", "0", "1", "0", "1"]) == 0
+        assert capsys.readouterr().out.startswith("function: exp(50*x)\n")
+
+    @pytest.mark.parametrize("argv, what", [
+        (["--n", "100000"], "an enclosure with n=100000, m=16 needs 640003400002 points"),
+        (["--grid", "16384"], "an oracle grid of 16384 needs 268468225 points"),
+    ])
+    def test_oversized_request_exit_2(self, argv, what, capsys):
+        start = time.perf_counter()
+        assert main(["bounds", "--f", "x^2+y^2", "--rect", "0", "1", "0", "1", *argv]) == 2
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {what}, more than the cap of 268435456\n"
+
     def test_gate_bypass(self):
         cp = run_cli("bounds", "--f", "0-x^2", "--rect", "0", "1", "0", "1",
                      "--skip-convexity-check", "--n", "1", "--m", "1",
@@ -283,6 +300,15 @@ class TestConverge:
                      "--n", "8:2")
         assert cp.returncode == 2
 
+    def test_oversized_sweep_fails_before_its_first_enclosure(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(hh_bounds.cli, "discrete_enclosure",
+                            lambda *args: calls.append(args))
+        assert main(["converge", "--f", "x*y", "--rect", "0", "1", "0", "1",
+                     "--n", "1:1000000"]) == 2
+        assert calls == []
+        assert "n=524288, m=16 needs" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_small_run_passes(self):
@@ -320,6 +346,17 @@ class TestVerify:
     def test_zero_cases_exit_2(self):
         cp = run_cli("verify", "--cases", "0")
         assert cp.returncode == 2
+
+
+@pytest.mark.parametrize("command", ["bounds", "chain", "converge"])
+@pytest.mark.parametrize("flag", [["--gate-samples", "100"], ["--gate-tol", "1e-3"],
+                                  ["--seed", "1"]])
+def test_removed_gate_flags_exit_2(command, flag, capsys):
+    argv = [command, "--f", "x*y", "--rect", "0", "1", "0", "1", *flag]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--n", "1"] if command == "converge" else []))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 def test_help_exits_zero():

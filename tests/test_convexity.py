@@ -10,6 +10,7 @@ from expr_corpus import CORPUS
 from hh_bounds import (ConvexityReport, DomainError, EvaluationError, Fn2D, Interval, Rect,
                        check_coordinate_convexity, random_convex_1d,
                        random_coordinate_convex, spot_minimum)
+from hh_bounds.catalog import resolve_function
 from hh_bounds.convexity import GATE_SAMPLES, GATE_TOL
 from hh_bounds.expr import eval_ast, parse
 from hh_bounds.verify import case_instance
@@ -90,6 +91,43 @@ class TestChecker:
             not check_coordinate_convexity(f, UNIT2, 10_000, 1e-10, seed=s).passed
             for s in range(100))
         assert rejections == 100
+
+
+class TestRoundoffAllowance:
+    # each chord may fall below 0 by the rounding error of its slack, so a
+    # valid function is not rejected for its scale; expressions from
+    # resolve_function carry no tree, so the gate samples them
+    @pytest.mark.parametrize("r", [UNIT2, Rect(-0.4, 1.3, -0.2, 1.1)])
+    def test_steep_exponential_passes(self, r):
+        rep = check_coordinate_convexity(resolve_function("exp(50*x)", r), r, seed=1)
+        assert rep.passed
+        assert rep.max_violation < -1e5  # far below GATE_TOL: the allowance passes it
+
+    def test_large_offset_passes(self):
+        # a large-magnitude input of the benchmark's cli-expr stream (seed 1)
+        src = ("10000000.670434713+0.3173020560680859*x+0.0964289816704319*y"
+               "+1.1997552885440075*x^2*y^2")
+        rep = check_coordinate_convexity(resolve_function(src, UNIT2), UNIT2)
+        assert rep.passed
+        assert rep.max_violation < -GATE_TOL
+
+    def test_concavity_at_large_offset_is_rejected(self):
+        # worst slack about -0.24 against an allowance of about 2e-8
+        rep = check_coordinate_convexity(resolve_function("1e7-x^2", UNIT2), UNIT2)
+        assert not rep.passed
+        assert rep.witness.axis == "x"
+
+    @pytest.mark.parametrize("r", [UNIT2, Rect(-1.0, 0.5, -0.75, 1.25)])
+    def test_corpus_verdicts_match_the_absolute_tolerance(self, r):
+        # no corpus tree needs the allowance, and every one whose worst
+        # slack is below -GATE_TOL is still rejected
+        rejected = 0
+        for src, _ in CORPUS:
+            ast = parse(src)
+            rep = check_coordinate_convexity(Fn2D(eval=lambda x, y: eval_ast(ast, x, y)), r)
+            assert rep.passed == (rep.max_violation >= -GATE_TOL), src
+            rejected += not rep.passed
+        assert rejected == (2 if r == UNIT2 else 8)
 
 
 class TestGenerator2D:
@@ -205,7 +243,7 @@ class TestProof:
         f = _with_tree(f"x*x*({slope!r}*y+{intercept!r})")
         assert check_coordinate_convexity(f, LIFT_RECT).samples == 0
         # the float interval alone falls just below 0: the exact re-check proves it
-        monkeypatch.setattr(hh_bounds.convexity, "TIE_BREAK", 0.0)
+        monkeypatch.setattr(hh_bounds.convexity, "_exact_lower", lambda node, r: -1)
         assert check_coordinate_convexity(f, LIFT_RECT).samples == 2 * GATE_SAMPLES
 
     def test_overflowing_range_is_not_proved(self):

@@ -94,7 +94,8 @@ def scalar_records() -> dict[str, list[str]]:
 
 
 #: Gate inputs: a concave one, a saddle, zero slack up to roundoff, a
-#: passing run that still reports a witness, and a scale-driven rejection.
+#: passing run that still reports a witness, and a steep function whose
+#: slack falls far below 0 by roundoff alone, within its allowance.
 GATE_EXPRESSIONS = ("0-x^2", "-(x-0.5)^2+y^2", "x*y", "-1e-12*x^2+y", "exp(50*x)")
 UNIT = SCALAR_RECTS["unit"]
 

@@ -10,6 +10,8 @@ from hh_bounds.expr import eval_ast, parse
 from hh_bounds.oracle import reference_integral_1d, reference_integral_2d
 from hh_bounds.rect import BLOCK_POINTS
 
+from conftest import counting_fn2d
+
 UNIT = Interval(0.0, 1.0)
 UNIT2 = Rect(0.0, 1.0, 0.0, 1.0)
 
@@ -18,6 +20,13 @@ def test_grid_must_be_power_of_two_64():
     for bad in (32, 63, 100, 1000):
         with pytest.raises(DomainError):
             reference_integral_1d(Fn1D(eval=lambda t: t), UNIT, bad)
+
+
+def test_oversized_grid_fails_before_evaluating():
+    f, count = counting_fn2d(lambda x, y: x * y)
+    with pytest.raises(DomainError, match="needs 268468225 points, more than the cap"):
+        reference_integral_2d(f, UNIT2, 16384)
+    assert count["n"] == 0
 
 
 def test_square_exact():

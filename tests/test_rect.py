@@ -13,8 +13,11 @@ from hh_bounds.convexity import random_coordinate_convex
 from hh_bounds.oracle import reference_integral_2d
 import hh_bounds.rect
 from hh_bounds import Partition1D
+from hh_bounds.bounds1d import MAX_POINTS
 from hh_bounds.rect import (BLOCK_POINTS, PointPlan, chain_report, declare_boundary_bound,
-                            declare_centerline_bound, declare_enclosure, declare_positive_upper)
+                            declare_centerline_bound, declare_enclosure, declare_positive_upper,
+                            enclosure_points)
+from hh_bounds.schemes import adaptive_simpson
 
 from conftest import counting_fn2d
 
@@ -379,7 +382,51 @@ class TestPointPlan:
         assert count["n"] == 2 * 9 + 9 * 2 + 2 * 8 + 2 * 5 + 9 + 4 + 4 + 2 + 33 * 33
 
 
+class TestBudget:
+    @pytest.mark.parametrize("n, m, points", [(100_000, 16, 640_003_400_002),
+                                              (1_000_000_000, 16, 64_000_000_034_000_000_002),
+                                              (2048, 16, 268_505_090)])
+    def test_oversized_enclosure_fails_before_evaluating(self, n, m, points, monkeypatch):
+        built = []
+        monkeypatch.setattr(hh_bounds.rect, "Partition1D",
+                            lambda iv, k: built.append(k) or Partition1D(iv, k))
+        f, count = counting_fn2d(lambda x, y: x * x + y * y)
+        with pytest.raises(DomainError, match=f"n={n}, m={m} needs {points} points"):
+            discrete_enclosure(f, UNIT2, n, m)
+        assert count["n"] == 0 and built == []
+
+    def test_largest_benchmark_enclosure_is_within_the_cap(self):
+        assert enclosure_points(1024, 16) == 67_143_682 < MAX_POINTS // 3
+
+    def test_oversized_line_request_fails_before_evaluating(self):
+        f, count = counting_fn2d(lambda x, y: x * y)
+        with pytest.raises(DomainError, match="more than the cap"):
+            five_term_chains(f, UNIT2, NestedDiscrete(1_000_000_000), integral=0.25)
+        assert count["n"] == 0
+
+
 class TestAssembly:
+    def test_quadrature_shares_lines_between_bounds(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return adaptive_simpson(*args)
+
+        monkeypatch.setattr(hh_bounds.rect, "adaptive_simpson", counting)
+        r = Rect(-0.4, 1.3, -0.2, 1.1)
+        f = random_coordinate_convex(4, r, 3)
+        q = Quadrature(1e-9)
+        terms = assemble_classic_terms(f, r, q, integral=1.0)
+        # the lines at x = a, b and y = c, d of the partition and boundary
+        # bounds coincide, and so do the center lines of the partition and
+        # centerline bounds: one call per distinct line
+        assert len(calls) == 6
+        c_lhs, _ = centerline_bound(f, r, 1, q)
+        lower, _, upper = partition_chain(f, r, 1, q, integral=1.0).values
+        _, b_rhs = boundary_bound(f, r, 1, q)
+        assert terms == (c_lhs / 2.0, lower / r.area, 1.0 / r.area, upper / r.area, b_rhs / 4.0)
+
     def test_matches_classic_chain_both_schemes(self):
         r = Rect(-0.3, 1.2, 0.1, 2.0)
         for seed in (5, 17, 29):
