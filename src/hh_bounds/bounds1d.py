@@ -184,9 +184,8 @@ def evaluate(ev: Callable, *args) -> np.ndarray:
                 raise
             _locate(ev, [np.broadcast_to(a, shape).ravel() for a in args])
             raise
-    bad = ~np.isfinite(out)
-    if bad.any():
-        idx = np.unravel_index(int(np.argmax(bad)), shape)
+    if not np.isfinite(out).all():
+        idx = np.unravel_index(int(np.argmax(~np.isfinite(out))), shape)
         where = tuple(float(np.broadcast_to(a, shape)[idx]) for a in args)
         raise EvaluationError(f"non-finite value at {where}", where=where)
     return out

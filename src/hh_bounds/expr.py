@@ -13,13 +13,19 @@ Parsing reports the first failure as a :class:`ParseError` carrying the byte
 offset of the offending token. Division by zero and other domain problems are
 deferred to evaluation, which raises :class:`EvaluationError` with the source
 span of the failing subexpression.
+
+Evaluation compiles a tree once, on its first :func:`eval_ast`, into closures
+that call numpy directly. Finiteness is checked at the root and wherever an
+operation could hide a non-finite operand; only when such a check fires is the
+tree rerun with every node checked, to name the failing one.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -227,43 +233,91 @@ def _where(node: Node) -> str:
     return "in subexpression"
 
 
+#: The operations of each node kind, called exactly as ``a + b``, ``np.exp(a)``, ...
+_UNARY = {"neg": operator.neg, "abs": np.abs, "exp": np.exp}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": np.true_divide, "^": np.power}
+_CALLS = {"max": np.maximum, "min": np.minimum}
+#: The operations that can turn a non-finite operand finite: exp(-inf),
+#: 1/inf, 1^inf, min(inf, 0). The others keep a non-finite element non-finite.
+_ABSORBING = {"exp", "/", "^", "max", "min"}
+
+
+class _Rerun(Exception):
+    """A check of the fast program fired: the strict program names the node."""
+
+
 def eval_ast(node: Node, x, y):
-    """Evaluate at scalars or numpy arrays (elementwise); non-finite results raise."""
+    """Evaluate at scalars or numpy arrays (elementwise); non-finite results raise.
+
+    The tree is compiled on the first call into two programs of closures,
+    kept on ``node`` itself (by identity, never by equality: ``Number(0.0) ==
+    Number(-0.0)``). Both call the same numpy functions and operators in the
+    same order, so they give the same values. The strict one checks every
+    non-leaf node for non-finite values and raises :class:`EvaluationError`
+    with the span of the first that has one. The fast one checks only the
+    root and the non-leaf operands of ``exp``, ``/``, ``^``, ``max`` and
+    ``min``; any other operation keeps a non-finite element non-finite, so a
+    failing node always reaches a check. When a check fires, or the inputs
+    broadcast to nothing (where a non-finite scalar can vanish), the strict
+    program runs instead.
+    """
+    fast, strict = _programs(node)
     with np.errstate(all="ignore"):
-        return _eval(node, x, y)
+        if np.size(x) and np.size(y):
+            try:
+                return fast(x, y)
+            except _Rerun:
+                pass
+        return strict(x, y)
 
 
-def _eval(node: Node, x, y):
-    match node:
-        case Number(value=v):
-            return v
-        case Var(name=name):
-            return x if name == "x" else y
-        case Unary(op="neg", arg=arg):
-            out = -_eval(arg, x, y)
-        case Unary(op="abs", arg=arg):
-            out = np.abs(_eval(arg, x, y))
-        case Unary(op="exp", arg=arg):
-            out = np.exp(_eval(arg, x, y))
-        case Binary(op="+", left=l, right=r):
-            out = _eval(l, x, y) + _eval(r, x, y)
-        case Binary(op="-", left=l, right=r):
-            out = _eval(l, x, y) - _eval(r, x, y)
-        case Binary(op="*", left=l, right=r):
-            out = _eval(l, x, y) * _eval(r, x, y)
-        case Binary(op="/", left=l, right=r):
-            out = np.true_divide(_eval(l, x, y), _eval(r, x, y))
-        case Binary(op="^", left=l, right=r):
-            out = np.power(_eval(l, x, y), _eval(r, x, y))
-        case Call(fn="max", args=(a, b)):
-            out = np.maximum(_eval(a, x, y), _eval(b, x, y))
-        case Call(fn="min", args=(a, b)):
-            out = np.minimum(_eval(a, x, y), _eval(b, x, y))
-        case _:
+def _programs(node: Node) -> tuple[Callable, Callable]:
+    """The fast and the strict program of ``node``, compiled on first use."""
+    programs = node.__dict__.get("_programs")
+    if programs is None:
+        programs = (_compile(node, strict=False), _compile(node, strict=True))
+        object.__setattr__(node, "_programs", programs)
+    return programs
+
+
+def _compile(root: Node, strict: bool) -> Callable:
+    """``root`` as a function of (x, y), checking each non-leaf node when
+    ``strict``, else only the root and the non-leaf operands of _ABSORBING."""
+
+    def build(node: Node, checked: bool) -> Callable:
+        if isinstance(node, Number):
+            value = node.value
+            return lambda x, y: value
+        if isinstance(node, Var):
+            return (lambda x, y: x) if node.name == "x" else (lambda x, y: y)
+        if isinstance(node, Unary) and node.op in _UNARY:
+            fn = _UNARY[node.op]
+            arg = build(node.arg, strict or node.op in _ABSORBING)
+            run = lambda x, y: fn(arg(x, y))
+        elif isinstance(node, Binary) and node.op in _BINARY:
+            fn = _BINARY[node.op]
+            left = build(node.left, strict or node.op in _ABSORBING)
+            right = build(node.right, strict or node.op in _ABSORBING)
+            run = lambda x, y: fn(left(x, y), right(x, y))
+        elif isinstance(node, Call) and node.fn in _CALLS and len(node.args) == 2:
+            fn = _CALLS[node.fn]
+            first, second = (build(arg, strict or node.fn in _ABSORBING) for arg in node.args)
+            run = lambda x, y: fn(first(x, y), second(x, y))
+        else:
             raise EvaluationError(f"malformed syntax tree node {node!r}")
-    if not np.isfinite(out).all():
-        raise EvaluationError(f"non-finite result {_where(node)}")
-    return out
+        if not checked:
+            return run
+        fail = (lambda: EvaluationError(f"non-finite result {_where(node)}")) if strict else _Rerun
+
+        def check(x, y):
+            out = run(x, y)
+            if not np.isfinite(out).all():
+                raise fail()
+            return out
+        return check
+
+    return build(root, True)
 
 
 _BINARY_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}

@@ -281,7 +281,8 @@ class PointPlan:
     (the same lines and rule, or the same points and shapes) gets that
     request's handle and is evaluated once. A partition of a side into a
     given count of cells is built, checked and turned into nodes and
-    midpoints once per plan.
+    midpoints once per plan; a line request's partition only when the plan
+    resolves, once the plan's size has been checked.
     """
 
     def __init__(self, f: Fn2D, r: Rect):
@@ -290,6 +291,7 @@ class PointPlan:
         self._grids: dict[tuple[str, int], _Grid] = {}
         self._requests: list = []
         self._handles: dict[tuple, int] = {}
+        self._points = 0
         self._results: list = []
 
     def grid(self, side: str, count: int) -> _Grid:
@@ -305,25 +307,28 @@ class PointPlan:
         subintervals, of f along the lines through ``at`` running in ``along``.
         The result is a list, one value per line."""
         at = np.asarray(at, dtype=float)
-        check_points(f"a line request ({at.size} x {count + upper})", at.size * (count + upper))
-        grid = self.grid(along, count)
-        return self._declare(("lines", along, at.tobytes(), upper, count),
-                             _LineRequest(along, at, grid.nodes if upper else grid.midpoints,
-                                          upper, grid.h))
+        size = check_points(f"a line request ({at.size} x {count + upper})",
+                            at.size * (count + upper))
+
+        def request() -> _LineRequest:
+            grid = self.grid(along, count)
+            return _LineRequest(along, at, grid.nodes if upper else grid.midpoints, upper, grid.h)
+        return self._declare(("lines", along, at.tobytes(), upper, count), size, request)
 
     def points(self, xs, ys) -> int:
         """f at the broadcast of ``xs`` and ``ys``, an array of that shape."""
         xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        req = _PointRequest(xs, ys, np.broadcast_shapes(xs.shape, ys.shape))
         return self._declare(("points", xs.tobytes(), xs.shape, ys.tobytes(), ys.shape),
-                             _PointRequest(xs, ys, np.broadcast_shapes(xs.shape, ys.shape)))
+                             req.size, lambda: req)
 
     def quadrature(self, along: str, at, tol: float) -> int:
         """Adaptive Simpson values, to ``tol``, of f along the lines through
         ``at`` running in ``along``, whichever side they bound: a list."""
         at = np.asarray(at, dtype=float)
         iv = self.r.x_interval if along == "x" else self.r.y_interval
-        return self._declare(("quadrature", along, at.tobytes(), tol),
-                             _QuadratureLines(along, at, iv, tol))
+        req = _QuadratureLines(along, at, iv, tol)
+        return self._declare(("quadrature", along, at.tobytes(), tol), req.size, lambda: req)
 
     def spot_grid(self) -> int:
         """The SPOT_GRID x SPOT_GRID positivity sample grid."""
@@ -331,9 +336,17 @@ class PointPlan:
         return self.points(np.linspace(r.a, r.b, SPOT_GRID)[:, None],
                            np.linspace(r.c, r.d, SPOT_GRID)[None, :])
 
-    def _declare(self, key: tuple, request) -> int:
-        """The handle of the request declared under ``key``, ``request`` if none was."""
+    def _declare(self, key: tuple, size: float, request: Callable[[], object]) -> int:
+        """The handle of the request declared under ``key``; if none was, the
+        request of ``size`` points that ``request()`` builds when the plan resolves.
+
+        The plan's points, quadrature (of unknown size) aside, may not exceed
+        ``bounds1d.MAX_POINTS`` in all: more is a :class:`DomainError` before
+        any line's partition is built or ``f`` is called.
+        """
         if key not in self._handles:
+            if math.isfinite(size):
+                self._points = check_points("a point plan", self._points + size)
             self._handles[key] = len(self._requests)
             self._requests.append(request)
         return self._handles[key]
@@ -349,6 +362,7 @@ class PointPlan:
         larger request is evaluated on its own, lines in row blocks: alone
         in a pack it would save no call, and flat blocks cost more.
         """
+        self._requests = [request() for request in self._requests]
         self._results = [None] * len(self._requests)
         pack, packed = [], 0
         for i, req in enumerate(self._requests):

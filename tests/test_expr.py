@@ -1,9 +1,13 @@
+import dataclasses
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hh_bounds import EvaluationError, Rect
+from hh_bounds import EvaluationError, Rect, expr
 from hh_bounds.catalog import resolve_function
 from hh_bounds.expr import (Binary, Call, Number, ParseError, Unary, Var,
                             eval_ast, parse, to_string)
@@ -135,3 +139,79 @@ _trees = st.recursive(_leaves, _compound, max_leaves=20)
 @given(tree=_trees)
 def test_round_trip_random_trees(tree):
     assert parse(to_string(tree)) == tree
+
+
+def _spanned(tree, counter=None):
+    """``tree`` with a distinct span on every node."""
+    counter = itertools.count() if counter is None else counter
+    i = next(counter)
+    if isinstance(tree, Unary):
+        kids = {"arg": _spanned(tree.arg, counter)}
+    elif isinstance(tree, Binary):
+        kids = {"left": _spanned(tree.left, counter), "right": _spanned(tree.right, counter)}
+    elif isinstance(tree, Call):
+        kids = {"args": tuple(_spanned(a, counter) for a in tree.args)}
+    else:
+        kids = {}
+    return dataclasses.replace(tree, span=(i, i + 1), **kids)
+
+
+_VALUES = np.array([0.0, -0.0, 0.5, -0.5, 700.0, -700.0, 1e300, -1e300])
+_INPUTS = [
+    (0.5, -0.0), (700.0, 1e300), (-0.0, 0.0), (np.float64(-0.5), 2.0),  # scalars
+    (_VALUES, _VALUES[::-1].copy()), (_VALUES, 0.0), (np.float64(1e300), _VALUES),  # 1-D
+    (_VALUES[:, None], _VALUES[None, :]),  # broadcast
+    (np.empty(0), 1.0), (1.0, np.empty((0, 3))),  # empty
+]
+
+
+def _outcome(run, x, y):
+    """The value's type, dtype, shape and bytes, or the error's message."""
+    try:
+        out = run(x, y)
+    except EvaluationError as exc:
+        return str(exc)
+    return type(out), getattr(out, "dtype", None), np.shape(out), np.asarray(out).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_trees.map(_spanned))
+def test_fast_program_matches_the_strict_one(tree):
+    strict = expr._programs(tree)[1]
+    for x, y in _INPUTS:
+        with np.errstate(all="ignore"):
+            want = _outcome(strict, x, y)
+        assert _outcome(lambda x, y: eval_ast(tree, x, y), x, y) == want
+
+
+@pytest.mark.parametrize("src, span", [("exp(-exp(1000*x))", "5..16"),
+                                       ("min(exp(1000*x),1)", "4..15"),
+                                       ("exp(1000*x)^0", "0..11")])
+@pytest.mark.parametrize("x", [1.0, np.array([0.0, 1.0])])
+def test_non_finite_operand_an_operation_absorbs_still_raises(src, span, x):
+    # exp(-inf) = 0, min(inf, 1) = 1 and inf^0 = 1 are finite at the root
+    with pytest.raises(EvaluationError, match=f"non-finite result at offsets {span}$"):
+        eval_ast(parse(src), x, 0.0)
+
+
+def test_programs_are_kept_by_identity_not_equality():
+    plus, minus = Binary("*", Var("x"), Number(0.0)), Binary("*", Var("x"), Number(-0.0))
+    assert plus == minus
+    assert math.copysign(1.0, eval_ast(plus, 1.0, 0.0)) == 1.0
+    assert math.copysign(1.0, eval_ast(minus, 1.0, 0.0)) == -1.0
+
+
+def test_a_tree_is_compiled_once(monkeypatch):
+    compiled = []
+    compile_ = expr._compile
+    monkeypatch.setattr(expr, "_compile",
+                        lambda node, strict: compiled.append(strict) or compile_(node, strict))
+    tree = parse("exp(x)*y+1/x")
+    for x in (0.5, np.linspace(0.5, 1.0, 5), np.empty(0), 0.0):
+        try:
+            eval_ast(tree, x, 0.5)
+        except EvaluationError:
+            pass
+    assert compiled == [False, True]
+    eval_ast(parse("exp(x)*y+1/x"), 0.5, 0.5)  # an equal tree is another object
+    assert compiled == [False, True, False, True]

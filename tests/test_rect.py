@@ -405,6 +405,22 @@ class TestBudget:
         assert count["n"] == 0
 
 
+    def test_oversized_plan_fails_before_evaluating(self, monkeypatch):
+        # the chain's requests have 9, 16, 16, 51 and 51 points: each fits
+        # under a cap of 100, the plan's 143 do not
+        monkeypatch.setattr(hh_bounds.bounds1d, "MAX_POINTS", 100)
+        built = []
+        monkeypatch.setattr(hh_bounds.rect, "Partition1D",
+                            lambda iv, k: built.append(k) or Partition1D(iv, k))
+        f, count = counting_fn2d(lambda x, y: x * y)
+        with pytest.raises(DomainError, match="a point plan needs 143 points"):
+            five_term_chains(f, UNIT2, NestedDiscrete(16), integral=0.25)
+        assert count["n"] == 0 and built == []
+        monkeypatch.setattr(hh_bounds.bounds1d, "MAX_POINTS", 143)
+        five_term_chains(f, UNIT2, NestedDiscrete(16), integral=0.25)
+        assert count["n"] == 143
+
+
 class TestAssembly:
     def test_quadrature_shares_lines_between_bounds(self, monkeypatch):
         calls = []
