@@ -22,7 +22,7 @@ MACHINE_TOL = 1e-12
 #: Points per evaluated block of lines (whole lines, at least one). Much
 #: smaller blocks pay per-call overhead; much larger ones only add memory.
 BLOCK_POINTS = 1 << 16
-#: Most points an enclosure, a line request or an oracle grid may have, checked
+#: Most points an enclosure, a point plan or an oracle grid may have, checked
 #: before anything is built; the benchmark's largest (n=1024, m=16) is 4.0x below.
 MAX_POINTS = 1 << 28
 

@@ -19,24 +19,24 @@ nonnegative up to its own rounding error, so that no valid function is
 rejected for its scale. One chord-test body serves both axes; the axis
 only decides which coordinate is held fixed. The generators build
 functions that are coordinate-convex by construction: sums of products of
-nonnegative convex one-variable atoms (plain functions of t) with
-nonnegative coefficients, plus an affine part. Coordinate convexity, unlike
-joint convexity, is closed under such products. The two-variable generator
-attaches the expression tree of the function it draws, built in the same
-operation order as its callback, so its instances are mostly proved.
+nonnegative convex one-variable atoms with nonnegative coefficients, plus
+an affine part. Coordinate convexity, unlike joint convexity, is closed
+under such products. Each generator draws its function as an expression
+tree and evaluates it through the tree's check-free ``expr.program``; the
+two-variable one attaches the tree as ``Fn2D.expr``, so the proof and every
+bound read one object, and its instances are mostly proved.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .bounds1d import Fn1D, Interval, evaluate
 from .errors import DomainError, PreconditionError
-from .expr import Binary, Call, Node, Number, Unary, Var
+from .expr import MAX_DEPTH, Binary, Call, Node, Number, Unary, Var, program
 from .rect import Fn2D, Rect, with_positivity
 
 #: Chord draws per axis, and the absolute floor of each chord's allowance.
@@ -97,12 +97,14 @@ def check_coordinate_convexity(f: Fn2D, r: Rect, samples: int = GATE_SAMPLES,
     -(``tol`` + ROUNDOFF*eps*(lam*|f(u1)| + (1-lam)*|f(u2)| + |f(blend)|))
     or above. Deterministic given ``seed``; the worst witness is the
     minimum slack, ties resolved by draw order (x-axis block first).
-    ``samples`` and ``tol`` are validated either way.
+    ``samples``, ``tol`` and ``seed`` are validated either way.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     if not tol >= 0.0:
         raise DomainError(f"tol must be >= 0, got {tol}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     if f.expr is not None and _proves(f.expr, r):
         return ConvexityReport(samples=0, max_violation=math.inf, witness=None, passed=True)
     rng = np.random.default_rng(seed)
@@ -325,28 +327,32 @@ def _shape(node: Node, r: Rect) -> tuple:
 # Random convex instances
 
 
-def _draw_atom(rng: np.random.Generator, iv: Interval, t: Var) -> tuple[Callable, Node]:
-    """Draw one atom, a function of t convex and nonnegative on ``iv``:
-    t^2, |t - center|, exp(rate*t), or slope*t + intercept with the intercept
-    lifted until the line is nonnegative on ``iv``. Returns the atom as a
-    callable and as a tree in ``t`` with the same operations in the same
-    order."""
+def _draw_atom(rng: np.random.Generator, iv: Interval, t: Var) -> Node:
+    """Draw one atom, a tree in ``t`` convex and nonnegative on ``iv``:
+    t*t, |t - center|, exp(rate*t), or slope*t + intercept with the
+    intercept lifted until the line is nonnegative on ``iv``."""
     kind = int(rng.integers(0, 4))
     if kind == 0:
-        return (lambda t: t * t), Binary("*", t, t)
+        return Binary("*", t, t)
     if kind == 1:
         center = float(rng.uniform(iv.lo, iv.hi))
-        return (lambda t: np.abs(t - center)), Unary("abs", Binary("-", t, Number(center)))
+        return Unary("abs", Binary("-", t, Number(center)))
     if kind == 2:
         rate = float(rng.uniform(-1.5, 1.5))
-        return (lambda t: np.exp(rate * t)), Unary("exp", Binary("*", Number(rate), t))
+        return Unary("exp", Binary("*", Number(rate), t))
     slope = float(rng.uniform(-1.5, 1.5))
     intercept = float(rng.uniform(0.0, 1.0))
     low = min(slope * iv.lo + intercept, slope * iv.hi + intercept)
     if low < 0.0:
         intercept -= low
-    return ((lambda t: slope * t + intercept),
-            Binary("+", Binary("*", Number(slope), t), Number(intercept)))
+    return Binary("+", Binary("*", Number(slope), t), Number(intercept))
+
+
+def _check_atom_count(atom_count: int) -> None:
+    # each atom adds one level over the at most five of the affine part and
+    # the first term, so a generator's tree has at most MAX_DEPTH levels
+    if not 0 <= atom_count <= MAX_DEPTH - 5:
+        raise DomainError(f"atom_count must be in [0, {MAX_DEPTH - 5}], got {atom_count}")
 
 
 def random_coordinate_convex(seed: int, r: Rect, atom_count: int) -> Fn2D:
@@ -354,14 +360,12 @@ def random_coordinate_convex(seed: int, r: Rect, atom_count: int) -> Fn2D:
 
     f(x, y) = beta + px*x + py*y + sum_i c_i * g_i(x) * h_i(y) with c_i >= 0
     and every g_i, h_i nonnegative convex on the corresponding side, so each
-    partial mapping is a nonnegative combination of convex functions. The
-    positive flag is set when the minimum over the sample grid is strictly
-    positive. The callback evaluates the function; ``expr`` is the same
-    function as a tree, in the callback's operation order, so
-    ``eval_ast(f.expr, x, y)`` gives its values bit for bit.
+    partial mapping is a nonnegative combination of convex functions. It is
+    drawn as the tree ``expr`` and evaluated by ``program(expr)``, so its
+    values are ``eval_ast(f.expr, x, y)`` bit for bit. The positive flag is
+    set when the minimum over the sample grid is strictly positive.
     """
-    if atom_count < 0:
-        raise DomainError(f"atom_count must be >= 0, got {atom_count}")
+    _check_atom_count(atom_count)
     rng = np.random.default_rng(seed)
     beta = float(rng.uniform(-0.5, 1.5))
     px = float(rng.uniform(-0.75, 0.75))
@@ -369,49 +373,36 @@ def random_coordinate_convex(seed: int, r: Rect, atom_count: int) -> Fn2D:
     x, y = Var("x"), Var("y")
     expr = Binary("+", Binary("+", Number(beta), Binary("*", Number(px), x)),
                   Binary("*", Number(py), y))
-    terms = []
     for _ in range(atom_count):
         coeff = float(rng.uniform(0.0, 2.0))
-        (gx, g), (hy, h) = _draw_atom(rng, r.x_interval, x), _draw_atom(rng, r.y_interval, y)
-        terms.append((coeff, gx, hy))
+        g, h = _draw_atom(rng, r.x_interval, x), _draw_atom(rng, r.y_interval, y)
         expr = Binary("+", expr, Binary("*", Binary("*", Number(coeff), g), h))
-
-    def ev(x, y):
-        acc = beta + px * x + py * y
-        for c, gx, hy in terms:
-            acc = acc + c * gx(x) * hy(y)
-        return acc
-
-    return with_positivity(ev, r, expr)
+    return with_positivity(program(expr), r, expr)
 
 
 def random_convex_1d(seed: int, iv: Interval, atom_count: int,
                      ensure_positive: bool = False) -> Fn1D:
     """A random convex function of one variable, reproducible from ``seed``.
 
-    F(t) = beta + p*t + sum_i c_i * atom_i(t) with c_i >= 0 and convex atoms.
-    The atoms are nonnegative, so F >= beta + min(p*lo, p*hi); with
-    ``ensure_positive`` beta is lifted until that floor clears 0.05, which
-    makes positivity a construction guarantee rather than a sampling claim.
+    F(t) = beta + p*t + sum_i c_i * atom_i(t) with c_i >= 0 and convex atoms,
+    drawn as a tree in ``x`` and evaluated by its ``program``. The atoms are
+    nonnegative, so F >= beta + min(p*lo, p*hi); with ``ensure_positive``
+    beta is lifted until that floor clears 0.05, which makes positivity a
+    construction guarantee rather than a sampling claim.
     """
-    if atom_count < 0:
-        raise DomainError(f"atom_count must be >= 0, got {atom_count}")
+    _check_atom_count(atom_count)
     rng = np.random.default_rng(seed)
     beta = float(rng.uniform(-0.5, 1.5))
     slope = float(rng.uniform(-1.0, 1.0))
-    terms = [(float(rng.uniform(0.0, 2.0)), _draw_atom(rng, iv, Var("t"))[0])
-             for _ in range(atom_count)]
     if ensure_positive:
         floor = beta + min(slope * iv.lo, slope * iv.hi)
         if floor < 0.05:
             beta += 0.05 - floor
-
-    def ev(t):
-        acc = beta + slope * t
-        for c, atom in terms:
-            acc = acc + c * atom(t)
-        return acc
-
-    grid = np.linspace(iv.lo, iv.hi, 257)
-    positive = bool(evaluate(ev, grid).min() > 0.0)
-    return Fn1D(eval=ev, positive=positive)
+    x = Var("x")
+    expr = Binary("+", Number(beta), Binary("*", Number(slope), x))
+    for _ in range(atom_count):
+        coeff = float(rng.uniform(0.0, 2.0))
+        expr = Binary("+", expr, Binary("*", Number(coeff), _draw_atom(rng, iv, x)))
+    run = program(expr)  # y does not occur in the tree
+    positive = bool(evaluate(run, np.linspace(iv.lo, iv.hi, 257), 0.0).min() > 0.0)
+    return Fn1D(eval=lambda t: run(t, 0.0), positive=positive)

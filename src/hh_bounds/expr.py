@@ -10,14 +10,17 @@ multiplication):
     atoms           number, x, y, (expr), exp(e), abs(e), max(e,e), min(e,e)
 
 Parsing reports the first failure as a :class:`ParseError` carrying the byte
-offset of the offending token. Division by zero and other domain problems are
-deferred to evaluation, which raises :class:`EvaluationError` with the source
-span of the failing subexpression.
+offset of the offending token, including a tree or parentheses deeper than
+MAX_DEPTH, so that no walk of a tree exhausts Python's stack. Division by
+zero and other domain problems are deferred to evaluation, which raises
+:class:`EvaluationError` with the source span of the failing subexpression.
 
 Evaluation compiles a tree once, on its first :func:`eval_ast`, into closures
 that call numpy directly. Finiteness is checked at the root and wherever an
 operation could hide a non-finite operand; only when such a check fires is the
-tree rerun with every node checked, to name the failing one.
+tree rerun with every node checked, to name the failing one. :func:`program`
+gives the same closures with no check at all, for callers that check the
+values themselves, such as ``bounds1d.evaluate``.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ import numpy as np
 from .errors import EvaluationError, HHBoundsError
 
 Span = tuple[int, int]
+
+#: The deepest tree, and nesting of parentheses, that :func:`parse` accepts;
+#: a leaf is one level. The benchmark's deepest expression has 10.
+MAX_DEPTH = 100
 
 
 class ParseError(HHBoundsError):
@@ -116,6 +123,8 @@ class _Parser:
         self.src = src
         self.toks = _tokenize(src)
         self.i = 0
+        self.nesting = 0  # parentheses open
+        self.depths: dict[int, int] = {}  # levels of each non-leaf node, by id
 
     @property
     def cur(self) -> _Token:
@@ -123,13 +132,27 @@ class _Parser:
 
     def advance(self) -> _Token:
         tok = self.toks[self.i]
+        if tok.kind == "op" and tok.text in ("(", ")"):
+            self.nesting += 1 if tok.text == "(" else -1
+            if self.nesting > MAX_DEPTH:
+                self.fail(f"an expression at most {MAX_DEPTH} levels deep")
         self.i += 1
         return tok
 
-    def fail(self, expected: str):
-        tok = self.cur
+    def fail(self, expected: str, tok: _Token | None = None):
+        tok = tok or self.cur
         found = "end of input" if tok.kind == "end" else repr(tok.text)
         raise ParseError(tok.pos, expected, found)
+
+    def join(self, node: Unary | Binary | Call, tok: _Token) -> Node:
+        """``node``, built at ``tok``, unless it is deeper than MAX_DEPTH."""
+        children = ((node.arg,) if isinstance(node, Unary) else
+                    (node.left, node.right) if isinstance(node, Binary) else node.args)
+        depth = 1 + max(self.depths.get(id(child), 1) for child in children)
+        if depth > MAX_DEPTH:
+            self.fail(f"an expression at most {MAX_DEPTH} levels deep", tok)
+        self.depths[id(node)] = depth
+        return node
 
     def expect_op(self, op: str) -> _Token:
         if self.cur.kind == "op" and self.cur.text == op:
@@ -145,35 +168,40 @@ class _Parser:
     def additive(self) -> Node:
         node = self.multiplicative()
         while self.cur.kind == "op" and self.cur.text in "+-":
-            op = self.advance().text
+            tok = self.advance()
             right = self.multiplicative()
-            node = Binary(op, node, right, span=(node.span[0], right.span[1]))
+            node = self.join(Binary(tok.text, node, right, span=(node.span[0], right.span[1])),
+                             tok)
         return node
 
     def multiplicative(self) -> Node:
         node = self.unary()
         while self.cur.kind == "op" and self.cur.text in "*/":
-            op = self.advance().text
+            tok = self.advance()
             right = self.unary()
-            node = Binary(op, node, right, span=(node.span[0], right.span[1]))
+            node = self.join(Binary(tok.text, node, right, span=(node.span[0], right.span[1])),
+                             tok)
         return node
 
     def unary(self) -> Node:
-        if self.cur.kind == "op" and self.cur.text == "-":
-            tok = self.advance()
-            arg = self.unary()
-            return Unary("neg", arg, span=(tok.pos, arg.span[1]))
-        return self.power()
+        signs = []
+        while self.cur.kind == "op" and self.cur.text == "-":
+            signs.append(self.advance())
+        node = self.power()
+        for tok in reversed(signs):
+            node = self.join(Unary("neg", node, span=(tok.pos, node.span[1])), tok)
+        return node
 
     def power(self) -> Node:
         base = self.atom()
         if not (self.cur.kind == "op" and self.cur.text == "^"):
             return base
-        self.advance()
+        tok = self.advance()
         exponent = self.exponent()
         if self.cur.kind == "op" and self.cur.text == "^":
             self.fail("a single numeric exponent")
-        return Binary("^", base, exponent, span=(base.span[0], exponent.span[1]))
+        return self.join(Binary("^", base, exponent, span=(base.span[0], exponent.span[1])),
+                         tok)
 
     def exponent(self) -> Number:
         # exponents are numeric literals, optionally signed
@@ -215,9 +243,10 @@ class _Parser:
             self.expect_op(",")
             second = self.additive()
             close = self.expect_op(")")
-            return Call(name.text, (first, second), span=(name.pos, close.pos + 1))
+            return self.join(Call(name.text, (first, second), span=(name.pos, close.pos + 1)),
+                             name)
         close = self.expect_op(")")
-        return Unary(name.text, first, span=(name.pos, close.pos + 1))
+        return self.join(Unary(name.text, first, span=(name.pos, close.pos + 1)), name)
 
 
 def parse(src: str) -> Node:
@@ -272,6 +301,20 @@ def eval_ast(node: Node, x, y):
         return strict(x, y)
 
 
+def program(node: Node) -> Callable:
+    """``node`` as a function of (x, y) that checks nothing, for callers that
+    check the values themselves: :func:`eval_ast`'s operations in its order,
+    so its values bit for bit where that returns, and what the arithmetic
+    gives (inf, or 0 for ``exp(-inf)``) where it raises. numpy's error state
+    is the caller's. Compiled once, apart from :func:`eval_ast`'s programs,
+    and kept on ``node``."""
+    run = node.__dict__.get("_program")
+    if run is None:
+        run = _compile(node, strict=None)
+        object.__setattr__(node, "_program", run)
+    return run
+
+
 def _programs(node: Node) -> tuple[Callable, Callable]:
     """The fast and the strict program of ``node``, compiled on first use."""
     programs = node.__dict__.get("_programs")
@@ -281,9 +324,24 @@ def _programs(node: Node) -> tuple[Callable, Callable]:
     return programs
 
 
-def _compile(root: Node, strict: bool) -> Callable:
+def _compile(root: Node, strict: bool | None) -> Callable:
     """``root`` as a function of (x, y), checking each non-leaf node when
-    ``strict``, else only the root and the non-leaf operands of _ABSORBING."""
+    ``strict``, only the root and the non-leaf operands of _ABSORBING when
+    ``strict`` is False, and nothing when it is None."""
+    absorbing = () if strict is None else _ABSORBING
+
+    def pair(fn: Callable, a: Node, b: Node, checked: bool) -> Callable:
+        # fn(a, b), a number operand passed as its value: one call fewer per
+        # evaluation, one closure fewer per compile, and the same arguments
+        if isinstance(a, Number):
+            value, right = a.value, build(b, checked)
+            return lambda x, y: fn(value, right(x, y))
+        left = build(a, checked)
+        if isinstance(b, Number):
+            value = b.value
+            return lambda x, y: fn(left(x, y), value)
+        right = build(b, checked)
+        return lambda x, y: fn(left(x, y), right(x, y))
 
     def build(node: Node, checked: bool) -> Callable:
         if isinstance(node, Number):
@@ -293,17 +351,12 @@ def _compile(root: Node, strict: bool) -> Callable:
             return (lambda x, y: x) if node.name == "x" else (lambda x, y: y)
         if isinstance(node, Unary) and node.op in _UNARY:
             fn = _UNARY[node.op]
-            arg = build(node.arg, strict or node.op in _ABSORBING)
+            arg = build(node.arg, strict or node.op in absorbing)
             run = lambda x, y: fn(arg(x, y))
         elif isinstance(node, Binary) and node.op in _BINARY:
-            fn = _BINARY[node.op]
-            left = build(node.left, strict or node.op in _ABSORBING)
-            right = build(node.right, strict or node.op in _ABSORBING)
-            run = lambda x, y: fn(left(x, y), right(x, y))
+            run = pair(_BINARY[node.op], node.left, node.right, strict or node.op in absorbing)
         elif isinstance(node, Call) and node.fn in _CALLS and len(node.args) == 2:
-            fn = _CALLS[node.fn]
-            first, second = (build(arg, strict or node.fn in _ABSORBING) for arg in node.args)
-            run = lambda x, y: fn(first(x, y), second(x, y))
+            run = pair(_CALLS[node.fn], *node.args, strict or node.fn in absorbing)
         else:
             raise EvaluationError(f"malformed syntax tree node {node!r}")
         if not checked:
@@ -317,7 +370,7 @@ def _compile(root: Node, strict: bool) -> Callable:
             return out
         return check
 
-    return build(root, True)
+    return build(root, strict is not None)
 
 
 _BINARY_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}

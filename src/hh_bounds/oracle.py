@@ -24,13 +24,12 @@ one full-grid block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds1d import check_points, evaluate, line_blocks
-from .errors import DomainError, EvaluationError
+from .bounds1d import check_points, evaluate, line_blocks, require_finite
+from .errors import DomainError
 
 DEFAULT_GRID = 1024
 #: Coarsest level of the nested ladder.
@@ -45,8 +44,7 @@ class OracleResult:
 
     def __post_init__(self):
         for name, value in (("value", self.value), ("error estimate", self.error_estimate)):
-            if not math.isfinite(value):
-                raise EvaluationError(f"oracle {name} is not finite: {value!r}")
+            require_finite(f"oracle {name}", value)
         if self.error_estimate < 0.0:
             raise DomainError("error estimate must be nonnegative")
 

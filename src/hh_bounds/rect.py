@@ -307,13 +307,12 @@ class PointPlan:
         subintervals, of f along the lines through ``at`` running in ``along``.
         The result is a list, one value per line."""
         at = np.asarray(at, dtype=float)
-        size = check_points(f"a line request ({at.size} x {count + upper})",
-                            at.size * (count + upper))
 
         def request() -> _LineRequest:
             grid = self.grid(along, count)
             return _LineRequest(along, at, grid.nodes if upper else grid.midpoints, upper, grid.h)
-        return self._declare(("lines", along, at.tobytes(), upper, count), size, request)
+        return self._declare(("lines", along, at.tobytes(), upper, count),
+                             at.size * (count + upper), request)
 
     def points(self, xs, ys) -> int:
         """f at the broadcast of ``xs`` and ``ys``, an array of that shape."""

@@ -112,6 +112,8 @@ def run_verification(cases: int, seed: int) -> VerifySummary:
     """
     if cases < 1:
         raise DomainError(f"cases must be >= 1, got {cases}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
 
     summary = VerifySummary(cases=cases, seed=seed,
                             properties=[PropertyStat(name) for name in PROPERTY_NAMES])

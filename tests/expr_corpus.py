@@ -52,6 +52,16 @@ def fmin(a, b):
     return Call("min", (a, b))
 
 
+def depth(node):
+    """Levels of a tree, a leaf being one."""
+    match node:
+        case Unary(arg=a):
+            return 1 + depth(a)
+        case Binary(left=a, right=b) | Call(args=(a, b)):
+            return 1 + max(depth(a), depth(b))
+    return 1
+
+
 X = var("x")
 Y = var("y")
 

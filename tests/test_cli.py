@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import hh_bounds.catalog
 import hh_bounds.cli
 import hh_bounds.rect
 import hh_bounds.verify
@@ -346,6 +347,28 @@ class TestVerify:
     def test_zero_cases_exit_2(self):
         cp = run_cli("verify", "--cases", "0")
         assert cp.returncode == 2
+
+
+_TOO_DEEP = ("expression error: at offset {}: "
+             "expected an expression at most 100 levels deep, found {}")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["bounds", "--f", "(" * 200 + "x" + ")" * 200, "--rect", "0", "1", "0", "1"],
+     _TOO_DEEP.format(100, "'('")),
+    (["bounds", "--f=" + "-" * 1000 + "x", "--rect", "0", "1", "0", "1"],
+     _TOO_DEEP.format(900, "'-'")),
+    (["bounds", "--f", "+".join(["x"] * 3000), "--rect", "0", "1", "0", "1"],
+     _TOO_DEEP.format(199, "'+'")),
+    (["verify", "--seed", "-1"], "error: seed must be >= 0, got -1"),
+])
+def test_too_deep_or_negative_seed_exit_2_before_evaluating(argv, err, monkeypatch, capsys):
+    monkeypatch.setattr(hh_bounds.catalog, "eval_ast", None)
+    monkeypatch.setattr(hh_bounds.verify, "random_coordinate_convex", None)
+    assert main(argv) == 2
+    out, stderr = capsys.readouterr()
+    assert out == ""
+    assert stderr == err + "\n"
 
 
 @pytest.mark.parametrize("command", ["bounds", "chain", "converge"])

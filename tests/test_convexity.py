@@ -5,14 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import hh_bounds
 import hh_bounds.convexity
-from expr_corpus import CORPUS
+from expr_corpus import CORPUS, depth
 from hh_bounds import (ConvexityReport, DomainError, EvaluationError, Fn2D, Interval, Rect,
                        check_coordinate_convexity, random_convex_1d,
                        random_coordinate_convex, spot_minimum)
 from hh_bounds.catalog import resolve_function
 from hh_bounds.convexity import GATE_SAMPLES, GATE_TOL
-from hh_bounds.expr import eval_ast, parse
+from hh_bounds.expr import MAX_DEPTH, eval_ast, parse
+from hh_bounds.rect import discrete_enclosure
 from hh_bounds.verify import case_instance
 
 UNIT2 = Rect(0.0, 1.0, 0.0, 1.0)
@@ -66,6 +68,8 @@ class TestChecker:
         # max_violation >= -nan is False: a NaN tolerance would reject everything
         with pytest.raises(DomainError):
             check_coordinate_convexity(f, UNIT2, tol=math.nan)
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            check_coordinate_convexity(f, UNIT2, seed=-1)
 
     def test_evaluation_pattern(self):
         # three calls per axis (u1, u2, blend), x-axis first, each over all
@@ -257,6 +261,8 @@ class TestProof:
             check_coordinate_convexity(f, UNIT2, samples=0)
         with pytest.raises(DomainError):
             check_coordinate_convexity(f, UNIT2, tol=math.nan)
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            check_coordinate_convexity(f, UNIT2, seed=-1)
 
     def test_counting_callback_sees_no_gate_evaluation_when_proved(self):
         for src, points in (("x^2+exp(y)", 0), ("x^2+exp(y)-x*x*y", 3 * 2 * GATE_SAMPLES)):
@@ -298,3 +304,68 @@ class TestProof:
             tree, callback = eval_ast(f.expr, xs, ys), f.eval(xs, ys)
             assert tree.shape == callback.shape == (33, 33)
             assert tree.tobytes() == callback.tobytes(), seed
+
+
+def _inputs(lo: float, hi: float, other_lo: float, other_hi: float):
+    """Scalar, flat and (k,1) x (1,p) inputs over a rectangle."""
+    u = np.linspace(lo, hi, 7)
+    v = np.linspace(other_lo, other_hi, 5)
+    return [(float(u[2]), float(v[3])), (np.tile(u, 5), np.repeat(v, 7)),
+            (u[:, None], v[None, :])]
+
+
+def _bits(value):
+    return type(value), np.shape(value), np.asarray(value).tobytes()
+
+
+class TestGeneratorsEvaluateTheirTrees:
+    def test_2d_evaluator_is_the_tree_bit_for_bit(self):
+        for seed in range(60):
+            r, _, _ = case_instance(3, seed)
+            f = random_coordinate_convex(seed, r, seed % 6)
+            for x, y in _inputs(r.a, r.b, r.c, r.d):
+                assert _bits(f.eval(x, y)) == _bits(eval_ast(f.expr, x, y)), seed
+
+    def test_1d_evaluator_is_the_tree_bit_for_bit(self, monkeypatch):
+        trees = []
+        program = hh_bounds.convexity.program
+        monkeypatch.setattr(hh_bounds.convexity, "program",
+                            lambda node: trees.append(node) or program(node))
+        iv = Interval(-1.2, 1.7)
+        for seed in range(60):
+            fn = random_convex_1d(seed, iv, seed % 6, ensure_positive=bool(seed % 2))
+            tree = trees[-1]
+            assert tree.__dict__.get("_programs") is None  # eval_ast never compiled it
+            for t, _ in _inputs(iv.lo, iv.hi, 0.0, 1.0):
+                assert _bits(fn.eval(t)) == _bits(eval_ast(tree, t, 0.0)), seed
+
+    def test_evaluating_a_generated_instance_never_calls_eval_ast(self, monkeypatch):
+        calls = []
+        original = hh_bounds.expr.eval_ast
+        for module in (hh_bounds, hh_bounds.expr, hh_bounds.catalog):
+            monkeypatch.setattr(module, "eval_ast",
+                                lambda *args: calls.append(args) or original(*args))
+        r = Rect(-0.5, 1.0, 0.0, 1.25)
+        f = random_coordinate_convex(7, r, 4)
+        f.eval(np.linspace(r.a, r.b, 9), 0.5)
+        check_coordinate_convexity(dataclasses.replace(f, expr=None), r, samples=100)
+        discrete_enclosure(f, r, 2, 2)
+        random_convex_1d(7, Interval(0.0, 1.0), 4).eval(np.linspace(0.0, 1.0, 9))
+        assert calls == []
+
+    @pytest.mark.parametrize("atoms", [MAX_DEPTH - 4, 1000])
+    def test_too_many_atoms_for_the_depth_cap_fail_at_once(self, atoms, monkeypatch):
+        monkeypatch.setattr(hh_bounds.convexity, "program", None)  # nothing is built
+        with pytest.raises(DomainError, match=f"atom_count must be in \\[0, {MAX_DEPTH - 5}\\]"):
+            random_coordinate_convex(1, UNIT2, atoms)
+        with pytest.raises(DomainError, match="atom_count"):
+            random_convex_1d(1, Interval(0.0, 1.0), atoms)
+
+    def test_most_atoms_stay_within_the_depth_cap(self):
+        deepest = 0
+        for seed in range(20):
+            f = random_coordinate_convex(seed, UNIT2, MAX_DEPTH - 5)
+            deepest = max(deepest, depth(f.expr))
+            check_coordinate_convexity(f, UNIT2)  # every walk of the tree fits the stack
+        assert deepest == MAX_DEPTH
+        random_convex_1d(0, Interval(0.0, 1.0), MAX_DEPTH - 5)

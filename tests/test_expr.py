@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from hh_bounds import EvaluationError, Rect, expr
 from hh_bounds.catalog import resolve_function
-from hh_bounds.expr import (Binary, Call, Number, ParseError, Unary, Var,
-                            eval_ast, parse, to_string)
+from hh_bounds.expr import (MAX_DEPTH, Binary, Call, Number, ParseError, Unary, Var,
+                            eval_ast, parse, program, to_string)
 
-from expr_corpus import CORPUS, MALFORMED
+from expr_corpus import CORPUS, MALFORMED, depth
 
 
 def test_corpus_is_large_enough():
@@ -215,3 +215,67 @@ def test_a_tree_is_compiled_once(monkeypatch):
     assert compiled == [False, True]
     eval_ast(parse("exp(x)*y+1/x"), 0.5, 0.5)  # an equal tree is another object
     assert compiled == [False, True, False, True]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_trees.map(_spanned))
+def test_check_free_program_matches_eval_ast_where_it_returns(tree):
+    for x, y in _INPUTS:
+        want = _outcome(lambda x, y: eval_ast(tree, x, y), x, y)
+        with np.errstate(all="ignore"):
+            got = _outcome(program(tree), x, y)  # never a message: nothing is checked
+        assert not isinstance(got, str)
+        if not isinstance(want, str):
+            assert got == want
+
+
+@pytest.mark.parametrize("src, want", [("exp(1000*x)", math.inf), ("exp(-exp(1000*x))", 0.0)])
+def test_check_free_program_returns_what_eval_ast_raises_on(src, want):
+    tree = parse(src)
+    with np.errstate(all="ignore"):  # the program leaves numpy's error state to its caller
+        assert program(tree)(1.0, 0.0) == want
+    with pytest.raises(EvaluationError, match="non-finite result"):
+        eval_ast(tree, 1.0, 0.0)
+
+
+def test_check_free_program_is_compiled_once_and_alone(monkeypatch):
+    compiled = []
+    compile_ = expr._compile
+    monkeypatch.setattr(expr, "_compile",
+                        lambda node, strict: compiled.append(strict) or compile_(node, strict))
+    tree = parse("exp(x)*y+1/x")
+    assert program(tree) is program(tree)
+    assert compiled == [None]
+
+
+_TOO_DEEP = f"expected an expression at most {MAX_DEPTH} levels deep"
+
+
+@pytest.mark.parametrize("src, position, found", [
+    ("(" * 200 + "x" + ")" * 200, MAX_DEPTH, "'('"),
+    ("exp(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1), 4 * MAX_DEPTH + 3, "'('"),
+    ("-" * 1000 + "x", 1000 - MAX_DEPTH, "'-'"),
+    ("+".join(["x"] * 3000), 2 * MAX_DEPTH - 1, "'+'"),
+    ("x*" * 3000 + "x", 2 * MAX_DEPTH - 1, "'*'"),
+    ("exp(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH, 0, "'exp'"),
+    ("max(" * MAX_DEPTH + "x" + ",y)" * MAX_DEPTH, 0, "'max'"),
+    ("(" * 99 + "x^2" + ")" * 99 + "+x" * 99, 2 * 99 + 3 + 2 * 98, "'+'"),
+])
+def test_too_deep_fails_to_parse_at_the_offending_token(src, position, found):
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert str(exc.value) == f"at offset {position}: {_TOO_DEEP}, found {found}"
+
+
+@pytest.mark.parametrize("src", [
+    "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+    "-" * (MAX_DEPTH - 1) + "x",
+    "+".join(["x"] * MAX_DEPTH),
+    "max(" * (MAX_DEPTH - 1) + "x" + ",y)" * (MAX_DEPTH - 1),
+])
+def test_deepest_accepted_trees_evaluate_and_round_trip(src):
+    tree = parse(src)
+    assert depth(tree) <= MAX_DEPTH
+    assert parse(to_string(tree)) == tree
+    value = eval_ast(tree, 0.5, 0.25)
+    assert program(tree)(0.5, 0.25) == value

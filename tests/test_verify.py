@@ -1,9 +1,10 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
 import hh_bounds.verify
-from hh_bounds import Fn2D, run_verification
+from hh_bounds import DomainError, Fn2D, run_verification
 from hh_bounds.convexity import GATE_SAMPLES
 from hh_bounds.rect import declare_enclosure
 
@@ -135,3 +136,11 @@ def test_cases_without_a_tree_are_sampled(monkeypatch):
     monkeypatch.setattr(hh_bounds.verify, "random_coordinate_convex",
                         lambda *args: dataclasses.replace(make(*args), expr=None))
     assert _gate_samples(monkeypatch, 10, 1) == [2 * GATE_SAMPLES] * 10
+
+
+@pytest.mark.parametrize("cases, seed, message", [(0, 1, "cases must be >= 1, got 0"),
+                                                  (1, -1, "seed must be >= 0, got -1")])
+def test_bad_parameters_fail_before_any_case(cases, seed, message, monkeypatch):
+    monkeypatch.setattr(hh_bounds.verify, "case_instance", None)  # no case is drawn
+    with pytest.raises(DomainError, match=message):
+        run_verification(cases, seed)
