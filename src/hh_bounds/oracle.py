@@ -74,9 +74,11 @@ def reference_integral_1d(fn, iv, grid: int = DEFAULT_GRID) -> OracleResult:
     """Composite Simpson on ``grid`` subintervals, error from the grid/2 value.
 
     ``fn`` is an Fn1D or bare callable; evaluation is array-at-once with a
-    scalar fallback.
+    scalar fallback. A grid of more than MAX_POINTS points is a
+    :class:`DomainError`, raised before ``fn`` is called.
     """
     _check_grid(grid)
+    check_points(f"a 1-D oracle grid of {grid}", grid + 1)
     vals = evaluate(getattr(fn, "eval", fn), np.linspace(iv.lo, iv.hi, grid + 1))
     h = (iv.hi - iv.lo) / grid
     v_full = _simpson_1d(vals, h)

@@ -11,12 +11,13 @@ from hh_bounds import (BoundPair, DomainError, EvaluationError, Fn1D, Fn2D, Inte
                        centerline_bound, check_coordinate_convexity, deficit_upper,
                        integral_enclosure, machine_tol, midpoint_lower,
                        positive_upper, spot_minimum, trapezoid_upper)
+import hh_bounds.bounds1d
 import hh_bounds.schemes
-from hh_bounds.bounds1d import evaluate
+from hh_bounds.bounds1d import MAX_POINTS, SCALAR_CHUNK, evaluate
 from hh_bounds.convexity import random_convex_1d
 from hh_bounds.expr import eval_ast, parse
 from hh_bounds.oracle import OracleResult, reference_integral_1d, reference_integral_2d
-from hh_bounds.rect import chain_report
+from hh_bounds.rect import chain_report, discrete_enclosure
 from hh_bounds.schemes import adaptive_simpson
 
 from conftest import counting_fn1d
@@ -167,6 +168,205 @@ def test_scalar_callback_failure_is_evaluation_error(entry):
         entry()
     assert exc.value.where is not None
     assert exc.value.where[0] <= 0.0
+
+
+def _per_point_reference(ev, *args):
+    """The scalar fallback as a plain loop: each point of the broadcast in
+    row-major order, as Python floats, one call each, failing as the
+    fallback has always failed."""
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    values = []
+    for point in zip(*(np.broadcast_to(a, shape).flat for a in args)):
+        point = tuple(map(float, point))
+        try:
+            values.append(float(ev(*point)))
+        except (ArithmeticError, ValueError, EvaluationError) as exc:
+            if getattr(exc, "where", None) is not None:
+                raise
+            raise EvaluationError(f"evaluation failed at {point}: {exc}", where=point) from exc
+    return np.array(values, dtype=float).reshape(shape)
+
+
+class _ScalarOnly:
+    """A callback that refuses anything but Python floats, records the
+    points it is called at and, at call ``fail_at`` of them, raises
+    ``outcome`` or returns it if it is a float."""
+
+    def __init__(self, fail_at=None, outcome=None):
+        self.fail_at, self.outcome, self.points = fail_at, outcome, []
+
+    def __call__(self, x, y):
+        if type(x) is not float or type(y) is not float:
+            raise TypeError("scalar-only callback")
+        self.points.append((x, y))
+        if len(self.points) - 1 == self.fail_at:
+            if isinstance(self.outcome, float):
+                return self.outcome
+            raise self.outcome
+        return math.sin(x) + 0.1 * y
+
+
+def _near_square(n):
+    k = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
+    return k, n // k
+
+
+#: (k, p) with k * p one below, at and one above a chunk
+_GRIDS_AT_CHUNK = [g for n in (SCALAR_CHUNK - 1, SCALAR_CHUNK, SCALAR_CHUNK + 1)
+                   for g in (_near_square(n), (1, n), (n, 1))]
+
+
+@st.composite
+def _broadcast_args(draw):
+    kind = draw(st.sampled_from(["grid", "flat", "0-d", "empty"]))
+    if kind == "grid":
+        k, p = draw(st.one_of(st.tuples(st.integers(1, 40), st.integers(1, 40)),
+                              st.sampled_from(_GRIDS_AT_CHUNK)))
+        shapes = [(k, 1), (1, p)]
+    elif kind == "flat":
+        n = draw(st.one_of(st.integers(1, 3 * SCALAR_CHUNK),
+                           st.sampled_from([SCALAR_CHUNK - 1, SCALAR_CHUNK, SCALAR_CHUNK + 1])))
+        shapes = [(n,), (n,)]
+    elif kind == "0-d":
+        shapes = [(), ()]
+    else:
+        shapes = draw(st.sampled_from([[(0,), (0,)], [(0, 1), (1, 5)], [(4, 1), (1, 0)]]))
+    dtype = draw(st.sampled_from([np.float64, np.int64, np.int32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    args = []
+    for shape in shapes:
+        if dtype is np.float64:
+            v = rng.normal(0.0, 10.0 ** rng.integers(-3, 4), shape)
+            v[rng.random(shape) < 0.05] = -0.0
+        else:
+            v = rng.integers(-1000, 1000, shape).astype(dtype)
+        args.append(np.asarray(v))
+    return args
+
+
+class TestScalarFallback:
+    """A scalar-only callback is fed from per-chunk lists; it must see what
+    the plain per-point loop gives it and fail as that loop fails."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(args=_broadcast_args())
+    def test_matches_per_point_loop_bit_for_bit(self, args):
+        ev, ref = _ScalarOnly(), _ScalarOnly()
+        out = evaluate(ev, *args)
+        expected = _per_point_reference(ref, *args)
+        assert out.shape == expected.shape and out.dtype == np.float64
+        assert out.flags.c_contiguous
+        assert out.tobytes() == expected.tobytes()
+        # once per point, Python floats (_ScalarOnly refuses anything else), row-major
+        assert len(ev.points) == expected.size
+        assert [tuple(map(float.hex, p)) for p in ev.points] == \
+            [tuple(map(float.hex, p)) for p in ref.points]
+
+    # 41 x 51 = 2091 points: two full chunks and a partial one
+    ARGS = (np.linspace(-1.0, 1.0, 41)[:, None], np.linspace(0.0, 2.0, 51)[None, :])
+    FAIL_AT = [0, SCALAR_CHUNK - 1, SCALAR_CHUNK, 41 * 51 - 1]
+
+    @pytest.mark.parametrize("index", FAIL_AT)
+    @pytest.mark.parametrize("make", [
+        lambda: ValueError("math domain error"),
+        lambda: ZeroDivisionError("float division by zero"),
+        lambda: ArithmeticError("arithmetic"),
+        lambda: EvaluationError("no point"),
+        lambda: EvaluationError("has a point", where=(7.0, 8.0)),
+    ], ids=["ValueError", "ZeroDivisionError", "ArithmeticError", "EvaluationError",
+            "EvaluationError-where"])
+    def test_failure_raises_what_the_loop_raises(self, make, index):
+        ev, ref = _ScalarOnly(index, make()), _ScalarOnly(index, make())
+        with pytest.raises(EvaluationError) as got:
+            evaluate(ev, *self.ARGS)
+        with pytest.raises(EvaluationError) as want:
+            _per_point_reference(ref, *self.ARGS)
+        assert len(ev.points) == index + 1
+        assert str(got.value) == str(want.value)
+        assert got.value.where == want.value.where
+        if getattr(ev.outcome, "where", None) is not None:
+            assert got.value is ev.outcome
+        else:
+            assert got.value.where == ev.points[index]
+            assert got.value.__cause__ is ev.outcome
+
+    @pytest.mark.parametrize("index", FAIL_AT)
+    def test_type_error_propagates_raw(self, index):
+        ev = _ScalarOnly(index, TypeError("unsupported operand"))
+        with pytest.raises(TypeError) as got:
+            evaluate(ev, *self.ARGS)
+        assert got.value is ev.outcome
+        assert len(ev.points) == index + 1
+
+    @pytest.mark.parametrize("index", FAIL_AT)
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_names_its_point(self, index, bad):
+        ev = _ScalarOnly(index, bad)
+        with pytest.raises(EvaluationError) as got:
+            evaluate(ev, *self.ARGS)
+        assert str(got.value) == f"non-finite value at {ev.points[index]}"
+        assert got.value.where == ev.points[index]
+        assert len(ev.points) == 41 * 51
+
+    def test_located_point_fails_like_the_fallback(self):
+        # the array call fails without a point; bisection finds x = 0.25,
+        # whose scalar call fails as the fallback's would
+        def ev(x, y):
+            if isinstance(x, np.ndarray):
+                if (x >= 0.25).any():
+                    raise EvaluationError("block fails")
+                return x + y
+            if x >= 0.25:
+                raise ValueError("math domain error")
+            return x + y
+
+        xs = np.linspace(-1.0, 1.0, 9)
+        with pytest.raises(EvaluationError) as got:
+            evaluate(ev, xs, 0.5)
+        assert str(got.value) == "evaluation failed at (0.25, 0.5): math domain error"
+        assert got.value.where == (0.25, 0.5)
+        assert isinstance(got.value.__cause__, ValueError)
+
+
+_GATE_RECT = Rect(-0.5, 1.0, 0.0, 1.25)
+
+
+@pytest.mark.parametrize("run, calls", [
+    (lambda f: discrete_enclosure(f, _GATE_RECT, 4), 1),
+    (lambda f: discrete_enclosure(f, _GATE_RECT, 128, 16), 18),
+    (lambda f: reference_integral_2d(f, _GATE_RECT, 256), 2),
+    (lambda f: reference_integral_2d(f, _GATE_RECT, 1024, target=1e-9), 24),
+    (lambda f: check_coordinate_convexity(f, _GATE_RECT), 6),
+], ids=["enclosure_pack", "enclosure_blocks", "oracle", "oracle_ladder", "gate"])
+def test_array_callback_is_called_per_block_never_per_point(run, calls, monkeypatch):
+    def fallback(*args):
+        raise AssertionError("scalar fallback entered")
+
+    monkeypatch.setattr(hh_bounds.bounds1d, "_per_point", fallback)
+    seen = []
+
+    def ev(x, y):
+        seen.append((type(x), type(y)))
+        return np.exp(0.5 * x) + y * y + np.abs(x - 0.2)
+
+    run(Fn2D(eval=ev))
+    # one call per pack, block or oracle level block, as before the chunked fallback
+    assert len(seen) == calls
+    assert set(seen) == {(np.ndarray, np.ndarray)}
+
+
+@pytest.mark.parametrize("size", [MAX_POINTS, 2**31, 2**40])
+@pytest.mark.parametrize("entry", [
+    lambda fn, n: integral_enclosure(fn, UNIT, n),
+    lambda fn, n: trapezoid_upper(fn, UNIT, n),
+    lambda fn, n: deficit_upper(fn, UNIT, 0.5, n),
+    lambda fn, n: reference_integral_1d(fn, UNIT, n),
+], ids=["enclosure", "trapezoid", "deficit", "oracle_1d"])
+def test_oversized_1d_request_fails_before_evaluating(entry, size):
+    fn, count = counting_fn1d(lambda t: t * t, positive=True)
+    with pytest.raises(DomainError, match=f"needs {size + 1} points, more than the cap"):
+        entry(fn, size)
+    assert count["n"] == 0
 
 
 def _kinked(t):
