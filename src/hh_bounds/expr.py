@@ -5,7 +5,8 @@ multiplication):
 
     additive        (+, -)
     multiplicative  (*, /)
-    unary minus     (so -x^2 means -(x^2))
+    unary minus     (so -x^2 means -(x^2); before a number that is not
+                    raised to a power, it makes a negative number)
     power           (^ with a numeric-literal exponent, optionally signed)
     atoms           number, x, y, (expr), exp(e), abs(e), max(e,e), min(e,e)
 
@@ -25,6 +26,7 @@ values themselves, such as ``bounds1d.evaluate``.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass, field
@@ -187,7 +189,15 @@ class _Parser:
         signs = []
         while self.cur.kind == "op" and self.cur.text == "-":
             signs.append(self.advance())
-        node = self.power()
+        # a minus directly before a finite numeric literal that is not the
+        # base of ^ makes a negative number, as to_string writes one
+        tok = self.cur
+        if (signs and tok.kind == "num" and self.toks[self.i + 1].text != "^"
+                and math.isfinite(float(tok.text))):
+            self.advance()
+            node = Number(-float(tok.text), span=(signs.pop().pos, tok.pos + len(tok.text)))
+        else:
+            node = self.power()
         for tok in reversed(signs):
             node = self.join(Unary("neg", node, span=(tok.pos, node.span[1])), tok)
         return node
@@ -384,12 +394,19 @@ def _prec(node: Node) -> int:
             return _BINARY_PREC[op]
         case Unary(op="neg"):
             return _NEG_PREC
+        case Number(value=v) if math.copysign(1.0, v) < 0.0:
+            return _NEG_PREC
         case _:
             return _ATOM_PREC
 
 
 def to_string(node: Node) -> str:
-    """Render with minimal parentheses; reparsing yields a structurally equal tree."""
+    """Render with minimal parentheses, so that :func:`parse` gives back an
+    equal tree for any tree of finite numbers whose exponents are numbers.
+
+    A negative number is written with its minus, as the parser reads a minus
+    directly before a literal; the negation of a number is written ``-(v)``.
+    """
 
     def wrap(child: Node, min_prec: int) -> str:
         s = to_string(child)
@@ -400,6 +417,8 @@ def to_string(node: Node) -> str:
             return repr(v)
         case Var(name=name):
             return name
+        case Unary(op="neg", arg=Number() as arg):
+            return f"-({to_string(arg)})"
         case Unary(op="neg", arg=arg):
             return "-" + wrap(arg, _NEG_PREC)
         case Unary(op=op, arg=arg):

@@ -27,9 +27,9 @@ The two five-term chains share their first three terms, boundary lines and
 corners, so :func:`five_term_chains` builds both in one pass, and
 :func:`classic_chain` and :func:`refined_chain` are views of it.
 
-Callbacks receive blocks of points as numpy arrays. A plan packs its small
-requests, fewer than PACK_POINTS points in all, into flat 1-D arrays of both
-coordinates, one evaluation per pack; a larger line request is evaluated as
+Callbacks receive blocks of points as numpy arrays. A plan evaluates each run
+of consecutive requests of fewer than PACK_POINTS points in one call, on flat
+1-D arrays of both coordinates; a larger line request is evaluated as
 broadcast ``lines x points per line`` blocks of about BLOCK_POINTS points by
 :func:`bounds1d.line_blocks`, the block loop the Simpson oracle fills its
 grid with (BLOCK_POINTS lives in bounds1d and is re-exported here). A
@@ -41,6 +41,7 @@ over per-chunk lists of Python floats: a point costs the call plus about
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -59,9 +60,9 @@ from .schemes import InnerScheme, NestedDiscrete, adaptive_simpson
 
 #: Points per side of the grid sampled by positivity spot checks.
 SPOT_GRID = 33
-#: Most points packed flat into one evaluation of small requests. Packing
-#: saves calls, but a flat block recomputes per-axis subexpressions such as
-#: exp(r*x) at every point, so larger requests keep their row blocks.
+#: Requests of fewer points are evaluated flat, each run of them in one call.
+#: That saves calls, but a flat block recomputes per-axis subexpressions such
+#: as exp(r*x) at every point, so larger requests keep their row blocks.
 PACK_POINTS = 1 << 12
 
 
@@ -200,7 +201,7 @@ class _LineRequest(NamedTuple):
 
     Evaluated on its own, it reduces each block of about
     ``bounds1d.BLOCK_POINTS`` points as :func:`bounds1d.line_blocks` yields
-    it; in a pack, through :meth:`flat`."""
+    it; in a run of small requests, through :meth:`flat`."""
 
     along: str
     at: np.ndarray
@@ -252,7 +253,7 @@ class _PointRequest(NamedTuple):
 
 class _QuadratureLines(NamedTuple):
     """Adaptive Simpson to ``tol`` along the lines through ``at`` running in
-    ``along`` across ``iv``, never packed; a failure names its point or line."""
+    ``along`` across ``iv``, never evaluated flat; a failure names its point or line."""
 
     along: str
     at: np.ndarray
@@ -280,23 +281,22 @@ class PointPlan:
     evaluated together (internal to the package).
 
     Each bound declares its requests with :meth:`lines`, :meth:`quadrature`
-    and :meth:`points`, which return handles, and reduces ``plan[handle]``
-    once :meth:`resolve` has run. A request equal to one already declared
-    (the same lines and rule, or the same points and shapes) gets that
-    request's handle and is evaluated once. A partition of a side into a
-    given count of cells is built, checked and turned into nodes and
-    midpoints once per plan; a line request's partition only when the plan
-    resolves, once the plan's size has been checked.
+    and :meth:`points`, which return the request's key, and reduces
+    ``plan[key]`` once :meth:`resolve` has run. A request equal to one
+    already declared (the same lines and rule, or the same points and
+    shapes) has that request's key and is evaluated once. A partition of a
+    side into a given count of cells is built, checked and turned into nodes
+    and midpoints once per plan; a line request's partition only when the
+    plan resolves, once the plan's size has been checked.
     """
 
     def __init__(self, f: Fn2D, r: Rect):
         self.f = f
         self.r = r
         self._grids: dict[tuple[str, int], _Grid] = {}
-        self._requests: list = []
-        self._handles: dict[tuple, int] = {}
+        self._requests: dict[tuple, object] = {}
         self._points = 0
-        self._results: list = []
+        self._results: dict[tuple, object] = {}
 
     def grid(self, side: str, count: int) -> _Grid:
         """``side`` ("x" or "y") of the rectangle cut into ``count`` cells."""
@@ -306,7 +306,7 @@ class PointPlan:
             self._grids[key] = _Grid(part.h, part.nodes(), part.midpoints())
         return self._grids[key]
 
-    def lines(self, along: str, at, upper: bool, count: int) -> int:
+    def lines(self, along: str, at, upper: bool, count: int) -> tuple:
         """Composite trapezoid (``upper``) or midpoint values, on ``count``
         subintervals, of f along the lines through ``at`` running in ``along``.
         The result is a list, one value per line."""
@@ -318,14 +318,14 @@ class PointPlan:
         return self._declare(("lines", along, at.tobytes(), upper, count),
                              at.size * (count + upper), request)
 
-    def points(self, xs, ys) -> int:
+    def points(self, xs, ys) -> tuple:
         """f at the broadcast of ``xs`` and ``ys``, an array of that shape."""
         xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
         req = _PointRequest(xs, ys, np.broadcast_shapes(xs.shape, ys.shape))
         return self._declare(("points", xs.tobytes(), xs.shape, ys.tobytes(), ys.shape),
                              req.size, lambda: req)
 
-    def quadrature(self, along: str, at, tol: float) -> int:
+    def quadrature(self, along: str, at, tol: float) -> tuple:
         """Adaptive Simpson values, to ``tol``, of f along the lines through
         ``at`` running in ``along``, whichever side they bound: a list."""
         at = np.asarray(at, dtype=float)
@@ -333,62 +333,55 @@ class PointPlan:
         req = _QuadratureLines(along, at, iv, tol)
         return self._declare(("quadrature", along, at.tobytes(), tol), req.size, lambda: req)
 
-    def spot_grid(self) -> int:
+    def spot_grid(self) -> tuple:
         """The SPOT_GRID x SPOT_GRID positivity sample grid."""
-        r = self.r
-        return self.points(np.linspace(r.a, r.b, SPOT_GRID)[:, None],
-                           np.linspace(r.c, r.d, SPOT_GRID)[None, :])
+        return self.points(*_spot_axes(self.r))
 
-    def _declare(self, key: tuple, size: float, request: Callable[[], object]) -> int:
-        """The handle of the request declared under ``key``; if none was, the
-        request of ``size`` points that ``request()`` builds when the plan resolves.
+    def _declare(self, key: tuple, size: float, request: Callable[[], object]) -> tuple:
+        """``key``, declaring under it the request of ``size`` points that
+        ``request()`` builds when the plan resolves, unless one already is.
 
         The plan's points, quadrature (of unknown size) aside, may not exceed
         ``bounds1d.MAX_POINTS`` in all: more is a :class:`DomainError` before
         any line's partition is built or ``f`` is called.
         """
-        if key not in self._handles:
+        if key not in self._requests:
             if math.isfinite(size):
                 self._points = check_points("a point plan", self._points + size)
-            self._handles[key] = len(self._requests)
-            self._requests.append(request)
-        return self._handles[key]
+            self._requests[key] = request
+        return key
 
-    def __getitem__(self, handle: int):
-        return self._results[handle]
+    def __getitem__(self, key: tuple):
+        return self._results[key]
 
     def resolve(self) -> None:
         """Evaluate every request, in declaration order.
 
-        Consecutive requests of fewer than PACK_POINTS points are packed
-        flat into one evaluation while the pack stays under PACK_POINTS. A
-        larger request is evaluated on its own, lines in row blocks: alone
-        in a pack it would save no call, and flat blocks cost more.
+        Each run of consecutive requests of fewer than PACK_POINTS points is
+        evaluated flat, in one call. A larger request is evaluated on its
+        own, lines in row blocks: alone in a run it would save no call, and
+        flat blocks cost more.
         """
-        self._requests = [request() for request in self._requests]
-        self._results = [None] * len(self._requests)
-        pack, packed = [], 0
-        for i, req in enumerate(self._requests):
-            small = req.size < PACK_POINTS
-            if not small or packed + req.size >= PACK_POINTS:
-                self._evaluate_pack(pack)
-                pack, packed = [], 0
+        # built in place, and the results sized before anything is evaluated:
+        # a dict grown between evaluated blocks cost verify about 1.7x the
+        # minor faults (500 cases each of seeds 1-5)
+        for key, request in self._requests.items():
+            self._requests[key] = request()
+        self._results = dict.fromkeys(self._requests)
+        for small, run in itertools.groupby(self._requests.items(),
+                                            lambda item: item[1].size < PACK_POINTS):
             if small:
-                pack.append(i)
-                packed += req.size
+                self._evaluate_run(list(run))
             else:
-                self._results[i] = req.evaluate(self.f)
-        self._evaluate_pack(pack)
+                for key, req in run:
+                    self._results[key] = req.evaluate(self.f)
 
-    def _evaluate_pack(self, pack: list[int]) -> None:
-        if not pack:
-            return
-        xs, ys = zip(*(self._requests[i].flat() for i in pack))
+    def _evaluate_run(self, run: list[tuple[tuple, object]]) -> None:
+        xs, ys = zip(*(req.flat() for _, req in run))
         values = evaluate(self.f.eval, np.concatenate(xs), np.concatenate(ys))
         start = 0
-        for i in pack:
-            req = self._requests[i]
-            self._results[i] = req.reduce(values[start:start + req.size])
+        for key, req in run:
+            self._results[key] = req.reduce(values[start:start + req.size])
             start += req.size
 
 
@@ -400,12 +393,16 @@ def _resolved(f: Fn2D, r: Rect, declare: Callable, *args) -> Callable:
     return finish
 
 
+def _spot_axes(r: Rect) -> tuple[np.ndarray, np.ndarray]:
+    """The x column and the y row whose broadcast is the spot grid of ``r``."""
+    return (np.linspace(r.a, r.b, SPOT_GRID)[:, None],
+            np.linspace(r.c, r.d, SPOT_GRID)[None, :])
+
+
 def spot_minimum(f: Fn2D, r: Rect) -> float:
     """Minimum of f over the SPOT_GRID x SPOT_GRID sample grid of the rectangle."""
-    plan = PointPlan(f, r)
-    spot = plan.spot_grid()
-    plan.resolve()
-    return float(plan[spot].min())
+    xs, ys = np.broadcast_arrays(*_spot_axes(r))
+    return float(evaluate(f.eval, xs.ravel(), ys.ravel()).min())
 
 
 def with_positivity(ev: Callable, r: Rect, expr: Node | None = None) -> Fn2D:
@@ -415,7 +412,7 @@ def with_positivity(ev: Callable, r: Rect, expr: Node | None = None) -> Fn2D:
 
 
 def _lines(plan: PointPlan, along: str, at, upper: bool, scheme: InnerScheme,
-           cells: int) -> int:
+           cells: int) -> tuple:
     """Declare the integrals of f along the lines through ``at``, resolved per ``scheme``.
 
     The lines run in the variable ``along`` ("x" or "y") across the whole

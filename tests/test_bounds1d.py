@@ -327,6 +327,30 @@ class TestScalarFallback:
         assert got.value.where == (0.25, 0.5)
         assert isinstance(got.value.__cause__, ValueError)
 
+    def test_array_error_with_a_point_is_raised_as_is(self):
+        raised = EvaluationError("fails at a point it names", where=(0.5, 0.25))
+
+        def ev(x, y):
+            raise raised
+
+        with pytest.raises(EvaluationError) as got:
+            evaluate(ev, np.linspace(0.0, 1.0, 9), 0.25)
+        assert got.value is raised
+
+    def test_block_error_no_single_point_has_is_raised_as_is(self):
+        # only blocks of more than one point fail, so bisection ends at a
+        # point whose scalar call succeeds, and the block's error stands
+        raised = EvaluationError("fails only as a block")
+
+        def ev(x, y):
+            if np.size(x) > 1:
+                raise raised
+            return x + y
+
+        with pytest.raises(EvaluationError) as got:
+            evaluate(ev, np.linspace(0.0, 1.0, 9), 0.25)
+        assert got.value is raised and got.value.where is None
+
 
 _GATE_RECT = Rect(-0.5, 1.0, 0.0, 1.25)
 

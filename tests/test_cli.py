@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from hh_bounds import Fn2D
 from hh_bounds.cli import main
 from hh_bounds.oracle import reference_integral_2d
 from hh_bounds.schemes import adaptive_simpson
+from hh_bounds.verify import case_instance
 
 #: Outputs recorded before a refactor of the code under them, to pin them byte
 #: for byte.
@@ -273,6 +275,23 @@ def test_multiterm_quadrature_chain_matches_golden(tol, golden, capsys):
     assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (["chain", "--f", "exp(x+y)", "--rect", "0", "1", "0", "1", "--output", "csv"],
+     "chain_expsum_nested.csv"),
+    # a concave function past the gate: every ordering is reported violated
+    (["chain", "--f", "0-x^2-y^2", "--rect", "0", "1", "0", "1", "--skip-convexity-check",
+      "--grid", "64"], "chain_concave_human.txt"),
+    (["converge", *MULTITERM, "--n", "1:16", "--output", "human"],
+     "converge_multiterm_human.txt"),
+    (["converge", *MULTITERM, "--n", "4", "--output", "csv"], "converge_multiterm_n4.csv"),
+    (["verify", "--cases", "20", "--seed", "1", "--output", "csv"], "verify_c20_seed1.csv"),
+    (["verify", "--cases", "20", "--seed", "1"], "verify_c20_seed1_human.txt"),
+])
+def test_text_output_matches_golden(argv, golden, capsysbinary):
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == (DATA / golden).read_bytes()
+
+
 class TestConverge:
     def test_expsum_ratios_approach_quarter(self):
         cp = run_cli("converge", "--f", "exp(x+y)", "--rect", "0", "1", "0", "1",
@@ -300,6 +319,12 @@ class TestConverge:
         cp = run_cli("converge", "--f", "x*y", "--rect", "0", "1", "0", "1",
                      "--n", "8:2")
         assert cp.returncode == 2
+
+    @pytest.mark.parametrize("n, err", [("1:2:3", "--n expects an integer or LO:HI, got '1:2:3'"),
+                                        ("a", "--n expects an integer or LO:HI, got 'a'")])
+    def test_malformed_range_exit_2(self, n, err, capsys):
+        assert main(["converge", "--f", "x*y", "--rect", "0", "1", "0", "1", "--n", n]) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
 
     def test_oversized_sweep_fails_before_its_first_enclosure(self, monkeypatch, capsys):
         calls = []
@@ -343,6 +368,22 @@ class TestVerify:
         assert out == ""
         assert err.startswith("convexity gate:")
         assert "case=0" in err
+
+    def test_violation_exit_1_names_the_first_failure(self, monkeypatch, capsys):
+        # an oracle one above the integral lies above every upper bound
+        real = hh_bounds.verify.reference_integral_2d
+
+        def shifted(*args):
+            result = real(*args)
+            return dataclasses.replace(result, value=result.value + 1.0)
+
+        monkeypatch.setattr(hh_bounds.verify, "reference_integral_2d", shifted)
+        assert main(["verify", "--cases", "2", "--seed", "1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        context = case_instance(1, 0)[2]
+        assert lines[1].startswith("  enclosure_soundness      checked=12    violations=12 ")
+        assert lines[2] == f"    first failure: {context} n=1 m=1"
+        assert lines[-1] == "PROPERTY VIOLATIONS FOUND"
 
     def test_zero_cases_exit_2(self):
         cp = run_cli("verify", "--cases", "0")

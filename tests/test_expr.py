@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hh_bounds import EvaluationError, Rect, expr
 from hh_bounds.catalog import resolve_function
+from hh_bounds.convexity import random_coordinate_convex
 from hh_bounds.expr import (MAX_DEPTH, Binary, Call, Number, ParseError, Unary, Var,
                             eval_ast, parse, program, to_string)
 
@@ -114,8 +115,8 @@ class TestGrammarDetails:
         assert parse("x+y") == parse(" x + y ")
 
 
-_numbers = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
-                     allow_infinity=False).map(lambda v: Number(abs(float(v))))
+_numbers = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
+                     allow_infinity=False).map(lambda v: Number(float(v)))
 _leaves = st.one_of(st.just(Var("x")), st.just(Var("y")), _numbers)
 
 
@@ -139,6 +140,31 @@ _trees = st.recursive(_leaves, _compound, max_leaves=20)
 @given(tree=_trees)
 def test_round_trip_random_trees(tree):
     assert parse(to_string(tree)) == tree
+
+
+@pytest.mark.parametrize("src, tree", [
+    ("-0.5*x", Binary("*", Number(-0.5), Var("x"))),
+    ("x*-2", Binary("*", Var("x"), Number(-2.0))),
+    ("x--2", Binary("-", Var("x"), Number(-2.0))),
+    ("-2^2", Unary("neg", Binary("^", Number(2.0), Number(2.0)))),
+    ("(-2)^2", Binary("^", Number(-2.0), Number(2.0))),
+    ("-(2)", Unary("neg", Number(2.0))),
+    ("--2", Unary("neg", Number(-2.0))),
+])
+def test_minus_before_a_literal_is_a_negative_number(src, tree):
+    assert parse(src) == tree
+    assert parse(to_string(tree)) == tree
+
+
+def test_generated_trees_round_trip():
+    # negative coefficients, rates and slopes must come back as negative
+    # numbers, not negations: a level deeper each, which took some 95-atom
+    # trees past MAX_DEPTH
+    r = Rect(0.0, 1.0, 0.0, 1.0)
+    trees = [random_coordinate_convex(s, r, 1 + s % 4).expr for s in range(200)]
+    trees += [random_coordinate_convex(s, r, 95).expr for s in range(20)]
+    for tree in trees:
+        assert parse(to_string(tree)) == tree
 
 
 def _spanned(tree, counter=None):

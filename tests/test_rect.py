@@ -381,6 +381,25 @@ class TestPointPlan:
         # and the spot grid
         assert count["n"] == 2 * 9 + 9 * 2 + 2 * 8 + 2 * 5 + 9 + 4 + 4 + 2 + 33 * 33
 
+    def test_large_point_request_is_evaluated_alone(self, monkeypatch):
+        # at n=2048 the side points, 2 x 2049, are a request of at least
+        # PACK_POINTS, evaluated on its own as a broadcast block after the
+        # two line requests and before the caps; the same values, flat in one
+        # call with everything else, give the same bits
+        shapes = []
+
+        def ev(x, y):
+            shapes.append(np.broadcast_shapes(np.shape(x), np.shape(y)))
+            return np.exp(x - y) + x * x
+
+        f, r = Fn2D(eval=ev), Rect(-0.5, 1.5, 0.25, 2.0)
+        alone = boundary_bound(f, r, 2048, NestedDiscrete(1))
+        assert shapes == [(2, 2049)] * 3 + [(2 * 2047,)]
+        shapes.clear()
+        monkeypatch.setattr(hh_bounds.rect, "PACK_POINTS", 1 << 20)
+        assert boundary_bound(f, r, 2048, NestedDiscrete(1)) == alone
+        assert len(shapes) == 1
+
 
 class TestBudget:
     @pytest.mark.parametrize("n, m, points", [(100_000, 16, 640_003_400_002),

@@ -144,3 +144,16 @@ def test_bad_parameters_fail_before_any_case(cases, seed, message, monkeypatch):
     monkeypatch.setattr(hh_bounds.verify, "case_instance", None)  # no case is drawn
     with pytest.raises(DomainError, match=message):
         run_verification(cases, seed)
+
+
+def test_too_coarse_oracle_skips_every_enclosure_check(monkeypatch):
+    # the same oracle values with an estimate that no enclosure gap allows
+    want = run_verification(3, 7)
+    real = hh_bounds.verify.reference_integral_2d
+    monkeypatch.setattr(hh_bounds.verify, "reference_integral_2d",
+                        lambda *args: dataclasses.replace(real(*args), error_estimate=1e300))
+    got = run_verification(3, 7)
+    assert got.skipped_oracle_checks == 18
+    assert got.properties[0] == hh_bounds.verify.PropertyStat("enclosure_soundness")
+    assert got.properties[1:] == want.properties[1:]
+    assert got.all_pass and got.equality_cases == want.equality_cases
