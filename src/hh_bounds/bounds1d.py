@@ -9,6 +9,7 @@ module, never inside these routines.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -71,16 +72,87 @@ class Interval:
         return self.hi - self.lo
 
 
+class Lattice:
+    """The nodes of the uniform partitions of one interval into each of
+    ``counts`` cells, concatenated in that order; ``offsets[i]`` is where
+    the nodes of ``counts[i]`` start.
+
+    Node k of a partition into n cells is lo + k*(hi-lo)/n, computed directly
+    from k (no running accumulation) so roundoff cannot drift nodes outside
+    the interval; the first and last nodes are pinned to ``lo`` and ``hi``
+    exactly. The index arrays are built once, on construction, where a count
+    below 1 or above MAX_POINTS is a :class:`DomainError`; :meth:`nodes`
+    then computes and checks every partition of an interval in one pass:
+    k*(hi-lo) can overflow on a wide interval, and roundoff can make
+    neighbouring nodes coincide on a narrow one.
+    """
+
+    def __init__(self, counts):
+        for n in counts:
+            if n < 1:
+                raise DomainError(f"partition size must be >= 1, got {n}")
+            check_points(f"a partition into {n} cells", n + 1)
+        self.counts = tuple(counts)
+        sizes = np.array(self.counts, dtype=np.int64) + 1
+        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
+        self.size = int(self.offsets[-1])
+        self._k = np.arange(self.size) - np.repeat(self.offsets[:-1], sizes)
+        self._n = np.repeat(sizes - 1, sizes)
+        self._ends = np.concatenate((self.offsets[:-1], self.offsets[1:] - 1))
+        # the steps between one partition's last node and the next one's first
+        self._seams = self.offsets[1:-1] - 1
+
+    @functools.cached_property
+    def twins(self) -> np.ndarray:
+        """Per node, the first node with its bits by construction: node k of
+        n cells has the bits of node 2k of 2n cells, as (2k)*(hi-lo) is
+        exactly twice k*(hi-lo) and both quotients round alike, and the
+        first and last nodes are pinned."""
+        k, n = self._k, self._n
+        low = (k | n) & -(k | n)  # the largest power of two dividing both
+        key = np.where(k == 0, -1, np.where(k == n, -2, (n // low) << 32 | k // low))
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        return first[inverse]
+
+    def pairs(self, count: int, positions: range) -> tuple[np.ndarray, np.ndarray]:
+        """The two nodes whose mean is each point of the partition into
+        ``count`` cells at ``positions``, doubled: 2k is node k, the mean of
+        itself and itself, and 2k+1 the midpoint of cell k."""
+        pos = 2 * int(self.offsets[self.counts.index(count)]) + np.arange(
+            positions.start, positions.stop, positions.step)
+        return pos // 2, (pos + 1) // 2
+
+    def points(self, nodes: np.ndarray, count: int, positions: range) -> np.ndarray:
+        """The points of :meth:`pairs`, given the lattice's ``nodes``."""
+        lo, hi = self.pairs(count, positions)
+        return 0.5 * (nodes[lo] + nodes[hi])
+
+    def nodes(self, iv: Interval) -> np.ndarray:
+        """The nodes of every partition of ``iv``; a non-finite or coincident
+        node is a :class:`DomainError` naming the first partition with one."""
+        with np.errstate(all="ignore"):
+            xs = iv.lo + self._k * (iv.hi - iv.lo) / self._n
+        xs[self._ends] = np.repeat([iv.lo, iv.hi], len(self.counts))
+        rising = np.diff(xs) > 0.0
+        rising[self._seams] = True
+        if not rising.all():
+            for n, start in zip(self.counts, self.offsets):
+                part = xs[start:start + n + 1]
+                if not (np.diff(part) > 0.0).all():
+                    # a non-finite node between the finite ends always lands here
+                    if not np.isfinite(part).all():
+                        raise DomainError(f"partition of [{iv.lo}, {iv.hi}] into {n} cells "
+                                          "has non-finite nodes")
+                    raise DomainError(f"partition into {n} cells has coincident nodes")
+        return xs
+
+
 @dataclass(frozen=True)
 class Partition1D:
-    """Uniform partition of an interval into ``n`` cells.
-
-    Node k is lo + k*(hi-lo)/n, computed directly from k (no running
-    accumulation) so roundoff cannot drift nodes outside the interval; the
-    last node is pinned to ``hi`` exactly. The nodes are computed and checked
-    once, on construction: k*(hi-lo) can overflow on a wide interval, and
-    roundoff can make neighbouring nodes coincide on a narrow one. More than
-    MAX_POINTS nodes is a :class:`DomainError`, raised before any is built.
+    """Uniform partition of an interval into ``n`` cells: the nodes of a
+    :class:`Lattice` of that one count, computed and checked once, on
+    construction. More than MAX_POINTS nodes is a :class:`DomainError`,
+    raised before any is built.
     """
 
     interval: Interval
@@ -88,21 +160,7 @@ class Partition1D:
     _nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"partition size must be >= 1, got {self.n}")
-        check_points(f"a partition into {self.n} cells", self.n + 1)
-        iv = self.interval
-        with np.errstate(all="ignore"):
-            xs = iv.lo + np.arange(self.n + 1, dtype=float) * (iv.hi - iv.lo) / self.n
-        xs[0] = iv.lo
-        xs[-1] = iv.hi
-        if not (np.diff(xs) > 0.0).all():
-            # a non-finite node between the finite ends always lands here
-            if not np.isfinite(xs).all():
-                raise DomainError(f"partition of [{iv.lo}, {iv.hi}] into {self.n} cells "
-                                  "has non-finite nodes")
-            raise DomainError(f"partition into {self.n} cells has coincident nodes")
-        object.__setattr__(self, "_nodes", xs)
+        object.__setattr__(self, "_nodes", Lattice((self.n,)).nodes(self.interval))
 
     @property
     def h(self) -> float:
@@ -138,8 +196,10 @@ class Fn1D:
 class BoundPair:
     """A certified (lower, upper) enclosure together with its cost.
 
-    The bounds and their gap must be finite: an overflowing bound is an
-    :class:`EvaluationError`.
+    ``evals`` is the declared count of point evaluations, the rule's points
+    on every line; the distinct points evaluated are fewer where lines share
+    them, as the lines of a 2-D enclosure do. The bounds and their gap must
+    be finite: an overflowing bound is an :class:`EvaluationError`.
     """
 
     lower: float

@@ -24,7 +24,7 @@ an affine part. Coordinate convexity, unlike joint convexity, is closed
 under such products. Each generator draws its function as an expression
 tree and evaluates it through the tree's check-free ``expr.program``; the
 two-variable one attaches the tree as ``Fn2D.expr``, so the proof and every
-bound read one object, and its instances are mostly proved.
+bound read one object, and the gate proves its instances.
 """
 
 from __future__ import annotations
@@ -238,6 +238,11 @@ def _scaled(c: str | None, factor: Node, rng: tuple, r: Rect) -> str | None:
 def _exact_lower(node: Node, r: Rect):
     """The lower end of the interval of a polynomial subtree over ``r``, in
     exact rationals; -1 for a subtree that is not a polynomial."""
+    return _exact_min(node, (r.a, r.b), (r.c, r.d))
+
+
+def _exact_min(node: Node, x: tuple[float, float], y: tuple[float, float]):
+    """:func:`_exact_lower` over ``x`` x ``y``."""
     from fractions import Fraction  # only a factor that straddles 0 pays for the import
 
     def walk(n: Node) -> tuple:
@@ -245,7 +250,7 @@ def _exact_lower(node: Node, r: Rect):
             case Number(value=v):
                 return Fraction(v), Fraction(v)
             case Var(name=name):
-                lo, hi = (r.a, r.b) if name == "x" else (r.c, r.d)
+                lo, hi = x if name == "x" else y
                 return Fraction(lo), Fraction(hi)
             case Unary(op="neg", arg=a):
                 lo, hi = walk(a)
@@ -330,7 +335,8 @@ def _shape(node: Node, r: Rect) -> tuple:
 def _draw_atom(rng: np.random.Generator, iv: Interval, t: Var) -> Node:
     """Draw one atom, a tree in ``t`` convex and nonnegative on ``iv``:
     t*t, |t - center|, exp(rate*t), or slope*t + intercept with the
-    intercept lifted until the line is nonnegative on ``iv``."""
+    intercept lifted until the line is nonnegative on ``iv``, in exact
+    rationals over its float coefficients, so that the gate can prove it."""
     kind = int(rng.integers(0, 4))
     if kind == 0:
         return Binary("*", t, t)
@@ -345,7 +351,12 @@ def _draw_atom(rng: np.random.Generator, iv: Interval, t: Var) -> Node:
     low = min(slope * iv.lo + intercept, slope * iv.hi + intercept)
     if low < 0.0:
         intercept -= low
-    return Binary("+", Binary("*", Number(slope), t), Number(intercept))
+    # the float lift can leave the exact minimum a few ulps below 0
+    while True:
+        atom = Binary("+", Binary("*", Number(slope), t), Number(intercept))
+        if _exact_min(atom, (iv.lo, iv.hi), (iv.lo, iv.hi)) >= 0:
+            return atom
+        intercept = math.nextafter(intercept, math.inf)
 
 
 def _check_atom_count(atom_count: int) -> None:

@@ -11,10 +11,11 @@ multiplication):
     atoms           number, x, y, (expr), exp(e), abs(e), max(e,e), min(e,e)
 
 Parsing reports the first failure as a :class:`ParseError` carrying the byte
-offset of the offending token, including a tree or parentheses deeper than
-MAX_DEPTH, so that no walk of a tree exhausts Python's stack. Division by
-zero and other domain problems are deferred to evaluation, which raises
-:class:`EvaluationError` with the source span of the failing subexpression.
+offset of the offending token, including a numeric literal too large to be a
+finite float, and a tree or parentheses deeper than MAX_DEPTH, so that no
+walk of a tree exhausts Python's stack. Division by zero and other domain
+problems are deferred to evaluation, which raises :class:`EvaluationError`
+with the source span of the failing subexpression.
 
 Evaluation compiles a tree once, on its first :func:`eval_ast`, into closures
 that call numpy directly. Finiteness is checked at the root and wherever an
@@ -111,7 +112,10 @@ def _tokenize(src: str) -> list[_Token]:
                 break
             pos = len(src) - len(stripped)
             raise ParseError(pos, "a token", repr(src[pos]))
-        toks.append(_Token(m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+        tok = _Token(m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup))
+        if tok.kind == "num" and not math.isfinite(float(tok.text)):
+            raise ParseError(tok.pos, "a finite number", repr(tok.text))
+        toks.append(tok)
         i = m.end()
     toks.append(_Token("end", "", len(src)))
     return toks
@@ -189,11 +193,10 @@ class _Parser:
         signs = []
         while self.cur.kind == "op" and self.cur.text == "-":
             signs.append(self.advance())
-        # a minus directly before a finite numeric literal that is not the
-        # base of ^ makes a negative number, as to_string writes one
+        # a minus directly before a numeric literal that is not the base of
+        # ^ makes a negative number, as to_string writes one
         tok = self.cur
-        if (signs and tok.kind == "num" and self.toks[self.i + 1].text != "^"
-                and math.isfinite(float(tok.text))):
+        if signs and tok.kind == "num" and self.toks[self.i + 1].text != "^":
             self.advance()
             node = Number(-float(tok.text), span=(signs.pop().pos, tok.pos + len(tok.text)))
         else:

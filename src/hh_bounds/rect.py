@@ -8,48 +8,46 @@ the chain operations, reports whether every adjacent ordering holds at the
 computed values.
 
 Every term is a weighted sum of point values and of integrals along lines
-parallel to an axis. Each bound declares the lines and points it needs on a
-:class:`PointPlan`, which evaluates all of them at once, and then reduces
-its values; a bound called on its own has a plan to itself, while ``verify``
-declares every bound of a case on one plan. The lines of one kind are
-declared together by :func:`_lines` through an InnerScheme. In
-NestedDiscrete mode the direction is chosen per use site: integrals sitting
-below the double integral in a chain are resolved with the midpoint rule
-(an underestimate for convex restrictions), integrals sitting above with the
-trapezoid rule (an overestimate), so every reported ordering is still
-certified. The double
-integral term is the caller's ``integral`` when given, and otherwise the
-independent Simpson oracle at its default grid. A chain's orderings hold
-when each slack is at least -1e-9 * max(1, |terms|); a non-finite term or
-bound is an :class:`EvaluationError`.
+parallel to an axis, so each bound declares its terms on a :class:`PointPlan`
+as weighted sums of lines named in lattice coordinates, the nodes and
+midpoints of a side cut into some count of cells. A plan depends only on
+what was declared, not on f or the rectangle: ``verify`` declares the bounds
+of a case once per kind of case, and a bound called on its own reuses the
+plan of its arguments. In NestedDiscrete mode the direction is chosen per
+use site: integrals sitting below the double integral in a chain are
+resolved with the midpoint rule (an underestimate for convex restrictions),
+integrals sitting above with the trapezoid rule (an overestimate), so every
+reported ordering is still certified. The double integral term is the
+caller's ``integral`` when given, and otherwise the independent Simpson
+oracle at its default grid. A chain's orderings hold when each slack is at
+least -1e-9 * max(1, |terms|); a non-finite term or bound is an
+:class:`EvaluationError`.
 
 The two five-term chains share their first three terms, boundary lines and
 corners, so :func:`five_term_chains` builds both in one pass, and
 :func:`classic_chain` and :func:`refined_chain` are views of it.
 
-Callbacks receive blocks of points as numpy arrays. A plan evaluates each run
-of consecutive requests of fewer than PACK_POINTS points in one call, on flat
-1-D arrays of both coordinates; a larger line request is evaluated as
-broadcast ``lines x points per line`` blocks of about BLOCK_POINTS points by
-:func:`bounds1d.line_blocks`, the block loop the Simpson oracle fills its
-grid with (BLOCK_POINTS lives in bounds1d and is re-exported here). A
-scalar-only callback is called once per point instead, from a C-level loop
-over per-chunk lists of Python floats: a point costs the call plus about
-0.1 us, against a few ns for a numpy callback.
+Callbacks receive blocks of points as numpy arrays. A small plan is one flat
+call at the distinct points of its requests of fewer than PACK_POINTS points,
+and each output is one weighted sum of their values. A larger line request
+is evaluated in broadcast ``lines x points per line`` blocks of about
+BLOCK_POINTS points by :func:`bounds1d.line_blocks` (BLOCK_POINTS is
+re-exported here), and its line values enter the same sums. A scalar-only
+callback is called once per point instead, from a C-level loop over
+per-chunk lists of Python floats: a point costs the call plus about 0.1 us,
+against a few ns for a numpy callback.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bounds1d import (BoundPair, Interval, Partition1D, check_points, evaluate, line_blocks,
+from .bounds1d import (Interval, Lattice, BoundPair, check_points, evaluate, line_blocks,
                        midpoint_sum, require_finite, trapezoid_sum)
 # still importable from here, as before (bench/test_bench.py and the tests rely on them)
 from .bounds1d import BLOCK_POINTS, midpoint_lower, trapezoid_upper  # noqa: F401
@@ -60,7 +58,7 @@ from .schemes import InnerScheme, NestedDiscrete, adaptive_simpson
 
 #: Points per side of the grid sampled by positivity spot checks.
 SPOT_GRID = 33
-#: Requests of fewer points are evaluated flat, each run of them in one call.
+#: Requests of fewer points are evaluated flat, all of them in one call.
 #: That saves calls, but a flat block recomputes per-axis subexpressions such
 #: as exp(r*x) at every point, so larger requests keep their row blocks.
 PACK_POINTS = 1 << 12
@@ -116,10 +114,10 @@ class Fn2D:
     elementwise, returning the broadcast shape of ``x`` and ``y``; a
     scalar-only callback is called once per point instead, with Python
     floats from per-chunk lists, which costs the call plus about 0.1 us a
-    point (see :func:`bounds1d.evaluate`). Small requests
-    come as two flat arrays of the same shape. A large line request comes as
-    a row of one coordinate and a column of the other, and there a numpy
-    callback whose result has any other shape, such as
+    point (see :func:`bounds1d.evaluate`). A small plan's distinct points
+    come in one call, as two flat arrays of the same shape. A large line
+    request comes as a row of one coordinate and a column of the other, and
+    there a numpy callback whose result has any other shape, such as
     ``lambda x, y: x * x``, which ignores ``y`` and returns the shape of
     ``x`` alone, is also called once per point: write ``x * x + 0.0 * y``
     to keep it array-at-once. Such a result is not broadcast for the
@@ -187,210 +185,235 @@ def chain_report(terms: list[tuple[str, float]]) -> ChainReport:
     return ChainReport(terms=tuple(terms), orderings=tuple(orderings), tolerance=tolerance)
 
 
-class _Grid(NamedTuple):
-    """A side cut into equal cells: cell width, nodes and midpoints."""
-
-    h: float
-    nodes: np.ndarray
-    midpoints: np.ndarray
+_OTHER = {"x": "y", "y": "x"}
 
 
-class _LineRequest(NamedTuple):
-    """Lines through ``at`` running in ``along``, sampled at ``pts`` and
-    reduced by the trapezoid (``upper``) or midpoint rule of width ``h``.
+# Lattice coordinates. A slice ``(count, positions)`` names points of one
+# side cut into ``count`` cells by doubled position: an even position 2k is
+# node k, an odd one 2k+1 the midpoint of cell k, so (1, range(1, 2)) is
+# the center (see :meth:`bounds1d.Lattice.pairs`).
+def _nodes(count: int) -> tuple[int, range]:
+    return count, range(0, 2 * count + 1, 2)
 
-    Evaluated on its own, it reduces each block of about
-    ``bounds1d.BLOCK_POINTS`` points as :func:`bounds1d.line_blocks` yields
-    it; in a run of small requests, through :meth:`flat`."""
+
+def _mids(count: int) -> tuple[int, range]:
+    return count, range(1, 2 * count, 2)
+
+
+class _Lines(NamedTuple):
+    """f along the lines through ``at``, a slice of the other side, running
+    in ``along`` and sampled at ``pts``, a slice of ``along``. A line's
+    value is the sum of its samples, the two end samples halved when
+    ``trap`` (the trapezoid rule at unit spacing)."""
 
     along: str
-    at: np.ndarray
-    pts: np.ndarray
-    upper: bool
-    h: float
+    at: tuple[int, range]
+    pts: tuple[int, range]
+    trap: bool
 
     @property
     def size(self) -> int:
-        return self.at.size * self.pts.size
-
-    def flat(self) -> tuple[np.ndarray, np.ndarray]:
-        run, fixed = np.tile(self.pts, self.at.size), np.repeat(self.at, self.pts.size)
-        return (run, fixed) if self.along == "x" else (fixed, run)
-
-    def reduce(self, values: np.ndarray) -> list[float]:
-        rule = trapezoid_sum if self.upper else midpoint_sum
-        return rule(values.reshape(-1, self.pts.size), self.h).tolist()
-
-    def evaluate(self, f: Fn2D) -> list[float]:
-        """The values of the lines, reduced block by block."""
-        out = []
-        for block in line_blocks(f.eval, self.along, self.at, self.pts):
-            out += self.reduce(block)
-        return out
-
-
-class _PointRequest(NamedTuple):
-    """f at the broadcast of ``xs`` and ``ys``, which has ``shape``."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-    shape: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.shape)
-
-    def flat(self) -> tuple[np.ndarray, np.ndarray]:
-        return (np.broadcast_to(self.xs, self.shape).ravel(),
-                np.broadcast_to(self.ys, self.shape).ravel())
-
-    def reduce(self, values: np.ndarray) -> np.ndarray:
-        return values.reshape(self.shape)
-
-    def evaluate(self, f: Fn2D) -> np.ndarray:
-        return evaluate(f.eval, self.xs, self.ys)
+        return len(self.at[1]) * len(self.pts[1])
 
 
 class _QuadratureLines(NamedTuple):
     """Adaptive Simpson to ``tol`` along the lines through ``at`` running in
-    ``along`` across ``iv``, never evaluated flat; a failure names its point or line."""
+    ``along`` across the rectangle. A line's value is its integral over its
+    length, its mean; a failure names its point or line."""
 
     along: str
-    at: np.ndarray
-    iv: Interval
+    at: tuple[int, range]
     tol: float
     size = math.inf
 
-    def evaluate(self, f: Fn2D) -> list[float]:
-        out, other = [], "y" if self.along == "x" else "x"
-        for t in self.at:
+    def evaluate(self, f: Fn2D, at: np.ndarray, iv: Interval) -> np.ndarray:
+        out = np.empty(at.size)
+        for i, t in enumerate(at):
             def ev(s, t=t):
                 return evaluate(f.eval, s, t) if self.along == "x" else evaluate(f.eval, t, s)
             try:
-                out.append(adaptive_simpson(ev, self.iv.lo, self.iv.hi, self.tol))
+                out[i] = adaptive_simpson(ev, iv.lo, iv.hi, self.tol)
             except EvaluationError as exc:
                 if exc.where is not None:
                     raise
-                raise EvaluationError(f"line along {self.along} at {other}={float(t)!r}: "
-                                      f"{exc}") from exc
-        return out
+                raise EvaluationError(f"line along {self.along} at {_OTHER[self.along]}="
+                                      f"{float(t)!r}: {exc}") from exc
+        return out / iv.length
+
+
+class _Values(list):
+    """The values of a plan's outputs for one f and rectangle, in
+    declaration order, with the rectangle's area."""
+
+    def __init__(self, values: list[float], area: float):
+        super().__init__(values)
+        self.area = area
 
 
 class PointPlan:
-    """The lines and points that some bounds need of ``f`` on ``r``,
-    evaluated together (internal to the package).
+    """The weighted sums of f that some bounds need on a rectangle, declared
+    once in lattice coordinates and resolved for any f and rectangle
+    (internal to the package).
 
-    Each bound declares its requests with :meth:`lines`, :meth:`quadrature`
-    and :meth:`points`, which return the request's key, and reduces
-    ``plan[key]`` once :meth:`resolve` has run. A request equal to one
-    already declared (the same lines and rule, or the same points and
-    shapes) has that request's key and is evaluated once. A partition of a
-    side into a given count of cells is built, checked and turned into nodes
-    and midpoints once per plan; a line request's partition only when the
-    plan resolves, once the plan's size has been checked.
+    Each bound opens its outputs with :meth:`output` and adds requests for
+    lines to them with :meth:`add`; an output is its scale times the
+    weighted sum of the values of the lines added to it. A request equal to
+    one already declared is that request, evaluated once.
     """
 
-    def __init__(self, f: Fn2D, r: Rect):
-        self.f = f
-        self.r = r
-        self._grids: dict[tuple[str, int], _Grid] = {}
-        self._requests: dict[tuple, object] = {}
+    def __init__(self):
+        self._counts: dict[str, dict[int, None]] = {"x": {}, "y": {}}  # per side, in order
+        self._requests: dict[object, None] = {}
+        self._adds: list[tuple[int, object, np.ndarray | float]] = []
+        self._scales: list[tuple[float, bool]] = []
         self._points = 0
-        self._results: dict[tuple, object] = {}
+        self._sides = None  # the lattices, and the rest, once _compile has run
 
-    def grid(self, side: str, count: int) -> _Grid:
-        """``side`` ("x" or "y") of the rectangle cut into ``count`` cells."""
-        key = (side, count)
-        if key not in self._grids:
-            part = Partition1D(self.r.x_interval if side == "x" else self.r.y_interval, count)
-            self._grids[key] = _Grid(part.h, part.nodes(), part.midpoints())
-        return self._grids[key]
+    def output(self, scale: float, area: bool = False) -> int:
+        """A new output, ``scale`` (times the rectangle's area when
+        ``area``) times the weighted sum of what is added to it: its index
+        among :meth:`resolve`'s values."""
+        self._scales.append((scale, area))
+        self._sides = None
+        return len(self._scales) - 1
 
-    def lines(self, along: str, at, upper: bool, count: int) -> tuple:
-        """Composite trapezoid (``upper``) or midpoint values, on ``count``
-        subintervals, of f along the lines through ``at`` running in ``along``.
-        The result is a list, one value per line."""
-        at = np.asarray(at, dtype=float)
-
-        def request() -> _LineRequest:
-            grid = self.grid(along, count)
-            return _LineRequest(along, at, grid.nodes if upper else grid.midpoints, upper, grid.h)
-        return self._declare(("lines", along, at.tobytes(), upper, count),
-                             at.size * (count + upper), request)
-
-    def points(self, xs, ys) -> tuple:
-        """f at the broadcast of ``xs`` and ``ys``, an array of that shape."""
-        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-        req = _PointRequest(xs, ys, np.broadcast_shapes(xs.shape, ys.shape))
-        return self._declare(("points", xs.tobytes(), xs.shape, ys.tobytes(), ys.shape),
-                             req.size, lambda: req)
-
-    def quadrature(self, along: str, at, tol: float) -> tuple:
-        """Adaptive Simpson values, to ``tol``, of f along the lines through
-        ``at`` running in ``along``, whichever side they bound: a list."""
-        at = np.asarray(at, dtype=float)
-        iv = self.r.x_interval if along == "x" else self.r.y_interval
-        req = _QuadratureLines(along, at, iv, tol)
-        return self._declare(("quadrature", along, at.tobytes(), tol), req.size, lambda: req)
-
-    def spot_grid(self) -> tuple:
-        """The SPOT_GRID x SPOT_GRID positivity sample grid."""
-        return self.points(*_spot_axes(self.r))
-
-    def _declare(self, key: tuple, size: float, request: Callable[[], object]) -> tuple:
-        """``key``, declaring under it the request of ``size`` points that
-        ``request()`` builds when the plan resolves, unless one already is.
+    def add(self, out: int, req: _Lines | _QuadratureLines, weights=1.0) -> None:
+        """Add to ``out`` the value of each line of ``req`` times its weight
+        in ``weights``, one per line or one for all, declaring ``req``.
 
         The plan's points, quadrature (of unknown size) aside, may not exceed
         ``bounds1d.MAX_POINTS`` in all: more is a :class:`DomainError` before
-        any line's partition is built or ``f`` is called.
+        any lattice is built or ``f`` is called.
         """
-        if key not in self._requests:
-            if math.isfinite(size):
-                self._points = check_points("a point plan", self._points + size)
-            self._requests[key] = request
-        return key
+        if req not in self._requests:
+            if math.isfinite(req.size):
+                self._points = check_points("a point plan", self._points + req.size)
+            self._counts[_OTHER[req.along]][req.at[0]] = None
+            if isinstance(req, _Lines):
+                self._counts[req.along][req.pts[0]] = None
+            self._requests[req] = None
+        self._adds.append((out, req, weights))
+        self._sides = None
 
-    def __getitem__(self, key: tuple):
-        return self._results[key]
+    def _compile(self) -> None:
+        """Index and weight arrays for every output, built once per plan.
 
-    def resolve(self) -> None:
-        """Evaluate every request, in declaration order.
-
-        Each run of consecutive requests of fewer than PACK_POINTS points is
-        evaluated flat, in one call. A larger request is evaluated on its
-        own, lines in row blocks: alone in a run it would save no call, and
-        flat blocks cost more.
+        The requests of fewer than PACK_POINTS points become points, one per
+        pair of coordinates that differ by construction; the others become
+        lines. Each output's entries are a point or a line with its weight,
+        the line's weight times the point's within it.
         """
-        # built in place, and the results sized before anything is evaluated:
-        # a dict grown between evaluated blocks cost verify about 1.7x the
-        # minor faults (500 cases each of seeds 1-5)
-        for key, request in self._requests.items():
-            self._requests[key] = request()
-        self._results = dict.fromkeys(self._requests)
-        for small, run in itertools.groupby(self._requests.items(),
-                                            lambda item: item[1].size < PACK_POINTS):
-            if small:
-                self._evaluate_run(list(run))
+        sides = {s: Lattice(self._counts[s]) for s in "xy"}
+        flat, self._lines, codes, size = {}, [], {"x": [], "y": []}, 0
+        for req in self._requests:
+            if isinstance(req, _Lines) and req.size < PACK_POINTS:
+                # points with the same bits by construction get the same code
+                for s, sl, tile in ((req.along, req.pts, True),
+                                    (_OTHER[req.along], req.at, False)):
+                    lo, hi = sides[s].pairs(*sl)
+                    code = sides[s].twins[lo] * sides[s].size + sides[s].twins[hi]
+                    codes[s].append(np.tile(code, len(req.at[1])) if tile
+                                    else np.repeat(code, len(req.pts[1])))
+                flat[req] = size
+                size += req.size
             else:
-                for key, req in run:
-                    self._results[key] = req.evaluate(self.f)
+                self._lines.append(req)
+        index, self._coords = {}, {}
+        for s, side in sides.items():
+            unique, index[s] = np.unique(np.concatenate(codes[s] or [np.zeros(0, np.int64)]),
+                                         return_inverse=True)
+            self._coords[s] = (unique // side.size, unique % side.size)
+        ny = self._coords["y"][0].size
+        keys, point = np.unique(index["x"] * ny + index["y"], return_inverse=True)
+        self._points_at = {"x": keys // ny, "y": keys % ny}
+        line_start = dict(zip(self._lines,
+                              np.cumsum([keys.size] + [len(req.at[1]) for req in self._lines])))
 
-    def _evaluate_run(self, run: list[tuple[tuple, object]]) -> None:
-        xs, ys = zip(*(req.flat() for _, req in run))
-        values = evaluate(self.f.eval, np.concatenate(xs), np.concatenate(ys))
-        start = 0
-        for key, req in run:
-            self._results[key] = req.reduce(values[start:start + req.size])
-            start += req.size
+        src, weights, sizes = [], [], [0] * len(self._scales)
+        for out, req, w in sorted(self._adds, key=lambda add: add[0]):
+            line_w = np.broadcast_to(np.asarray(w, dtype=float), (len(req.at[1]),))
+            if req in flat:
+                src.append(point[flat[req]:flat[req] + req.size])
+                weights.append(np.outer(line_w, np.ones(len(req.pts[1]))))
+                if req.trap:
+                    weights[-1][:, [0, -1]] *= 0.5
+            else:
+                src.append(line_start[req] + np.arange(line_w.size))
+                weights.append(line_w)
+            sizes[out] += src[-1].size
+        self._src = np.concatenate(src)
+        self._weights = np.concatenate([w.ravel() for w in weights])
+        self._starts = np.cumsum([0] + sizes[:-1])
+        scale, by_area = zip(*self._scales)
+        self._scale, self._by_area = np.array(scale), np.array(by_area)
+        self._sides = sides
+
+    def resolve(self, f: Fn2D, r: Rect) -> _Values:
+        """Every output's value for ``f`` on ``r``.
+
+        Each side's lattice is mapped onto ``r`` in one pass, with
+        :class:`bounds1d.Lattice`'s checks. The points are evaluated first,
+        each distinct pair of coordinate bits once, in one call; then each
+        line request in declaration order, a large one in row blocks. An
+        output that overflows comes out infinite, without a warning. The
+        plan's size is checked against ``bounds1d.MAX_POINTS`` again first.
+        """
+        check_points("a point plan", self._points)
+        if self._sides is None:
+            self._compile()
+        ivs = {"x": r.x_interval, "y": r.y_interval}
+        nodes = {s: side.nodes(ivs[s]) for s, side in self._sides.items()}
+        values = []
+        if self._points_at["x"].size:
+            values.append(_point_values(f, nodes, self._coords, self._points_at))
+        for req in self._lines:
+            at = self._sides[_OTHER[req.along]].points(nodes[_OTHER[req.along]], *req.at)
+            if isinstance(req, _QuadratureLines):
+                values.append(req.evaluate(f, at, ivs[req.along]))
+            else:
+                run = self._sides[req.along].points(nodes[req.along], *req.pts)
+                rule = trapezoid_sum if req.trap else midpoint_sum
+                values += [rule(block, 1.0) for block in line_blocks(f.eval, req.along, at, run)]
+        values = np.concatenate(values) if len(values) > 1 else values[0]
+        with np.errstate(all="ignore"):
+            sums = np.add.reduceat(values[self._src] * self._weights, self._starts)
+            out = sums * np.where(self._by_area, self._scale * r.area, self._scale)
+        return _Values(out.tolist(), r.area)
+
+
+def _point_values(f: Fn2D, nodes: dict, coords: dict, points: dict) -> np.ndarray:
+    """f at each of ``points``, a pair of indices into ``coords`` per point,
+    from one call of ``f`` at each distinct pair of coordinate bits: points
+    that differ by construction can still share their bits, such as a
+    midpoint and a node of a finer partition."""
+    values, rank = {}, {}
+    for s, (lo, hi) in coords.items():
+        bits, rank[s] = np.unique((0.5 * (nodes[s][lo] + nodes[s][hi])).view(np.int64),
+                                  return_inverse=True)
+        values[s] = bits.view(float)
+    ny = values["y"].size
+    keys = rank["x"][points["x"]] * ny + rank["y"][points["y"]]
+    ordered = np.sort(keys)
+    point = ...  # every point, when none shares its bits with another
+    if (ordered[1:] == ordered[:-1]).any():
+        keys, point = np.unique(keys, return_inverse=True)
+    return evaluate(f.eval, values["x"][keys // ny], values["y"][keys % ny])[point]
+
+
+@functools.lru_cache(maxsize=64)
+def _declared(declare: Callable, *args) -> tuple[PointPlan, object]:
+    """A plan with ``declare(plan, *args)`` on it, and what that returned:
+    built once per arguments, as it depends on nothing else."""
+    plan = PointPlan()
+    return plan, declare(plan, *args)
 
 
 def _resolved(f: Fn2D, r: Rect, declare: Callable, *args) -> Callable:
-    """The finishing function of ``declare(plan, *args)`` on a plan of its own, resolved."""
-    plan = PointPlan(f, r)
-    finish = declare(plan, *args)
-    plan.resolve()
-    return finish
+    """The finishing function of ``declare(plan, *args)`` on a plan of its
+    own, resolved for ``f`` on ``r``: it takes any further arguments."""
+    plan, finish = _declared(declare, *args)
+    values = plan.resolve(f, r)
+    return lambda *rest: finish(values, *rest)
 
 
 def _spot_axes(r: Rect) -> tuple[np.ndarray, np.ndarray]:
@@ -411,59 +434,52 @@ def with_positivity(ev: Callable, r: Rect, expr: Node | None = None) -> Fn2D:
     return Fn2D(eval=ev, positive=spot_minimum(Fn2D(eval=ev), r) > 0.0, expr=expr)
 
 
-def _lines(plan: PointPlan, along: str, at, upper: bool, scheme: InnerScheme,
-           cells: int) -> tuple:
-    """Declare the integrals of f along the lines through ``at``, resolved per ``scheme``.
+def _line_count(scheme: InnerScheme, cells: int) -> int:
+    """What a line's value is divided by to give its mean: a NestedDiscrete
+    line's subintervals (its rule is at unit spacing), or 1 (Quadrature)."""
+    return scheme.m * cells if isinstance(scheme, NestedDiscrete) else 1
 
-    The lines run in the variable ``along`` ("x" or "y") across the whole
-    rectangle; ``at`` holds each line's other coordinate. ``upper`` marks
-    integrals that must stay above their true value. In NestedDiscrete mode
-    those get the composite trapezoid value, the others the composite
-    midpoint value, on m * ``cells`` subintervals (:meth:`PointPlan.lines`).
-    Quadrature resolves each line with adaptive Simpson in the plan's turn
-    (:meth:`PointPlan.quadrature`), one refinement level per evaluation.
+
+def _lines(plan: PointPlan, out: int, along: str, at: tuple, upper: bool,
+           scheme: InnerScheme, cells: int, weights=1.0) -> None:
+    """Add to ``out`` the integrals of f along the lines through ``at``, a
+    slice of the other side, running in ``along`` across the rectangle,
+    resolved per ``scheme``: each line's value over ``_line_count`` is its
+    mean. ``upper`` marks integrals that must stay above their true value.
+    In NestedDiscrete mode those get the composite trapezoid value, the
+    others the composite midpoint value, on m * ``cells`` subintervals.
+    Quadrature resolves each line with adaptive Simpson in the plan's turn,
+    one refinement level per evaluation.
     """
     if isinstance(scheme, NestedDiscrete):
-        return plan.lines(along, at, upper, scheme.m * cells)
-    return plan.quadrature(along, at, scheme.tol)
+        count = scheme.m * cells
+        plan.add(out, _Lines(along, at, _nodes(count) if upper else _mids(count), upper),
+                 weights)
+    else:
+        plan.add(out, _QuadratureLines(along, at, scheme.tol), weights)
 
 
-def _fold(values, start: float = 0.0) -> float:
-    """``start`` plus ``values``, added left to right.
-
-    Not ``sum``: from Python 3.12 it compensates float sums, so its bits
-    would depend on the interpreter. This is what it computes on 3.10 and 3.11.
-    """
-    return functools.reduce(operator.add, values, start)
+def _ends(n: int, end: float, inner: float) -> list[float]:
+    """Weights of the n+1 node lines of a side cut into n cells."""
+    return [end] + [inner] * (n - 1) + [end]
 
 
-def _declare_partition_sums(plan: PointPlan, n: int,
-                            scheme: InnerScheme) -> Callable[[], tuple[float, float]]:
-    """Lower and upper partitioned line-integral sums for a partition into n cells.
+def _declare_partition_sums(plan: PointPlan, n: int, scheme: InnerScheme) -> tuple[int, int]:
+    """The outputs of the lower and upper partitioned line-integral sums for
+    a partition into n cells.
 
     Lower: the cell-midpoint lines, (d-c)/(2n) * sum_k int f(x, ymid_k) dx plus
     the symmetric x-direction sum. Upper: the boundary lines with weight
     (len)/(4n) plus the interior node lines with weight (len)/(2n).
     """
-    r = plan.r
-    gx, gy = plan.grid("x", n), plan.grid("y", n)
-    lower_x = _lines(plan, "x", gy.midpoints, False, scheme, n)
-    lower_y = _lines(plan, "y", gx.midpoints, False, scheme, n)
-    upper_x = _lines(plan, "x", gy.nodes, True, scheme, n)
-    upper_y = _lines(plan, "y", gx.nodes, True, scheme, n)
-
-    def finish() -> tuple[float, float]:
-        wy = (r.d - r.c) / (2.0 * n)
-        wx = (r.b - r.a) / (2.0 * n)
-        lower = wy * _fold(plan[lower_x])
-        lower += wx * _fold(plan[lower_y])
-        ux, uy = plan[upper_x], plan[upper_y]
-        upper = 0.5 * wy * (ux[0] + ux[-1])
-        upper += 0.5 * wx * (uy[0] + uy[-1])
-        upper += wy * _fold(ux[1:-1])
-        upper += wx * _fold(uy[1:-1])
-        return lower, upper
-    return finish
+    k = _line_count(scheme, n)
+    lower = plan.output(1.0 / (2 * n * k), area=True)
+    upper = plan.output(1.0 / (2 * n * k), area=True)
+    for along in "xy":
+        _lines(plan, lower, along, _mids(n), False, scheme, n)
+    for along in "xy":
+        _lines(plan, upper, along, _nodes(n), True, scheme, n, _ends(n, 0.5, 1.0))
+    return lower, upper
 
 
 def _integral(f: Fn2D, r: Rect, integral: float | None) -> float:
@@ -479,10 +495,11 @@ def partition_chain(f: Fn2D, r: Rect, n: int, scheme: InnerScheme = NestedDiscre
     default grid when that is None; the outer terms are resolved per
     ``scheme``.
     """
-    lower, upper = _resolved(f, r, _declare_partition_sums, n, scheme)()
+    plan, (lower, upper) = _declared(_declare_partition_sums, n, scheme)
+    values = plan.resolve(f, r)
     return chain_report(
-        [("midpoint_lines", lower), ("integral", _integral(f, r, integral)),
-         ("node_lines", upper)])
+        [("midpoint_lines", values[lower]), ("integral", _integral(f, r, integral)),
+         ("node_lines", values[upper])])
 
 
 def discrete_enclosure(f: Fn2D, r: Rect, n: int, m: int = NestedDiscrete.m) -> BoundPair:
@@ -496,16 +513,18 @@ def discrete_enclosure(f: Fn2D, r: Rect, n: int, m: int = NestedDiscrete.m) -> B
     return _resolved(f, r, declare_enclosure, n, m)()
 
 
-def declare_enclosure(plan: PointPlan, n: int, m: int) -> Callable[[], BoundPair]:
-    """:func:`discrete_enclosure` on ``plan``: the finishing function returns it."""
+def declare_enclosure(plan: PointPlan, n: int, m: int) -> Callable[[_Values], BoundPair]:
+    """:func:`discrete_enclosure` on ``plan``: the finishing function takes
+    the plan's values and returns it."""
     evals = enclosure_points(n, m)
-    sums = _declare_partition_sums(plan, n, NestedDiscrete(m))
-    return lambda: BoundPair(*sums(), n=n, evals=evals)
+    lower, upper = _declare_partition_sums(plan, n, NestedDiscrete(m))
+    return lambda values: BoundPair(values[lower], values[upper], n=n, evals=evals)
 
 
 def enclosure_points(n: int, m: int) -> int:
-    """The points :func:`discrete_enclosure` evaluates; for n >= 1, more than
-    ``bounds1d.MAX_POINTS`` is a :class:`DomainError`."""
+    """The points :func:`discrete_enclosure` declares, a point its lines
+    share once per line; for n >= 1, more than ``bounds1d.MAX_POINTS`` is a
+    :class:`DomainError`."""
     k = m * n  # subintervals per line
     points = 2 * n * k + (2 * n + 2) * (k + 1)
     return check_points(f"an enclosure with n={n}, m={m}", points) if n >= 1 else points
@@ -525,24 +544,22 @@ def centerline_bound(f: Fn2D, r: Rect, n: int,
 
 
 def declare_centerline_bound(plan: PointPlan, n: int,
-                             scheme: InnerScheme) -> Callable[[], tuple[float, float]]:
-    """:func:`centerline_bound` on ``plan``: the finishing function returns it."""
-    r = plan.r
-    cx, cy = r.center
-    along_y = plan.points(cx, plan.grid("y", n).midpoints)
-    along_x = plan.points(plan.grid("x", n).midpoints, cy)
-    line_y = _lines(plan, "y", [cx], False, scheme, n)
-    line_x = _lines(plan, "x", [cy], False, scheme, n)
+                             scheme: InnerScheme) -> Callable[[_Values], tuple[float, float]]:
+    """:func:`centerline_bound` on ``plan``: the finishing function takes the
+    plan's values and returns it."""
+    lhs = plan.output(1.0)
+    rhs = plan.output(n / _line_count(scheme, n))
+    for along in "yx":
+        plan.add(lhs, _Lines(along, _mids(1), _mids(n), False))
+        _lines(plan, rhs, along, _mids(1), False, scheme, n)
+    return _finite_pair("centerline_bound", lhs, rhs)
 
-    def finish() -> tuple[float, float]:
-        with np.errstate(over="ignore"):
-            lhs = float(plan[along_y].sum())
-            lhs += float(plan[along_x].sum())
-        rhs = n / (r.d - r.c) * plan[line_y][0]
-        rhs += n / (r.b - r.a) * plan[line_x][0]
-        return (require_finite("centerline_bound lhs", lhs),
-                require_finite("centerline_bound rhs", rhs))
-    return finish
+
+def _finite_pair(name: str, lhs: int, rhs: int) -> Callable[[_Values], tuple[float, float]]:
+    """The finishing function of the outputs (``lhs``, ``rhs``) of a bound:
+    a non-finite one is an :class:`EvaluationError` naming ``name``."""
+    return lambda values: (require_finite(f"{name} lhs", values[lhs]),
+                           require_finite(f"{name} rhs", values[rhs]))
 
 
 def boundary_bound(f: Fn2D, r: Rect, n: int,
@@ -557,29 +574,19 @@ def boundary_bound(f: Fn2D, r: Rect, n: int,
 
 
 def declare_boundary_bound(plan: PointPlan, n: int,
-                           scheme: InnerScheme) -> Callable[[], tuple[float, float]]:
-    """:func:`boundary_bound` on ``plan``: the finishing function returns it."""
-    r = plan.r
-    lines_y = _lines(plan, "y", [r.a, r.b], True, scheme, n)
-    lines_x = _lines(plan, "x", [r.c, r.d], True, scheme, n)
+                           scheme: InnerScheme) -> Callable[[_Values], tuple[float, float]]:
+    """:func:`boundary_bound` on ``plan``: the finishing function takes the
+    plan's values and returns it."""
+    lhs = plan.output(n / _line_count(scheme, n))
+    rhs = plan.output(1.0)
+    for along in "yx":
+        _lines(plan, lhs, along, _nodes(1), True, scheme, n)
     # f on the sides x = a, b at every y node (corners included), and on the
     # sides y = c, d at the interior x nodes
-    sides = plan.points(np.array([[r.a], [r.b]]), plan.grid("y", n).nodes)
-    caps = plan.points(plan.grid("x", n).nodes[1:-1], np.array([[r.c], [r.d]]))
-
-    def finish() -> tuple[float, float]:
-        uy, ux = plan[lines_y], plan[lines_x]
-        lhs = n / (r.d - r.c) * (uy[0] + uy[1])
-        lhs += n / (r.b - r.a) * (ux[0] + ux[1])
-        side, cap = plan[sides], plan[caps]
-        (ac, *_, ad), (bc, *_, bd) = side.tolist()
-        # the corners, then the opposite node pairs, one pair at a time in node order
-        with np.errstate(over="ignore"):
-            pairs = (side[0, 1:-1] + side[1, 1:-1]).tolist() + (cap[0] + cap[1]).tolist()
-        rhs = _fold(pairs, ac + ad + bc + bd)
-        return (require_finite("boundary_bound lhs", lhs),
-                require_finite("boundary_bound rhs", rhs))
-    return finish
+    plan.add(rhs, _Lines("y", _nodes(1), _nodes(n), False))
+    if n > 1:
+        plan.add(rhs, _Lines("x", _nodes(1), (n, range(2, 2 * n - 1, 2)), False))
+    return _finite_pair("boundary_bound", lhs, rhs)
 
 
 def positive_upper(f: Fn2D, r: Rect, n: int,
@@ -592,33 +599,25 @@ def positive_upper(f: Fn2D, r: Rect, n: int,
     preserving the bound. The positivity flag plus a sample-grid spot check
     gate the computation; a negative sample is a hard error.
     """
+    if not f.positive:
+        raise PreconditionError("positive_upper requires a function flagged positive")
+    lo = spot_minimum(f, r)
+    if lo < 0.0:
+        raise PreconditionError(
+            f"positivity spot check failed: sampled value {lo!r} < 0 on the grid")
     return _resolved(f, r, declare_positive_upper, n, scheme)()
 
 
 def declare_positive_upper(plan: PointPlan, n: int,
-                           scheme: InnerScheme) -> Callable[[], float]:
-    """:func:`positive_upper` on ``plan``: the finishing function returns it.
-    The positivity flag is checked here, the spot grid when it finishes."""
-    if not plan.f.positive:
-        raise PreconditionError("positive_upper requires a function flagged positive")
-    r = plan.r
-    spot = plan.spot_grid()
-    lines_y = _lines(plan, "y", plan.grid("x", n).nodes, True, scheme, n)
-    lines_x = _lines(plan, "x", plan.grid("y", n).nodes, True, scheme, n)
-
-    def finish() -> float:
-        lo = float(plan[spot].min())
-        if lo < 0.0:
-            raise PreconditionError(
-                f"positivity spot check failed: sampled value {lo!r} < 0 on the grid")
-        uy, ux = plan[lines_y], plan[lines_x]
-        col = (n + 1) * (uy[0] + uy[-1])
-        col += 2.0 * _fold(uy[1:-1])
-        row = (n + 1) * (ux[0] + ux[-1])
-        row += 2.0 * _fold(ux[1:-1])
-        return require_finite("positive_upper",
-                              (r.b - r.a) / (4.0 * n) * col + (r.d - r.c) / (4.0 * n) * row)
-    return finish
+                           scheme: InnerScheme) -> Callable[[_Values], float]:
+    """:func:`positive_upper` on ``plan``, for a function the caller has
+    checked as it does: flagged positive and nonnegative on the spot grid,
+    as a function whose flag :func:`with_positivity` set is on its
+    rectangle. The finishing function takes the plan's values."""
+    bound = plan.output(1.0 / (4 * n * _line_count(scheme, n)), area=True)
+    for along in "yx":
+        _lines(plan, bound, along, _nodes(n), True, scheme, n, _ends(n, n + 1.0, 2.0))
+    return lambda values: require_finite("positive_upper", values[bound])
 
 
 CLASSIC_TERM_NAMES = ("center", "midline_avg", "mean", "boundary_avg", "corner_avg")
@@ -650,33 +649,32 @@ def five_term_chains(f: Fn2D, r: Rect, scheme: InnerScheme = NestedDiscrete(),
 
 
 def declare_five_term_chains(plan: PointPlan, scheme: InnerScheme
-                             ) -> Callable[[float], tuple[ChainReport, ChainReport]]:
-    """:func:`five_term_chains` on ``plan``: the finishing function takes the integral."""
-    r = plan.r
-    cx, cy = r.center
-    # the center, the corners, then the edge midpoints
-    nine = plan.points([cx, r.a, r.a, r.b, r.b, cx, cx, r.a, r.b],
-                       [cy, r.c, r.d, r.c, r.d, r.c, r.d, cy, cy])
-    lower_x = _lines(plan, "x", [cy], False, scheme, 1)
-    lower_y = _lines(plan, "y", [cx], False, scheme, 1)
-    upper_x = _lines(plan, "x", [r.c, r.d, cy], True, scheme, 1)
-    upper_y = _lines(plan, "y", [r.a, r.b, cx], True, scheme, 1)
+                             ) -> Callable[[_Values, float], tuple[ChainReport, ChainReport]]:
+    """:func:`five_term_chains` on ``plan``: the finishing function takes the
+    plan's values and the integral."""
+    k = _line_count(scheme, 1)
+    center, corner_avg, nine = plan.output(1.0), plan.output(0.25), plan.output(1.0 / 16.0)
+    plan.add(center, _Lines("y", _mids(1), _mids(1), False))
+    plan.add(nine, _Lines("y", _mids(1), _mids(1), False), 4.0)
+    plan.add(corner_avg, _Lines("y", _nodes(1), _nodes(1), False))
+    plan.add(nine, _Lines("y", _nodes(1), _nodes(1), False))
+    for along in "yx":  # the edge midpoints
+        plan.add(nine, _Lines(along, _mids(1), _nodes(1), False), 2.0)
+    midline = plan.output(1.0 / (2 * k))
+    for along in "xy":
+        _lines(plan, midline, along, _mids(1), False, scheme, 1)
+    # per direction, the boundary lines and the center line between them
+    boundary, refined = plan.output(1.0 / (4 * k)), plan.output(1.0 / (8 * k))
+    for along in "xy":
+        _lines(plan, boundary, along, (1, range(3)), True, scheme, 1, (1.0, 0.0, 1.0))
+        _lines(plan, refined, along, (1, range(3)), True, scheme, 1, (1.0, 2.0, 1.0))
 
-    def finish(integral: float) -> tuple[ChainReport, ChainReport]:
-        t1, ac, ad, bc, bd, xc, xd, ay, by = plan[nine].tolist()
-        t2 = 0.5 * (plan[lower_x][0] / (r.b - r.a) + plan[lower_y][0] / (r.d - r.c))
-        head = (t1, t2, integral / r.area)
-        ux, uy = plan[upper_x], plan[upper_y]
-        c4 = (ux[0] + ux[1]) / (4.0 * (r.b - r.a))
-        c4 += (uy[0] + uy[1]) / (4.0 * (r.d - r.c))
-        r4 = (ux[0] + ux[1] + 2.0 * ux[2]) / (8.0 * (r.b - r.a))
-        r4 += (uy[0] + uy[1] + 2.0 * uy[2]) / (8.0 * (r.d - r.c))
-        r5 = (ac + ad + bc + bd) / 16.0
-        r5 += 0.25 * t1
-        r5 += (xc + xd + ay + by) / 8.0
-        classic = head + (c4, 0.25 * (ac + ad + bc + bd))
-        return (chain_report(list(zip(CLASSIC_TERM_NAMES, classic))),
-                chain_report(list(zip(REFINED_TERM_NAMES, head + (r4, r5)))))
+    def finish(values: _Values, integral: float) -> tuple[ChainReport, ChainReport]:
+        head = (values[center], values[midline], integral / values.area)
+        return (chain_report(list(zip(CLASSIC_TERM_NAMES,
+                                      head + (values[boundary], values[corner_avg])))),
+                chain_report(list(zip(REFINED_TERM_NAMES,
+                                      head + (values[refined], values[nine])))))
     return finish
 
 
@@ -705,17 +703,18 @@ def assemble_classic_terms(f: Fn2D, r: Rect, scheme: InnerScheme = NestedDiscret
     return finish(_integral(f, r, integral))
 
 
-def declare_classic_terms(plan: PointPlan,
-                          scheme: InnerScheme) -> Callable[[float], tuple[float, ...]]:
-    """:func:`assemble_classic_terms` on ``plan``: the finishing function takes the integral."""
+def declare_classic_terms(plan: PointPlan, scheme: InnerScheme
+                          ) -> Callable[[_Values, float], tuple[float, ...]]:
+    """:func:`assemble_classic_terms` on ``plan``: the finishing function
+    takes the plan's values and the integral."""
     centerline = declare_centerline_bound(plan, 1, scheme)
-    sums = _declare_partition_sums(plan, 1, scheme)
+    lower, upper = _declare_partition_sums(plan, 1, scheme)
     boundary = declare_boundary_bound(plan, 1, scheme)
-    area = plan.r.area
 
-    def finish(integral: float) -> tuple[float, ...]:
-        c_lhs, _ = centerline()
-        lower, upper = sums()
-        _, b_rhs = boundary()
-        return (c_lhs / 2.0, lower / area, integral / area, upper / area, b_rhs / 4.0)
+    def finish(values: _Values, integral: float) -> tuple[float, ...]:
+        c_lhs, _ = centerline(values)
+        _, b_rhs = boundary(values)
+        area = values.area
+        return (c_lhs / 2.0, values[lower] / area, integral / area, values[upper] / area,
+                b_rhs / 4.0)
     return finish

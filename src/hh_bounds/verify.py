@@ -4,15 +4,15 @@ instances.
 Each case draws a rectangle and a random coordinate-convex function, gates it
 through the convexity check, then exercises every inequality the package
 implements against the independent Simpson oracle. The generated function
-carries its expression tree, so the gate proves most cases without
-sampling; a case the proof does not cover, such as one with a lifted linear
-atom whose exact minimum lies just below 0, is sampled. Margins are
-normalized so that "margin >= -tol" always means the property held; the most
-negative margin per property is reported as its worst slack.
+carries its expression tree, from which the gate proves every case without
+sampling. Margins are normalized so that "margin >= -tol" always means the
+property held; the most negative margin per property is reported as its
+worst slack.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -98,17 +98,34 @@ def _oracle_tol(gap: float) -> float:
     return 1e-3 * gap + 1e-12
 
 
+@functools.cache
+def _case_plan(positive: bool) -> tuple:
+    """The plan of every bound of a case whose function is ``positive`` or
+    not, with the finishing functions of its bounds: built once, as it
+    depends on nothing else. A generated function is flagged positive from
+    its spot grid, which is what :func:`declare_positive_upper` needs."""
+    plan = PointPlan()
+    declared = {(n, m): declare_enclosure(plan, n, m) for n in N_VALUES for m in M_VALUES}
+    line_bounds = [(n, declare_centerline_bound(plan, n, SCHEME),
+                    declare_boundary_bound(plan, n, SCHEME),
+                    declare_positive_upper(plan, n, SCHEME) if positive else None)
+                   for n in N_VALUES]
+    return (plan, declared, line_bounds, declare_five_term_chains(plan, SCHEME),
+            declare_classic_terms(plan, SCHEME))
+
+
 def run_verification(cases: int, seed: int) -> VerifySummary:
     """Run the whole property suite on ``cases`` random instances.
 
     Deterministic given ``seed``: cases run in order and each case's results
     depend only on ``seed`` and its index. Each case is gated, by a proof
-    from its expression tree or else with the gate's default samples and
-    tolerance, enclosed at every (n, m) of ``N_VALUES``
-    x ``M_VALUES``, and checked against an oracle refined at most to
-    ``DEFAULT_GRID``. The points of all of a case's bounds are evaluated
-    together on one plan, before its oracle. A case the gate rejects stops
-    the run with a :class:`ConvexityRejection` naming the case.
+    from its expression tree (or, for a tree the proof does not cover, with
+    the gate's default samples and tolerance), enclosed at every (n, m) of
+    ``N_VALUES`` x ``M_VALUES``, and checked against an oracle refined at
+    most to ``DEFAULT_GRID``. The points of all of a case's bounds are
+    evaluated together, before its oracle, on the plan of its positivity
+    flag. A case the gate rejects stops the run with a
+    :class:`ConvexityRejection` naming the case.
     """
     if cases < 1:
         raise DomainError(f"cases must be >= 1, got {cases}")
@@ -126,17 +143,10 @@ def run_verification(cases: int, seed: int) -> VerifySummary:
 
         # every bound's lines and points, evaluated together before the
         # oracle, whose target the enclosure gaps set
-        plan = PointPlan(f, rect)
-        declared = {(n, m): declare_enclosure(plan, n, m) for n in N_VALUES for m in M_VALUES}
-        line_bounds = [(n, declare_centerline_bound(plan, n, SCHEME),
-                        declare_boundary_bound(plan, n, SCHEME),
-                        declare_positive_upper(plan, n, SCHEME) if f.positive else None)
-                       for n in N_VALUES]
-        chains = declare_five_term_chains(plan, SCHEME)
-        classic_terms = declare_classic_terms(plan, SCHEME)
-        plan.resolve()
+        plan, declared, line_bounds, chains, classic_terms = _case_plan(f.positive)
+        values = plan.resolve(f, rect)
 
-        enclosures = {key: finish() for key, finish in declared.items()}
+        enclosures = {key: finish(values) for key, finish in declared.items()}
         # refine the oracle only as far as the tightest enclosure check needs
         target = _oracle_tol(min(bp.gap for bp in enclosures.values()))
         oracle = reference_integral_2d(f, rect, DEFAULT_GRID, target)
@@ -151,19 +161,19 @@ def run_verification(cases: int, seed: int) -> VerifySummary:
                 stat["enclosure_soundness"].record(margin, REL_TOL, f"{context} n={n} m={m}")
 
         for n, centerline, boundary, positive in line_bounds:
-            lhs, rhs = centerline()
+            lhs, rhs = centerline(values)
             stat["centerline_inequality"].record((rhs - lhs) / max(1.0, abs(rhs)), REL_TOL,
                                                  f"{context} n={n}")
-            lhs, rhs = boundary()
+            lhs, rhs = boundary(values)
             stat["boundary_inequality"].record((rhs - lhs) / max(1.0, abs(rhs)), REL_TOL,
                                                f"{context} n={n}")
             if positive is not None:
-                bound = positive()
+                bound = positive(values)
                 stat["positive_upper_bound"].record((bound - integral) / max(1.0, abs(bound)),
                                                     REL_TOL, f"{context} n={n}")
 
-        classic, refined = chains(integral)
-        assembled = classic_terms(integral)
+        classic, refined = chains(values, integral)
+        assembled = classic_terms(values, integral)
         for (name, cv), av in zip(classic.terms, assembled):
             margin = -abs(av - cv) / max(1.0, abs(av), abs(cv))
             stat["chain_recapture"].record(margin, EQ_TOL, f"{context} term={name}")

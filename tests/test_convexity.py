@@ -294,7 +294,7 @@ class TestProof:
             proved += 1
             rep = check_coordinate_convexity(dataclasses.replace(f, expr=None), r, seed=index)
             assert rep.max_violation >= -GATE_TOL, context
-        assert proved == 328
+        assert proved == 400
 
     def test_tree_and_callback_agree_bit_for_bit(self):
         for seed in range(200):

@@ -305,3 +305,14 @@ def test_deepest_accepted_trees_evaluate_and_round_trip(src):
     assert parse(to_string(tree)) == tree
     value = eval_ast(tree, 0.5, 0.25)
     assert program(tree)(0.5, 0.25) == value
+
+
+@pytest.mark.parametrize("src, position", [("1e999", 0), ("-1e999", 1), ("1/1e999 + x^2", 2),
+                                           ("x^1e999", 2), ("x + 2e400*y", 4)])
+def test_literal_too_large_for_a_float_fails_to_parse_at_it(src, position):
+    # a literal that overflows to inf would make 1/1e999 a silent 0
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert exc.value.position == position
+    assert str(exc.value).endswith("expected a finite number, found "
+                                   f"{src[position:].split()[0].split('*')[0]!r}")

@@ -13,11 +13,12 @@ from hh_bounds.convexity import random_coordinate_convex
 from hh_bounds.oracle import reference_integral_2d
 import hh_bounds.rect
 from hh_bounds import Partition1D
-from hh_bounds.bounds1d import MAX_POINTS
+from hh_bounds.bounds1d import MAX_POINTS, Lattice
 from hh_bounds.rect import (BLOCK_POINTS, PointPlan, chain_report, declare_boundary_bound,
-                            declare_centerline_bound, declare_enclosure, declare_positive_upper,
-                            enclosure_points)
+                            declare_centerline_bound, declare_enclosure,
+                            declare_five_term_chains, declare_positive_upper, enclosure_points)
 from hh_bounds.schemes import adaptive_simpson
+from hh_bounds.verify import case_instance
 
 from conftest import counting_fn2d
 
@@ -25,6 +26,29 @@ UNIT2 = Rect(0.0, 1.0, 0.0, 1.0)
 XY = Fn2D(eval=lambda x, y: x * y)
 SUMSQ = Fn2D(eval=lambda x, y: x * x + y * y)
 EXACT_Q = Quadrature(1e-12)
+
+
+def _bits(x, y) -> list[tuple[str, str]]:
+    """The points of a call, as the bits of their coordinates."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    return list(zip(map(float.hex, x.ravel().tolist()), map(float.hex, y.ravel().tolist())))
+
+
+def _grid(xs, ys) -> set[tuple[str, str]]:
+    return set(_bits(np.asarray(xs, dtype=float)[:, None], np.asarray(ys, dtype=float)[None, :]))
+
+
+def _side(r: Rect, side: str, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and midpoints of ``side`` of ``r`` cut into ``count`` cells."""
+    part = Partition1D(r.x_interval if side == "x" else r.y_interval, count)
+    return part.nodes(), part.midpoints()
+
+
+def _enclosure_points(r: Rect, n: int, m: int) -> set[tuple[str, str]]:
+    """The points the lines of an (n, m) enclosure declare."""
+    (xn, xm), (yn, ym) = _side(r, "x", n), _side(r, "y", n)
+    (xfn, xfm), (yfn, yfm) = _side(r, "x", m * n), _side(r, "y", m * n)
+    return _grid(xfm, ym) | _grid(xm, yfm) | _grid(xfn, yn) | _grid(xn, yfn)
 
 
 class TestRect:
@@ -129,12 +153,21 @@ class TestDiscreteEnclosure:
         assert bp.lower <= 2.0 / 3.0 <= bp.upper
 
     def test_reports_actual_eval_count(self):
-        fn, count = counting_fn2d(lambda x, y: x * x + y * y)
-        bp = discrete_enclosure(fn, UNIT2, 3, 2)
-        assert bp.evals == count["n"]
-        # 2n inner-lower integrals at m*n points, (2n+2) upper at m*n+1 points
+        seen = []
+
+        def ev(x, y):
+            seen.extend(_bits(x, y))
+            return x * x + y * y
+
         n, m = 3, 2
+        bp = discrete_enclosure(Fn2D(eval=ev), UNIT2, n, m)
+        # evals is the declared count: 2n inner-lower integrals at m*n
+        # points, (2n+2) upper at m*n+1 points
         assert bp.evals == 2 * n * (m * n) + (2 * n + 2) * (m * n + 1)
+        # the lines share their end points and the nodes of the coarser
+        # partition: each distinct point is evaluated once
+        assert len(seen) == len(set(seen)) == len(_enclosure_points(UNIT2, n, m)) == 76
+        assert set(seen) == _enclosure_points(UNIT2, n, m)
 
     def test_evaluation_error_location(self):
         f = Fn2D(eval=lambda x, y: 1.0 / (x + y))
@@ -340,52 +373,69 @@ class TestPointPlan:
     def test_each_partition_built_once_per_plan(self, monkeypatch):
         built = []
 
-        def counting(iv, n):
-            built.append((iv, n))
-            return Partition1D(iv, n)
+        def counting(counts):
+            built.append(sorted(counts))
+            return Lattice(counts)
 
-        monkeypatch.setattr(hh_bounds.rect, "Partition1D", counting)
+        monkeypatch.setattr(hh_bounds.rect, "Lattice", counting)
         r = Rect(-0.5, 1.5, 0.25, 2.0)
         f = random_coordinate_convex(6, r, 2)
-        plan = PointPlan(f, r)
+        plan = PointPlan()
         finish = [declare_enclosure(plan, 2, 2), declare_enclosure(plan, 4, 1)]
         for n in (1, 2, 4):
             finish += [declare_centerline_bound(plan, n, NestedDiscrete(2)),
                        declare_boundary_bound(plan, n, NestedDiscrete(2)),
                        declare_positive_upper(plan, n, NestedDiscrete(2))]
-        plan.resolve()
-        # cell counts 1, 2, 4 and line counts 2, 4, 8 per side, each built once
-        assert sorted(n for _, n in built) == [1, 1, 2, 2, 4, 4, 8, 8]
-        assert [g() for g in finish[2:5]] == [centerline_bound(f, r, 1, NestedDiscrete(2)),
-                                             boundary_bound(f, r, 1, NestedDiscrete(2)),
-                                             positive_upper(f, r, 1, NestedDiscrete(2))]
-        assert finish[0]() == discrete_enclosure(f, r, 2, 2)
+        values = plan.resolve(f, r)
+        # cell counts 1, 2, 4 and line counts 2, 4, 8, one lattice per side
+        assert built == [[1, 2, 4, 8]] * 2
+        assert [g(values) for g in finish[2:5]] == [centerline_bound(f, r, 1, NestedDiscrete(2)),
+                                                   boundary_bound(f, r, 1, NestedDiscrete(2)),
+                                                   positive_upper(f, r, 1, NestedDiscrete(2))]
+        assert finish[0](values) == discrete_enclosure(f, r, 2, 2)
+        # the plan depends only on what was declared: another rectangle and
+        # function reuse its lattices
+        r2 = Rect(0.0, 1.0, -1.0, 0.5)
+        f2 = random_coordinate_convex(7, r2, 3)
+        built.clear()
+        values = plan.resolve(f2, r2)
+        assert built == []
+        assert finish[1](values) == discrete_enclosure(f2, r2, 4, 1)
 
-    def test_identical_requests_share_a_handle(self):
+    def test_small_plan_evaluates_each_distinct_point_once_in_one_call(self):
+        calls = []
+
+        def ev(x, y):
+            calls.append(_bits(x, y))
+            return np.exp(x - y) + x * x
+
         r = Rect(-0.5, 1.5, 0.25, 2.0)
-        f, count = counting_fn2d(lambda x, y: np.exp(x - y) + x * x)
-        plan = PointPlan(f, r)
-        lines = plan.lines("x", [0.5, 1.0], True, 8)
-        assert plan.lines("x", np.array([0.5, 1.0]), True, 8) == lines
-        others = {plan.lines("y", [0.5, 1.0], True, 8), plan.lines("x", [0.5, 1.0], False, 8),
-                  plan.lines("x", [0.5, 1.0], True, 4), plan.lines("x", [0.5], True, 8)}
-        points = plan.points([[0.0], [1.0]], [0.5, 1.5])
-        assert plan.points(np.array([[0.0], [1.0]]), [0.5, 1.5]) == points
-        # the same coordinates in other shapes are other requests
-        others |= {plan.points([0.0, 1.0], [[0.5], [1.5]]), plan.points([0.0, 1.0], [0.5, 1.5])}
-        assert plan.spot_grid() == plan.spot_grid()
-        assert len(others | {lines, points}) == 8
-        plan.resolve()
-        # each request once: 2 lines of 9 nodes along x and along y, 2 of 8
-        # midpoints, 2 of 5 nodes, 1 of 9 nodes, 2 x 2 points twice, 2 points
-        # and the spot grid
-        assert count["n"] == 2 * 9 + 9 * 2 + 2 * 8 + 2 * 5 + 9 + 4 + 4 + 2 + 33 * 33
+        plan = PointPlan()
+        for n, m in ((1, 1), (2, 2), (3, 2), (4, 1)):
+            declare_enclosure(plan, n, m)
+        declare_boundary_bound(plan, 3, NestedDiscrete(2))
+        declare_positive_upper(plan, 2, NestedDiscrete(1))
+        declare_five_term_chains(plan, NestedDiscrete(4))
+        plan.resolve(Fn2D(eval=ev, positive=True), r)
+        (xn1, _), (yn1, _) = _side(r, "x", 1), _side(r, "y", 1)
+        (xn3, _), (yn3, _) = _side(r, "x", 3), _side(r, "y", 3)
+        (xn6, _), (yn6, _) = _side(r, "x", 6), _side(r, "y", 6)
+        (xn4, xm4), (yn4, ym4) = _side(r, "x", 4), _side(r, "y", 4)
+        (xn2, _), (yn2, _) = _side(r, "x", 2), _side(r, "y", 2)
+        cx, cy = r.center
+        declared = (
+            set().union(*(_enclosure_points(r, n, m) for n, m in ((1, 1), (2, 2), (3, 2), (4, 1))))
+            | _grid(xn6, yn1) | _grid(xn1, yn6) | _grid(xn1, yn3) | _grid(xn3[1:-1], yn1)
+            | _grid(xn2, yn2) | _grid([cx, *xn1], [cy, *yn1]) | _grid(xm4, [cy]) | _grid([cx], ym4)
+            | _grid(xn4, [*yn1, cy]) | _grid([*xn1, cx], yn4))
+        assert len(calls) == 1
+        assert len(calls[0]) == len(set(calls[0]))
+        assert set(calls[0]) == declared
 
-    def test_large_point_request_is_evaluated_alone(self, monkeypatch):
-        # at n=2048 the side points, 2 x 2049, are a request of at least
-        # PACK_POINTS, evaluated on its own as a broadcast block after the
-        # two line requests and before the caps; the same values, flat in one
-        # call with everything else, give the same bits
+    def test_request_above_the_threshold_is_evaluated_in_row_blocks(self, monkeypatch):
+        # at n=2048 the lines and the sides, 2 x 2049 points each, are
+        # requests of at least PACK_POINTS, each evaluated as broadcast row
+        # blocks after the flat call that holds the caps, 2 x 2047 points
         shapes = []
 
         def ev(x, y):
@@ -393,12 +443,19 @@ class TestPointPlan:
             return np.exp(x - y) + x * x
 
         f, r = Fn2D(eval=ev), Rect(-0.5, 1.5, 0.25, 2.0)
-        alone = boundary_bound(f, r, 2048, NestedDiscrete(1))
-        assert shapes == [(2, 2049)] * 3 + [(2 * 2047,)]
+        blocks = boundary_bound(f, r, 2048, NestedDiscrete(1))
+        assert shapes == [(2 * 2047,)] + [(2, 2049)] * 3
+        # with a higher threshold, one flat call at the 2 x 2049 + 2 x 2047
+        # distinct points gives the same values up to the order of the sums
         shapes.clear()
         monkeypatch.setattr(hh_bounds.rect, "PACK_POINTS", 1 << 20)
-        assert boundary_bound(f, r, 2048, NestedDiscrete(1)) == alone
-        assert len(shapes) == 1
+        plan = PointPlan()
+        flat = declare_boundary_bound(plan, 2048, NestedDiscrete(1))(plan.resolve(f, r))
+        assert shapes == [(2 * 2049 + 2 * 2047,)]
+        magnitude = boundary_bound(Fn2D(eval=lambda x, y: np.abs(ev(x, y))), r, 2048,
+                                   NestedDiscrete(1))
+        for got, want, size in zip(flat, blocks, magnitude):
+            assert abs(got - want) <= 1e-15 * size
 
 
 class TestBudget:
@@ -407,8 +464,8 @@ class TestBudget:
                                               (2048, 16, 268_505_090)])
     def test_oversized_enclosure_fails_before_evaluating(self, n, m, points, monkeypatch):
         built = []
-        monkeypatch.setattr(hh_bounds.rect, "Partition1D",
-                            lambda iv, k: built.append(k) or Partition1D(iv, k))
+        monkeypatch.setattr(hh_bounds.rect, "Lattice",
+                            lambda counts: built.append(counts) or Lattice(counts))
         f, count = counting_fn2d(lambda x, y: x * x + y * y)
         with pytest.raises(DomainError, match=f"n={n}, m={m} needs {points} points"):
             discrete_enclosure(f, UNIT2, n, m)
@@ -425,19 +482,21 @@ class TestBudget:
 
 
     def test_oversized_plan_fails_before_evaluating(self, monkeypatch):
-        # the chain's requests have 9, 16, 16, 51 and 51 points: each fits
-        # under a cap of 100, the plan's 143 do not
+        # the chain declares the 9 points of its stencil, 16 on each lower
+        # center line and 51 on each direction's three upper lines: each
+        # request fits under a cap of 100, the plan's 143 do not
         monkeypatch.setattr(hh_bounds.bounds1d, "MAX_POINTS", 100)
         built = []
-        monkeypatch.setattr(hh_bounds.rect, "Partition1D",
-                            lambda iv, k: built.append(k) or Partition1D(iv, k))
+        monkeypatch.setattr(hh_bounds.rect, "Lattice",
+                            lambda counts: built.append(counts) or Lattice(counts))
         f, count = counting_fn2d(lambda x, y: x * y)
         with pytest.raises(DomainError, match="a point plan needs 143 points"):
             five_term_chains(f, UNIT2, NestedDiscrete(16), integral=0.25)
         assert count["n"] == 0 and built == []
         monkeypatch.setattr(hh_bounds.bounds1d, "MAX_POINTS", 143)
         five_term_chains(f, UNIT2, NestedDiscrete(16), integral=0.25)
-        assert count["n"] == 143
+        # the stencil lies on the upper lines, which cross at 9 points
+        assert count["n"] == 143 - 9 - 9
 
 
 class TestAssembly:
@@ -486,3 +545,81 @@ class TestNestingConsistency:
                 assert disc.values[0] <= exact.values[0] + tol
                 assert disc.values[2] >= exact.values[2] - tol
                 assert disc.all_satisfied
+
+
+def _weighted_points(r: Rect, n: int, m: int) -> dict[str, list[tuple[float, float, float]]]:
+    """Every NestedDiscrete output at (n, m) as (weight, x, y) terms, each
+    weight the product of the bound's line weight and the rule's point
+    weight, taken from the formulas of the bounds' docstrings."""
+    lx, ly = r.b - r.a, r.d - r.c
+    cx, cy = r.center
+    (xn, xm), (yn, ym) = _side(r, "x", n), _side(r, "y", n)
+    (xfn, xfm), (yfn, yfm) = _side(r, "x", m * n), _side(r, "y", m * n)
+    (x1n, x1m), (y1n, y1m) = _side(r, "x", m), _side(r, "y", m)
+
+    def ends(k, end=0.5, inner=1.0):
+        return [end if i in (0, k) else inner for i in range(k + 1)]
+
+    def lines(along, at, at_w, pts, pt_w):
+        return [(wa * wp, p, a) if along == "x" else (wa * wp, a, p)
+                for a, wa in zip(at, at_w) for p, wp in zip(pts, pt_w)]
+
+    hx, hy = lx / (m * n), ly / (m * n)
+    out = {
+        "lower": lines("x", ym, [ly / (2 * n)] * n, xfm, [hx] * (m * n))
+        + lines("y", xm, [lx / (2 * n)] * n, yfm, [hy] * (m * n)),
+        "upper": lines("x", yn, [w * ly / (2 * n) for w in ends(n)], xfn,
+                       [w * hx for w in ends(m * n)])
+        + lines("y", xn, [w * lx / (2 * n) for w in ends(n)], yfn,
+                [w * hy for w in ends(m * n)]),
+        "centerline lhs": lines("y", [cx], [1.0], ym, [1.0] * n)
+        + lines("x", [cy], [1.0], xm, [1.0] * n),
+        "centerline rhs": lines("y", [cx], [n / ly], yfm, [hy] * (m * n))
+        + lines("x", [cy], [n / lx], xfm, [hx] * (m * n)),
+        "boundary lhs": lines("y", [r.a, r.b], [n / ly] * 2, yfn, [w * hy for w in ends(m * n)])
+        + lines("x", [r.c, r.d], [n / lx] * 2, xfn, [w * hx for w in ends(m * n)]),
+        "boundary rhs": lines("y", [r.a, r.b], [1.0] * 2, yn, [1.0] * (n + 1))
+        + lines("x", [r.c, r.d], [1.0] * 2, xn[1:-1], [1.0] * (n - 1)),
+        "positive": lines("y", xn, [w * lx / (4 * n) for w in ends(n, n + 1, 2)], yfn,
+                          [w * hy for w in ends(m * n)])
+        + lines("x", yn, [w * ly / (4 * n) for w in ends(n, n + 1, 2)], xfn,
+                [w * hx for w in ends(m * n)]),
+        "center": [(1.0, cx, cy)],
+        "midline_avg": lines("x", [cy], [0.5 / lx], x1m, [lx / m] * m)
+        + lines("y", [cx], [0.5 / ly], y1m, [ly / m] * m),
+        "boundary_avg": lines("x", [r.c, r.d], [0.25 / lx] * 2, x1n,
+                              [w * lx / m for w in ends(m)])
+        + lines("y", [r.a, r.b], [0.25 / ly] * 2, y1n, [w * ly / m for w in ends(m)]),
+        "corner_avg": lines("y", [r.a, r.b], [0.25] * 2, [r.c, r.d], [1.0] * 2),
+        "boundary_midline_avg": lines("x", [r.c, cy, r.d], [0.125 / lx, 0.25 / lx, 0.125 / lx],
+                                      x1n, [w * lx / m for w in ends(m)])
+        + lines("y", [r.a, cx, r.b], [0.125 / ly, 0.25 / ly, 0.125 / ly], y1n,
+                [w * ly / m for w in ends(m)]),
+        "nine_point_avg": lines("y", [r.a, cx, r.b], [0.25, 0.5, 0.25], [r.c, cy, r.d],
+                                [0.25, 0.5, 0.25]),
+    }
+    return out
+
+
+def test_gathered_outputs_match_an_exact_sum_of_their_weighted_points():
+    # each output moves from the exactly rounded sum of its weighted points
+    # by at most 1e-15 times the sum of their magnitudes
+    for index in range(20):
+        r, f, _ = case_instance(17, index)
+        n, m = 1 + index % 4, 1 + index % 3
+        scheme = NestedDiscrete(m)
+        bp = discrete_enclosure(f, r, n, m)
+        classic, refined = five_term_chains(f, r, scheme, integral=0.0)
+        got = {"lower": bp.lower, "upper": bp.upper,
+               **dict(zip(("centerline lhs", "centerline rhs"),
+                          centerline_bound(f, r, n, scheme))),
+               **dict(zip(("boundary lhs", "boundary rhs"), boundary_bound(f, r, n, scheme))),
+               **dict(classic.terms), **dict(refined.terms)}
+        if f.positive:
+            got["positive"] = positive_upper(f, r, n, scheme)
+        del got["mean"]
+        points = _weighted_points(r, n, m)
+        for name, value in got.items():
+            terms = [w * float(f.eval(np.array(x), np.array(y))) for w, x, y in points[name]]
+            exact, size = math.fsum(terms), math.fsum(map(abs, terms))
+            assert abs(value - exact) <= 1e-15 * size, (index, name, value, exact)

@@ -1,12 +1,14 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
 import hh_bounds.verify
-from hh_bounds import DomainError, Fn2D, run_verification
+from hh_bounds import DomainError, Fn2D, Partition1D, run_verification
 from hh_bounds.convexity import GATE_SAMPLES
 from hh_bounds.rect import declare_enclosure
+from hh_bounds.verify import M_VALUES, N_VALUES, case_instance
 
 #: run_verification(40, 7) as computed with the explicit 1024-grid oracle:
 #: (checked, violations) per property.
@@ -36,21 +38,25 @@ def test_six_enclosures_per_case(monkeypatch):
         calls.append((n, m))
         finish = declare_enclosure(plan, n, m)
 
-        def counted():
+        def counted(values):
             finished.append((n, m))
-            return finish()
+            return finish(values)
         return counted
 
     monkeypatch.setattr(hh_bounds.verify, "declare_enclosure", counting)
+    # a plan of its own for each positivity flag, not the one kept from earlier runs
+    plans = functools.cache(hh_bounds.verify._case_plan.__wrapped__)
+    monkeypatch.setattr(hh_bounds.verify, "_case_plan", plans)
     run_verification(3, 7)
     # the equality check reuses the (1, 1) enclosure instead of a seventh
-    expected = [(n, m) for _ in range(3) for n in (1, 2, 4) for m in (1, 2)]
-    assert calls == expected
-    assert finished == expected
+    expected = [(n, m) for n in (1, 2, 4) for m in (1, 2)]
+    assert finished == expected * 3
+    # declared once per plan, not per case
+    assert calls == expected * plans.cache_info().currsize
 
 
-def _counted_cases(monkeypatch, cases, seed, measure, uncounted):
-    """(positive, sum of ``measure(x, y)`` over f's calls) per case of
+def _counted_cases(monkeypatch, cases, seed, uncounted):
+    """(positive, the broadcast points of each of f's calls) per case of
     ``run_verification(cases, seed)``, leaving out the calls made inside
     the ``verify`` functions named in ``uncounted``."""
     per_case = []
@@ -59,11 +65,11 @@ def _counted_cases(monkeypatch, cases, seed, measure, uncounted):
 
     def counted_instance(*args):
         f = make(*args)
-        per_case.append([f.positive, 0])
+        per_case.append([f.positive, []])
 
         def ev(x, y):
             if counting[0]:
-                per_case[-1][1] += measure(x, y)
+                per_case[-1][1].append(np.broadcast_arrays(x, y))
             return f.eval(x, y)
         return Fn2D(eval=ev, positive=f.positive)
 
@@ -84,28 +90,58 @@ def _counted_cases(monkeypatch, cases, seed, measure, uncounted):
 
 
 def test_case_calls_f_at_most_ten_times_outside_the_gate(monkeypatch):
-    per_case = _counted_cases(monkeypatch, 20, 1, lambda x, y: 1,
-                              ["check_coordinate_convexity"])
+    per_case = _counted_cases(monkeypatch, 20, 1, ["check_coordinate_convexity"])
     # every bound's points in one plan, then the oracle's levels
     assert len(per_case) == 20
-    assert max(calls for _, calls in per_case) <= 10
+    assert max(len(calls) for _, calls in per_case) <= 10
 
 
-def test_case_plan_evaluates_each_distinct_request_once(monkeypatch):
-    # Points of a case's plan, bound by bound (m = 16 for the line bounds):
-    # enclosures, 2n lines of mn midpoints and 2n+2 of mn+1 nodes at each
-    # (n, m): 334; centre-line bounds, 34n at n = 1, 2, 4: 238; boundary
-    # bounds, 68n+4: 488; the chains' nine points and lines, less the lower
-    # centre lines the n=1 centre-line bound already declared: 143-32; the
-    # classic terms, n=1 bounds declared before: 0. A positive f adds the
-    # spot grid once, 33^2, and positive_upper's node lines at n = 2, 4,
-    # 2(n+1)(16n+1); its n=1 lines are the n=1 boundary lines: 1,937.
-    plain = 334 + 238 + 488 + 111
-    positive = plain + 33 * 33 + 198 + 650
-    per_case = _counted_cases(monkeypatch, 12, 1, lambda x, y: np.broadcast(x, y).size,
-                              ["check_coordinate_convexity", "reference_integral_2d"])
-    assert {flag for flag, _ in per_case} == {False, True}
-    assert per_case == [(flag, positive if flag else plain) for flag, _ in per_case]
+def _declared_points(r, positive: bool) -> set[tuple[str, str]]:
+    """The points the bounds of a ``verify`` case on ``r`` declare, each as
+    the bits of its coordinates, enumerated from the partitions themselves."""
+    def side(s, count):
+        part = Partition1D(r.x_interval if s == "x" else r.y_interval, count)
+        return part.nodes(), part.midpoints()
+
+    def grid(xs, ys):
+        xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=float)[:, None],
+                                     np.asarray(ys, dtype=float)[None, :])
+        return set(zip(map(float.hex, xs.ravel().tolist()), map(float.hex, ys.ravel().tolist())))
+
+    m = hh_bounds.verify.SCHEME.m
+    (a, b), _ = side("x", 1)
+    (c, d), _ = side("y", 1)
+    cx, cy = r.center
+    out = set()
+    for n in N_VALUES:
+        (xn, xm), (yn, ym) = side("x", n), side("y", n)
+        for k in [mm * n for mm in M_VALUES] + [m * n]:
+            (xkn, xkm), (ykn, ykm) = side("x", k), side("y", k)
+            if k != m * n:  # an enclosure's lines
+                out |= grid(xkm, ym) | grid(xm, ykm) | grid(xkn, yn) | grid(xn, ykn)
+                continue
+            # the centre-line, boundary and positive bounds at n
+            out |= grid([cx], ym) | grid(xm, [cy]) | grid([cx], ykm) | grid(xkm, [cy])
+            out |= grid([a, b], ykn) | grid(xkn, [c, d]) | grid([a, b], yn)
+            out |= grid(xn[1:-1], [c, d])
+            if positive:
+                out |= grid(xn, ykn) | grid(xkn, yn)
+    (xn, xm), (yn, ym) = side("x", m), side("y", m)
+    return (out | grid([a, cx, b], [c, cy, d]) | grid(xm, [cy]) | grid([cx], ym)
+            | grid(xn, [c, cy, d]) | grid([a, cx, b], yn))
+
+
+def test_case_plan_evaluates_each_distinct_point_once(monkeypatch):
+    # one call per case outside the gate and the oracle, at each point the
+    # case's bounds declare, each pair of coordinate bits once
+    calls = _counted_cases(monkeypatch, 50, 1,
+                           ["check_coordinate_convexity", "reference_integral_2d"])
+    assert {flag for flag, _ in calls} == {False, True}
+    for index, (positive, [(xs, ys)]) in enumerate(calls):
+        r, _, _ = case_instance(1, index)
+        seen = list(zip(map(float.hex, xs.ravel().tolist()), map(float.hex, ys.ravel().tolist())))
+        assert len(seen) == len(set(seen)), index
+        assert set(seen) == _declared_points(r, positive), index
 
 
 def _gate_samples(monkeypatch, cases, seed):
@@ -124,11 +160,10 @@ def _gate_samples(monkeypatch, cases, seed):
 
 
 def test_gate_proves_most_cases_from_the_tree(monkeypatch):
-    # 53 of the first 60 cases of seed 1 are proved (337 of 400); the rest
-    # are sampled
+    # every case is proved: a lifted linear atom is nonnegative in exact
+    # rationals, so none is sampled
     seen = _gate_samples(monkeypatch, 60, 1)
-    assert set(seen) == {0, 2 * GATE_SAMPLES}
-    assert seen.count(0) == 53
+    assert seen == [0] * 60
 
 
 def test_cases_without_a_tree_are_sampled(monkeypatch):
