@@ -9,7 +9,6 @@ module, never inside these routines.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -80,11 +79,14 @@ class Lattice:
     Node k of a partition into n cells is lo + k*(hi-lo)/n, computed directly
     from k (no running accumulation) so roundoff cannot drift nodes outside
     the interval; the first and last nodes are pinned to ``lo`` and ``hi``
-    exactly. The index arrays are built once, on construction, where a count
-    below 1 or above MAX_POINTS is a :class:`DomainError`; :meth:`nodes`
-    then computes and checks every partition of an interval in one pass:
-    k*(hi-lo) can overflow on a wide interval, and roundoff can make
-    neighbouring nodes coincide on a narrow one.
+    exactly. A count below 1 or above MAX_POINTS is a :class:`DomainError`
+    on construction, which keeps only the counts and their offsets;
+    :meth:`nodes` then computes and checks every partition of an interval in
+    one pass: k*(hi-lo) can overflow on a wide interval, and roundoff can
+    make neighbouring nodes coincide on a narrow one. A point of the lattice
+    is known by construction, as the two nodes whose mean it is
+    (:meth:`pairs`), and points built alike have the same bits
+    (:meth:`twins`).
     """
 
     def __init__(self, counts):
@@ -93,22 +95,21 @@ class Lattice:
                 raise DomainError(f"partition size must be >= 1, got {n}")
             check_points(f"a partition into {n} cells", n + 1)
         self.counts = tuple(counts)
-        sizes = np.array(self.counts, dtype=np.int64) + 1
-        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
+        self.offsets = np.concatenate(([0], np.cumsum(np.array(self.counts, dtype=np.int64) + 1)))
         self.size = int(self.offsets[-1])
-        self._k = np.arange(self.size) - np.repeat(self.offsets[:-1], sizes)
-        self._n = np.repeat(sizes - 1, sizes)
-        self._ends = np.concatenate((self.offsets[:-1], self.offsets[1:] - 1))
-        # the steps between one partition's last node and the next one's first
-        self._seams = self.offsets[1:-1] - 1
 
-    @functools.cached_property
+    def _indices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per node, its k and the n of its partition."""
+        sizes = np.diff(self.offsets)
+        return (np.arange(self.size) - np.repeat(self.offsets[:-1], sizes),
+                np.repeat(sizes - 1, sizes))
+
     def twins(self) -> np.ndarray:
         """Per node, the first node with its bits by construction: node k of
         n cells has the bits of node 2k of 2n cells, as (2k)*(hi-lo) is
         exactly twice k*(hi-lo) and both quotients round alike, and the
         first and last nodes are pinned."""
-        k, n = self._k, self._n
+        k, n = self._indices()
         low = (k | n) & -(k | n)  # the largest power of two dividing both
         key = np.where(k == 0, -1, np.where(k == n, -2, (n // low) << 32 | k // low))
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
@@ -130,20 +131,23 @@ class Lattice:
     def nodes(self, iv: Interval) -> np.ndarray:
         """The nodes of every partition of ``iv``; a non-finite or coincident
         node is a :class:`DomainError` naming the first partition with one."""
+        k, n = self._indices()
         with np.errstate(all="ignore"):
-            xs = iv.lo + self._k * (iv.hi - iv.lo) / self._n
-        xs[self._ends] = np.repeat([iv.lo, iv.hi], len(self.counts))
+            xs = iv.lo + k * (iv.hi - iv.lo) / n
+        xs[self.offsets[:-1]] = iv.lo
+        xs[self.offsets[1:] - 1] = iv.hi
         rising = np.diff(xs) > 0.0
-        rising[self._seams] = True
+        # the steps between one partition's last node and the next one's first
+        rising[self.offsets[1:-1] - 1] = True
         if not rising.all():
-            for n, start in zip(self.counts, self.offsets):
-                part = xs[start:start + n + 1]
+            for count, start in zip(self.counts, self.offsets):
+                part = xs[start:start + count + 1]
                 if not (np.diff(part) > 0.0).all():
                     # a non-finite node between the finite ends always lands here
                     if not np.isfinite(part).all():
-                        raise DomainError(f"partition of [{iv.lo}, {iv.hi}] into {n} cells "
-                                          "has non-finite nodes")
-                    raise DomainError(f"partition into {n} cells has coincident nodes")
+                        raise DomainError(f"partition of [{iv.lo}, {iv.hi}] into {count} "
+                                          "cells has non-finite nodes")
+                    raise DomainError(f"partition into {count} cells has coincident nodes")
         return xs
 
 

@@ -28,14 +28,15 @@ corners, so :func:`five_term_chains` builds both in one pass, and
 :func:`classic_chain` and :func:`refined_chain` are views of it.
 
 Callbacks receive blocks of points as numpy arrays. A small plan is one flat
-call at the distinct points of its requests of fewer than PACK_POINTS points,
-and each output is one weighted sum of their values. A larger line request
-is evaluated in broadcast ``lines x points per line`` blocks of about
-BLOCK_POINTS points by :func:`bounds1d.line_blocks` (BLOCK_POINTS is
-re-exported here), and its line values enter the same sums. A scalar-only
-callback is called once per point instead, from a C-level loop over
-per-chunk lists of Python floats: a point costs the call plus about 0.1 us,
-against a few ns for a numpy callback.
+call at the points of its requests of fewer than PACK_POINTS points, each
+point by construction once (a midpoint and a finer node with the same bits
+are two points), and each output is one weighted sum of their values. A
+larger line request is evaluated in broadcast ``lines x points per line``
+blocks of about BLOCK_POINTS points by :func:`bounds1d.line_blocks`
+(BLOCK_POINTS is re-exported here), and its line values enter the same sums.
+A scalar-only callback is called once per point instead, from a C-level loop
+over per-chunk lists of Python floats: a point costs the call plus about
+0.1 us, against a few ns for a numpy callback.
 """
 
 from __future__ import annotations
@@ -114,15 +115,15 @@ class Fn2D:
     elementwise, returning the broadcast shape of ``x`` and ``y``; a
     scalar-only callback is called once per point instead, with Python
     floats from per-chunk lists, which costs the call plus about 0.1 us a
-    point (see :func:`bounds1d.evaluate`). A small plan's distinct points
-    come in one call, as two flat arrays of the same shape. A large line
-    request comes as a row of one coordinate and a column of the other, and
-    there a numpy callback whose result has any other shape, such as
-    ``lambda x, y: x * x``, which ignores ``y`` and returns the shape of
-    ``x`` alone, is also called once per point: write ``x * x + 0.0 * y``
-    to keep it array-at-once. Such a result is not broadcast for the
-    caller, because a result of another shape, a 0-d one included, may be a
-    reduction rather than values.
+    point (see :func:`bounds1d.evaluate`). A small plan's points come in one
+    call, each point by construction once, as two flat arrays of the same
+    shape. A large line request comes as a row of one coordinate and a
+    column of the other, and there a numpy callback whose result has any
+    other shape, such as ``lambda x, y: x * x``, which ignores ``y`` and
+    returns the shape of ``x`` alone, is also called once per point: write
+    ``x * x + 0.0 * y`` to keep it array-at-once. Such a result is not
+    broadcast for the caller, because a result of another shape, a 0-d one
+    included, may be a reduction rather than values.
     ``positive`` asserts the range is >= 0 and gates :func:`positive_upper`.
     ``expr``, when given, is an expression tree that computes the same
     function; the convexity gate tries to prove coordinate convexity from it
@@ -299,35 +300,39 @@ class PointPlan:
         """Index and weight arrays for every output, built once per plan.
 
         The requests of fewer than PACK_POINTS points become points, one per
-        pair of coordinates that differ by construction; the others become
-        lines. Each output's entries are a point or a line with its weight,
-        the line's weight times the point's within it.
+        pair of coordinates that differ by construction, each kept as the
+        two nodes per side whose mean it is; the others become lines. Each
+        output's entries are a point or a line with its weight, the line's
+        weight times the point's within it.
         """
         sides = {s: Lattice(self._counts[s]) for s in "xy"}
-        flat, self._lines, codes, size = {}, [], {"x": [], "y": []}, 0
+        flat, self._lines, size = {}, [], 0
         for req in self._requests:
             if isinstance(req, _Lines) and req.size < PACK_POINTS:
-                # points with the same bits by construction get the same code
-                for s, sl, tile in ((req.along, req.pts, True),
-                                    (_OTHER[req.along], req.at, False)):
-                    lo, hi = sides[s].pairs(*sl)
-                    code = sides[s].twins[lo] * sides[s].size + sides[s].twins[hi]
-                    codes[s].append(np.tile(code, len(req.at[1])) if tile
-                                    else np.repeat(code, len(req.pts[1])))
                 flat[req] = size
                 size += req.size
             else:
                 self._lines.append(req)
-        index, self._coords = {}, {}
-        for s, side in sides.items():
-            unique, index[s] = np.unique(np.concatenate(codes[s] or [np.zeros(0, np.int64)]),
-                                         return_inverse=True)
-            self._coords[s] = (unique // side.size, unique % side.size)
-        ny = self._coords["y"][0].size
-        keys, point = np.unique(index["x"] * ny + index["y"], return_inverse=True)
-        self._points_at = {"x": keys // ny, "y": keys % ny}
+        distinct, point, self._pairs = 0, None, {}
+        if flat:
+            codes = {}
+            for s, side in sides.items():
+                # points with the same bits by construction get the same code
+                twins, code = side.twins(), []
+                for req in flat:
+                    along = s == req.along
+                    lo, hi = side.pairs(*(req.pts if along else req.at))
+                    c = twins[lo] * side.size + twins[hi]
+                    code.append(np.tile(c, len(req.at[1])) if along
+                                else np.repeat(c, len(req.pts[1])))
+                codes[s] = np.unique(np.concatenate(code), return_inverse=True)
+            ny = codes["y"][0].size
+            keys, point = np.unique(codes["x"][1] * ny + codes["y"][1], return_inverse=True)
+            distinct = keys.size
+            for s, at in (("x", keys // ny), ("y", keys % ny)):
+                self._pairs[s] = divmod(codes[s][0][at], sides[s].size)
         line_start = dict(zip(self._lines,
-                              np.cumsum([keys.size] + [len(req.at[1]) for req in self._lines])))
+                              np.cumsum([distinct] + [len(req.at[1]) for req in self._lines])))
 
         src, weights, sizes = [], [], [0] * len(self._scales)
         for out, req, w in sorted(self._adds, key=lambda add: add[0]):
@@ -353,10 +358,10 @@ class PointPlan:
 
         Each side's lattice is mapped onto ``r`` in one pass, with
         :class:`bounds1d.Lattice`'s checks. The points are evaluated first,
-        each distinct pair of coordinate bits once, in one call; then each
-        line request in declaration order, a large one in row blocks. An
-        output that overflows comes out infinite, without a warning. The
-        plan's size is checked against ``bounds1d.MAX_POINTS`` again first.
+        each point by construction once, in one call; then each line request
+        in declaration order, a large one in row blocks. An output that
+        overflows comes out infinite, without a warning. The plan's size is
+        checked against ``bounds1d.MAX_POINTS`` again first.
         """
         check_points("a point plan", self._points)
         if self._sides is None:
@@ -364,8 +369,9 @@ class PointPlan:
         ivs = {"x": r.x_interval, "y": r.y_interval}
         nodes = {s: side.nodes(ivs[s]) for s, side in self._sides.items()}
         values = []
-        if self._points_at["x"].size:
-            values.append(_point_values(f, nodes, self._coords, self._points_at))
+        if self._pairs:
+            values.append(evaluate(f.eval, *(0.5 * (nodes[s][lo] + nodes[s][hi])
+                                              for s, (lo, hi) in self._pairs.items())))
         for req in self._lines:
             at = self._sides[_OTHER[req.along]].points(nodes[_OTHER[req.along]], *req.at)
             if isinstance(req, _QuadratureLines):
@@ -379,25 +385,6 @@ class PointPlan:
             sums = np.add.reduceat(values[self._src] * self._weights, self._starts)
             out = sums * np.where(self._by_area, self._scale * r.area, self._scale)
         return _Values(out.tolist(), r.area)
-
-
-def _point_values(f: Fn2D, nodes: dict, coords: dict, points: dict) -> np.ndarray:
-    """f at each of ``points``, a pair of indices into ``coords`` per point,
-    from one call of ``f`` at each distinct pair of coordinate bits: points
-    that differ by construction can still share their bits, such as a
-    midpoint and a node of a finer partition."""
-    values, rank = {}, {}
-    for s, (lo, hi) in coords.items():
-        bits, rank[s] = np.unique((0.5 * (nodes[s][lo] + nodes[s][hi])).view(np.int64),
-                                  return_inverse=True)
-        values[s] = bits.view(float)
-    ny = values["y"].size
-    keys = rank["x"][points["x"]] * ny + rank["y"][points["y"]]
-    ordered = np.sort(keys)
-    point = ...  # every point, when none shares its bits with another
-    if (ordered[1:] == ordered[:-1]).any():
-        keys, point = np.unique(keys, return_inverse=True)
-    return evaluate(f.eval, values["x"][keys // ny], values["y"][keys % ny])[point]
 
 
 @functools.lru_cache(maxsize=64)
@@ -416,15 +403,10 @@ def _resolved(f: Fn2D, r: Rect, declare: Callable, *args) -> Callable:
     return lambda *rest: finish(values, *rest)
 
 
-def _spot_axes(r: Rect) -> tuple[np.ndarray, np.ndarray]:
-    """The x column and the y row whose broadcast is the spot grid of ``r``."""
-    return (np.linspace(r.a, r.b, SPOT_GRID)[:, None],
-            np.linspace(r.c, r.d, SPOT_GRID)[None, :])
-
-
 def spot_minimum(f: Fn2D, r: Rect) -> float:
     """Minimum of f over the SPOT_GRID x SPOT_GRID sample grid of the rectangle."""
-    xs, ys = np.broadcast_arrays(*_spot_axes(r))
+    xs, ys = np.broadcast_arrays(np.linspace(r.a, r.b, SPOT_GRID)[:, None],
+                                 np.linspace(r.c, r.d, SPOT_GRID)[None, :])
     return float(evaluate(f.eval, xs.ravel(), ys.ravel()).min())
 
 

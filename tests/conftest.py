@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hh_bounds import Fn1D, Fn2D
+from hh_bounds import Fn1D, Fn2D, Partition1D
 from hh_bounds.oracle import reference_integral_2d
 from hh_bounds.verify import case_instance
 
@@ -30,6 +30,46 @@ def counting_fn1d(fn, positive=False):
         return fn(t)
 
     return Fn1D(eval=ev, positive=positive), count
+
+
+def _node_built(k: int, n: int) -> tuple[int, int]:
+    """Node k of a side cut into n cells, by how it is built: k/n with the
+    powers of two that k and n share divided out, as node k of n cells is
+    node 2k of 2n cells, and the ends pinned to 0/1 and 1/1. Odd factors
+    stay, as the bits of node 1 of 2 cells and node 3 of 6 need not be equal."""
+    if k in (0, n):
+        return k // n, 1
+    while k % 2 == n % 2 == 0:
+        k, n = k // 2, n // 2
+    return k, n
+
+
+def lattice_side(iv, count: int) -> tuple[list, list]:
+    """The nodes and the midpoints of ``iv`` cut into ``count`` cells, each
+    as (how it is built, the hex of its bits): a node by its reduced k/n
+    twice, a midpoint by the reduced ends of its cell."""
+    part = Partition1D(iv, count)
+    ends = [_node_built(k, count) for k in range(count + 1)]
+    return ([((e, e), x.hex()) for e, x in zip(ends, part.nodes().tolist())],
+            [((lo, hi), x.hex()) for lo, hi, x in zip(ends, ends[1:],
+                                                     part.midpoints().tolist())])
+
+
+def lattice_grid(xs, ys) -> set:
+    """The points of ``xs`` by ``ys``, lists of :func:`lattice_side`, each
+    as ((how x is built, how y is built), (x bits, y bits))."""
+    return {((bx, by), (x, y)) for bx, x in xs for by, y in ys}
+
+
+def assert_each_point_once(seen: list, declared: set, where=None) -> None:
+    """``seen``, the (x bits, y bits) of the points of one call, are the
+    points of ``declared``, a set of :func:`lattice_grid`'s, each point by
+    how it is built once: as many as there are ways, with the same bits.
+    ``where`` names the call in a failure."""
+    bits = dict(declared)
+    assert len(bits) == len(declared), where  # how a point is built fixes its bits
+    assert len(seen) == len(bits), where
+    assert set(seen) == set(bits.values()), where
 
 
 def counting_fn2d(fn, positive=False):

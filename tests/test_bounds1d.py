@@ -13,7 +13,7 @@ from hh_bounds import (BoundPair, DomainError, EvaluationError, Fn1D, Fn2D, Inte
                        positive_upper, spot_minimum, trapezoid_upper)
 import hh_bounds.bounds1d
 import hh_bounds.schemes
-from hh_bounds.bounds1d import MAX_POINTS, SCALAR_CHUNK, evaluate
+from hh_bounds.bounds1d import MAX_POINTS, SCALAR_CHUNK, Lattice, evaluate
 from hh_bounds.convexity import random_convex_1d
 from hh_bounds.expr import eval_ast, parse
 from hh_bounds.oracle import OracleResult, reference_integral_1d, reference_integral_2d
@@ -59,6 +59,19 @@ class TestIntervalPartition:
                 Interval(0.0, 1e308)
         part.nodes()[1] = 1.0
         assert part.nodes()[1] == 0.0
+
+    def test_lattice_keeps_no_array_per_node(self):
+        # a kept plan holds its lattices, which compute each node's k and n
+        # when they are needed, not once for good
+        lattice = Lattice((1 << 20,))
+
+        def largest_held():
+            return max(v.size for v in vars(lattice).values() if isinstance(v, np.ndarray))
+
+        assert largest_held() <= len(lattice.counts) + 1
+        assert lattice.nodes(UNIT)[[1, -2]].tolist() == [2.0 ** -20, 1.0 - 2.0 ** -20]
+        assert lattice.twins().size == (1 << 20) + 1
+        assert largest_held() <= len(lattice.counts) + 1
 
     def test_midpoints_average_nodes(self):
         p = Partition1D(Interval(-1.0, 2.0), 4)

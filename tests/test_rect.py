@@ -20,7 +20,7 @@ from hh_bounds.rect import (BLOCK_POINTS, PointPlan, chain_report, declare_bound
 from hh_bounds.schemes import adaptive_simpson
 from hh_bounds.verify import case_instance
 
-from conftest import counting_fn2d
+from conftest import assert_each_point_once, counting_fn2d, lattice_grid, lattice_side
 
 UNIT2 = Rect(0.0, 1.0, 0.0, 1.0)
 XY = Fn2D(eval=lambda x, y: x * y)
@@ -42,6 +42,20 @@ def _side(r: Rect, side: str, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and midpoints of ``side`` of ``r`` cut into ``count`` cells."""
     part = Partition1D(r.x_interval if side == "x" else r.y_interval, count)
     return part.nodes(), part.midpoints()
+
+
+def _built(r: Rect, side: str, count: int) -> tuple[list, list]:
+    """Nodes and midpoints of ``side`` of ``r`` cut into ``count`` cells, by
+    how they are built (see conftest's ``lattice_side``)."""
+    return lattice_side(r.x_interval if side == "x" else r.y_interval, count)
+
+
+def _enclosure_built(r: Rect, n: int, m: int) -> set:
+    """The points the lines of an (n, m) enclosure declare, by how they are built."""
+    (xn, xm), (yn, ym) = _built(r, "x", n), _built(r, "y", n)
+    (xfn, xfm), (yfn, yfm) = _built(r, "x", m * n), _built(r, "y", m * n)
+    return (lattice_grid(xfm, ym) | lattice_grid(xm, yfm) | lattice_grid(xfn, yn)
+            | lattice_grid(xn, yfn))
 
 
 def _enclosure_points(r: Rect, n: int, m: int) -> set[tuple[str, str]]:
@@ -402,14 +416,16 @@ class TestPointPlan:
         assert built == []
         assert finish[1](values) == discrete_enclosure(f2, r2, 4, 1)
 
-    def test_small_plan_evaluates_each_distinct_point_once_in_one_call(self):
+    @staticmethod
+    def _small_plan_points(r: Rect) -> tuple[list, set]:
+        """The points of each call of one resolve on ``r`` of a plan of
+        small requests, with the points its bounds declare."""
         calls = []
 
         def ev(x, y):
             calls.append(_bits(x, y))
             return np.exp(x - y) + x * x
 
-        r = Rect(-0.5, 1.5, 0.25, 2.0)
         plan = PointPlan()
         for n, m in ((1, 1), (2, 2), (3, 2), (4, 1)):
             declare_enclosure(plan, n, m)
@@ -417,20 +433,34 @@ class TestPointPlan:
         declare_positive_upper(plan, 2, NestedDiscrete(1))
         declare_five_term_chains(plan, NestedDiscrete(4))
         plan.resolve(Fn2D(eval=ev, positive=True), r)
-        (xn1, _), (yn1, _) = _side(r, "x", 1), _side(r, "y", 1)
-        (xn3, _), (yn3, _) = _side(r, "x", 3), _side(r, "y", 3)
-        (xn6, _), (yn6, _) = _side(r, "x", 6), _side(r, "y", 6)
-        (xn4, xm4), (yn4, ym4) = _side(r, "x", 4), _side(r, "y", 4)
-        (xn2, _), (yn2, _) = _side(r, "x", 2), _side(r, "y", 2)
-        cx, cy = r.center
+        (xn1, xm1), (yn1, ym1) = _built(r, "x", 1), _built(r, "y", 1)
+        (xn3, _), (yn3, _) = _built(r, "x", 3), _built(r, "y", 3)
+        (xn6, _), (yn6, _) = _built(r, "x", 6), _built(r, "y", 6)
+        (xn4, xm4), (yn4, ym4) = _built(r, "x", 4), _built(r, "y", 4)
+        (xn2, _), (yn2, _) = _built(r, "x", 2), _built(r, "y", 2)
         declared = (
-            set().union(*(_enclosure_points(r, n, m) for n, m in ((1, 1), (2, 2), (3, 2), (4, 1))))
-            | _grid(xn6, yn1) | _grid(xn1, yn6) | _grid(xn1, yn3) | _grid(xn3[1:-1], yn1)
-            | _grid(xn2, yn2) | _grid([cx, *xn1], [cy, *yn1]) | _grid(xm4, [cy]) | _grid([cx], ym4)
-            | _grid(xn4, [*yn1, cy]) | _grid([*xn1, cx], yn4))
+            set().union(*(_enclosure_built(r, n, m) for n, m in ((1, 1), (2, 2), (3, 2), (4, 1))))
+            | lattice_grid(xn6, yn1) | lattice_grid(xn1, yn6) | lattice_grid(xn1, yn3)
+            | lattice_grid(xn3[1:-1], yn1) | lattice_grid(xn2, yn2)
+            | lattice_grid(xm1 + xn1, ym1 + yn1) | lattice_grid(xm4, ym1)
+            | lattice_grid(xm1, ym4) | lattice_grid(xn4, yn1 + ym1) | lattice_grid(xn1 + xm1, yn4))
+        return calls, declared
+
+    def test_small_plan_evaluates_each_distinct_point_once_in_one_call(self):
+        # one call at the declared points, each point by how it is built
+        # once: a midpoint and a finer node with the same bits are two points
+        calls, declared = self._small_plan_points(Rect(-0.5, 1.5, 0.25, 2.0))
         assert len(calls) == 1
-        assert len(calls[0]) == len(set(calls[0]))
-        assert set(calls[0]) == declared
+        assert_each_point_once(calls[0], declared)
+        assert (len(calls[0]), len(set(calls[0]))) == (148, 132)
+
+    def test_points_built_apart_are_evaluated_apart_where_their_bits_agree(self):
+        # on the unit square 0.5 is exact, so many midpoints share their
+        # bits with finer nodes, and node 1 of 2 cells with node 3 of 6
+        calls, declared = self._small_plan_points(UNIT2)
+        assert len(calls) == 1
+        assert_each_point_once(calls[0], declared)
+        assert len(set(calls[0])) < len(calls[0])
 
     def test_request_above_the_threshold_is_evaluated_in_row_blocks(self, monkeypatch):
         # at n=2048 the lines and the sides, 2 x 2049 points each, are
@@ -495,8 +525,11 @@ class TestBudget:
         assert count["n"] == 0 and built == []
         monkeypatch.setattr(hh_bounds.bounds1d, "MAX_POINTS", 143)
         five_term_chains(f, UNIT2, NestedDiscrete(16), integral=0.25)
-        # the stencil lies on the upper lines, which cross at 9 points
-        assert count["n"] == 143 - 9 - 9
+        # by how they are built, the upper lines along x and along y share
+        # the 4 corners, and the stencil's corners and edge midpoints lie on
+        # them; its center is a midpoint, not node 8 of 16, though on the
+        # unit square their bits agree
+        assert count["n"] == 143 - 4 - 8
 
 
 class TestAssembly:

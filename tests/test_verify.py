@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import hh_bounds.verify
-from hh_bounds import DomainError, Fn2D, Partition1D, run_verification
+from hh_bounds import DomainError, Fn2D, run_verification
 from hh_bounds.convexity import GATE_SAMPLES
 from hh_bounds.rect import declare_enclosure
 from hh_bounds.verify import M_VALUES, N_VALUES, case_instance
+
+from conftest import assert_each_point_once, lattice_grid, lattice_side
 
 #: run_verification(40, 7) as computed with the explicit 1024-grid oracle:
 #: (checked, violations) per property.
@@ -96,22 +98,16 @@ def test_case_calls_f_at_most_ten_times_outside_the_gate(monkeypatch):
     assert max(len(calls) for _, calls in per_case) <= 10
 
 
-def _declared_points(r, positive: bool) -> set[tuple[str, str]]:
-    """The points the bounds of a ``verify`` case on ``r`` declare, each as
-    the bits of its coordinates, enumerated from the partitions themselves."""
+def _declared_points(r, positive: bool) -> set:
+    """The points the bounds of a ``verify`` case on ``r`` declare, by how
+    they are built, enumerated from the partitions themselves (see
+    conftest's ``lattice_grid``)."""
     def side(s, count):
-        part = Partition1D(r.x_interval if s == "x" else r.y_interval, count)
-        return part.nodes(), part.midpoints()
+        return lattice_side(r.x_interval if s == "x" else r.y_interval, count)
 
-    def grid(xs, ys):
-        xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=float)[:, None],
-                                     np.asarray(ys, dtype=float)[None, :])
-        return set(zip(map(float.hex, xs.ravel().tolist()), map(float.hex, ys.ravel().tolist())))
-
+    grid = lattice_grid
     m = hh_bounds.verify.SCHEME.m
-    (a, b), _ = side("x", 1)
-    (c, d), _ = side("y", 1)
-    cx, cy = r.center
+    (ab, cx), (cd, cy) = side("x", 1), side("y", 1)
     out = set()
     for n in N_VALUES:
         (xn, xm), (yn, ym) = side("x", n), side("y", n)
@@ -121,27 +117,26 @@ def _declared_points(r, positive: bool) -> set[tuple[str, str]]:
                 out |= grid(xkm, ym) | grid(xm, ykm) | grid(xkn, yn) | grid(xn, ykn)
                 continue
             # the centre-line, boundary and positive bounds at n
-            out |= grid([cx], ym) | grid(xm, [cy]) | grid([cx], ykm) | grid(xkm, [cy])
-            out |= grid([a, b], ykn) | grid(xkn, [c, d]) | grid([a, b], yn)
-            out |= grid(xn[1:-1], [c, d])
+            out |= grid(cx, ym) | grid(xm, cy) | grid(cx, ykm) | grid(xkm, cy)
+            out |= grid(ab, ykn) | grid(xkn, cd) | grid(ab, yn)
+            out |= grid(xn[1:-1], cd)
             if positive:
                 out |= grid(xn, ykn) | grid(xkn, yn)
     (xn, xm), (yn, ym) = side("x", m), side("y", m)
-    return (out | grid([a, cx, b], [c, cy, d]) | grid(xm, [cy]) | grid([cx], ym)
-            | grid(xn, [c, cy, d]) | grid([a, cx, b], yn))
+    return (out | grid(ab + cx, cd + cy) | grid(xm, cy) | grid(cx, ym)
+            | grid(xn, cd + cy) | grid(ab + cx, yn))
 
 
 def test_case_plan_evaluates_each_distinct_point_once(monkeypatch):
-    # one call per case outside the gate and the oracle, at each point the
-    # case's bounds declare, each pair of coordinate bits once
+    # one call per case outside the gate and the oracle, at the points the
+    # case's bounds declare, each point by how it is built once
     calls = _counted_cases(monkeypatch, 50, 1,
                            ["check_coordinate_convexity", "reference_integral_2d"])
     assert {flag for flag, _ in calls} == {False, True}
     for index, (positive, [(xs, ys)]) in enumerate(calls):
         r, _, _ = case_instance(1, index)
         seen = list(zip(map(float.hex, xs.ravel().tolist()), map(float.hex, ys.ravel().tolist())))
-        assert len(seen) == len(set(seen)), index
-        assert set(seen) == _declared_points(r, positive), index
+        assert_each_point_once(seen, _declared_points(r, positive), index)
 
 
 def _gate_samples(monkeypatch, cases, seed):
