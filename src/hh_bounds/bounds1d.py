@@ -23,6 +23,8 @@ from .errors import DomainError, EvaluationError, PreconditionError
 MACHINE_TOL = 1e-12
 #: Points per evaluated block of lines (whole lines, at least one). Much
 #: smaller blocks pay per-call overhead; much larger ones only add memory.
+#: Each block runs with a ufunc buffer of at most one line (see
+#: :func:`line_blocks`), which changes speed only, never a value.
 BLOCK_POINTS = 1 << 16
 #: Points per chunk a scalar-only callback is fed from, as lists of floats.
 #: The loop over a chunk runs in C; much larger chunks only add memory.
@@ -271,15 +273,31 @@ def line_blocks(ev: Callable, along: str, at: np.ndarray,
     Each block is :func:`evaluate` of a row of ``pts`` against a column of
     the next lines of ``at``, of about BLOCK_POINTS points: an array of
     whole lines by ``pts``, in the order of ``at``.
+
+    Each block runs with a numpy ufunc buffer of at most one line: the
+    line's point count rounded down to a multiple of 16 (numpy's unit), at
+    least 16 and never more than the caller's size, which is put back
+    before the block is yielded. This changes speed only: an elementwise
+    float op gives the same bits whatever the buffer, but a buffer that
+    spans several short lines makes numpy copy the broadcast operands
+    through it, about 4x slower than the same op on contiguous arrays. A
+    callback that reduces within a block, rather than evaluating it
+    elementwise, may see the other buffer in what it computes.
     """
     rows = max(1, BLOCK_POINTS // pts.size)
     run = pts[None, :]
+    line = max(16, pts.size - pts.size % 16)
     for i in range(0, at.size, rows):
         fixed = at[i:i + rows, None]
-        # the last block stays alive while the next is evaluated: freed
-        # first, glibc trims the heap top and faults it back in (about
-        # 60% more minor faults per enclosure at n=128, m=16)
-        block = evaluate(ev, run, fixed) if along == "x" else evaluate(ev, fixed, run)
+        caller = np.getbufsize()
+        np.setbufsize(min(line, caller))
+        try:
+            # the last block stays alive while the next is evaluated: freed
+            # first, glibc trims the heap top and faults it back in (about
+            # 60% more minor faults per enclosure at n=128, m=16)
+            block = evaluate(ev, run, fixed) if along == "x" else evaluate(ev, fixed, run)
+        finally:
+            np.setbufsize(caller)
         yield block
 
 

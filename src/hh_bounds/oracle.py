@@ -19,7 +19,8 @@ row i holds f along the line x = x_i, at the y nodes. So an evaluation
 holds the level array plus one block of temporaries, not a full-grid
 temporary per operation of the integrand. Evaluation is elementwise, so
 the values, and the first failing point in row-major order, are those of
-one full-grid block.
+one full-grid block; each block runs with a ufunc buffer of at most one
+line, which changes speed only.
 """
 
 from __future__ import annotations

@@ -34,6 +34,8 @@ are two points), and each output is one weighted sum of their values. A
 larger line request is evaluated in broadcast ``lines x points per line``
 blocks of about BLOCK_POINTS points by :func:`bounds1d.line_blocks`
 (BLOCK_POINTS is re-exported here), and its line values enter the same sums.
+Each block runs with a numpy ufunc buffer of at most one line, which changes
+speed only: an elementwise callback gives the same bits at any buffer size.
 A scalar-only callback is called once per point instead, from a C-level loop
 over per-chunk lists of Python floats: a point costs the call plus about
 0.1 us, against a few ns for a numpy callback.
@@ -123,7 +125,10 @@ class Fn2D:
     returns the shape of ``x`` alone, is also called once per point: write
     ``x * x + 0.0 * y`` to keep it array-at-once. Such a result is not
     broadcast for the caller, because a result of another shape, a 0-d one
-    included, may be a reduction rather than values.
+    included, may be a reduction rather than values. A row block runs with
+    a ufunc buffer of at most one line (see :func:`bounds1d.line_blocks`):
+    elementwise values do not depend on it, but a callback that reduces
+    within a block may see the other buffer.
     ``positive`` asserts the range is >= 0 and gates :func:`positive_upper`.
     ``expr``, when given, is an expression tree that computes the same
     function; the convexity gate tries to prove coordinate convexity from it

@@ -13,7 +13,7 @@ from hh_bounds import (BoundPair, DomainError, EvaluationError, Fn1D, Fn2D, Inte
                        positive_upper, spot_minimum, trapezoid_upper)
 import hh_bounds.bounds1d
 import hh_bounds.schemes
-from hh_bounds.bounds1d import MAX_POINTS, SCALAR_CHUNK, Lattice, evaluate
+from hh_bounds.bounds1d import MAX_POINTS, SCALAR_CHUNK, Lattice, evaluate, line_blocks
 from hh_bounds.convexity import random_convex_1d
 from hh_bounds.expr import eval_ast, parse
 from hh_bounds.oracle import OracleResult, reference_integral_1d, reference_integral_2d
@@ -390,6 +390,98 @@ def test_array_callback_is_called_per_block_never_per_point(run, calls, monkeypa
     # one call per pack, block or oracle level block, as before the chunked fallback
     assert len(seen) == calls
     assert set(seen) == {(np.ndarray, np.ndarray)}
+
+
+#: A caller's ufunc buffer size other than numpy's default of 8,192.
+CALLER_BUFSIZE = 4096
+
+
+@pytest.fixture
+def caller_bufsize():
+    """The caller's ufunc buffer set to CALLER_BUFSIZE for one test."""
+    caller = np.setbufsize(CALLER_BUFSIZE)
+    try:
+        yield CALLER_BUFSIZE
+    finally:
+        np.setbufsize(caller)
+
+
+def _buffer_seen(seen):
+    """A callback recording each call's shapes and ufunc buffer size."""
+    def ev(x, y):
+        seen.append((np.shape(x), np.shape(y), np.getbufsize()))
+        return np.exp(0.5 * x) + y * y + np.abs(x - 0.2)
+
+    return Fn2D(eval=ev)
+
+
+@pytest.mark.parametrize("run", [
+    lambda f: reference_integral_2d(f, _GATE_RECT, 1024),
+    lambda f: discrete_enclosure(f, _GATE_RECT, 128, 16),
+], ids=["oracle", "enclosure_blocks"])
+def test_row_blocks_run_with_a_buffer_of_at_most_one_line(run):
+    caller = np.getbufsize()
+    seen = []
+    run(_buffer_seen(seen))
+    # a block is a column of lines against a row of points; its line is the row
+    blocks = [(max(sx[-1], sy[-1]), size) for sx, sy, size in seen if len(sx) == 2]
+    # at the caller's size, a buffer would span several lines
+    assert blocks and all(line < caller for line, _ in blocks)
+    for line, size in blocks:
+        assert size % 16 == 0 and 16 <= size <= line
+    assert np.getbufsize() == caller
+
+
+@pytest.mark.parametrize("run", [
+    lambda f: check_coordinate_convexity(f, _GATE_RECT),
+    lambda f: spot_minimum(f, _GATE_RECT),
+    lambda f: discrete_enclosure(f, _GATE_RECT, 4),
+], ids=["gate", "spot_grid", "plan_flat_call"])
+def test_flat_evaluations_see_the_callers_buffer(run, caller_bufsize):
+    seen = []
+    run(_buffer_seen(seen))
+    assert seen and all(len(sx) == 1 for sx, _, _ in seen)
+    assert {size for _, _, size in seen} == {caller_bufsize}
+
+
+def test_row_block_buffer_is_at_least_16_and_at_most_the_callers():
+    seen = []
+    f = _buffer_seen(seen)
+    caller = np.setbufsize(64)
+    try:
+        list(line_blocks(f.eval, "x", np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 1025)))
+        list(line_blocks(f.eval, "y", np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 5)))
+        assert np.getbufsize() == 64
+    finally:
+        np.setbufsize(caller)
+    assert [size for _, _, size in seen] == [64, 16]
+
+
+def _oracle_of_non_finite():
+    f = Fn2D(eval=lambda x, y: np.where(x + y > 1.5, np.inf, x + y))
+    with pytest.raises(EvaluationError) as got:
+        reference_integral_2d(f, _GATE_RECT, 1024)
+    assert got.value.where is not None
+
+
+def _first_block_then_close():
+    blocks = line_blocks(lambda x, y: x + y, "y", np.linspace(0.0, 1.0, 200),
+                         np.linspace(0.0, 1.0, 1025))
+    assert next(blocks).shape == (63, 1025)
+    # put back before the block is yielded, not when the generator resumes
+    assert np.getbufsize() == CALLER_BUFSIZE
+    blocks.close()
+
+
+@pytest.mark.parametrize("run", [
+    lambda: reference_integral_2d(Fn2D(eval=lambda x, y: x * x + y * y), _GATE_RECT, 1024),
+    _oracle_of_non_finite,
+    lambda: reference_integral_2d(Fn2D(eval=lambda x, y: math.exp(x) + y * y), _GATE_RECT, 64),
+    _first_block_then_close,
+], ids=["oracle", "non_finite_block", "scalar_only", "generator_closed"])
+def test_callers_buffer_is_back_after_row_blocks(run, caller_bufsize):
+    run()
+    assert np.getbufsize() == caller_bufsize
 
 
 @pytest.mark.parametrize("size", [MAX_POINTS, 2**31, 2**40])

@@ -621,3 +621,19 @@ def test_bounds_and_converge_byte_stable():
         a, b = run_cli(*args), run_cli(*args)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", *MULTITERM, "--n", "8"],
+    ["chain", *MULTITERM],
+    ["converge", *MULTITERM, "--n", "1:16"],
+    ["verify", "--cases", "20", "--seed", "1", "--output", "json"],
+], ids=["bounds", "chain", "converge", "verify"])
+def test_cli_puts_the_callers_ufunc_buffer_back(argv, capsys):
+    # row blocks run with a buffer of at most one line, set and put back inside
+    caller = np.setbufsize(4096)
+    try:
+        assert main(argv) == 0
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(caller)
