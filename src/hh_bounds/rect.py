@@ -36,9 +36,13 @@ blocks of about BLOCK_POINTS points by :func:`bounds1d.line_blocks`
 (BLOCK_POINTS is re-exported here), and its line values enter the same sums.
 Each block runs with a numpy ufunc buffer of at most one line, which changes
 speed only: an elementwise callback gives the same bits at any buffer size.
-A scalar-only callback is called once per point instead, from a C-level loop
-over per-chunk lists of Python floats: a point costs the call plus about
-0.1 us, against a few ns for a numpy callback.
+Under Quadrature a plan's line requests become one list of distinct lines, a
+line known by its direction, its point on the other side by construction
+and its tolerance, so the center lines the two chains share are one line
+each; :func:`schemes.simpson_lines` refines them all together, one call per
+Simpson depth. A scalar-only callback is called once per point instead,
+from a C-level loop over per-chunk lists of Python floats: a point costs
+the call plus about 0.1 us, against a few ns for a numpy callback.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from .bounds1d import BLOCK_POINTS, midpoint_lower, trapezoid_upper  # noqa: F40
 from .errors import DomainError, EvaluationError, PreconditionError
 from .expr import Node
 from .oracle import reference_integral_2d
-from .schemes import InnerScheme, NestedDiscrete, adaptive_simpson
+from .schemes import InnerScheme, NestedDiscrete, simpson_lines
 
 #: Points per side of the grid sampled by positivity spot checks.
 SPOT_GRID = 33
@@ -119,16 +123,18 @@ class Fn2D:
     floats from per-chunk lists, which costs the call plus about 0.1 us a
     point (see :func:`bounds1d.evaluate`). A small plan's points come in one
     call, each point by construction once, as two flat arrays of the same
-    shape. A large line request comes as a row of one coordinate and a
-    column of the other, and there a numpy callback whose result has any
-    other shape, such as ``lambda x, y: x * x``, which ignores ``y`` and
-    returns the shape of ``x`` alone, is also called once per point: write
-    ``x * x + 0.0 * y`` to keep it array-at-once. Such a result is not
-    broadcast for the caller, because a result of another shape, a 0-d one
-    included, may be a reduction rather than values. A row block runs with
-    a ufunc buffer of at most one line (see :func:`bounds1d.line_blocks`):
-    elementwise values do not depend on it, but a callback that reduces
-    within a block may see the other buffer.
+    shape, and so do quadrature lines, one call per Simpson depth for all
+    the lines still open there, both directions mixed. A large line request
+    comes as a row of one coordinate and a column of the other, and there a
+    numpy callback whose result has any other shape, such as
+    ``lambda x, y: x * x``, which ignores ``y`` and returns the shape of
+    ``x`` alone, is also called once per point: write ``x * x + 0.0 * y`` to
+    keep it array-at-once. Such a result is not broadcast for the caller,
+    because a result of another shape, a 0-d one included, may be a
+    reduction rather than values. A row block runs with a ufunc buffer of at
+    most one line (see :func:`bounds1d.line_blocks`): elementwise values do
+    not depend on it, but a callback that reduces within a block may see the
+    other buffer.
     ``positive`` asserts the range is >= 0 and gates :func:`positive_upper`.
     ``expr``, when given, is an expression tree that computes the same
     function; the convexity gate tries to prove coordinate convexity from it
@@ -232,20 +238,6 @@ class _QuadratureLines(NamedTuple):
     tol: float
     size = math.inf
 
-    def evaluate(self, f: Fn2D, at: np.ndarray, iv: Interval) -> np.ndarray:
-        out = np.empty(at.size)
-        for i, t in enumerate(at):
-            def ev(s, t=t):
-                return evaluate(f.eval, s, t) if self.along == "x" else evaluate(f.eval, t, s)
-            try:
-                out[i] = adaptive_simpson(ev, iv.lo, iv.hi, self.tol)
-            except EvaluationError as exc:
-                if exc.where is not None:
-                    raise
-                raise EvaluationError(f"line along {self.along} at {_OTHER[self.along]}="
-                                      f"{float(t)!r}: {exc}") from exc
-        return out / iv.length
-
 
 class _Values(list):
     """The values of a plan's outputs for one f and rectangle, in
@@ -306,28 +298,40 @@ class PointPlan:
 
         The requests of fewer than PACK_POINTS points become points, one per
         pair of coordinates that differ by construction, each kept as the
-        two nodes per side whose mean it is; the others become lines. Each
-        output's entries are a point or a line with its weight, the line's
-        weight times the point's within it.
+        two nodes per side whose mean it is; the quadrature requests become
+        one list of distinct lines, a line known by its direction, its
+        point on the other side by construction and its tolerance; the
+        others stay line requests, kept with their place in the declaration
+        order. Each output's entries are a point or a line with its weight,
+        the line's weight times the point's within it.
         """
         sides = {s: Lattice(self._counts[s]) for s in "xy"}
-        flat, self._lines, size = {}, [], 0
-        for req in self._requests:
-            if isinstance(req, _Lines) and req.size < PACK_POINTS:
+        # points with the same bits by construction get the same code
+        twins = {s: side.twins() for s, side in sides.items()}
+        flat, quad, tols, self._lines, size = {}, {}, {}, [], 0
+        for pos, req in enumerate(self._requests):
+            if isinstance(req, _QuadratureLines):
+                # per line: along x, its point on the other side as two nodes
+                # of both sides' lattices, its tolerance and its request
+                s = _OTHER[req.along]
+                offset = 0 if s == "x" else sides["x"].size
+                lo, hi = (twins[s][p] + offset for p in sides[s].pairs(*req.at))
+                quad[req] = np.stack(np.broadcast_arrays(
+                    req.along == "x", lo, hi, tols.setdefault(req.tol, len(tols)), pos), axis=1)
+            elif req.size < PACK_POINTS:
                 flat[req] = size
                 size += req.size
             else:
-                self._lines.append(req)
+                self._lines.append((pos, req))
         distinct, point, self._pairs = 0, None, {}
         if flat:
             codes = {}
             for s, side in sides.items():
-                # points with the same bits by construction get the same code
-                twins, code = side.twins(), []
+                code = []
                 for req in flat:
                     along = s == req.along
                     lo, hi = side.pairs(*(req.pts if along else req.at))
-                    c = twins[lo] * side.size + twins[hi]
+                    c = twins[s][lo] * side.size + twins[s][hi]
                     code.append(np.tile(c, len(req.at[1])) if along
                                 else np.repeat(c, len(req.pts[1])))
                 codes[s] = np.unique(np.concatenate(code), return_inverse=True)
@@ -336,8 +340,22 @@ class PointPlan:
             distinct = keys.size
             for s, at in (("x", keys // ny), ("y", keys % ny)):
                 self._pairs[s] = divmod(codes[s][0][at], sides[s].size)
-        line_start = dict(zip(self._lines,
-                              np.cumsum([distinct] + [len(req.at[1]) for req in self._lines])))
+        starts = np.cumsum([distinct] + [len(req.at[1]) for _, req in self._lines])
+        line_start = dict(zip((req for _, req in self._lines), starts))
+        self._quad = None
+        if quad:
+            # the distinct lines, in the order of their first request
+            keys = np.concatenate(list(quad.values()))
+            _, first, inverse = np.unique(keys[:, :4], axis=0, return_index=True,
+                                          return_inverse=True)
+            order = np.argsort(first)
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size)
+            line = starts[-1] + rank[inverse.ravel()]  # per declared line, its value's index
+            ends = np.cumsum([len(k) for k in quad.values()])[:-1]
+            quad = dict(zip(quad, np.split(line, ends)))
+            along_x, lo, hi, tol, pos = keys[first[order]].T
+            self._quad = (along_x == 1, lo, hi, np.array(list(tols))[tol], pos)
 
         src, weights, sizes = [], [], [0] * len(self._scales)
         for out, req, w in sorted(self._adds, key=lambda add: add[0]):
@@ -347,6 +365,9 @@ class PointPlan:
                 weights.append(np.outer(line_w, np.ones(len(req.pts[1]))))
                 if req.trap:
                     weights[-1][:, [0, -1]] *= 0.5
+            elif req in quad:
+                src.append(quad[req])
+                weights.append(line_w)
             else:
                 src.append(line_start[req] + np.arange(line_w.size))
                 weights.append(line_w)
@@ -363,10 +384,14 @@ class PointPlan:
 
         Each side's lattice is mapped onto ``r`` in one pass, with
         :class:`bounds1d.Lattice`'s checks. The points are evaluated first,
-        each point by construction once, in one call; then each line request
-        in declaration order, a large one in row blocks. An output that
-        overflows comes out infinite, without a warning. The plan's size is
-        checked against ``bounds1d.MAX_POINTS`` again first.
+        each point by construction once, in one call; then the distinct
+        quadrature lines, all refined together by
+        :func:`schemes.simpson_lines`; then each large line request in
+        declaration order, in row blocks. A
+        failure is the one the first failing request in declaration order
+        raises. An output that overflows comes out infinite, without a
+        warning. The plan's size is checked against ``bounds1d.MAX_POINTS``
+        again first.
         """
         check_points("a point plan", self._points)
         if self._sides is None:
@@ -377,19 +402,51 @@ class PointPlan:
         if self._pairs:
             values.append(evaluate(f.eval, *(0.5 * (nodes[s][lo] + nodes[s][hi])
                                               for s, (lo, hi) in self._pairs.items())))
-        for req in self._lines:
+        quad, failed = self._quadrature(f, r, nodes) if self._quad else (None, None)
+        for pos, req in self._lines:
+            if failed is not None and failed[0] < pos:
+                raise failed[1]
             at = self._sides[_OTHER[req.along]].points(nodes[_OTHER[req.along]], *req.at)
-            if isinstance(req, _QuadratureLines):
-                values.append(req.evaluate(f, at, ivs[req.along]))
-            else:
-                run = self._sides[req.along].points(nodes[req.along], *req.pts)
-                rule = trapezoid_sum if req.trap else midpoint_sum
-                values += [rule(block, 1.0) for block in line_blocks(f.eval, req.along, at, run)]
+            run = self._sides[req.along].points(nodes[req.along], *req.pts)
+            rule = trapezoid_sum if req.trap else midpoint_sum
+            values += [rule(block, 1.0) for block in line_blocks(f.eval, req.along, at, run)]
+        if failed is not None:
+            raise failed[1]
+        if quad is not None:
+            values.append(quad)
         values = np.concatenate(values) if len(values) > 1 else values[0]
         with np.errstate(all="ignore"):
             sums = np.add.reduceat(values[self._src] * self._weights, self._starts)
             out = sums * np.where(self._by_area, self._scale * r.area, self._scale)
         return _Values(out.tolist(), r.area)
+
+    def _quadrature(self, f: Fn2D, r: Rect, nodes: dict[str, np.ndarray]
+                    ) -> tuple[np.ndarray | None, tuple[int, EvaluationError] | None]:
+        """The mean of ``f`` along each distinct quadrature line and None,
+        or None and the place in the declaration order of the first failing
+        line's first request with its error, which names the line unless it
+        names a point. The lines' points come to ``f`` as two flat arrays
+        that mix both directions."""
+        along_x, lo, hi, tol, first = self._quad
+        ends = np.concatenate([nodes["x"], nodes["y"]])
+        t = 0.5 * (ends[lo] + ends[hi])
+        a, b = np.where(along_x, r.a, r.c), np.where(along_x, r.b, r.d)
+
+        def fn(line, s):
+            x_line, at = along_x[line], t[line]
+            return evaluate(f.eval, np.where(x_line, s, at), np.where(x_line, at, s))
+
+        values, failure = simpson_lines(fn, a, b, tol)
+        if failure is None:
+            return values / (b - a), None
+        i, exc = failure
+        if exc.where is None:
+            along = "x" if along_x[i] else "y"
+            named = EvaluationError(f"line along {along} at {_OTHER[along]}="
+                                    f"{float(t[i])!r}: {exc}")
+            named.__cause__ = exc
+            exc = named
+        return None, (first[i], exc)
 
 
 @functools.lru_cache(maxsize=64)
@@ -423,7 +480,14 @@ def with_positivity(ev: Callable, r: Rect, expr: Node | None = None) -> Fn2D:
 
 def _line_count(scheme: InnerScheme, cells: int) -> int:
     """What a line's value is divided by to give its mean: a NestedDiscrete
-    line's subintervals (its rule is at unit spacing), or 1 (Quadrature)."""
+    line's subintervals (its rule is at unit spacing), or 1 (Quadrature).
+
+    Every bound declares its partition into ``cells`` cells through here,
+    so this is where a partition size ``n`` below 1 is a
+    :class:`DomainError`, before any line is added or f is called.
+    """
+    if cells < 1:
+        raise DomainError(f"n must be >= 1, got {cells}")
     return scheme.m * cells if isinstance(scheme, NestedDiscrete) else 1
 
 
@@ -435,8 +499,9 @@ def _lines(plan: PointPlan, out: int, along: str, at: tuple, upper: bool,
     mean. ``upper`` marks integrals that must stay above their true value.
     In NestedDiscrete mode those get the composite trapezoid value, the
     others the composite midpoint value, on m * ``cells`` subintervals.
-    Quadrature resolves each line with adaptive Simpson in the plan's turn,
-    one refinement level per evaluation.
+    Quadrature resolves each line with adaptive Simpson, a line declared
+    twice once, all of the plan's lines together (see
+    :meth:`PointPlan.resolve`).
     """
     if isinstance(scheme, NestedDiscrete):
         count = scheme.m * cells
@@ -629,7 +694,8 @@ def five_term_chains(f: Fn2D, r: Rect, scheme: InnerScheme = NestedDiscrete(),
 
     Each shared piece is resolved once: the nine points, the lower center
     lines and, per direction, the boundary lines with the upper center
-    line, all in one plan, then the oracle (unless ``integral`` is given).
+    line (under Quadrature the lower one), all in one plan, then the oracle
+    (unless ``integral`` is given).
     """
     finish = _resolved(f, r, declare_five_term_chains, scheme)
     return finish(_integral(f, r, integral))

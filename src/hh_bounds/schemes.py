@@ -8,9 +8,12 @@ a partition into n cells resolves each line integral with m*n subintervals
 and the enclosure keeps its O(1/n^2) decay as n grows.
 
 Quadrature resolves every integral with adaptive Simpson instead. Simpson's
-error is not one-sided, so this mode is diagnostic, not certified. The
-refinement goes one level at a time, and each level's new points are
-evaluated in one call, so array-capable callbacks are not called per point.
+error is not one-sided, so this mode is diagnostic, not certified.
+:func:`simpson_lines` refines many lines together, one depth at a time:
+each depth's new points, on all the lines still open there, are evaluated
+in one call, so a plan's lines cost one call per depth, not one per line
+and depth. Each line gets the bits, and a failing line the error, that
+:func:`adaptive_simpson`, its one-line case, gives it alone.
 """
 
 from __future__ import annotations
@@ -45,9 +48,9 @@ class Quadrature:
 InnerScheme = Union[NestedDiscrete, Quadrature]
 
 _MAX_DEPTH = 48
-#: Widest level refined in one piece. A wider level is split in halves, each
-#: refined on its own, so memory stays bounded as the depth cap bounds a
-#: depth-first stack.
+#: Widest level refined in one piece, in subintervals (a batch's first level
+#: in lines). A wider level is split in halves, each refined on its own, so
+#: memory stays bounded as the depth cap bounds a depth-first stack.
 _LEVEL_NODES = 1024
 #: Most subintervals one line may refine, over all depths. The most any test
 #: or benchmark input refines is 1,963; a tolerance that cannot be met (such
@@ -56,56 +59,168 @@ MAX_SUBINTERVALS = 1 << 18
 
 
 def adaptive_simpson(fn, lo: float, hi: float, tol: float) -> float:
-    """Adaptive Simpson with the standard |S2 - S1|/15 acceptance test.
+    """Adaptive Simpson with the standard |S2 - S1|/15 acceptance test: the
+    one-line case of :func:`simpson_lines`, with ``fn`` evaluated through
+    :func:`evaluate`.
 
-    The refinement runs level by level: ``fn`` is evaluated through
-    :func:`evaluate` once at the ends and the midpoint, then once per depth
-    at the two quarter points of every subinterval still open there (a
-    level wider than ``_LEVEL_NODES`` subintervals is refined in halves). Each
-    subinterval's arithmetic, and the tree in which a split subinterval's
-    value is the sum of its halves, are those of the depth-first recursion.
     Depth is capped; a subinterval that still disagrees at the cap keeps its
     refined estimate, which is adequate for this diagnostic use. Refining
     more than ``MAX_SUBINTERVALS`` subintervals in all is an
     :class:`EvaluationError`, raised before their points are evaluated.
     """
+    values, failure = simpson_lines(lambda line, s: evaluate(fn, s), np.array([lo], float),
+                                    np.array([hi], float), tol)
+    if failure is not None:
+        raise failure[1]
+    return float(values[0])
+
+
+class _Refinement:
+    """What the lines of one batch still may do: ``budget[i]`` counts the
+    subintervals line i may still refine, and lines from ``stop`` on, the
+    first failed line and those after it, no longer refine."""
+
+    def __init__(self, count: int):
+        self.budget = np.full(count, MAX_SUBINTERVALS)
+        self.stop = count
+        self.error = None
+
+    def rows(self, line: np.ndarray) -> int:
+        """How many of the rows of ``line`` (sorted) belong to lines before ``stop``."""
+        return len(line) if self.stop == len(self.budget) else int(
+            np.searchsorted(line, self.stop))
+
+    def fail(self, line: int, exc: EvaluationError) -> None:
+        self.stop, self.error = line, exc
+
+    def evaluate(self, fn, line: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """``fn(line, s)`` in one call. If that raises an
+        :class:`EvaluationError`, the points are evaluated again line by
+        line up to the first line that raises, which fails; the values of
+        the lines before it are returned. No points, no call."""
+        if not line.size:
+            return s
+        try:
+            return fn(line, s)
+        except EvaluationError as exc:
+            if line[0] == line[-1]:
+                self.fail(int(line[0]), exc)
+                return s[:0]
+            values = []
+            for run in np.split(np.arange(len(line)), np.flatnonzero(np.diff(line)) + 1):
+                try:
+                    values.append(fn(line[run], s[run]))
+                except EvaluationError as exc:
+                    self.fail(int(line[run[0]]), exc)
+                    break
+            return np.concatenate(values) if values else s[:0]
+
+
+def simpson_lines(fn, lo: np.ndarray, hi: np.ndarray, tol
+                  ) -> tuple[np.ndarray, tuple[int, EvaluationError] | None]:
+    """Adaptive Simpson on many lines at once: line i over [lo[i], hi[i]]
+    to ``tol`` (one for all, or one per line).
+
+    ``fn(line, s)`` returns the values of the lines ``line`` at the points
+    ``s``, two flat arrays of the same shape, as a float array of that shape
+    (through :func:`evaluate`). The refinement runs level by level: ``fn`` is
+    called once at every line's ends and midpoint, then once per depth at
+    the two quarter points of every subinterval of every line still open
+    there, the points in line order. A level wider than ``_LEVEL_NODES``
+    subintervals (the first, wider than ``_LEVEL_NODES`` lines) is refined
+    in halves. Each subinterval's arithmetic, the halving of the tolerance
+    per depth, the depth cap, and the tree in which a split subinterval's
+    value is the sum of its halves, are those of the depth-first recursion.
+
+    Returns the lines' values and None, or, if a line fails, an array of no
+    use and ``(i, error)`` for the first line i that fails, with the error
+    it raises when refined alone. A line fails when ``fn`` raises an
+    :class:`EvaluationError` at its points, or when it would refine more
+    than ``MAX_SUBINTERVALS`` subintervals in all, checked before their
+    points are evaluated. Once line i fails, only the lines before it keep
+    refining, so the lines after the first failing one are not refined to
+    the end. The failing line is then refined again alone, on this error
+    path only: alone it meets its failures in the order
+    :func:`adaptive_simpson` does, which decides the one it reports.
+    """
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), lo.shape)
+    state = _Refinement(len(lo))
+    values = _start(fn, np.arange(len(lo)), lo, hi, tol, state)
+    if state.error is None:
+        return values, None
+    i = state.stop
+    if len(lo) > 1:
+        _, alone = simpson_lines(lambda line, s: fn(line + i, s), lo[i:i + 1], hi[i:i + 1],
+                                 tol[i:i + 1])
+        if alone is not None:
+            return values, (i, alone[1])
+    return values, (i, state.error)
+
+
+def _start(fn, line: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray,
+           state: _Refinement) -> np.ndarray:
+    """The values of the lines ``line`` over [lo, hi], from their ends and
+    midpoint on; ``tol[i]`` is line i's tolerance."""
+    out = np.zeros(len(line))
+    k = state.rows(line)
+    if k > _LEVEL_NODES:
+        h = k // 2
+        out[:h] = _start(fn, line[:h], lo[:h], hi[:h], tol, state)
+        out[h:k] = _start(fn, line[h:k], lo[h:k], hi[h:k], tol, state)
+        return out
+    line, lo, hi = line[:k], lo[:k], hi[:k]
     m = 0.5 * (lo + hi)
-    fa, fb, fm = evaluate(fn, np.array([lo, hi, m])).tolist()
-    whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
-    return float(_refine(fn, np.array([[lo, m, hi]]), np.array([[fa, fm, fb]]),
-                         np.array([whole]), tol, 0, [MAX_SUBINTERVALS])[0])
+    ends = state.evaluate(fn, np.repeat(line, 3), np.stack([lo, hi, m], axis=1).ravel())
+    k = ends.size // 3
+    fa, fb, fm = ends.reshape(k, 3).T
+    whole = (hi[:k] - lo[:k]) / 6.0 * (fa + 4.0 * fm + fb)
+    out[:k] = _refine(fn, line[:k], np.stack([lo, m, hi], axis=1)[:k],
+                      np.stack([fa, fm, fb], axis=1), whole, tol[line[:k]], 0, state)
+    return out
 
 
-def _refine(fn, t: np.ndarray, ft: np.ndarray, whole: np.ndarray, tol: float,
-            depth: int, budget: list[int]) -> np.ndarray:
+def _refine(fn, line: np.ndarray, t: np.ndarray, ft: np.ndarray, whole: np.ndarray,
+            tol: np.ndarray, depth: int, state: _Refinement) -> np.ndarray:
     """Values of the subintervals of one depth, one per row.
 
     Row i of ``t`` holds a subinterval's ends and midpoint (a, m, b), of
-    ``ft`` the values there, ``whole[i]`` its Simpson value; ``tol`` is the
-    tolerance at this depth. ``budget[0]`` counts the subintervals the line
-    may still refine.
+    ``ft`` the values there, ``whole[i]`` its Simpson value, ``tol[i]`` its
+    tolerance and ``line[i]`` its line, the rows sorted by line. The rows of
+    failed lines come out 0.
     """
-    if len(t) > _LEVEL_NODES:
-        h = len(t) // 2
-        return np.concatenate([_refine(fn, t[:h], ft[:h], whole[:h], tol, depth, budget),
-                               _refine(fn, t[h:], ft[h:], whole[h:], tol, depth, budget)])
-    budget[0] -= len(t)
-    if budget[0] < 0:
-        raise EvaluationError(f"adaptive Simpson needs more than {MAX_SUBINTERVALS} "
-                              "subintervals for this tolerance")
+    out = np.zeros(len(t))
+    k = state.rows(line)
+    if k > _LEVEL_NODES:
+        h = k // 2
+        out[:h] = _refine(fn, line[:h], t[:h], ft[:h], whole[:h], tol[:h], depth, state)
+        out[h:k] = _refine(fn, line[h:k], t[h:k], ft[h:k], whole[h:k], tol[h:k], depth, state)
+        return out
+    line = line[:k]
+    np.subtract.at(state.budget, line, 1)
+    over = line[state.budget[line] < 0]
+    if over.size:
+        state.fail(int(over[0]), EvaluationError(
+            f"adaptive Simpson needs more than {MAX_SUBINTERVALS} subintervals "
+            "for this tolerance"))
+        line = line[:state.rows(line)]
     # column 0 is the left half [a, m], column 1 the right half [m, b]
-    lo, hi, flo, fhi = t[:, :2], t[:, 1:], ft[:, :2], ft[:, 1:]
-    q = 0.5 * (lo + hi)
-    fq = evaluate(fn, q)
+    q = 0.5 * (t[:len(line), :2] + t[:len(line), 1:])
+    fq = state.evaluate(fn, np.repeat(line, 2), q.ravel())
+    k = fq.size // 2
+    if not k:
+        return out
+    line, q, fq = line[:k], q[:k], fq.reshape(k, 2)
+    lo, hi, flo, fhi = t[:k, :2], t[:k, 1:], ft[:k, :2], ft[:k, 1:]
     half = (hi - lo) / 6.0 * (flo + 4.0 * fq + fhi)
     left, right = half[:, 0], half[:, 1]
-    delta = left + right - whole
-    out = left + right + delta / 15.0
+    delta = left + right - whole[:k]
+    out[:k] = left + right + delta / 15.0
     if depth < _MAX_DEPTH:
-        s = np.flatnonzero(~(np.abs(delta) <= 15.0 * tol))
+        s = np.flatnonzero(~(np.abs(delta) <= 15.0 * tol[:k]))
         if s.size:
-            sub = _refine(fn, np.stack([lo, q, hi], axis=2)[s].reshape(-1, 3),
+            sub = _refine(fn, np.repeat(line[s], 2),
+                          np.stack([lo, q, hi], axis=2)[s].reshape(-1, 3),
                           np.stack([flo, fq, fhi], axis=2)[s].reshape(-1, 3),
-                          half[s].ravel(), 0.5 * tol, depth + 1, budget)
+                          half[s].ravel(), np.repeat(0.5 * tol[s], 2), depth + 1, state)
             out[s] = sub[0::2] + sub[1::2]
     return out

@@ -18,7 +18,7 @@ from hh_bounds.convexity import random_convex_1d
 from hh_bounds.expr import eval_ast, parse
 from hh_bounds.oracle import OracleResult, reference_integral_1d, reference_integral_2d
 from hh_bounds.rect import chain_report, discrete_enclosure
-from hh_bounds.schemes import adaptive_simpson
+from hh_bounds.schemes import adaptive_simpson, simpson_lines
 
 from conftest import counting_fn1d
 
@@ -565,6 +565,106 @@ class TestAdaptiveSimpson:
         assert narrow.hex() == wide.hex()
         # the ends and the midpoint, then one subinterval's quarter points
         assert sizes[0] == 3 and set(sizes[1:]) == {2}
+
+
+def _lines_fn(g):
+    """The ``fn`` of :func:`simpson_lines` for ``g(line, s)``, and line i of
+    it alone as an ``adaptive_simpson`` callback: both name a failing point
+    by ``s`` alone."""
+    return (lambda line, s: evaluate(lambda t: g(line, t), s),
+            lambda i: lambda t: g(np.full(np.shape(t), i), t))
+
+
+class TestSimpsonLines:
+    @pytest.mark.parametrize("level_nodes", [None, 1, 3])
+    def test_each_line_as_alone(self, level_nodes, monkeypatch):
+        if level_nodes is not None:
+            monkeypatch.setattr(hh_bounds.schemes, "_LEVEL_NODES", level_nodes)
+        shapes = (lambda t: _kinked(t), lambda t: np.cos(40.0 * t),
+                  lambda t: np.sqrt(np.abs(t)), lambda t: t * t)
+
+        def g(line, t):
+            return np.choose(line, [fn(t) for fn in shapes])
+
+        fn, alone = _lines_fn(g)
+        lo, hi = np.array([0.0, 0.0, -1.3, 0.5]), np.array([1.0, 1.0, 2.1, 0.75])
+        tol = np.array([1e-12, 1e-10, 1e-10, 1e-9])
+        values, failure = simpson_lines(fn, lo, hi, tol)
+        assert failure is None
+        assert [v.hex() for v in values.tolist()] == [
+            adaptive_simpson(alone(i), lo[i], hi[i], tol[i]).hex() for i in range(4)]
+
+    def test_one_call_per_depth_for_all_lines(self):
+        sizes = []
+
+        def g(line, t):
+            sizes.append(t.size)
+            return np.where(line == 0, _kinked(t), np.cos(40.0 * t))
+
+        fn, _ = _lines_fn(g)
+        simpson_lines(fn, np.zeros(2), np.ones(2), 1e-10)
+        alone = []
+        for f in (_kinked, lambda t: np.cos(40.0 * t)):
+            calls = []
+            adaptive_simpson(lambda t: calls.append(t.size) or f(t), 0.0, 1.0, 1e-10)
+            alone.append(calls)
+        # both lines' ends and midpoints, then every depth either line reaches
+        assert sizes[0] == 6
+        assert len(sizes) == max(map(len, alone))
+        assert sum(sizes) == sum(map(sum, alone))
+
+    @pytest.mark.parametrize("level_nodes", [None, 1, 3])
+    @pytest.mark.parametrize("case", ["deep", "budget"])
+    def test_first_failing_line_in_order_is_reported(self, case, level_nodes, monkeypatch):
+        # line 1 fails at depth 4 or runs out of subintervals; lines 2 and 3
+        # fail at once, at their midpoint and at a depth-0 quarter point
+        if level_nodes is not None:
+            monkeypatch.setattr(hh_bounds.schemes, "_LEVEL_NODES", level_nodes)
+        if case == "budget":
+            monkeypatch.setattr(hh_bounds.schemes, "MAX_SUBINTERVALS", 64)
+
+        def g(line, t):
+            one = np.exp(3.0 * t) if case == "deep" else np.sin(1e3 * t)
+            bad = (((line == 1) & (t == 3.0 / 64.0) & (case == "deep"))
+                   | ((line == 2) & (t == 0.5)) | ((line == 3) & (t == 0.25)))
+            return np.where(bad, np.nan, np.where(line == 1, one, t * t))
+
+        fn, alone = _lines_fn(g)
+        first = None
+        for i in range(4):
+            try:
+                adaptive_simpson(alone(i), 0.0, 1.0, 1e-10)
+            except EvaluationError as exc:
+                first = (i, str(exc), exc.where)
+                break
+        assert first is not None and first[0] == 1
+        _, failure = simpson_lines(fn, np.zeros(4), np.ones(4), 1e-10)
+        i, exc = failure
+        assert (i, str(exc), exc.where) == first
+        if case == "deep":
+            assert exc.where == (3.0 / 64.0,)
+        else:
+            assert str(exc) == ("adaptive Simpson needs more than 64 subintervals "
+                                "for this tolerance")
+
+
+    def test_a_failing_line_reports_what_it_meets_first_alone(self, monkeypatch):
+        # alone, line 1's four subintervals at depth 2 are one piece, and its
+        # bad point at depth 2 is met first; refined beside line 0, they are
+        # split across pieces, and the batch meets its bad point at depth 3
+        # first
+        monkeypatch.setattr(hh_bounds.schemes, "_LEVEL_NODES", 4)
+
+        def g(line, t):
+            bad = (line == 1) & ((t == 1.0 / 32.0) | (t == 15.0 / 16.0))
+            return np.where(bad, np.nan, np.where(line == 0, _kinked(t), np.exp(3.0 * t)))
+
+        fn, alone = _lines_fn(g)
+        with pytest.raises(EvaluationError) as exc:
+            adaptive_simpson(alone(1), 0.0, 1.0, 1e-10)
+        assert exc.value.where == (15.0 / 16.0,)
+        _, (i, err) = simpson_lines(fn, np.zeros(2), np.ones(2), 1e-10)
+        assert (i, str(err), err.where) == (1, str(exc.value), exc.value.where)
 
 
 class TestDeficitUpper:

@@ -17,7 +17,7 @@ import hh_bounds.verify
 from hh_bounds import Fn2D, Rect
 from hh_bounds.cli import main
 from hh_bounds.oracle import reference_integral_2d
-from hh_bounds.schemes import adaptive_simpson
+from hh_bounds.schemes import simpson_lines
 from hh_bounds.verify import case_instance
 
 #: Outputs recorded before a refactor of the code under them, to pin them byte
@@ -221,6 +221,12 @@ class TestBounds:
         assert out == ""
         assert err == f"error: {what}, more than the cap of 268435456\n"
 
+    def test_n_below_one_exit_2(self, capsys):
+        assert main(["bounds", "--f", "x^2+y^2", "--rect", "0", "1", "0", "1", "--n", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: n must be >= 1, got 0\n"
+
     def test_gate_bypass(self):
         cp = run_cli("bounds", "--f", "0-x^2", "--rect", "0", "1", "0", "1",
                      "--skip-convexity-check", "--n", "1", "--m", "1",
@@ -346,19 +352,19 @@ class TestChain:
                        "more than 262144 subintervals for this tolerance\n")
 
     def test_quadrature_resolves_shared_lines_once(self, monkeypatch, capsys):
-        calls = []
+        lines = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[1:3])
-            return adaptive_simpson(*args, **kwargs)
+        def counting(fn, lo, hi, tol):
+            lines.append(len(lo))
+            return simpson_lines(fn, lo, hi, tol)
 
-        monkeypatch.setattr(hh_bounds.rect, "adaptive_simpson", counting)
+        monkeypatch.setattr(hh_bounds.rect, "simpson_lines", counting)
         code = main(["chain", "--f", "exp(x+y)", "--rect", "0", "1", "0", "1",
                      "--scheme", "quadrature", "--grid", "64", "--output", "json"])
         assert code == 0
-        # two lower center lines, then the boundary and upper center lines
-        # per direction
-        assert len(calls) == 8
+        # the two center lines, shared by the lower and the upper terms, and
+        # the four boundary lines, refined together
+        assert lines == [6]
 
     @pytest.mark.parametrize("scheme", ["nested", "quadrature"])
     def test_json_matches_golden(self, scheme, capsys):

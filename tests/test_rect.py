@@ -17,7 +17,7 @@ from hh_bounds.bounds1d import MAX_POINTS, Lattice
 from hh_bounds.rect import (BLOCK_POINTS, PointPlan, chain_report, declare_boundary_bound,
                             declare_centerline_bound, declare_enclosure,
                             declare_five_term_chains, declare_positive_upper, enclosure_points)
-from hh_bounds.schemes import adaptive_simpson
+from hh_bounds.schemes import adaptive_simpson, simpson_lines
 from hh_bounds.verify import case_instance
 
 from conftest import assert_each_point_once, counting_fn2d, lattice_grid, lattice_side
@@ -532,23 +532,170 @@ class TestBudget:
         assert count["n"] == 143 - 4 - 8
 
 
-class TestAssembly:
-    def test_quadrature_shares_lines_between_bounds(self, monkeypatch):
+class TestPartitionSize:
+    @pytest.mark.parametrize("scheme", [NestedDiscrete(), EXACT_Q])
+    @pytest.mark.parametrize("bound", [
+        lambda f, n, scheme: discrete_enclosure(f, UNIT2, n, getattr(scheme, "m", 16)),
+        lambda f, n, scheme: centerline_bound(f, UNIT2, n, scheme),
+        lambda f, n, scheme: boundary_bound(f, UNIT2, n, scheme),
+        lambda f, n, scheme: positive_upper(f, UNIT2, n, scheme),
+        lambda f, n, scheme: partition_chain(f, UNIT2, n, scheme, integral=1.0),
+    ], ids=["discrete_enclosure", "centerline_bound", "boundary_bound", "positive_upper",
+            "partition_chain"])
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_n_below_one_is_a_domain_error(self, n, bound, scheme):
+        f, count = counting_fn2d(lambda x, y: x * x + y * y, positive=True)
+        with pytest.raises(DomainError, match=f"^n must be >= 1, got {n}$"):
+            bound(f, n, scheme)
+        # no bound evaluates f; positive_upper's spot check runs first
+        assert count["n"] in (0, hh_bounds.rect.SPOT_GRID ** 2)
+
+
+def _simpson_by_line(f: Fn2D, r: Rect, lines: list, tol: float) -> list[str]:
+    """adaptive_simpson along each (along, at) line of ``lines`` alone, in bits."""
+    return sorted(
+        adaptive_simpson(f.restrict_y(t), r.a, r.b, tol).hex() if along == "x"
+        else adaptive_simpson(f.restrict_x(t), r.c, r.d, tol).hex() for along, t in lines)
+
+
+def _side_lines(r: Rect, n: int) -> list:
+    """The lines through the nodes and midpoints of each side cut into n cells."""
+    out = []
+    for along, part in (("x", Partition1D(r.y_interval, n)), ("y", Partition1D(r.x_interval, n))):
+        out += [(along, t) for t in part.midpoints().tolist() + part.nodes().tolist()]
+    return out
+
+
+class TestQuadratureLines:
+    R = Rect(-0.5, 1.5, 0.25, 2.0)
+
+    @pytest.mark.parametrize("level_nodes", [None, 1])
+    @pytest.mark.parametrize("ev", [
+        lambda x, y: np.exp(x - 0.5 * y) + np.abs(x - 0.3) * y * y,
+        lambda x, y: math.exp(x - 0.5 * y) + abs(x - 0.3) * y * y,
+    ], ids=["numpy", "math"])
+    @pytest.mark.parametrize("bounds", ["chains", "partition"])
+    def test_refined_together_as_alone(self, bounds, ev, level_nodes, monkeypatch):
+        if level_nodes is not None:
+            monkeypatch.setattr(hh_bounds.schemes, "_LEVEL_NODES", level_nodes)
+        refined = []
+
+        def capturing(*args):
+            values, failure = simpson_lines(*args)
+            refined.extend(v.hex() for v in values.tolist())
+            return values, failure
+
+        monkeypatch.setattr(hh_bounds.rect, "simpson_lines", capturing)
+        f, r, q = Fn2D(eval=ev), self.R, Quadrature(1e-10)
+        if bounds == "chains":
+            five_term_chains(f, r, q, integral=1.0)
+            lines = [("x", t) for t in (r.c, r.center[1], r.d)] + [
+                ("y", t) for t in (r.a, r.center[0], r.b)]
+        else:
+            partition_chain(f, r, 3, q, integral=1.0)
+            lines = _side_lines(r, 3)
+        assert sorted(refined) == _simpson_by_line(f, r, lines, q.tol)
+
+    def test_a_line_at_two_tolerances_is_two_lines(self):
+        f = Fn2D(eval=lambda x, y: np.exp(x - 0.5 * y) + x * x * y)
+        plan = PointPlan()
+        coarse = declare_centerline_bound(plan, 2, Quadrature(1e-4))
+        fine = declare_centerline_bound(plan, 2, Quadrature(1e-12))
+        values = plan.resolve(f, self.R)
+        assert coarse(values) == centerline_bound(f, self.R, 2, Quadrature(1e-4))
+        assert fine(values) == centerline_bound(f, self.R, 2, Quadrature(1e-12))
+        assert coarse(values)[1] != fine(values)[1]
+
+    def test_one_evaluation_per_depth(self):
         calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return adaptive_simpson(*args)
+        def ev(x, y):
+            calls.append(np.concatenate([x, y]))
+            return np.exp(x + 0.5 * y) + np.abs(x - 0.3) * y * y
 
-        monkeypatch.setattr(hh_bounds.rect, "adaptive_simpson", counting)
+        five_term_chains(Fn2D(eval=ev), UNIT2, Quadrature(1e-10), integral=1.0)
+        # the nine points, then the six lines' ends and midpoints and one
+        # call per depth: the finest points, 2**-(depth + 2), are the
+        # quarter points of the deepest subintervals
+        lines = calls[1:]
+        finest = max(math.frexp(float(t).as_integer_ratio()[1])[1] - 1
+                     for t in np.concatenate(lines))
+        assert lines[0].size == 2 * 6 * 3
+        assert len(lines) <= finest
+
+    def test_many_lines_are_started_in_pieces(self):
+        sizes = []
+
+        def ev(x, y):
+            sizes.append(x.size)
+            return x * x + y * y
+
+        partition_chain(Fn2D(eval=ev), UNIT2, 1000, Quadrature(), integral=1.0)
+        # 4,002 lines, on which Simpson's rule is exact: their ends and
+        # midpoints, then their quarter points, in pieces of at most
+        # _LEVEL_NODES lines
+        assert sum(sizes) == 4002 * 5
+        assert max(sizes) <= 3 * hh_bounds.schemes._LEVEL_NODES
+
+    @pytest.mark.parametrize("case", ["deep", "budget"])
+    def test_failure_names_the_first_failing_line_in_declaration_order(self, case,
+                                                                      monkeypatch):
+        # the center line along x, the first declared, fails at depth 4 or
+        # runs out of subintervals; the boundary line y = 0 fails at depth 1
+        monkeypatch.setattr(hh_bounds.schemes, "MAX_SUBINTERVALS", 64)
+
+        def ev(x, y):
+            center = np.exp(3.0 * x) if case == "deep" else np.sin(1e3 * x)
+            bad = (((y == 0.5) & (x == 3.0 / 64.0) & (case == "deep"))
+                   | ((y == 0.0) & (x == 0.125)))
+            return np.where(bad, np.nan, np.where(y == 0.5, center, x * x + y * y))
+
+        with pytest.raises(EvaluationError) as exc:
+            five_term_chains(Fn2D(eval=ev), UNIT2, Quadrature(1e-10), integral=1.0)
+        if case == "deep":
+            assert exc.value.where == (3.0 / 64.0, 0.5)
+        else:
+            assert str(exc.value) == ("line along x at y=0.5: adaptive Simpson needs more "
+                                      "than 64 subintervals for this tolerance")
+
+    @pytest.mark.parametrize("bad, where", [
+        # the quadrature line along y at x = 0.5, declared before the large
+        # line request along x at y = 0.5, fails first
+        ([(0.5, 3.0 / 64.0), (1.0 / 8192.0, 0.5)], (0.5, 3.0 / 64.0)),
+        # the large line request along y at x = 0.5 is declared before it
+        ([(0.5, 3.0 / 64.0), (0.5, 1.0 / 8192.0)], (0.5, 1.0 / 8192.0)),
+    ])
+    def test_large_line_requests_keep_their_place(self, bad, where):
+        def ev(x, y):
+            x, y = np.broadcast_arrays(x, y)
+            out = np.exp(3.0 * x + 2.0 * y)
+            for bx, by in bad:
+                out = np.where((x == bx) & (y == by), np.nan, out)
+            return out
+
+        # the lhs sums 4096 midpoints per center line, as a large line request
+        with pytest.raises(EvaluationError) as exc:
+            centerline_bound(Fn2D(eval=ev), UNIT2, 4096, Quadrature(1e-10))
+        assert exc.value.where == where
+
+
+class TestAssembly:
+    def test_quadrature_shares_lines_between_bounds(self, monkeypatch):
+        lines = []
+
+        def counting(fn, lo, hi, tol):
+            lines.append(len(lo))
+            return simpson_lines(fn, lo, hi, tol)
+
+        monkeypatch.setattr(hh_bounds.rect, "simpson_lines", counting)
         r = Rect(-0.4, 1.3, -0.2, 1.1)
         f = random_coordinate_convex(4, r, 3)
         q = Quadrature(1e-9)
         terms = assemble_classic_terms(f, r, q, integral=1.0)
         # the lines at x = a, b and y = c, d of the partition and boundary
         # bounds coincide, and so do the center lines of the partition and
-        # centerline bounds: one call per distinct line
-        assert len(calls) == 6
+        # centerline bounds: each distinct line once, all in one call
+        assert lines == [6]
         c_lhs, _ = centerline_bound(f, r, 1, q)
         lower, _, upper = partition_chain(f, r, 1, q, integral=1.0).values
         _, b_rhs = boundary_bound(f, r, 1, q)
