@@ -24,8 +24,22 @@ MACHINE_TOL = 1e-12
 #: Points per evaluated block of lines (whole lines, at least one). Much
 #: smaller blocks pay per-call overhead; much larger ones only add memory.
 #: Each block runs with a ufunc buffer of at most one line (see
-#: :func:`line_blocks`), which changes speed only, never a value.
+#: :func:`line_blocks`), which changes speed only, never a value, and its
+#: temporaries reuse heap pages already mapped (see HEAP_RESERVE).
 BLOCK_POINTS = 1 << 16
+#: Doubles allocated once at import and freed unwritten, so that the heap
+#: keeps the pages of a row block's temporaries. glibc's malloc serves a
+#: request this size (2 MB) from mmap, and freeing such a chunk raises its
+#: dynamic mmap threshold to 2 MB and its trim threshold to twice that
+#: (mallopt(3), "dynamic mmap threshold"). Without it, nothing in most
+#: processes frees a chunk that large, so the heap top is given back to the
+#: kernel after each block and faulted in again for the next, about 1.5 MB
+#: a block. Setting the thresholds with mallopt instead would pin them and
+#: turn glibc's adjustment off, so a larger array (the oracle's level
+#: array) would be mmapped and faulted on every call. Another allocator sees
+#: one malloc and free; no value changes anywhere.
+HEAP_RESERVE = 4 * BLOCK_POINTS
+np.empty(HEAP_RESERVE)
 #: Points per chunk a scalar-only callback is fed from, as lists of floats.
 #: The loop over a chunk runs in C; much larger chunks only add memory.
 SCALAR_CHUNK = 1024
@@ -272,7 +286,9 @@ def line_blocks(ev: Callable, along: str, at: np.ndarray,
 
     Each block is :func:`evaluate` of a row of ``pts`` against a column of
     the next lines of ``at``, of about BLOCK_POINTS points: an array of
-    whole lines by ``pts``, in the order of ``at``.
+    whole lines by ``pts``, in the order of ``at``. Under glibc its
+    temporaries reuse the heap pages of the last block's, as HEAP_RESERVE
+    keeps the heap from being trimmed between blocks.
 
     Each block runs with a numpy ufunc buffer of at most one line: the
     line's point count rounded down to a multiple of 16 (numpy's unit), at
@@ -292,9 +308,6 @@ def line_blocks(ev: Callable, along: str, at: np.ndarray,
         caller = np.getbufsize()
         np.setbufsize(min(line, caller))
         try:
-            # the last block stays alive while the next is evaluated: freed
-            # first, glibc trims the heap top and faults it back in (about
-            # 60% more minor faults per enclosure at n=128, m=16)
             block = evaluate(ev, run, fixed) if along == "x" else evaluate(ev, fixed, run)
         finally:
             np.setbufsize(caller)

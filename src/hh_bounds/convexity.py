@@ -133,7 +133,6 @@ def check_coordinate_convexity(f: Fn2D, r: Rect, samples: int = GATE_SAMPLES,
             if max_violation < 0.0:
                 x, y = (float(v[i]) for v in at(blend))
                 witness = Witness(x=x, y=y, lam=float(lam[i]), axis=axis)
-        del f1, f2, fb  # freed before the next draws, or the heap is trimmed and refaulted
     return ConvexityReport(samples=2 * samples, max_violation=max_violation,
                            witness=witness, passed=passed)
 

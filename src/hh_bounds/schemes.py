@@ -49,8 +49,9 @@ InnerScheme = Union[NestedDiscrete, Quadrature]
 
 _MAX_DEPTH = 48
 #: Widest level refined in one piece, in subintervals (a batch's first level
-#: in lines). A wider level is split in halves, each refined on its own, so
-#: memory stays bounded as the depth cap bounds a depth-first stack.
+#: in lines). A wider level is cut in two, each part refined on its own, so
+#: memory stays bounded as the depth cap bounds a depth-first stack (see
+#: :func:`_cut`).
 _LEVEL_NODES = 1024
 #: Most subintervals one line may refine, over all depths. The most any test
 #: or benchmark input refines is 1,963; a tolerance that cannot be met (such
@@ -128,33 +129,38 @@ def simpson_lines(fn, lo: np.ndarray, hi: np.ndarray, tol
     the two quarter points of every subinterval of every line still open
     there, the points in line order. A level wider than ``_LEVEL_NODES``
     subintervals (the first, wider than ``_LEVEL_NODES`` lines) is refined
-    in halves. Each subinterval's arithmetic, the halving of the tolerance
-    per depth, the depth cap, and the tree in which a split subinterval's
-    value is the sum of its halves, are those of the depth-first recursion.
+    in two parts, cut so that every line meets its subintervals in the
+    order it does alone (:func:`_cut`). Each subinterval's arithmetic, the
+    halving of the tolerance per depth, the depth cap, and the tree in which
+    a split subinterval's value is the sum of its halves, are those of the
+    depth-first recursion.
 
     Returns the lines' values and None, or, if a line fails, an array of no
     use and ``(i, error)`` for the first line i that fails, with the error
-    it raises when refined alone. A line fails when ``fn`` raises an
-    :class:`EvaluationError` at its points, or when it would refine more
-    than ``MAX_SUBINTERVALS`` subintervals in all, checked before their
-    points are evaluated. Once line i fails, only the lines before it keep
-    refining, so the lines after the first failing one are not refined to
-    the end. The failing line is then refined again alone, on this error
-    path only: alone it meets its failures in the order
-    :func:`adaptive_simpson` does, which decides the one it reports.
+    it raises when refined alone: the first failure it meets, in that order.
+    A line fails when ``fn`` raises an :class:`EvaluationError` at its
+    points, or when it would refine more than ``MAX_SUBINTERVALS``
+    subintervals in all, checked before their points are evaluated. Once
+    line i fails, only the lines before it keep refining, so the lines
+    after the first failing one are not refined to the end, and no line is
+    refined twice.
     """
     tol = np.broadcast_to(np.asarray(tol, dtype=float), lo.shape)
     state = _Refinement(len(lo))
     values = _start(fn, np.arange(len(lo)), lo, hi, tol, state)
-    if state.error is None:
-        return values, None
-    i = state.stop
-    if len(lo) > 1:
-        _, alone = simpson_lines(lambda line, s: fn(line + i, s), lo[i:i + 1], hi[i:i + 1],
-                                 tol[i:i + 1])
-        if alone is not None:
-            return values, (i, alone[1])
-    return values, (i, state.error)
+    return values, None if state.error is None else (state.stop, state.error)
+
+
+def _cut(line: np.ndarray) -> int:
+    """Where to cut a level's rows ``line`` (sorted, more than
+    ``_LEVEL_NODES``) in two: in the middle if they are one line's, as
+    that line alone is cut, and otherwise at the boundary between lines
+    nearest the middle. So a line's rows are cut only as they are when it
+    is refined alone, and it evaluates its points, and meets its budget,
+    in the same pieces and order."""
+    h = len(line) // 2
+    starts = np.flatnonzero(np.diff(line)) + 1
+    return int(starts[np.argmin(np.abs(starts - h))]) if starts.size else h
 
 
 def _start(fn, line: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray,
@@ -191,7 +197,7 @@ def _refine(fn, line: np.ndarray, t: np.ndarray, ft: np.ndarray, whole: np.ndarr
     out = np.zeros(len(t))
     k = state.rows(line)
     if k > _LEVEL_NODES:
-        h = k // 2
+        h = _cut(line[:k])
         out[:h] = _refine(fn, line[:h], t[:h], ft[:h], whole[:h], tol[:h], depth, state)
         out[h:k] = _refine(fn, line[h:k], t[h:k], ft[h:k], whole[h:k], tol[h:k], depth, state)
         return out

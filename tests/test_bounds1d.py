@@ -1,5 +1,10 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -484,6 +489,32 @@ def test_callers_buffer_is_back_after_row_blocks(run, caller_bufsize):
     assert np.getbufsize() == caller_bufsize
 
 
+_SECOND_ENCLOSURE_FAULTS = """
+import resource
+from hh_bounds import Rect, discrete_enclosure
+from hh_bounds.catalog import resolve_function
+r = Rect(0.0, 1.0, 0.0, 1.0)
+f = resolve_function("exp(x+y)+x*x", r)
+discrete_enclosure(f, r, 128, 16)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+discrete_enclosure(f, r, 128, 16)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap reserve acts through glibc's malloc thresholds")
+def test_row_blocks_reuse_their_heap_pages():
+    # in a fresh interpreter, as malloc's thresholds are process state that
+    # this one has moved already; the second enclosure's 18 row blocks
+    # should find their temporaries' pages mapped, not fault about 2,300 in
+    src = Path(hh_bounds.bounds1d.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-c", _SECOND_ENCLOSURE_FAULTS],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert int(run.stdout) < 100
+
+
 @pytest.mark.parametrize("size", [MAX_POINTS, 2**31, 2**40])
 @pytest.mark.parametrize("entry", [
     lambda fn, n: integral_enclosure(fn, UNIT, n),
@@ -650,9 +681,9 @@ class TestSimpsonLines:
 
     def test_a_failing_line_reports_what_it_meets_first_alone(self, monkeypatch):
         # alone, line 1's four subintervals at depth 2 are one piece, and its
-        # bad point at depth 2 is met first; refined beside line 0, they are
-        # split across pieces, and the batch meets its bad point at depth 3
-        # first
+        # bad point at depth 2 is met first; refined beside line 0, a level
+        # cut in the middle would split them across pieces and meet its bad
+        # point at depth 3 first, so a level is cut between lines
         monkeypatch.setattr(hh_bounds.schemes, "_LEVEL_NODES", 4)
 
         def g(line, t):
@@ -665,6 +696,29 @@ class TestSimpsonLines:
         assert exc.value.where == (15.0 / 16.0,)
         _, (i, err) = simpson_lines(fn, np.zeros(2), np.ones(2), 1e-10)
         assert (i, str(err), err.where) == (1, str(exc.value), exc.value.where)
+
+    @pytest.mark.parametrize("level_nodes", [None, 1, 3])
+    def test_a_line_out_of_subintervals_is_refined_once(self, level_nodes, monkeypatch):
+        # line 1 runs out of subintervals beside lines 0 and 2; its points
+        # are evaluated once, as many as alone, not again alone to find
+        # what it meets first
+        if level_nodes is not None:
+            monkeypatch.setattr(hh_bounds.schemes, "_LEVEL_NODES", level_nodes)
+        monkeypatch.setattr(hh_bounds.schemes, "MAX_SUBINTERVALS", 64)
+        points = []
+
+        def g(line, t):
+            points.append(np.count_nonzero(line == 1))
+            return np.where(line == 1, np.sin(1e3 * t), _kinked(t))
+
+        fn, alone = _lines_fn(g)
+        with pytest.raises(EvaluationError) as exc:
+            adaptive_simpson(alone(1), 0.0, 1.0, 1e-10)
+        by_itself = sum(points)
+        points.clear()
+        _, (i, err) = simpson_lines(fn, np.zeros(3), np.ones(3), 1e-10)
+        assert (i, str(err)) == (1, str(exc.value))
+        assert sum(points) == by_itself
 
 
 class TestDeficitUpper:
