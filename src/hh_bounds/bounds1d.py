@@ -35,9 +35,9 @@ BLOCK_POINTS = 1 << 16
 #: processes frees a chunk that large, so the heap top is given back to the
 #: kernel after each block and faulted in again for the next, about 1.5 MB
 #: a block. Setting the thresholds with mallopt instead would pin them and
-#: turn glibc's adjustment off, so a larger array (the oracle's level
-#: array) would be mmapped and faulted on every call. Another allocator sees
-#: one malloc and free; no value changes anywhere.
+#: turn glibc's adjustment off, so any larger array would be mmapped and
+#: faulted on every call. Another allocator sees one malloc and free; no
+#: value changes anywhere.
 HEAP_RESERVE = 4 * BLOCK_POINTS
 np.empty(HEAP_RESERVE)
 #: Points per chunk a scalar-only callback is fed from, as lists of floats.

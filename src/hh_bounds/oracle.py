@@ -7,24 +7,33 @@ evaluator, :func:`bounds1d.evaluate`, and its row-block loop with them.
 
 The 2-D oracle refines on nested dyadic levels 64, 128, ..., ``grid``. Every
 level's nodes are a stride of the finest ``grid + 1`` nodes per axis, so a
-new level evaluates only the points the coarser levels lack, copies the rest
-from the level below, and no point is evaluated twice. Each level's
-Richardson estimate compares it with the level below; refinement stops at
-the first level whose estimate is ``<= target``, or at ``grid``.
-``target=None`` asks for the explicit grid: level ``grid`` alone.
+new level evaluates only the points the coarser levels lack and no point is
+evaluated twice. Each level's Richardson estimate compares it with the level
+below; refinement stops at the first level whose estimate is ``<= target``,
+or at ``grid``. ``target=None`` asks for the explicit grid: a ladder that
+starts and stops at level ``grid``.
 
-A level's values are a preallocated array, filled by
-:func:`bounds1d.line_blocks` in row blocks of about ``BLOCK_POINTS`` points:
-row i holds f along the line x = x_i, at the y nodes. So an evaluation
-holds the level array plus one block of temporaries, not a full-grid
-temporary per operation of the integrand. Evaluation is elementwise, so
-the values, and the first failing point in row-major order, are those of
-one full-grid block; each block runs with a ufunc buffer of at most one
-line, which changes speed only.
+No level keeps its values. Per axis, a node's index at a level falls into one
+of four classes: an end, odd, 2 mod 4, or an interior 0 mod 4. Both Simpson
+sums of a level, its own and the half grid's on its even nodes, weight f by
+class alone, so a level keeps only a 4 x 4 array of class sums. Each row
+block of :func:`bounds1d.line_blocks` (row i holds f along the line x = x_i)
+is reduced as it arrives: ``block @`` the one-hot classes of its columns,
+then its rows are added up by class. Doubling the level takes index i to 2i:
+an end stays an end, an odd index becomes 2 mod 4 and both even classes
+become 0 mod 4, and the new points' class sums are added. So an evaluation
+holds a block of about ``BLOCK_POINTS`` points and its temporaries, whatever
+the grid. The blocks run in the order of one row-major pass over the first
+level, then per refinement the odd rows and then the even rows by the odd
+columns, so the first failing point is that of those passes evaluated whole.
+The sums are added in another order than one full-grid ``w @ F @ w``, which
+moves the value by rounding only (Higham, *Accuracy and Stability of
+Numerical Algorithms*, ch. 4).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +44,17 @@ from .errors import DomainError
 DEFAULT_GRID = 1024
 #: Coarsest level of the nested ladder.
 FIRST_LEVEL = 64
+#: Per axis, the index classes of a level's nodes: an end, odd, 2 mod 4 and
+#: an interior 0 mod 4; and their weights in the level's Simpson sum.
+END, ODD, TWO, FOUR = range(4)
+SIMPSON = np.array([1.0, 4.0, 2.0, 2.0])
+#: The half grid's class sums, the classes of its nodes (the even ones), and
+#: their weights in its Simpson sum. The classes are picked, not weighted by
+#: 0, as a class sum may have overflowed.
+HALF_SUMS = np.ix_([END, TWO, FOUR], [END, TWO, FOUR])
+HALF = np.array([1.0, 4.0, 2.0])
+#: Where each class's sums go when the level doubles: index i becomes 2i.
+PROMOTE = np.ix_([END, TWO, FOUR, FOUR], [END, TWO, FOUR, FOUR])
 
 
 @dataclass(frozen=True)
@@ -63,14 +83,6 @@ def _simpson_1d(vals: np.ndarray, h: float) -> float:
                                + 2.0 * vals[2:-2:2].sum())
 
 
-def _tensor_simpson(v: np.ndarray, hx: float, hy: float) -> float:
-    w = np.ones(v.shape[0])
-    w[1:-1:2] = 4.0
-    w[2:-2:2] = 2.0
-    with np.errstate(all="ignore"):
-        return hx * hy / 9.0 * float(w @ v @ w)
-
-
 def reference_integral_1d(fn, iv, grid: int = DEFAULT_GRID) -> OracleResult:
     """Composite Simpson on ``grid`` subintervals, error from the grid/2 value.
 
@@ -93,9 +105,9 @@ def reference_integral_2d(fn, rect, grid: int = DEFAULT_GRID,
 
     Refines on nested levels 64, 128, ..., ``grid`` until the error estimate
     is ``<= target``; the result's ``grid`` is the level it stopped at.
-    ``target=None`` computes the explicit ``grid`` directly. Each level is
-    evaluated into its own array in row blocks, so memory is the level
-    array plus one block of about ``BLOCK_POINTS`` points.
+    ``target=None`` computes the explicit ``grid`` directly. Each row block
+    is reduced to class sums as it is evaluated, so memory is one block of
+    about ``BLOCK_POINTS`` points, at any grid.
     """
     _check_grid(grid)
     check_points(f"an oracle grid of {grid}", (grid + 1) ** 2)
@@ -104,30 +116,55 @@ def reference_integral_2d(fn, rect, grid: int = DEFAULT_GRID,
     ys = np.linspace(rect.c, rect.d, grid + 1)
     level = grid if target is None else FIRST_LEVEL
     s = grid // level
-    vals = np.empty((level + 1, level + 1))
-    _fill(vals, ev, xs[::s], ys[::s])
-    while True:
-        hx = (rect.b - rect.a) / level
-        hy = (rect.d - rect.c) / level
-        v_full = _tensor_simpson(vals, hx, hy)
-        v_half = _tensor_simpson(vals[::2, ::2], 2.0 * hx, 2.0 * hy)
-        estimate = abs(v_full - v_half) / 15.0
-        if level == grid or estimate <= target:
-            return OracleResult(value=v_full, error_estimate=estimate, grid=level)
-        # halve the stride; the new points are the odd rows x all columns,
-        # then the even rows x the odd columns of the finer level
-        level, coarse, s = 2 * level, s, s // 2
-        finer = np.empty((level + 1, level + 1))
-        finer[::2, ::2] = vals
-        _fill(finer[1::2, :], ev, xs[s::coarse], ys[::s])
-        _fill(finer[::2, 1::2], ev, xs[::coarse], ys[s::coarse])
-        vals = finer
+    # an overflowing sum comes out infinite, without a warning
+    with np.errstate(all="ignore"):
+        sums = _class_sums(ev, xs[::s], ys[::s], slice(None), odd_columns=False)
+        while True:
+            hx = (rect.b - rect.a) / level
+            hy = (rect.d - rect.c) / level
+            v_full = hx * hy / 9.0 * float(SIMPSON @ sums @ SIMPSON)
+            v_half = 4.0 * hx * hy / 9.0 * float(HALF @ sums[HALF_SUMS] @ HALF)
+            estimate = abs(v_full - v_half) / 15.0
+            if level == grid or estimate <= target:
+                return OracleResult(value=v_full, error_estimate=estimate, grid=level)
+            # halve the stride; the new points are the odd rows x all columns,
+            # then the even rows x the odd columns of the finer level
+            level, s = 2 * level, s // 2
+            coarse, sums = sums, np.zeros((4, 4))
+            np.add.at(sums, PROMOTE, coarse)
+            sums += _class_sums(ev, xs[::s], ys[::s], slice(1, None, 2), odd_columns=False)
+            sums += _class_sums(ev, xs[::s], ys[::s], slice(None, None, 2), odd_columns=True)
 
 
-def _fill(out: np.ndarray, ev, xs: np.ndarray, ys: np.ndarray) -> None:
-    """Store f at ``xs`` x ``ys`` into ``out`` (a view of that shape), one
-    row block at a time: the lines along y through ``xs``, sampled at ``ys``."""
+def _class_sums(ev, xs: np.ndarray, ys: np.ndarray, rows: slice,
+                odd_columns: bool) -> np.ndarray:
+    """The 4 x 4 class sums of f at a level's nodes ``xs[rows]`` by ``ys``,
+    or by its odd nodes. Each row block times its columns' one-hot classes
+    gives its rows' sums by column class, which are then added up by the
+    rows' classes. Sums that overflow warn unless the caller ignores it."""
+    every, odd, order, starts = _classes(xs.size - 1)
+    columns, at = (odd, ys[1::2]) if odd_columns else (every, ys)
+    per_row = np.zeros((xs.size, 4))
+    out = per_row[rows]
     i = 0
-    for block in line_blocks(ev, "y", xs, ys):
-        out[i:i + len(block)] = block
+    for block in line_blocks(ev, "y", xs[rows], at):
+        out[i:i + len(block)] = block @ columns
         i += len(block)
+    return np.add.reduceat(per_row[order], starts)
+
+
+@functools.cache
+def _classes(level: int) -> tuple[np.ndarray, ...]:
+    """For a level's nodes: their one-hot classes, (nodes, 4), and those of
+    the odd nodes alone; and the order that groups the nodes by class, with
+    where each class starts in it. Read-only, as they are kept: one entry
+    per level, of which MAX_POINTS allows 64 to 8192."""
+    k = np.arange(level + 1)
+    classes = np.where(k % 2 == 1, ODD, np.where(k % 4 == 2, TWO, FOUR))
+    classes[[0, -1]] = END
+    order = np.argsort(classes, kind="stable")
+    out = (np.eye(4)[classes], np.eye(4)[classes[1::2]], order,
+           np.searchsorted(classes[order], [END, ODD, TWO, FOUR]))
+    for a in out:
+        a.flags.writeable = False
+    return out

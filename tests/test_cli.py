@@ -282,6 +282,15 @@ def test_overflowing_result_exit_4(argv, name, capsys):
     assert err.startswith(f"evaluation error: {name} is not finite")
 
 
+def test_overflowing_oracle_message_is_stable():
+    # f is finite everywhere and the oracle's sums overflow; the message
+    # prints the value as Python does, not nan or np.float64(inf)
+    cp = run_cli("chain", "--f", "1.7e308+0*x", "--rect", "0", "1", "0", "1",
+                 "--skip-convexity-check")
+    assert (cp.returncode, cp.stdout) == (4, "")
+    assert cp.stderr == "evaluation error: oracle value is not finite: inf\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["bounds", "--f", "x+y", "--rect", "1e308", "1.7e308", "0", "1", "--n", "1", "--m", "1"],
     ["chain", "--f", "x+y", "--rect", "5e307", "1.2e308", "0", "1"],
@@ -406,10 +415,14 @@ def test_multiterm_json_matches_golden(command, n, golden, capsys):
     assert main([command, *MULTITERM, "--n", n]) == 0
     want = json.loads((DATA / golden).read_text(encoding="utf-8"))
     _assert_nonnegative(MULTITERM[1], want["rect"])
+    # the oracle's estimate is |full - half| / 15 of two Simpson sums of the
+    # nonnegative f; the half-grid one is at most oracle + 15 * oracle_error
     bound = (_converge_bound(want) if command == "converge" else
              lambda path, value: {"lower": EPS * abs(want["lower"]),
                                   "upper": EPS * abs(want["upper"]),
-                                  "gap": EPS * (abs(want["lower"]) + abs(want["upper"]))
+                                  "gap": EPS * (abs(want["lower"]) + abs(want["upper"])),
+                                  "oracle_error": EPS * (2.0 * want["oracle"]
+                                                         + 15.0 * want["oracle_error"]) / 15.0,
                                   }.get(path[-1], 0.0))
     assert _json_moves(json.loads(capsys.readouterr().out), want, bound) == []
 

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hh_bounds import DomainError, EvaluationError, Fn1D, Fn2D, Interval, Rect
 from hh_bounds.bounds1d import evaluate
+from hh_bounds.catalog import resolve_function
 from hh_bounds.convexity import random_coordinate_convex
 from hh_bounds.expr import eval_ast, parse
 from hh_bounds.oracle import reference_integral_1d, reference_integral_2d
@@ -111,12 +113,15 @@ def _recording(fn):
 
 
 @pytest.mark.parametrize("grid", [64, 1024])
-def test_explicit_grid_is_bitwise_full_grid_simpson(grid):
+def test_explicit_grid_is_full_grid_simpson_up_to_rounding(grid):
+    # the oracle adds its weighted points in another order than one w @ F @ w,
+    # so the two may differ by rounding: at most 1e-15 times the sum at |f|
     r = Rect(-0.3, 1.7, 0.1, 0.9)
     fn = lambda x, y: np.exp(x + y) + np.abs(x - 0.4) * y * y  # noqa: E731
     res = reference_integral_2d(Fn2D(eval=fn), r, grid)
     assert res.grid == grid
-    assert res.value == _full_grid_simpson(fn, r, grid)
+    magnitude = _full_grid_simpson(lambda x, y: np.abs(fn(x, y)), r, grid)
+    assert abs(res.value - _full_grid_simpson(fn, r, grid)) <= 1e-15 * magnitude
 
 
 @pytest.mark.parametrize("target", [1e-4, 1e-8, 1e-11, 0.0])
@@ -175,6 +180,33 @@ def test_non_finite_at_later_level_names_its_point():
     with pytest.raises(EvaluationError) as info:
         reference_integral_2d(fn, UNIT2, 1024, target=0.0)
     assert info.value.where == (x0, 0.0)
+
+
+@pytest.mark.parametrize("src", ["1.7e308+0*x", "0-1.7e308+0*x"])
+@pytest.mark.parametrize("target", [None, 0.0])
+def test_overflowing_sum_names_the_value_as_a_float(src, target):
+    # every value is finite and the sums overflow, to an infinity of their
+    # sign: the message prints it as Python does, never nan or np.float64(inf)
+    f = resolve_function(src, UNIT2)
+    with pytest.raises(EvaluationError) as info:
+        reference_integral_2d(f, UNIT2, 1024, target)
+    sign = "-" if src.startswith("0-") else ""
+    assert str(info.value) == f"oracle value is not finite: {sign}inf"
+
+
+@pytest.mark.parametrize("target", [None, 0.0])
+def test_memory_does_not_grow_with_the_grid(target):
+    # each row block is reduced as it is evaluated: no array of a level's
+    # 2049^2 values (33.6 MB) is kept, on the explicit grid or the ladder
+    f = Fn2D(eval=lambda x, y: np.exp(x + y))
+    tracemalloc.start()
+    try:
+        res = reference_integral_2d(f, UNIT2, 2048, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.grid == 2048
+    assert peak < 4e6
 
 
 # -- row blocks -------------------------------------------------------------------
