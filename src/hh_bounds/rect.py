@@ -40,9 +40,12 @@ Under Quadrature a plan's line requests become one list of distinct lines, a
 line known by its direction, its point on the other side by construction
 and its tolerance, so the center lines the two chains share are one line
 each; :func:`schemes.simpson_lines` refines them all together, one call per
-Simpson depth. A scalar-only callback is called once per point instead,
-from a C-level loop over per-chunk lists of Python floats: a point costs
-the call plus about 0.1 us, against a few ns for a numpy callback.
+Simpson depth. A plan evaluates its points, then its large line requests in
+declaration order, then its quadrature lines, the order its values are laid
+out in, and a failure is the first one met in that order. A scalar-only
+callback is called once per point instead, from a C-level loop over
+per-chunk lists of Python floats: a point costs the call plus about 0.1 us,
+against a few ns for a numpy callback.
 """
 
 from __future__ import annotations
@@ -236,7 +239,6 @@ class _QuadratureLines(NamedTuple):
     along: str
     at: tuple[int, range]
     tol: float
-    size = math.inf
 
 
 class _Values(list):
@@ -279,16 +281,16 @@ class PointPlan:
         """Add to ``out`` the value of each line of ``req`` times its weight
         in ``weights``, one per line or one for all, declaring ``req``.
 
-        The plan's points, quadrature (of unknown size) aside, may not exceed
+        The points of the plan's :class:`_Lines` requests (quadrature lines,
+        of unknown size, are not counted) may not exceed
         ``bounds1d.MAX_POINTS`` in all: more is a :class:`DomainError` before
         any lattice is built or ``f`` is called.
         """
         if req not in self._requests:
-            if math.isfinite(req.size):
-                self._points = check_points("a point plan", self._points + req.size)
-            self._counts[_OTHER[req.along]][req.at[0]] = None
             if isinstance(req, _Lines):
+                self._points = check_points("a point plan", self._points + req.size)
                 self._counts[req.along][req.pts[0]] = None
+            self._counts[_OTHER[req.along]][req.at[0]] = None
             self._requests[req] = None
         self._adds.append((out, req, weights))
         self._sides = None
@@ -298,31 +300,33 @@ class PointPlan:
 
         The requests of fewer than PACK_POINTS points become points, one per
         pair of coordinates that differ by construction, each kept as the
-        two nodes per side whose mean it is; the quadrature requests become
-        one list of distinct lines, a line known by its direction, its
-        point on the other side by construction and its tolerance; the
-        others stay line requests, kept with their place in the declaration
-        order. Each output's entries are a point or a line with its weight,
-        the line's weight times the point's within it.
+        two nodes per side whose mean it is; the others stay line requests,
+        in declaration order; the quadrature requests become one list of
+        distinct lines in the order of their first request, a line known by
+        its direction, its point on the other side by construction and its
+        tolerance. The values are laid out in that order, the order
+        :meth:`resolve` evaluates them in. Each output's entries are a point
+        or a line with its weight, the line's weight times the point's
+        within it.
         """
         sides = {s: Lattice(self._counts[s]) for s in "xy"}
         # points with the same bits by construction get the same code
         twins = {s: side.twins() for s, side in sides.items()}
-        flat, quad, tols, self._lines, size = {}, {}, {}, [], 0
-        for pos, req in enumerate(self._requests):
+        flat, quad, self._lines, size = {}, {}, [], 0
+        for req in self._requests:
             if isinstance(req, _QuadratureLines):
                 # per line: along x, its point on the other side as two nodes
-                # of both sides' lattices, its tolerance and its request
+                # of both sides' lattices, and its tolerance
                 s = _OTHER[req.along]
                 offset = 0 if s == "x" else sides["x"].size
                 lo, hi = (twins[s][p] + offset for p in sides[s].pairs(*req.at))
                 quad[req] = np.stack(np.broadcast_arrays(
-                    req.along == "x", lo, hi, tols.setdefault(req.tol, len(tols)), pos), axis=1)
+                    req.along == "x", lo, hi, req.tol), axis=1)
             elif req.size < PACK_POINTS:
                 flat[req] = size
                 size += req.size
             else:
-                self._lines.append((pos, req))
+                self._lines.append(req)
         distinct, point, self._pairs = 0, None, {}
         if flat:
             codes = {}
@@ -340,22 +344,18 @@ class PointPlan:
             distinct = keys.size
             for s, at in (("x", keys // ny), ("y", keys % ny)):
                 self._pairs[s] = divmod(codes[s][0][at], sides[s].size)
-        starts = np.cumsum([distinct] + [len(req.at[1]) for _, req in self._lines])
-        line_start = dict(zip((req for _, req in self._lines), starts))
+        starts = np.cumsum([distinct] + [len(req.at[1]) for req in self._lines])
+        line_start = dict(zip(self._lines, starts))
         self._quad = None
         if quad:
             # the distinct lines, in the order of their first request
             keys = np.concatenate(list(quad.values()))
-            _, first, inverse = np.unique(keys[:, :4], axis=0, return_index=True,
-                                          return_inverse=True)
-            order = np.argsort(first)
-            rank = np.empty_like(order)
-            rank[order] = np.arange(order.size)
-            line = starts[-1] + rank[inverse.ravel()]  # per declared line, its value's index
+            _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+            firsts, line = np.unique(first[inverse.ravel()], return_inverse=True)
             ends = np.cumsum([len(k) for k in quad.values()])[:-1]
-            quad = dict(zip(quad, np.split(line, ends)))
-            along_x, lo, hi, tol, pos = keys[first[order]].T
-            self._quad = (along_x == 1, lo, hi, np.array(list(tols))[tol], pos)
+            quad = dict(zip(quad, np.split(starts[-1] + line, ends)))
+            along_x, lo, hi, tol = keys[firsts].T
+            self._quad = (along_x == 1, lo.astype(np.intp), hi.astype(np.intp), tol)
 
         src, weights, sizes = [], [], [0] * len(self._scales)
         for out, req, w in sorted(self._adds, key=lambda add: add[0]):
@@ -383,15 +383,15 @@ class PointPlan:
         """Every output's value for ``f`` on ``r``.
 
         Each side's lattice is mapped onto ``r`` in one pass, with
-        :class:`bounds1d.Lattice`'s checks. The points are evaluated first,
-        each point by construction once, in one call; then the distinct
-        quadrature lines, all refined together by
-        :func:`schemes.simpson_lines`; then each large line request in
-        declaration order, in row blocks. A
-        failure is the one the first failing request in declaration order
-        raises. An output that overflows comes out infinite, without a
-        warning. The plan's size is checked against ``bounds1d.MAX_POINTS``
-        again first.
+        :class:`bounds1d.Lattice`'s checks. Then the values are evaluated
+        in the order they are laid out: the points, each point by
+        construction once, in one call; each large line request in
+        declaration order, in row blocks; the distinct quadrature lines,
+        all refined together by :func:`schemes.simpson_lines`. A failure is
+        the first one met in that order, among the quadrature lines the
+        first failing line's, in the order of their first request. An
+        output that overflows comes out infinite, without a warning. The
+        plan's size is checked against ``bounds1d.MAX_POINTS`` again first.
         """
         check_points("a point plan", self._points)
         if self._sides is None:
@@ -402,32 +402,25 @@ class PointPlan:
         if self._pairs:
             values.append(evaluate(f.eval, *(0.5 * (nodes[s][lo] + nodes[s][hi])
                                               for s, (lo, hi) in self._pairs.items())))
-        quad, failed = self._quadrature(f, r, nodes) if self._quad else (None, None)
-        for pos, req in self._lines:
-            if failed is not None and failed[0] < pos:
-                raise failed[1]
+        for req in self._lines:
             at = self._sides[_OTHER[req.along]].points(nodes[_OTHER[req.along]], *req.at)
             run = self._sides[req.along].points(nodes[req.along], *req.pts)
             rule = trapezoid_sum if req.trap else midpoint_sum
             values += [rule(block, 1.0) for block in line_blocks(f.eval, req.along, at, run)]
-        if failed is not None:
-            raise failed[1]
-        if quad is not None:
-            values.append(quad)
+        if self._quad:
+            values.append(self._quadrature(f, r, nodes))
         values = np.concatenate(values) if len(values) > 1 else values[0]
         with np.errstate(all="ignore"):
             sums = np.add.reduceat(values[self._src] * self._weights, self._starts)
             out = sums * np.where(self._by_area, self._scale * r.area, self._scale)
         return _Values(out.tolist(), r.area)
 
-    def _quadrature(self, f: Fn2D, r: Rect, nodes: dict[str, np.ndarray]
-                    ) -> tuple[np.ndarray | None, tuple[int, EvaluationError] | None]:
-        """The mean of ``f`` along each distinct quadrature line and None,
-        or None and the place in the declaration order of the first failing
-        line's first request with its error, which names the line unless it
-        names a point. The lines' points come to ``f`` as two flat arrays
+    def _quadrature(self, f: Fn2D, r: Rect, nodes: dict[str, np.ndarray]) -> np.ndarray:
+        """The mean of ``f`` along each distinct quadrature line. A failure
+        is the first failing line's error, named by the line when the error
+        names no point. The lines' points come to ``f`` as two flat arrays
         that mix both directions."""
-        along_x, lo, hi, tol, first = self._quad
+        along_x, lo, hi, tol = self._quad
         ends = np.concatenate([nodes["x"], nodes["y"]])
         t = 0.5 * (ends[lo] + ends[hi])
         a, b = np.where(along_x, r.a, r.c), np.where(along_x, r.b, r.d)
@@ -438,15 +431,13 @@ class PointPlan:
 
         values, failure = simpson_lines(fn, a, b, tol)
         if failure is None:
-            return values / (b - a), None
+            return values / (b - a)
         i, exc = failure
-        if exc.where is None:
-            along = "x" if along_x[i] else "y"
-            named = EvaluationError(f"line along {along} at {_OTHER[along]}="
-                                    f"{float(t[i])!r}: {exc}")
-            named.__cause__ = exc
-            exc = named
-        return None, (first[i], exc)
+        if exc.where is not None:
+            raise exc
+        along = "x" if along_x[i] else "y"
+        raise EvaluationError(f"line along {along} at {_OTHER[along]}={float(t[i])!r}: "
+                              f"{exc}") from exc
 
 
 @functools.lru_cache(maxsize=64)

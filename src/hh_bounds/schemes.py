@@ -48,10 +48,10 @@ class Quadrature:
 InnerScheme = Union[NestedDiscrete, Quadrature]
 
 _MAX_DEPTH = 48
-#: Widest level refined in one piece, in subintervals (a batch's first level
-#: in lines). A wider level is cut in two, each part refined on its own, so
-#: memory stays bounded as the depth cap bounds a depth-first stack (see
-#: :func:`_cut`).
+#: Widest level refined in one piece, in subintervals. A batch's lines are
+#: started this many at a time, and a wider deeper level is cut in two by
+#: :func:`_cut`, each part refined on its own, so memory stays bounded as the
+#: depth cap bounds a depth-first stack.
 _LEVEL_NODES = 1024
 #: Most subintervals one line may refine, over all depths. The most any test
 #: or benchmark input refines is 1,963; a tolerance that cannot be met (such
@@ -125,15 +125,16 @@ def simpson_lines(fn, lo: np.ndarray, hi: np.ndarray, tol
     ``fn(line, s)`` returns the values of the lines ``line`` at the points
     ``s``, two flat arrays of the same shape, as a float array of that shape
     (through :func:`evaluate`). The refinement runs level by level: ``fn`` is
-    called once at every line's ends and midpoint, then once per depth at
-    the two quarter points of every subinterval of every line still open
-    there, the points in line order. A level wider than ``_LEVEL_NODES``
-    subintervals (the first, wider than ``_LEVEL_NODES`` lines) is refined
-    in two parts, cut so that every line meets its subintervals in the
-    order it does alone (:func:`_cut`). Each subinterval's arithmetic, the
-    halving of the tolerance per depth, the depth cap, and the tree in which
-    a split subinterval's value is the sum of its halves, are those of the
-    depth-first recursion.
+    called once at every line's lo end, hi end and midpoint, in that order,
+    then once per depth at the two quarter points of every subinterval of
+    every line still open there, the points in line order. The first level
+    starts ``_LEVEL_NODES`` lines at a time, each group refined to the end
+    before the next starts; a deeper level wider than ``_LEVEL_NODES``
+    subintervals is refined in two parts, cut so that every line meets its
+    subintervals in the order it does alone (:func:`_cut`). Each
+    subinterval's arithmetic, the halving of the tolerance per depth, the
+    depth cap, and the tree in which a split subinterval's value is the sum
+    of its halves, are those of the depth-first recursion.
 
     Returns the lines' values and None, or, if a line fails, an array of no
     use and ``(i, error)`` for the first line i that fails, with the error
@@ -141,13 +142,24 @@ def simpson_lines(fn, lo: np.ndarray, hi: np.ndarray, tol
     A line fails when ``fn`` raises an :class:`EvaluationError` at its
     points, or when it would refine more than ``MAX_SUBINTERVALS``
     subintervals in all, checked before their points are evaluated. Once
-    line i fails, only the lines before it keep refining, so the lines
-    after the first failing one are not refined to the end, and no line is
-    refined twice.
+    line i fails, only the lines before it keep refining, and no group of
+    lines after it starts, so the lines after the first failing one are not
+    refined to the end, and no line is refined twice.
     """
     tol = np.broadcast_to(np.asarray(tol, dtype=float), lo.shape)
     state = _Refinement(len(lo))
-    values = _start(fn, np.arange(len(lo)), lo, hi, tol, state)
+    values = np.zeros(len(lo))
+    for i in range(0, len(lo), _LEVEL_NODES):
+        if i >= state.stop:
+            break
+        a, b = lo[i:i + _LEVEL_NODES], hi[i:i + _LEVEL_NODES]
+        line, m = np.arange(i, i + len(a)), 0.5 * (a + b)
+        ends = state.evaluate(fn, np.repeat(line, 3), np.stack([a, b, m], axis=1).ravel())
+        k = ends.size // 3
+        fa, fb, fm = ends.reshape(k, 3).T
+        whole = (b[:k] - a[:k]) / 6.0 * (fa + 4.0 * fm + fb)
+        values[i:i + k] = _refine(fn, line[:k], np.stack([a, m, b], axis=1)[:k],
+                                  np.stack([fa, fm, fb], axis=1), whole, tol[i:i + k], 0, state)
     return values, None if state.error is None else (state.stop, state.error)
 
 
@@ -161,28 +173,6 @@ def _cut(line: np.ndarray) -> int:
     h = len(line) // 2
     starts = np.flatnonzero(np.diff(line)) + 1
     return int(starts[np.argmin(np.abs(starts - h))]) if starts.size else h
-
-
-def _start(fn, line: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray,
-           state: _Refinement) -> np.ndarray:
-    """The values of the lines ``line`` over [lo, hi], from their ends and
-    midpoint on; ``tol[i]`` is line i's tolerance."""
-    out = np.zeros(len(line))
-    k = state.rows(line)
-    if k > _LEVEL_NODES:
-        h = k // 2
-        out[:h] = _start(fn, line[:h], lo[:h], hi[:h], tol, state)
-        out[h:k] = _start(fn, line[h:k], lo[h:k], hi[h:k], tol, state)
-        return out
-    line, lo, hi = line[:k], lo[:k], hi[:k]
-    m = 0.5 * (lo + hi)
-    ends = state.evaluate(fn, np.repeat(line, 3), np.stack([lo, hi, m], axis=1).ravel())
-    k = ends.size // 3
-    fa, fb, fm = ends.reshape(k, 3).T
-    whole = (hi[:k] - lo[:k]) / 6.0 * (fa + 4.0 * fm + fb)
-    out[:k] = _refine(fn, line[:k], np.stack([lo, m, hi], axis=1)[:k],
-                      np.stack([fa, fm, fb], axis=1), whole, tol[line[:k]], 0, state)
-    return out
 
 
 def _refine(fn, line: np.ndarray, t: np.ndarray, ft: np.ndarray, whole: np.ndarray,

@@ -679,6 +679,23 @@ class TestSimpsonLines:
                                 "for this tolerance")
 
 
+    @pytest.mark.parametrize("level_nodes", [1, 3])
+    def test_a_line_meets_its_hi_end_before_its_midpoint(self, level_nodes, monkeypatch):
+        # line 3 of 5 fails at its hi end and at its midpoint: a line's
+        # first points are its lo end, its hi end and its midpoint, in that
+        # order, alone and in a batch of more lines than _LEVEL_NODES
+        monkeypatch.setattr(hh_bounds.schemes, "_LEVEL_NODES", level_nodes)
+
+        def g(line, t):
+            return np.where((line == 3) & ((t == 1.0) | (t == 0.5)), np.nan, t * t)
+
+        fn, alone = _lines_fn(g)
+        with pytest.raises(EvaluationError) as exc:
+            adaptive_simpson(alone(3), 0.0, 1.0, 1e-10)
+        assert exc.value.where == (1.0,)
+        _, (i, err) = simpson_lines(fn, np.zeros(5), np.ones(5), 1e-10)
+        assert (i, str(err), err.where) == (3, str(exc.value), exc.value.where)
+
     def test_a_failing_line_reports_what_it_meets_first_alone(self, monkeypatch):
         # alone, line 1's four subintervals at depth 2 are one piece, and its
         # bad point at depth 2 is met first; refined beside line 0, a level

@@ -658,14 +658,19 @@ class TestQuadratureLines:
             assert str(exc.value) == ("line along x at y=0.5: adaptive Simpson needs more "
                                       "than 64 subintervals for this tolerance")
 
-    @pytest.mark.parametrize("bad, where", [
-        # the quadrature line along y at x = 0.5, declared before the large
-        # line request along x at y = 0.5, fails first
-        ([(0.5, 3.0 / 64.0), (1.0 / 8192.0, 0.5)], (0.5, 3.0 / 64.0)),
-        # the large line request along y at x = 0.5 is declared before it
-        ([(0.5, 3.0 / 64.0), (0.5, 1.0 / 8192.0)], (0.5, 1.0 / 8192.0)),
+    @pytest.mark.parametrize("n, bad, where", [
+        # the large line request along x at y = 0.5 fails, and so does the
+        # quadrature line along y at x = 0.5, declared before it
+        (4096, [(0.5, 3.0 / 64.0), (1.0 / 8192.0, 0.5)], (1.0 / 8192.0, 0.5)),
+        # the large line request along y at x = 0.5 fails, declared before
+        # the failing quadrature line
+        (4096, [(0.5, 3.0 / 64.0), (0.5, 1.0 / 8192.0)], (0.5, 1.0 / 8192.0)),
+        # a point, declared after the failing quadrature line along y
+        (2, [(0.5, 0.125), (0.75, 0.5)], (0.75, 0.5)),
     ])
-    def test_large_line_requests_keep_their_place(self, bad, where):
+    def test_a_plan_fails_in_phase_order(self, n, bad, where):
+        # the points first, then the large line requests, then the
+        # quadrature lines, whatever the order they were declared in
         def ev(x, y):
             x, y = np.broadcast_arrays(x, y)
             out = np.exp(3.0 * x + 2.0 * y)
@@ -673,9 +678,10 @@ class TestQuadratureLines:
                 out = np.where((x == bx) & (y == by), np.nan, out)
             return out
 
-        # the lhs sums 4096 midpoints per center line, as a large line request
+        # at n = 4096 the lhs sums 4096 midpoints per center line, as a
+        # large line request; at n = 2 two midpoints, as points
         with pytest.raises(EvaluationError) as exc:
-            centerline_bound(Fn2D(eval=ev), UNIT2, 4096, Quadrature(1e-10))
+            centerline_bound(Fn2D(eval=ev), UNIT2, n, Quadrature(1e-10))
         assert exc.value.where == where
 
 
