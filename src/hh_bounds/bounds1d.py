@@ -139,11 +139,6 @@ class Lattice:
             positions.start, positions.stop, positions.step)
         return pos // 2, (pos + 1) // 2
 
-    def points(self, nodes: np.ndarray, count: int, positions: range) -> np.ndarray:
-        """The points of :meth:`pairs`, given the lattice's ``nodes``."""
-        lo, hi = self.pairs(count, positions)
-        return 0.5 * (nodes[lo] + nodes[hi])
-
     def nodes(self, iv: Interval) -> np.ndarray:
         """The nodes of every partition of ``iv``; a non-finite or coincident
         node is a :class:`DomainError` naming the first partition with one."""
@@ -247,24 +242,30 @@ def evaluate(ev: Callable, *args) -> np.ndarray:
     """Values of ``ev`` at the broadcast of ``args``, insisting on finite results.
 
     The only evaluator in the package. ``ev`` is called once, array-at-once,
-    with ``args`` as given; a callback whose result does not have the
-    broadcast shape (a scalar-only callback) is called once per point
-    instead, with Python floats in row-major order, fed from per-chunk lists
-    of SCALAR_CHUNK points so that the loop over a chunk runs in C and a
-    point costs little more than the call itself. A failure of such a call
-    (``ArithmeticError`` or ``ValueError``) and a non-finite value both raise
-    :class:`EvaluationError` whose ``where`` is the full point. So does an
-    :class:`EvaluationError` the array call raises without a point, such as
-    an expression's: the first failing point of the block is located by
-    bisection and named, and the original message is kept. The result is a
-    C-contiguous float array of the broadcast shape.
+    with ``args`` as given. A result with as many dimensions as the
+    broadcast shape that broadcasts to it, such as that of ``x * x`` on a
+    row block, which ignores ``y``, is broadcast. A result that is 0-d, has
+    another number of dimensions or does not broadcast may be a reduction,
+    so its callback is taken for a scalar-only one and called once per
+    point instead, with Python floats in row-major order, fed from
+    per-chunk lists of SCALAR_CHUNK points so that the loop over a chunk
+    runs in C and a point costs little more than the call itself. A
+    failure of such a call (``ArithmeticError`` or ``ValueError``) and a
+    non-finite value both raise :class:`EvaluationError` whose ``where`` is
+    the full point. So does an :class:`EvaluationError` the array call
+    raises without a point, such as an expression's: the first failing
+    point of the block is located by bisection and named, and the original
+    message is kept. The result is a C-contiguous float array of the
+    broadcast shape.
     """
     shape = np.broadcast_shapes(*(np.shape(a) for a in args))
     with np.errstate(all="ignore"):
         try:
             out = np.asarray(ev(*args), dtype=float, order="C")
             if out.shape != shape:
-                raise TypeError("scalar-only callback")
+                if out.ndim != len(shape):
+                    raise TypeError("scalar-only callback")
+                out = np.ascontiguousarray(np.broadcast_to(out, shape))
         except (TypeError, ValueError, ArithmeticError):
             out = _per_point(ev, [np.broadcast_to(a, shape) for a in args]).reshape(shape)
         except EvaluationError as exc:

@@ -1,9 +1,10 @@
 """Built-in named test functions and expression-to-function plumbing.
 
-The named entries are direct callables (not parsed strings) so documentation
-examples and acceptance runs do not depend on the expression parser. The
-positive flag of a resolved function is decided per rectangle from the
-sample-grid minimum.
+A named entry is shorthand for the source of an expression, so a name and
+its expression resolve to the same function, with the same bits. Like any
+parsed expression it carries no tree for now, so the convexity gate samples
+it. The positive flag of a resolved function is decided per rectangle from
+the sample-grid minimum.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from .expr import Node, eval_ast, parse
 from .rect import Fn2D, Rect, with_positivity
 
 _NAMED = {
-    "xy": lambda x, y: x * y,
-    "sumsq": lambda x, y: x * x + y * y,
-    "expsum": lambda x, y: np.exp(x + y),
-    "absdist": lambda x, y: np.abs(x - 0.5) + np.abs(y - 0.5),
-    "const1": lambda x, y: 1.0 + 0.0 * x + 0.0 * y,
+    "xy": "x*y",
+    "sumsq": "x*x+y*y",
+    "expsum": "exp(x+y)",
+    "absdist": "abs(x-0.5)+abs(y-0.5)",
+    "const1": "1",
 }
 
 NAMED_FUNCTIONS = tuple(sorted(_NAMED))
@@ -34,7 +35,5 @@ def function_from_ast(ast: Node, rect: Rect) -> Fn2D:
 
 def resolve_function(name_or_expr: str, rect: Rect) -> Fn2D:
     """Resolve a named corpus entry, or else parse the string as an expression."""
-    if name_or_expr in _NAMED:
-        return with_positivity(_NAMED[name_or_expr], rect)
-    return function_from_ast(parse(name_or_expr), rect)
+    return function_from_ast(parse(_NAMED.get(name_or_expr, name_or_expr)), rect)
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds1d import Fn1D, Interval, evaluate
+from .bounds1d import Fn1D, Interval, check_points, evaluate
 from .errors import DomainError, PreconditionError
 from .expr import MAX_DEPTH, Binary, Call, Node, Number, Unary, Var, program
 from .rect import Fn2D, Rect, with_positivity
@@ -97,10 +97,14 @@ def check_coordinate_convexity(f: Fn2D, r: Rect, samples: int = GATE_SAMPLES,
     -(``tol`` + ROUNDOFF*eps*(lam*|f(u1)| + (1-lam)*|f(u2)| + |f(blend)|))
     or above. Deterministic given ``seed``; the worst witness is the
     minimum slack, ties resolved by draw order (x-axis block first).
-    ``samples``, ``tol`` and ``seed`` are validated either way.
+    ``samples``, ``tol`` and ``seed`` are validated either way; more than
+    ``bounds1d.MAX_POINTS`` points in all (6 * ``samples``) is a
+    :class:`DomainError` before anything is drawn.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
+    # three evaluations of ``samples`` points per axis
+    check_points(f"a convexity gate with samples={samples}", 6 * samples)
     if not tol >= 0.0:
         raise DomainError(f"tol must be >= 0, got {tol}")
     if seed < 0:

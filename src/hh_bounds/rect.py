@@ -27,13 +27,17 @@ The two five-term chains share their first three terms, boundary lines and
 corners, so :func:`five_term_chains` builds both in one pass, and
 :func:`classic_chain` and :func:`refined_chain` are views of it.
 
-Callbacks receive blocks of points as numpy arrays. A small plan is one flat
-call at the points of its requests of fewer than PACK_POINTS points, each
-point by construction once (a midpoint and a finer node with the same bits
-are two points), and each output is one weighted sum of their values. A
-larger line request is evaluated in broadcast ``lines x points per line``
-blocks of about BLOCK_POINTS points by :func:`bounds1d.line_blocks`
-(BLOCK_POINTS is re-exported here), and its line values enter the same sums.
+Callbacks receive blocks of points as numpy arrays. A point is known by
+construction, as the two nodes per side whose mean it is. A small plan is
+one flat call at the points of its requests of fewer than PACK_POINTS
+points, each point once (a midpoint and a finer node with the same bits
+are two points), in the order of their nodes, and each output is one
+weighted sum of their values: a plan compiles each request to one source,
+the positions of its values, and one rule, the weight of each value within
+a line. A larger line request is evaluated in broadcast
+``lines x points per line`` blocks of about BLOCK_POINTS points by
+:func:`bounds1d.line_blocks` (BLOCK_POINTS is re-exported here), and its
+line values enter the same sums.
 Each block runs with a numpy ufunc buffer of at most one line, which changes
 speed only: an elementwise callback gives the same bits at any buffer size.
 Under Quadrature a plan's line requests become one list of distinct lines, a
@@ -42,10 +46,11 @@ and its tolerance, so the center lines the two chains share are one line
 each; :func:`schemes.simpson_lines` refines them all together, one call per
 Simpson depth. A plan evaluates its points, then its large line requests in
 declaration order, then its quadrature lines, the order its values are laid
-out in, and a failure is the first one met in that order. A scalar-only
-callback is called once per point instead, from a C-level loop over
-per-chunk lists of Python floats: a point costs the call plus about 0.1 us,
-against a few ns for a numpy callback.
+out in, and a failure is the first one met in that order. A result that
+ignores one variable, of the block's number of dimensions, is broadcast. A
+scalar-only callback is called once per point instead, from a C-level loop
+over per-chunk lists of Python floats: a point costs the call plus about
+0.1 us, against a few ns for a numpy callback.
 """
 
 from __future__ import annotations
@@ -128,15 +133,15 @@ class Fn2D:
     call, each point by construction once, as two flat arrays of the same
     shape, and so do quadrature lines, one call per Simpson depth for all
     the lines still open there, both directions mixed. A large line request
-    comes as a row of one coordinate and a column of the other, and there a
-    numpy callback whose result has any other shape, such as
-    ``lambda x, y: x * x``, which ignores ``y`` and returns the shape of
-    ``x`` alone, is also called once per point: write ``x * x + 0.0 * y`` to
-    keep it array-at-once. Such a result is not broadcast for the caller,
-    because a result of another shape, a 0-d one included, may be a
-    reduction rather than values. A row block runs with a ufunc buffer of at
-    most one line (see :func:`bounds1d.line_blocks`): elementwise values do
-    not depend on it, but a callback that reduces within a block may see the
+    comes as a row of one coordinate and a column of the other. A result
+    with the block's number of dimensions that broadcasts to its shape,
+    such as that of ``lambda x, y: x * x``, which ignores ``y`` and returns
+    the shape of ``x`` alone, is broadcast, with the bits of
+    ``x * x + 0.0 * y``. A result that is 0-d or of another number of
+    dimensions may be a reduction rather than values, so its callback is
+    called once per point. A row block runs with a ufunc buffer of at most
+    one line (see :func:`bounds1d.line_blocks`): elementwise values do not
+    depend on it, but a callback that reduces within a block may see the
     other buffer.
     ``positive`` asserts the range is >= 0 and gates :func:`positive_upper`.
     ``expr``, when given, is an expression tree that computes the same
@@ -241,6 +246,12 @@ class _QuadratureLines(NamedTuple):
     tol: float
 
 
+def _split(parts: dict, values: np.ndarray) -> dict:
+    """``values``, laid out as the arrays of ``parts`` one after another,
+    cut back into one array per key of ``parts``."""
+    return dict(zip(parts, np.split(values, np.cumsum([len(v) for v in parts.values()])[:-1])))
+
+
 class _Values(list):
     """The values of a plan's outputs for one f and rectangle, in
     declaration order, with the rectangle's area."""
@@ -298,22 +309,27 @@ class PointPlan:
     def _compile(self) -> None:
         """Index and weight arrays for every output, built once per plan.
 
-        The requests of fewer than PACK_POINTS points become points, one per
-        pair of coordinates that differ by construction, each kept as the
-        two nodes per side whose mean it is; the others stay line requests,
-        in declaration order; the quadrature requests become one list of
-        distinct lines in the order of their first request, a line known by
-        its direction, its point on the other side by construction and its
-        tolerance. The values are laid out in that order, the order
-        :meth:`resolve` evaluates them in. Each output's entries are a point
-        or a line with its weight, the line's weight times the point's
-        within it.
+        One pass over the requests sorts them into three kinds. A request of
+        fewer than PACK_POINTS points becomes points, each point one row of
+        twin nodes (x lo, x hi, y lo, y hi), per side the first nodes with
+        the bits of the two whose mean it is, so that points built alike
+        share a row; the distinct rows, sorted, are the points. A larger
+        request stays a line request, in declaration order. The quadrature
+        requests become one list of distinct lines in the order of their
+        first request, a line known by its direction, its point on the other
+        side by construction and its tolerance. The values are laid out in
+        that order, points, line requests, quadrature lines, the order
+        :meth:`resolve` evaluates them in. Each request has one source, the
+        positions of its values, and one rule, the weight of each value
+        within a line: ones over its points, the two ends halved for the
+        trapezoid rule, or 1 for a line value. An add's weights are the
+        line's weight times the rule.
         """
         sides = {s: Lattice(self._counts[s]) for s in "xy"}
-        # points with the same bits by construction get the same code
         twins = {s: side.twins() for s, side in sides.items()}
-        flat, quad, self._lines, size = {}, {}, [], 0
+        key, quad, self._lines, rule = {}, {}, [], {}
         for req in self._requests:
+            rule[req] = 1.0
             if isinstance(req, _QuadratureLines):
                 # per line: along x, its point on the other side as two nodes
                 # of both sides' lattices, and its tolerance
@@ -323,57 +339,43 @@ class PointPlan:
                 quad[req] = np.stack(np.broadcast_arrays(
                     req.along == "x", lo, hi, req.tol), axis=1)
             elif req.size < PACK_POINTS:
-                flat[req] = size
-                size += req.size
+                # per point, line by line: its twin nodes (x lo, x hi, y lo, y hi)
+                cols = []
+                for s in "xy":
+                    along = s == req.along
+                    for p in sides[s].pairs(*(req.pts if along else req.at)):
+                        cols.append(np.tile(twins[s][p], len(req.at[1])) if along
+                                    else np.repeat(twins[s][p], len(req.pts[1])))
+                key[req] = np.stack(cols, axis=1)
+                rule[req] = np.ones(len(req.pts[1]))
+                if req.trap:
+                    rule[req][[0, -1]] = 0.5
             else:
                 self._lines.append(req)
-        distinct, point, self._pairs = 0, None, {}
-        if flat:
-            codes = {}
-            for s, side in sides.items():
-                code = []
-                for req in flat:
-                    along = s == req.along
-                    lo, hi = side.pairs(*(req.pts if along else req.at))
-                    c = twins[s][lo] * side.size + twins[s][hi]
-                    code.append(np.tile(c, len(req.at[1])) if along
-                                else np.repeat(c, len(req.pts[1])))
-                codes[s] = np.unique(np.concatenate(code), return_inverse=True)
-            ny = codes["y"][0].size
-            keys, point = np.unique(codes["x"][1] * ny + codes["y"][1], return_inverse=True)
-            distinct = keys.size
-            for s, at in (("x", keys // ny), ("y", keys % ny)):
-                self._pairs[s] = divmod(codes[s][0][at], sides[s].size)
+        source, self._pairs, distinct = {}, None, 0
+        if key:
+            keys, point = np.unique(np.concatenate(list(key.values())), axis=0,
+                                    return_inverse=True)
+            source, self._pairs, distinct = _split(key, point.ravel()), keys.T, len(keys)
         starts = np.cumsum([distinct] + [len(req.at[1]) for req in self._lines])
-        line_start = dict(zip(self._lines, starts))
+        source.update(zip(self._lines, map(np.arange, starts, starts[1:])))
         self._quad = None
         if quad:
             # the distinct lines, in the order of their first request
             keys = np.concatenate(list(quad.values()))
             _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
             firsts, line = np.unique(first[inverse.ravel()], return_inverse=True)
-            ends = np.cumsum([len(k) for k in quad.values()])[:-1]
-            quad = dict(zip(quad, np.split(starts[-1] + line, ends)))
+            source.update(_split(quad, starts[-1] + line))
             along_x, lo, hi, tol = keys[firsts].T
             self._quad = (along_x == 1, lo.astype(np.intp), hi.astype(np.intp), tol)
 
         src, weights, sizes = [], [], [0] * len(self._scales)
         for out, req, w in sorted(self._adds, key=lambda add: add[0]):
             line_w = np.broadcast_to(np.asarray(w, dtype=float), (len(req.at[1]),))
-            if req in flat:
-                src.append(point[flat[req]:flat[req] + req.size])
-                weights.append(np.outer(line_w, np.ones(len(req.pts[1]))))
-                if req.trap:
-                    weights[-1][:, [0, -1]] *= 0.5
-            elif req in quad:
-                src.append(quad[req])
-                weights.append(line_w)
-            else:
-                src.append(line_start[req] + np.arange(line_w.size))
-                weights.append(line_w)
-            sizes[out] += src[-1].size
-        self._src = np.concatenate(src)
-        self._weights = np.concatenate([w.ravel() for w in weights])
+            src.append(source[req])
+            weights.append(np.outer(line_w, rule[req]).ravel())
+            sizes[out] += source[req].size
+        self._src, self._weights = np.concatenate(src), np.concatenate(weights)
         self._starts = np.cumsum([0] + sizes[:-1])
         scale, by_area = zip(*self._scales)
         self._scale, self._by_area = np.array(scale), np.array(by_area)
@@ -383,28 +385,35 @@ class PointPlan:
         """Every output's value for ``f`` on ``r``.
 
         Each side's lattice is mapped onto ``r`` in one pass, with
-        :class:`bounds1d.Lattice`'s checks. Then the values are evaluated
-        in the order they are laid out: the points, each point by
-        construction once, in one call; each large line request in
-        declaration order, in row blocks; the distinct quadrature lines,
-        all refined together by :func:`schemes.simpson_lines`. A failure is
-        the first one met in that order, among the quadrature lines the
-        first failing line's, in the order of their first request. An
-        output that overflows comes out infinite, without a warning. The
-        plan's size is checked against ``bounds1d.MAX_POINTS`` again first.
+        :class:`bounds1d.Lattice`'s checks, and every point is the mean of
+        its two nodes. Then the values are evaluated in the order they are
+        laid out: the points, each point by construction once, in one call;
+        each large line request in declaration order, in row blocks; the
+        distinct quadrature lines, all refined together by
+        :func:`schemes.simpson_lines`. A failure is the first one met in
+        that order, among the points the first in the order of their twin
+        nodes, and among the quadrature lines the first failing line's, in
+        the order of their first request. An output that overflows comes
+        out infinite, without a warning. The plan's size is checked against
+        ``bounds1d.MAX_POINTS`` again first.
         """
         check_points("a point plan", self._points)
         if self._sides is None:
             self._compile()
         ivs = {"x": r.x_interval, "y": r.y_interval}
         nodes = {s: side.nodes(ivs[s]) for s, side in self._sides.items()}
+
+        def mean(s, pairs):
+            lo, hi = pairs
+            return 0.5 * (nodes[s][lo] + nodes[s][hi])
+
         values = []
-        if self._pairs:
-            values.append(evaluate(f.eval, *(0.5 * (nodes[s][lo] + nodes[s][hi])
-                                              for s, (lo, hi) in self._pairs.items())))
+        if self._pairs is not None:
+            values.append(evaluate(f.eval, mean("x", self._pairs[:2]), mean("y", self._pairs[2:])))
         for req in self._lines:
-            at = self._sides[_OTHER[req.along]].points(nodes[_OTHER[req.along]], *req.at)
-            run = self._sides[req.along].points(nodes[req.along], *req.pts)
+            s = _OTHER[req.along]
+            at = mean(s, self._sides[s].pairs(*req.at))
+            run = mean(req.along, self._sides[req.along].pairs(*req.pts))
             rule = trapezoid_sum if req.trap else midpoint_sum
             values += [rule(block, 1.0) for block in line_blocks(f.eval, req.along, at, run)]
         if self._quad:

@@ -397,6 +397,44 @@ def test_array_callback_is_called_per_block_never_per_point(run, calls, monkeypa
     assert set(seen) == {(np.ndarray, np.ndarray)}
 
 
+@pytest.mark.parametrize("run", [
+    lambda f: discrete_enclosure(f, _GATE_RECT, 128, 16),
+    lambda f: reference_integral_2d(f, _GATE_RECT, 256),
+], ids=["enclosure_blocks", "oracle"])
+def test_result_that_ignores_a_variable_is_broadcast(run):
+    # x * x has the shape of x alone on a row block: broadcast to the block,
+    # it is never taken for a scalar-only callback, with the bits of
+    # x * x + 0.0 * y
+    seen = []
+
+    def ev(x, y):
+        seen.append((type(x), type(y)))
+        return x * x
+
+    assert run(Fn2D(eval=ev)) == run(Fn2D(eval=lambda x, y: x * x + 0.0 * y))
+    assert set(seen) == {(np.ndarray, np.ndarray)}
+
+
+def test_broadcast_result_keeps_its_bits():
+    f, r = Fn2D(eval=lambda x, y: x * x), Rect(0.0, 1.0, 0.0, 1.0)
+    bp = discrete_enclosure(f, r, 32, 16)
+    assert (bp.lower.hex(), bp.upper.hex()) == ("0x1.554aa00000000p-2", "0x1.556ac00000000p-2")
+    assert reference_integral_2d(f, r, 1024).value.hex() == "0x1.5555555555555p-2"
+
+
+def test_zero_d_result_is_still_evaluated_once_per_point():
+    # a 0-d result may be a reduction of the block, such as a norm
+    seen = []
+
+    def norm(x, y):
+        seen.append(np.ndim(x))
+        return np.linalg.norm([x, y])
+
+    xs, ys = np.array([3.0, 5.0, 8.0]), np.array([4.0, 12.0, 15.0])
+    assert evaluate(norm, xs, ys).tolist() == [5.0, 13.0, 17.0]
+    assert seen == [1, 0, 0, 0]
+
+
 #: A caller's ufunc buffer size other than numpy's default of 8,192.
 CALLER_BUFSIZE = 4096
 

@@ -71,6 +71,21 @@ class TestChecker:
         with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
             check_coordinate_convexity(f, UNIT2, seed=-1)
 
+    def test_runaway_samples_fail_before_anything_is_drawn(self, monkeypatch):
+        # three evaluations of `samples` points per axis: 6 * 17 = 102 points
+        # exceed a cap of 100, before the proof and before any draw
+        monkeypatch.setattr(hh_bounds.bounds1d, "MAX_POINTS", 100)
+        monkeypatch.setattr(hh_bounds.convexity, "_proves",
+                            lambda *args: pytest.fail("the proof ran"))
+        seen = []
+        f = Fn2D(eval=lambda x, y: seen.append(x) or x * y, expr=parse("x*y"))
+        with pytest.raises(DomainError, match="samples=17 needs 102 points, more than the cap"):
+            check_coordinate_convexity(f, UNIT2, samples=17)
+        assert seen == []
+        # 6 * 16 = 96 points are within it
+        rep = check_coordinate_convexity(dataclasses.replace(f, expr=None), UNIT2, samples=16)
+        assert rep.samples == 32 and len(seen) == 6
+
     def test_evaluation_pattern(self):
         # three calls per axis (u1, u2, blend), x-axis first, each over all
         # samples: a merged block was slower on generated functions, and the

@@ -12,6 +12,7 @@ from hh_bounds.catalog import resolve_function
 from hh_bounds.convexity import random_coordinate_convex
 from hh_bounds.expr import (MAX_DEPTH, Binary, Call, Number, ParseError, Unary, Var,
                             eval_ast, parse, program, to_string)
+from hh_bounds.rect import with_positivity
 
 from expr_corpus import CORPUS, MALFORMED, depth
 
@@ -94,6 +95,34 @@ def test_resolved_expression_values_take_the_broadcast_shape(src):
     assert out.shape == (len(xs), len(ys))
     ast = parse(src)
     assert np.array_equal(out, [[eval_ast(ast, x, y) for y in ys] for x in xs])
+
+
+#: The named entries as the lambdas they were before they became expressions.
+_NAMED_LAMBDAS = {
+    "xy": lambda x, y: x * y,
+    "sumsq": lambda x, y: x * x + y * y,
+    "expsum": lambda x, y: np.exp(x + y),
+    "absdist": lambda x, y: np.abs(x - 0.5) + np.abs(y - 0.5),
+    "const1": lambda x, y: 1.0 + 0.0 * x + 0.0 * y,
+}
+
+
+@pytest.mark.parametrize("rect", [Rect(0.0, 1.0, 0.0, 1.0), Rect(-2.0, 1.0, 0.5, 3.0),
+                                  Rect(-0.37, 1.1, -1.9, -0.13)])
+@pytest.mark.parametrize("name", sorted(_NAMED_LAMBDAS))
+def test_named_entries_are_their_lambdas_bit_for_bit(name, rect):
+    fn, want = resolve_function(name, rect), _NAMED_LAMBDAS[name]
+    assert fn.expr is None  # no tree yet: the gate samples them
+    assert fn.positive == with_positivity(want, rect).positive
+    xs, ys = np.linspace(rect.a, rect.b, 9), np.linspace(rect.c, rect.d, 5)
+    flat = [a.ravel() for a in np.broadcast_arrays(xs[:, None], ys[None, :])]
+    # row blocks both ways, a flat call and Python floats
+    for x, y in ((xs[None, :], ys[:, None]), (xs[:, None], ys[None, :]), flat,
+                 (float(xs[3]), float(ys[1])), (0.5, 0.5)):
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        got, expected = (np.broadcast_to(np.asarray(g(x, y), dtype=float), shape).tobytes()
+                         for g in (fn.eval, want))
+        assert got == expected
 
 
 class TestGrammarDetails:

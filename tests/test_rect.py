@@ -462,6 +462,27 @@ class TestPointPlan:
         assert_each_point_once(calls[0], declared)
         assert len(set(calls[0])) < len(calls[0])
 
+    @pytest.mark.parametrize("bad, where", [
+        # the center is declared before the corner (a, d)
+        ([(0.5, 0.5), (0.0, 1.0)], (0.0, 1.0)),
+        # the edge midpoint (0.5, d) is declared before (a, 0.5)
+        ([(0.5, 1.0), (0.0, 0.5)], (0.0, 0.5)),
+    ])
+    def test_flat_call_fails_at_the_first_failing_point_by_its_nodes(self, bad, where):
+        # the points of the flat call are ordered by their nodes (x lo, x hi,
+        # y lo, y hi), not by declaration, and a failure is the first failing
+        # point in that order
+        def ev(x, y):
+            x, y = np.broadcast_arrays(x, y)
+            out = np.exp(x - y) + x * y
+            for bx, by in bad:
+                out = np.where((x == bx) & (y == by), np.nan, out)
+            return out
+
+        with pytest.raises(EvaluationError, match="non-finite value") as exc:
+            five_term_chains(Fn2D(eval=ev), UNIT2, integral=0.25)
+        assert exc.value.where == where
+
     def test_request_above_the_threshold_is_evaluated_in_row_blocks(self, monkeypatch):
         # at n=2048 the lines and the sides, 2 x 2049 points each, are
         # requests of at least PACK_POINTS, each evaluated as broadcast row
