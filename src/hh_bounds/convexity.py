@@ -7,10 +7,13 @@ with an interval that encloses its values. It uses
 disciplined-convex-programming composition rules (Grant, Boyd & Ye 2006):
 sums, negation, a factor of known sign that is constant in the variable,
 squares and even powers of affine terms, ``exp`` of convex terms, ``abs``
-of affine terms and ``max`` of convex terms. The intervals are float
-intervals rounded outward; a polynomial factor whose float interval
-straddles 0 is re-checked exactly in rationals. A tree the rules do not
-cover, such as one with ``/``, ``min`` or an odd power, is not proved.
+of affine terms and ``max`` of convex terms; each node's rule is picked by
+its type, and the curvature of a sum, a negation or a composition is read
+from a table. The intervals are float intervals rounded outward; a
+polynomial factor whose float interval straddles 0 is re-checked exactly,
+in integer arithmetic on its dyadic values: every float is m * 2**e for
+integers m and e. A tree the rules do not cover, such as one with ``/``,
+``min`` or an odd power, is not proved.
 
 Whatever is not proved, black-box callbacks included, is checked by
 sampling: random chords along each axis, with the convexity slack
@@ -149,6 +152,19 @@ def check_coordinate_convexity(f: Fn2D, r: Rect, samples: int = GATE_SAMPLES,
 CONST, AFFINE, CONVEX, CONCAVE = "const", "affine", "convex", "concave"
 _CONVEX = (CONST, AFFINE, CONVEX)
 _CONCAVE = (CONST, AFFINE, CONCAVE)
+_KINDS = (CONST, AFFINE, CONVEX, CONCAVE, None)
+
+#: The curvature of a sum by its terms': the narrowest family holding both.
+_ADD = {(a, b): next((kind for kind, family in (
+            (CONST, (CONST,)), (AFFINE, (CONST, AFFINE)), (CONVEX, _CONVEX),
+            (CONCAVE, _CONCAVE)) if a in family and b in family), None)
+        for a in _KINDS for b in _KINDS}
+_NEGATE = {CONST: CONST, AFFINE: AFFINE, CONVEX: CONCAVE, CONCAVE: CONVEX, None: None}
+#: A convex outer function of a term: a constant stays constant, and the
+#: result is convex for an affine term (|t|, t**p) or, when the outer
+#: function is also nondecreasing (exp, max), for a convex one.
+_OF_AFFINE = {c: CONST if c == CONST else CONVEX if c == AFFINE else None for c in _KINDS}
+_OF_CONVEX = {c: CONST if c == CONST else CONVEX if c in _CONVEX else None for c in _KINDS}
 
 
 class _Unproved(Exception):
@@ -178,11 +194,10 @@ def _finite(lo: float, hi: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _arith(op: str, a: tuple, b: tuple, down=_down, up=_up) -> tuple:
-    """The interval of ``a op b`` for op in + - *, widened by ``down`` and
-    ``up``. A sum or product of two nonnegative intervals keeps a lower
+def _arith(op: str, alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
+    """The finite interval of ``a op b`` for op in + - *, widened by an ulp
+    each way. A sum or product of two nonnegative intervals keeps a lower
     bound of at least 0."""
-    (alo, ahi), (blo, bhi) = a, b
     if op == "+":
         lo, hi = alo + blo, ahi + bhi
     elif op == "-":
@@ -190,30 +205,10 @@ def _arith(op: str, a: tuple, b: tuple, down=_down, up=_up) -> tuple:
     else:
         ends = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
         lo, hi = min(ends), max(ends)
-    lo, hi = down(lo), up(hi)
+    lo, hi = _down(lo), _up(hi)
     if op != "-" and alo >= 0 and blo >= 0:
         lo = max(lo, 0.0)
-    return lo, hi
-
-
-def _add(a: str | None, b: str | None) -> str | None:
-    for kind, family in ((CONST, (CONST,)), (AFFINE, (CONST, AFFINE)),
-                         (CONVEX, _CONVEX), (CONCAVE, _CONCAVE)):
-        if a in family and b in family:
-            return kind
-    return None
-
-
-def _negate(c: str | None) -> str | None:
-    return {CONVEX: CONCAVE, CONCAVE: CONVEX}.get(c, c)
-
-
-def _compose(c: str | None, accepts: tuple) -> str | None:
-    """A convex outer function of a term of curvature ``c``: constant stays
-    constant, and the result is convex when ``c`` is one of ``accepts``."""
-    if c == CONST:
-        return CONST
-    return CONVEX if c in accepts else None
+    return _finite(lo, hi)
 
 
 def _product(ca: str | None, cb: str | None, a: Node, b: Node, ra: tuple, rb: tuple,
@@ -235,41 +230,72 @@ def _scaled(c: str | None, factor: Node, rng: tuple, r: Rect) -> str | None:
     lo, hi = rng
     if lo >= 0.0 or (hi > 0.0 and _exact_lower(factor, r) >= 0):
         return c
-    return _negate(c) if hi <= 0.0 else None
+    return _NEGATE[c] if hi <= 0.0 else None
 
 
-def _exact_lower(node: Node, r: Rect):
-    """The lower end of the interval of a polynomial subtree over ``r``, in
-    exact rationals; -1 for a subtree that is not a polynomial."""
-    return _exact_min(node, (r.a, r.b), (r.c, r.d))
-
-
-def _exact_min(node: Node, x: tuple[float, float], y: tuple[float, float]):
-    """:func:`_exact_lower` over ``x`` x ``y``."""
-    from fractions import Fraction  # only a factor that straddles 0 pays for the import
-
-    def walk(n: Node) -> tuple:
-        match n:
-            case Number(value=v):
-                return Fraction(v), Fraction(v)
-            case Var(name=name):
-                lo, hi = x if name == "x" else y
-                return Fraction(lo), Fraction(hi)
-            case Unary(op="neg", arg=a):
-                lo, hi = walk(a)
-                return -hi, -lo
-            case Binary(op="+" | "-" | "*" as op, left=a, right=b):
-                return _arith(op, walk(a), walk(b), _same, _same)
-        raise _Unproved
-
+def _exact_lower(node: Node, r: Rect) -> int:
+    """An integer of the sign of the lower end of a polynomial subtree's
+    interval over ``r``, computed exactly; -1 for a subtree that is not a
+    polynomial."""
     try:
-        return walk(node)[0]
+        return _exact_min(node, (r.a, r.b), (r.c, r.d))[0]
     except _Unproved:
         return -1
 
 
-def _same(v):
-    return v
+def _dyadic(v: float) -> tuple[int, int]:
+    """(m, e) with ``v`` = m * 2**e exactly, for a finite ``v``."""
+    m, d = v.as_integer_ratio()
+    return m, 1 - d.bit_length()
+
+
+def _aligned(lo: float, hi: float) -> tuple[int, int, int]:
+    """(m_lo, m_hi, e) with ``lo`` = m_lo * 2**e and ``hi`` = m_hi * 2**e."""
+    (mlo, elo), (mhi, ehi) = _dyadic(lo), _dyadic(hi)
+    e = min(elo, ehi)
+    return mlo << (elo - e), mhi << (ehi - e), e
+
+
+def _exact_min(node: Node, x: tuple[float, float],
+               y: tuple[float, float]) -> tuple[int, int]:
+    """The lower end m * 2**e of the interval of a polynomial subtree over
+    ``x`` x ``y``, as (m, e); :class:`_Unproved` for any other subtree.
+
+    Every float is an integer times a power of two, so the walk keeps each
+    interval as two integers over one exponent: a sum or difference shifts
+    the mantissas to the smaller exponent and adds them, a product
+    multiplies them and adds the exponents, and the ends of a product are
+    the min and max of four integers. Nothing is rounded or reduced."""
+    def walk(n: Node) -> tuple[int, int, int]:
+        kind = type(n)
+        if kind is Number:
+            m, e = _dyadic(n.value)
+            return m, m, e
+        if kind is Var:
+            return _aligned(*(x if n.name == "x" else y))
+        if kind is Unary and n.op == "neg":
+            lo, hi, e = walk(n.arg)
+            return -hi, -lo, e
+        if kind is not Binary or n.op not in ("+", "-", "*"):
+            raise _Unproved
+        (alo, ahi, ea), (blo, bhi, eb) = walk(n.left), walk(n.right)
+        if n.op == "*":
+            ends = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+            return min(ends), max(ends), ea + eb
+        e = min(ea, eb)
+        alo, ahi, blo, bhi = alo << ea - e, ahi << ea - e, blo << eb - e, bhi << eb - e
+        return (alo + blo, ahi + bhi, e) if n.op == "+" else (alo - bhi, ahi - blo, e)
+
+    lo, _, e = walk(node)
+    return lo, e
+
+
+def _float_up(m: int, e: int) -> float:
+    """The least float at or above m * 2**e."""
+    f = float(m << e) if e >= 0 else m / (1 << -e)  # both rounded to nearest
+    fm, fe = _dyadic(f)
+    k = min(fe, e)
+    return math.nextafter(f, math.inf) if fm << fe - k < m << e - k else f
 
 
 def _abs_range(lo: float, hi: float) -> tuple[float, float]:
@@ -283,52 +309,74 @@ def _even_power(shape: tuple, p: float) -> tuple:
     the rounding of ``**``."""
     cx, cy, lo, hi = shape
     small, big = _abs_range(lo, hi)
-    return (_compose(cx, (AFFINE,)), _compose(cy, (AFFINE,)),
+    return (_OF_AFFINE[cx], _OF_AFFINE[cy],
             *_finite(max(0.0, _down(_down(small ** p))), _up(_up(big ** p))))
 
 
 def _shape(node: Node, r: Rect) -> tuple:
-    """(curvature in x, curvature in y, lo, hi) of ``node`` over ``r``."""
-    match node:
-        case Number(value=v):
-            return (CONST, CONST, *_finite(v, v))
-        case Var(name="x"):
-            return AFFINE, CONST, r.a, r.b
-        case Var():
-            return CONST, AFFINE, r.c, r.d
-        case Unary(op="neg", arg=a):
-            cx, cy, lo, hi = _shape(a, r)
-            return _negate(cx), _negate(cy), -hi, -lo
-        case Unary(op="abs", arg=a):
-            cx, cy, lo, hi = _shape(a, r)
-            return _compose(cx, (AFFINE,)), _compose(cy, (AFFINE,)), *_abs_range(lo, hi)
-        case Unary(op="exp", arg=a):
-            cx, cy, lo, hi = _shape(a, r)
-            lo, hi = max(0.0, _down(_down(math.exp(lo)))), _up(_up(math.exp(hi)))
-            return (_compose(cx, (AFFINE, CONVEX)), _compose(cy, (AFFINE, CONVEX)),
-                    *_finite(lo, hi))
-        case Call(fn="max", args=(a, b)):
-            ax, ay, alo, ahi = _shape(a, r)
-            bx, by, blo, bhi = _shape(b, r)
-            return (_compose(_add(ax, bx), _CONVEX), _compose(_add(ay, by), _CONVEX),
-                    max(alo, blo), max(ahi, bhi))
-        case Binary(op="^", left=a, right=Number(value=p)) if p >= 2.0 and p % 2.0 == 0.0:
-            return _even_power(_shape(a, r), p)
-        case Binary(op="*", left=a, right=b) if a == b:
-            return _even_power(_shape(a, r), 2.0)
-        case Binary(op="+" | "-" as op, left=a, right=b):
-            ax, ay, alo, ahi = _shape(a, r)
-            bx, by, blo, bhi = _shape(b, r)
-            if op == "-":
-                bx, by = _negate(bx), _negate(by)
-            return _add(ax, bx), _add(ay, by), *_finite(*_arith(op, (alo, ahi), (blo, bhi)))
-        case Binary(op="*", left=a, right=b):
-            ax, ay, alo, ahi = _shape(a, r)
-            bx, by, blo, bhi = _shape(b, r)
-            return (_product(ax, bx, a, b, (alo, ahi), (blo, bhi), r),
-                    _product(ay, by, a, b, (alo, ahi), (blo, bhi), r),
-                    *_finite(*_arith("*", (alo, ahi), (blo, bhi))))
+    """(curvature in x, curvature in y, lo, hi) of ``node`` over ``r``, by
+    the rule for the node's type."""
+    return _SHAPES.get(type(node), _unknown)(node, r)
+
+
+def _unknown(node: Node, r: Rect) -> tuple:
     raise _Unproved
+
+
+def _number(node: Number, r: Rect) -> tuple:
+    v = node.value
+    return (CONST, CONST, *_finite(v, v))
+
+
+def _var(node: Var, r: Rect) -> tuple:
+    return (AFFINE, CONST, r.a, r.b) if node.name == "x" else (CONST, AFFINE, r.c, r.d)
+
+
+def _unary(node: Unary, r: Rect) -> tuple:
+    op = node.op
+    if op not in ("neg", "abs", "exp"):
+        raise _Unproved
+    cx, cy, lo, hi = _shape(node.arg, r)
+    if op == "neg":
+        return _NEGATE[cx], _NEGATE[cy], -hi, -lo
+    if op == "abs":
+        return (_OF_AFFINE[cx], _OF_AFFINE[cy], *_abs_range(lo, hi))
+    lo, hi = max(0.0, _down(_down(math.exp(lo)))), _up(_up(math.exp(hi)))
+    return (_OF_CONVEX[cx], _OF_CONVEX[cy], *_finite(lo, hi))
+
+
+def _call(node: Call, r: Rect) -> tuple:
+    if node.fn != "max" or len(node.args) != 2:
+        raise _Unproved
+    a, b = node.args
+    ax, ay, alo, ahi = _shape(a, r)
+    bx, by, blo, bhi = _shape(b, r)
+    return (_OF_CONVEX[_ADD[ax, bx]], _OF_CONVEX[_ADD[ay, by]],
+            max(alo, blo), max(ahi, bhi))
+
+
+def _binary(node: Binary, r: Rect) -> tuple:
+    op, a, b = node.op, node.left, node.right
+    if op == "^":
+        if type(b) is not Number or not (b.value >= 2.0 and b.value % 2.0 == 0.0):
+            raise _Unproved
+        return _even_power(_shape(a, r), b.value)
+    if op == "*" and (a is b or a == b):
+        return _even_power(_shape(a, r), 2.0)
+    if op not in ("+", "-", "*"):
+        raise _Unproved
+    ax, ay, alo, ahi = _shape(a, r)
+    bx, by, blo, bhi = _shape(b, r)
+    if op == "+":
+        return (_ADD[ax, bx], _ADD[ay, by], *_arith(op, alo, ahi, blo, bhi))
+    if op == "-":
+        return (_ADD[ax, _NEGATE[bx]], _ADD[ay, _NEGATE[by]], *_arith(op, alo, ahi, blo, bhi))
+    ra, rb = (alo, ahi), (blo, bhi)
+    return (_product(ax, bx, a, b, ra, rb, r), _product(ay, by, a, b, ra, rb, r),
+            *_arith(op, alo, ahi, blo, bhi))
+
+
+_SHAPES = {Number: _number, Var: _var, Unary: _unary, Binary: _binary, Call: _call}
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +386,9 @@ def _shape(node: Node, r: Rect) -> tuple:
 def _draw_atom(rng: np.random.Generator, iv: Interval, t: Var) -> Node:
     """Draw one atom, a tree in ``t`` convex and nonnegative on ``iv``:
     t*t, |t - center|, exp(rate*t), or slope*t + intercept with the
-    intercept lifted until the line is nonnegative on ``iv``, in exact
-    rationals over its float coefficients, so that the gate can prove it."""
+    intercept lifted by :func:`_lift` to the least float at which the line
+    is nonnegative on ``iv`` in exact arithmetic over its float
+    coefficients, so that the gate can prove it."""
     kind = int(rng.integers(0, 4))
     if kind == 0:
         return Binary("*", t, t)
@@ -350,16 +399,23 @@ def _draw_atom(rng: np.random.Generator, iv: Interval, t: Var) -> Node:
         rate = float(rng.uniform(-1.5, 1.5))
         return Unary("exp", Binary("*", Number(rate), t))
     slope = float(rng.uniform(-1.5, 1.5))
-    intercept = float(rng.uniform(0.0, 1.0))
-    low = min(slope * iv.lo + intercept, slope * iv.hi + intercept)
+    intercept = _lift(slope, float(rng.uniform(0.0, 1.0)), iv.lo, iv.hi)
+    return Binary("+", Binary("*", Number(slope), t), Number(intercept))
+
+
+def _lift(slope: float, intercept: float, lo: float, hi: float) -> float:
+    """The intercept that makes slope*t + ``intercept`` nonnegative on
+    [``lo``, ``hi``]: lifted in floats by the line's float minimum when that
+    is below 0, then, as that can leave the exact minimum a few ulps below
+    0, to at least the least float at or above -min(slope*lo, slope*hi),
+    computed exactly in integers."""
+    low = min(slope * lo + intercept, slope * hi + intercept)
     if low < 0.0:
         intercept -= low
-    # the float lift can leave the exact minimum a few ulps below 0
-    while True:
-        atom = Binary("+", Binary("*", Number(slope), t), Number(intercept))
-        if _exact_min(atom, (iv.lo, iv.hi), (iv.lo, iv.hi)) >= 0:
-            return atom
-        intercept = math.nextafter(intercept, math.inf)
+    m, e = _dyadic(slope)
+    tlo, thi, et = _aligned(lo, hi)
+    floor = _float_up(-min(m * tlo, m * thi), e + et)
+    return intercept if intercept >= floor else floor
 
 
 def _check_atom_count(atom_count: int) -> None:

@@ -354,9 +354,17 @@ class PointPlan:
                 self._lines.append(req)
         source, self._pairs, distinct = {}, None, 0
         if key:
-            keys, point = np.unique(np.concatenate(list(key.values())), axis=0,
-                                    return_inverse=True)
-            source, self._pairs, distinct = _split(key, point.ravel()), keys.T, len(keys)
+            # the distinct rows in lexicographic order, and each row's place
+            # among them; np.lexsort sorts by its last key first
+            rows = np.concatenate(list(key.values()))
+            order = np.lexsort(rows.T[::-1])
+            rows = rows[order]
+            first = np.ones(len(rows), dtype=bool)
+            first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+            point = np.empty(len(rows), dtype=np.intp)
+            point[order] = np.cumsum(first, dtype=np.intp) - 1
+            self._pairs = rows[first].T
+            source, distinct = _split(key, point), len(self._pairs[0])
         starts = np.cumsum([distinct] + [len(req.at[1]) for req in self._lines])
         source.update(zip(self._lines, map(np.arange, starts, starts[1:])))
         self._quad = None

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hh_bounds import Fn1D, Fn2D, Partition1D
 from hh_bounds.oracle import reference_integral_2d
@@ -16,6 +17,11 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
                   os.environ.get("PYTHONPATH")]))
 os.environ["PYTHONWARNINGS"] = "error"
+
+# ``--hypothesis-profile=ci`` draws every property test's examples from a
+# fixed seed, so a failure reproduces on every run, and prints the blob that
+# replays it with ``@reproduce_failure``.
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 #: Seed for the shared random-instance corpus used by the acceptance suite.
 CORPUS_SEED = 20170

@@ -1,9 +1,13 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hh_bounds
 import hh_bounds.convexity
@@ -12,8 +16,9 @@ from hh_bounds import (ConvexityReport, DomainError, EvaluationError, Fn2D, Inte
                        check_coordinate_convexity, random_convex_1d,
                        random_coordinate_convex, spot_minimum)
 from hh_bounds.catalog import resolve_function
-from hh_bounds.convexity import GATE_SAMPLES, GATE_TOL
-from hh_bounds.expr import MAX_DEPTH, eval_ast, parse
+from hh_bounds.convexity import (GATE_SAMPLES, GATE_TOL, _exact_lower, _exact_min, _lift,
+                                 _shape, _Unproved)
+from hh_bounds.expr import MAX_DEPTH, Binary, Number, Unary, Var, eval_ast, parse
 from hh_bounds.rect import discrete_enclosure
 from hh_bounds.verify import case_instance
 
@@ -384,3 +389,168 @@ class TestGeneratorsEvaluateTheirTrees:
             check_coordinate_convexity(f, UNIT2)  # every walk of the tree fits the stack
         assert deepest == MAX_DEPTH
         random_convex_1d(0, Interval(0.0, 1.0), MAX_DEPTH - 5)
+
+
+def _rational_min(node, x: tuple, y: tuple) -> Fraction:
+    """The reference for :func:`_exact_min`: the lower end of a polynomial
+    tree's interval over ``x`` x ``y``, walked in exact rationals."""
+    def walk(n):
+        match n:
+            case Number(value=v):
+                return Fraction(v), Fraction(v)
+            case Var(name=name):
+                return tuple(map(Fraction, x if name == "x" else y))
+            case Unary(op="neg", arg=a):
+                lo, hi = walk(a)
+                return -hi, -lo
+            case Binary(op="+", left=a, right=b):
+                (alo, ahi), (blo, bhi) = walk(a), walk(b)
+                return alo + blo, ahi + bhi
+            case Binary(op="-", left=a, right=b):
+                (alo, ahi), (blo, bhi) = walk(a), walk(b)
+                return alo - bhi, ahi - blo
+            case Binary(op="*", left=a, right=b):
+                (alo, ahi), (blo, bhi) = walk(a), walk(b)
+                ends = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+                return min(ends), max(ends)
+        raise AssertionError(f"not a polynomial node: {n}")
+
+    return walk(node)[0]
+
+
+def _dyadic_value(m: int, e: int) -> Fraction:
+    return Fraction(m) * Fraction(2) ** e
+
+
+def _line(slope: float, intercept: float):
+    """slope*y + intercept, as the generator draws a linear atom."""
+    return Binary("+", Binary("*", Number(slope), Var("y")), Number(intercept))
+
+
+#: Floats of every kind: subnormals, both zeros, magnitudes near 1e308.
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-4.0, 4.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+                     -1.7976931348623157e308, 1.7976931348623157e308]))
+_RANGES = st.tuples(_FLOATS, _FLOATS).map(lambda ends: tuple(sorted(ends)))
+_POLYNOMIALS = st.recursive(
+    st.one_of(st.builds(Number, _FLOATS), st.sampled_from([Var("x"), Var("y")])),
+    lambda kids: st.one_of(st.builds(lambda a: Unary("neg", a), kids),
+                           st.builds(Binary, st.sampled_from("+-*"), kids, kids)),
+    max_leaves=12)
+
+
+class TestExactMinimum:
+    @settings(max_examples=400, deadline=None)
+    @given(_POLYNOMIALS, _RANGES, _RANGES)
+    def test_integer_walk_is_the_rational_walk(self, node, x, y):
+        assert _dyadic_value(*_exact_min(node, x, y)) == _rational_min(node, x, y)
+
+    @pytest.mark.parametrize("slope, below", [(-5 / 7, True), (-4 / 7, False)])
+    def test_lifted_lines(self, slope, below):
+        intercept, exact = _lifted_line(slope, LIFT_RECT.y_interval)
+        atom, y = _line(slope, intercept), (LIFT_RECT.c, LIFT_RECT.d)
+        assert _dyadic_value(*_exact_min(atom, (LIFT_RECT.a, LIFT_RECT.b), y)) == exact
+        assert exact == _rational_min(atom, (LIFT_RECT.a, LIFT_RECT.b), y)
+        assert (_exact_lower(atom, LIFT_RECT) < 0) == below
+
+    def test_a_tree_that_is_not_a_polynomial_has_no_exact_minimum(self):
+        assert _exact_lower(parse("exp(y)*2"), LIFT_RECT) == -1
+
+
+def _ulp_loop_lift(slope: float, intercept: float, lo: float, hi: float) -> float:
+    """The reference for :func:`_lift`: the float lift, then one ulp at a
+    time until the line's minimum on [lo, hi] is at least 0 in rationals."""
+    low = min(slope * lo + intercept, slope * hi + intercept)
+    if low < 0.0:
+        intercept -= low
+    for _ in range(1000):
+        if _rational_min(_line(slope, intercept), (lo, hi), (lo, hi)) >= 0:
+            return intercept
+        intercept = math.nextafter(intercept, math.inf)
+    raise AssertionError("no lift within 1000 ulps")
+
+
+_INTERVALS = st.one_of(
+    st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)).filter(lambda t: t[0] < t[1]),
+    st.tuples(st.floats(-4.0, -1e-300), st.floats(1e-300, 4.0)),  # straddles 0
+    st.floats(-4.0, 4.0).map(lambda v: (v, math.nextafter(v, math.inf))),  # one ulp wide
+    st.tuples(st.floats(-4.0, 4.0), st.integers(2, 64)).map(
+        lambda t: (t[0], t[0] + t[1] * math.ulp(t[0]))))
+
+
+class TestClosedFormLift:
+    @settings(max_examples=600, deadline=None)
+    @given(st.floats(-1.5, 1.5), st.floats(0.0, 1.0, exclude_max=True), _INTERVALS)
+    @example(-5 / 7, 0.25, (LIFT_RECT.c, LIFT_RECT.d))
+    @example(1.5, 0.0, (-1.0, 0.5))
+    def test_closed_form_is_the_ulp_loop(self, slope, intercept, iv):
+        assert _lift(slope, intercept, *iv).hex() == _ulp_loop_lift(slope, intercept, *iv).hex()
+
+    def test_lifts_past_a_float_lift_below_zero(self):
+        # the float lift of -5/7*y + 0.25 leaves its exact minimum below 0
+        lifted, exact = _lifted_line(-5 / 7, LIFT_RECT.y_interval)
+        assert exact < 0
+        got = _lift(-5 / 7, 0.25, LIFT_RECT.c, LIFT_RECT.d)
+        assert got > lifted
+        assert got == _ulp_loop_lift(-5 / 7, 0.25, LIFT_RECT.c, LIFT_RECT.d)
+        assert _rational_min(_line(-5 / 7, got), (0.0, 0.0), (LIFT_RECT.c, LIFT_RECT.d)) >= 0
+
+    def test_every_generated_linear_atom(self, monkeypatch):
+        lift, seen = hh_bounds.convexity._lift, []
+
+        def recorded(*args):
+            seen.append((args, lift(*args)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(hh_bounds.convexity, "_lift", recorded)
+        for seed in range(500):
+            for r in (UNIT2, Rect(-1.0, 0.5, -0.75, 1.25)):
+                random_coordinate_convex(seed, r, 4)
+        assert len(seen) > 1500
+        for args, got in seen:
+            assert got.hex() == _ulp_loop_lift(*args).hex(), args
+
+
+#: The proof's output, recorded before its walk was rewritten with one
+#: dispatch per node: "curvature-in-x curvature-in-y lo hi", the ends as
+#: ``float.hex``, or "unproved", per tree and rectangle. The second rectangle spans 0 on both
+#: axes, the third lies left of 0 in y.
+SHAPE_GOLDEN = Path(__file__).resolve().parent / "data" / "proof_shapes.json"
+SHAPE_RECTS = (UNIT2, Rect(-1.0, 0.5, -0.75, 1.25), Rect(0.5, 3.0, -2.0, -0.25))
+
+
+def shape_records() -> dict[str, str]:
+    """The proof's shape of every corpus tree on :data:`SHAPE_RECTS`, and of
+    ``case_instance(s, i)`` for s = 1-3, i < 200, on its own rectangle and
+    on :data:`SHAPE_RECTS`."""
+    def shape(node, r):
+        try:
+            cx, cy, lo, hi = _shape(node, r)
+        except (_Unproved, OverflowError):
+            return "unproved"
+        return f"{cx} {cy} {float(lo).hex()} {float(hi).hex()}"
+
+    out = {}
+    for k, (src, _) in enumerate(CORPUS):
+        for j, r in enumerate(SHAPE_RECTS):
+            out[f"corpus {k} {src!r} rect={j}"] = shape(parse(src), r)
+    for seed in (1, 2, 3):
+        for index in range(200):
+            own, f, _ = case_instance(seed, index)
+            for j, r in enumerate((own, *SHAPE_RECTS)):
+                out[f"case seed={seed} index={index} rect={j}"] = shape(f.expr, r)
+    return out
+
+
+def test_proof_shapes_match_golden():
+    want = json.loads(SHAPE_GOLDEN.read_text(encoding="utf-8"))
+    got = shape_records()
+    assert got.keys() == want.keys()
+    assert [k for k in want if got[k] != want[k]] == []
+
+
+if __name__ == "__main__":
+    # records a new golden: only for a change meant to move the proof's output
+    SHAPE_GOLDEN.write_text(json.dumps(shape_records(), indent=1) + "\n", encoding="utf-8")
