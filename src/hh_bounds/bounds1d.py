@@ -128,8 +128,8 @@ class Lattice:
         k, n = self._indices()
         low = (k | n) & -(k | n)  # the largest power of two dividing both
         key = np.where(k == 0, -1, np.where(k == n, -2, (n // low) << 32 | k // low))
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        return first[inverse]
+        first, place = _distinct([key])
+        return first[place]
 
     def pairs(self, count: int, positions: range) -> tuple[np.ndarray, np.ndarray]:
         """The two nodes whose mean is each point of the partition into
@@ -160,6 +160,22 @@ class Lattice:
                                           "cells has non-finite nodes")
                     raise DomainError(f"partition into {count} cells has coincident nodes")
         return xs
+
+
+def _distinct(cols) -> tuple[np.ndarray, np.ndarray]:
+    """Of the rows the same-length columns ``cols`` make: the index of the
+    first row of each distinct row, the distinct rows in lexicographic
+    order, and each row's place among them. The sort is stable, so equal
+    rows keep their order and the first of each run is their first row."""
+    order = np.lexsort(cols[::-1])  # np.lexsort sorts by its last key first
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for col in cols:
+        col = col[order]
+        new[1:] |= col[1:] != col[:-1]
+    place = np.empty(order.size, dtype=np.intp)
+    place[order] = np.cumsum(new, dtype=np.intp) - 1
+    return order[new], place
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,7 @@ def _add_common(p: argparse.ArgumentParser, needs_fn: bool = True) -> None:
 def _add_scheme(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scheme", choices=("nested", "quadrature"), default="nested",
                    help="how 1-D integrals in chain terms are resolved; 'nested' "
-                        "keeps every ordering certified, 'quadrature' is diagnostic")
+                        "uses one-sided rules, 'quadrature' is diagnostic")
     p.add_argument("--quad-tol", type=float, default=Quadrature.tol)
 
 

@@ -16,12 +16,13 @@ of a case once per kind of case, and a bound called on its own reuses the
 plan of its arguments. In NestedDiscrete mode the direction is chosen per
 use site: integrals sitting below the double integral in a chain are
 resolved with the midpoint rule (an underestimate for convex restrictions),
-integrals sitting above with the trapezoid rule (an overestimate), so every
-reported ordering is still certified. The double integral term is the
-caller's ``integral`` when given, and otherwise the independent Simpson
-oracle at its default grid. A chain's orderings hold when each slack is at
-least -1e-9 * max(1, |terms|); a non-finite term or bound is an
-:class:`EvaluationError`.
+integrals sitting above with the trapezoid rule (an overestimate). So the
+orderings between point sums and these one-sided line rules are certified
+up to rounding; the two beside the mean compare with the double integral
+term, the caller's ``integral`` when given and otherwise the independent
+Simpson oracle at its default grid, which is not a bound. Every ordering
+passes when its slack is at least -1e-9 * max(1, |terms|); a non-finite
+term or bound is an :class:`EvaluationError`.
 
 The two five-term chains share their first three terms, boundary lines and
 corners, so :func:`five_term_chains` builds both in one pass, and
@@ -62,8 +63,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bounds1d import (Interval, Lattice, BoundPair, check_points, evaluate, line_blocks,
-                       midpoint_sum, require_finite, trapezoid_sum)
+from .bounds1d import (Interval, Lattice, BoundPair, _distinct, check_points, evaluate,
+                       line_blocks, midpoint_sum, require_finite, trapezoid_sum)
 # still importable from here, as before (bench/test_bench.py and the tests rely on them)
 from .bounds1d import BLOCK_POINTS, midpoint_lower, trapezoid_upper  # noqa: F401
 from .errors import DomainError, EvaluationError, PreconditionError
@@ -246,10 +247,17 @@ class _QuadratureLines(NamedTuple):
     tol: float
 
 
+def _columns(parts: dict) -> list[np.ndarray]:
+    """The rows of ``parts``, each a list of same-length columns, one key
+    after another, as columns."""
+    return [np.concatenate(col) for col in zip(*parts.values())]
+
+
 def _split(parts: dict, values: np.ndarray) -> dict:
-    """``values``, laid out as the arrays of ``parts`` one after another,
-    cut back into one array per key of ``parts``."""
-    return dict(zip(parts, np.split(values, np.cumsum([len(v) for v in parts.values()])[:-1])))
+    """``values``, one per row of :func:`_columns` of ``parts``, cut back
+    into one array per key of ``parts``."""
+    sizes = [len(cols[0]) for cols in parts.values()]
+    return dict(zip(parts, np.split(values, np.cumsum(sizes)[:-1])))
 
 
 class _Values(list):
@@ -313,11 +321,13 @@ class PointPlan:
         fewer than PACK_POINTS points becomes points, each point one row of
         twin nodes (x lo, x hi, y lo, y hi), per side the first nodes with
         the bits of the two whose mean it is, so that points built alike
-        share a row; the distinct rows, sorted, are the points. A larger
-        request stays a line request, in declaration order. The quadrature
-        requests become one list of distinct lines in the order of their
-        first request, a line known by its direction, its point on the other
-        side by construction and its tolerance. The values are laid out in
+        share a row; the distinct rows, in lexicographic order, are the
+        points. A larger request stays a line request, in declaration order.
+        The quadrature requests become one list of distinct lines in the
+        order of their first request, a line known by its direction, its
+        point on the other side by construction and its tolerance. Equal
+        rows of points and of lines are found as twin nodes are, by
+        :func:`bounds1d._distinct`. The values are laid out in
         that order, points, line requests, quadrature lines, the order
         :meth:`resolve` evaluates them in. Each request has one source, the
         positions of its values, and one rule, the weight of each value
@@ -336,17 +346,15 @@ class PointPlan:
                 s = _OTHER[req.along]
                 offset = 0 if s == "x" else sides["x"].size
                 lo, hi = (twins[s][p] + offset for p in sides[s].pairs(*req.at))
-                quad[req] = np.stack(np.broadcast_arrays(
-                    req.along == "x", lo, hi, req.tol), axis=1)
+                quad[req] = np.broadcast_arrays(req.along == "x", lo, hi, req.tol)
             elif req.size < PACK_POINTS:
                 # per point, line by line: its twin nodes (x lo, x hi, y lo, y hi)
-                cols = []
+                key[req] = cols = []
                 for s in "xy":
                     along = s == req.along
                     for p in sides[s].pairs(*(req.pts if along else req.at)):
                         cols.append(np.tile(twins[s][p], len(req.at[1])) if along
                                     else np.repeat(twins[s][p], len(req.pts[1])))
-                key[req] = np.stack(cols, axis=1)
                 rule[req] = np.ones(len(req.pts[1]))
                 if req.trap:
                     rule[req][[0, -1]] = 0.5
@@ -354,28 +362,21 @@ class PointPlan:
                 self._lines.append(req)
         source, self._pairs, distinct = {}, None, 0
         if key:
-            # the distinct rows in lexicographic order, and each row's place
-            # among them; np.lexsort sorts by its last key first
-            rows = np.concatenate(list(key.values()))
-            order = np.lexsort(rows.T[::-1])
-            rows = rows[order]
-            first = np.ones(len(rows), dtype=bool)
-            first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-            point = np.empty(len(rows), dtype=np.intp)
-            point[order] = np.cumsum(first, dtype=np.intp) - 1
-            self._pairs = rows[first].T
-            source, distinct = _split(key, point), len(self._pairs[0])
+            # the distinct points in the order of their twin nodes
+            cols = _columns(key)
+            first, point = _distinct(cols)
+            self._pairs = np.stack([col[first] for col in cols])
+            source, distinct = _split(key, point), first.size
         starts = np.cumsum([distinct] + [len(req.at[1]) for req in self._lines])
         source.update(zip(self._lines, map(np.arange, starts, starts[1:])))
         self._quad = None
         if quad:
             # the distinct lines, in the order of their first request
-            keys = np.concatenate(list(quad.values()))
-            _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-            firsts, line = np.unique(first[inverse.ravel()], return_inverse=True)
-            source.update(_split(quad, starts[-1] + line))
-            along_x, lo, hi, tol = keys[firsts].T
-            self._quad = (along_x == 1, lo.astype(np.intp), hi.astype(np.intp), tol)
+            cols = _columns(quad)
+            first, place = _distinct(cols)
+            firsts = np.sort(first)
+            source.update(_split(quad, starts[-1] + np.searchsorted(firsts, first)[place]))
+            self._quad = tuple(col[firsts] for col in cols)
 
         src, weights, sizes = [], [], [0] * len(self._scales)
         for out, req, w in sorted(self._adds, key=lambda add: add[0]):
@@ -689,8 +690,11 @@ def five_term_chains(f: Fn2D, r: Rect, scheme: InnerScheme = NestedDiscrete(),
     """The classic and the refined five-term mean-value chains, in one pass.
 
     Classic: center value <= average of center-line means <= mean of f <=
-    average of boundary-line means <= corner average. Every ordering is
-    certified in NestedDiscrete mode.
+    average of boundary-line means <= corner average. In NestedDiscrete
+    mode the orderings between point sums and one-sided line rules are
+    certified up to rounding; the two beside the mean compare with
+    ``integral`` or the Simpson oracle's value, which is not a bound. Every
+    ordering passes within 1e-9 * max(1, |terms|).
 
     Refined: the same first three terms; the fourth term averages boundary
     and doubled center-line integrals with weight 1/8, the fifth is the

@@ -4,6 +4,7 @@ import platform
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,25 @@ class TestIntervalPartition:
         assert lattice.nodes(UNIT)[[1, -2]].tolist() == [2.0 ** -20, 1.0 - 2.0 ** -20]
         assert lattice.twins().size == (1 << 20) + 1
         assert largest_held() <= len(lattice.counts) + 1
+
+    def test_twins_group_nodes_built_alike(self):
+        # node k of n cells is computed as k*(hi-lo)/n: two nodes share their
+        # bits by construction when their fractions k/n are equal and their
+        # counts a power of two apart (1 of 3, 2 of 6 and 4 of 12), or when
+        # both are an end; 3 of 6 and 5 of 10 are both 1/2 but stay apart
+        counts = (3, 6, 1, 12, 5, 10)
+        lattice = Lattice(counts)
+
+        def key(k, n):
+            return Fraction(k, n) if k in (0, n) else (Fraction(k, n), n // (n & -n))
+
+        keys = [key(k, n) for n in counts for k in range(n + 1)]
+        twins = lattice.twins()
+        assert twins.tolist() == [keys.index(k) for k in keys]
+        assert len(set(twins.tolist())) == 22  # the ends, 11 of 12 and 9 of 10
+        for iv in (UNIT, Interval(-0.3, 1.7), Interval(1e-3, 1e3)):
+            nodes = lattice.nodes(iv)
+            assert nodes[twins].tobytes() == nodes.tobytes()
 
     def test_midpoints_average_nodes(self):
         p = Partition1D(Interval(-1.0, 2.0), 4)

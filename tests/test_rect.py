@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -626,6 +627,53 @@ class TestQuadratureLines:
         assert coarse(values) == centerline_bound(f, self.R, 2, Quadrature(1e-4))
         assert fine(values) == centerline_bound(f, self.R, 2, Quadrature(1e-12))
         assert coarse(values)[1] != fine(values)[1]
+
+    def test_distinct_lines_match_a_first_request_dedup(self):
+        # node 1 of 2 cells is node 2 of 4, so the two partitions share node
+        # lines, while the boundary bound's lines at x = a, b and y = c, d
+        # stay apart under their own tolerance
+        plan = PointPlan()
+        hh_bounds.rect._declare_partition_sums(plan, 2, Quadrature(1e-9))
+        hh_bounds.rect._declare_partition_sums(plan, 4, Quadrature(1e-9))
+        declare_boundary_bound(plan, 1, Quadrature(1e-10))
+        plan._compile()
+
+        def keys(req):
+            # each line by construction: its direction, the two nodes of the
+            # other side whose mean is its point, as fractions, and its tolerance
+            count, positions = req.at
+            return [(req.along, Fraction(p // 2, count), Fraction((p + 1) // 2, count), req.tol)
+                    for p in positions]
+
+        quadrature = [req for _, req, _ in plan._adds
+                      if isinstance(req, hh_bounds.rect._QuadratureLines)]
+        expected = {}
+        for key in (key for req in quadrature for key in keys(req)):
+            expected.setdefault(key, len(expected))
+        assert sum(len(keys(req)) for req in quadrature) == 32 and len(expected) == 26
+
+        def fraction(i):
+            # node i of the two sides' lattices, x then y, as a fraction
+            side = plan._sides["x"]
+            if i >= side.size:
+                i, side = i - side.size, plan._sides["y"]
+            part = int(np.searchsorted(side.offsets, i, side="right")) - 1
+            return Fraction(int(i - side.offsets[part]), side.counts[part])
+
+        along_x, lo, hi, tol = plan._quad
+        assert [(("x" if a else "y"), fraction(l), fraction(h), t) for a, l, h, t in
+                zip(along_x.tolist(), lo.tolist(), hi.tolist(), tol.tolist())] == list(expected)
+
+        # the lines' values follow the points and no large line request
+        offset, pos = plan._pairs.shape[1], 0
+        assert plan._lines == []
+        for _, req, _ in sorted(plan._adds, key=lambda add: add[0]):
+            size = len(req.at[1]) * (len(req.pts[1]) if isinstance(req, hh_bounds.rect._Lines)
+                                     else 1)
+            src, pos = plan._src[pos:pos + size], pos + size
+            if isinstance(req, hh_bounds.rect._QuadratureLines):
+                assert src.tolist() == [offset + expected[key] for key in keys(req)]
+        assert pos == plan._src.size
 
     def test_one_evaluation_per_depth(self):
         calls = []
