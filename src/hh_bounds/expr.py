@@ -1,14 +1,15 @@
 """Tiny arithmetic expression language for functions of x and y.
 
 Grammar, lowest precedence first (whitespace insensitive, no implicit
-multiplication):
+multiplication). The levels are ``_BINARY_PREC`` and ``_NEG_PREC``, the table
+:func:`to_string` prints by, and each binary level is left-associative:
 
-    additive        (+, -)
-    multiplicative  (*, /)
-    unary minus     (so -x^2 means -(x^2); before a number that is not
-                    raised to a power, it makes a negative number)
-    power           (^ with a numeric-literal exponent, optionally signed)
-    atoms           number, x, y, (expr), exp(e), abs(e), max(e,e), min(e,e)
+    1  +, -
+    2  *, /
+    3  unary minus (so -x^2 means -(x^2); before a number that is not raised
+       to a power, it makes a negative number)
+    4  ^ with a numeric-literal exponent, optionally signed, once per operand
+    atoms  number, x, y, (expr), exp(e), abs(e), max(e,e), min(e,e)
 
 Parsing reports the first failure as a :class:`ParseError` carrying the byte
 offset of the offending token, including a numeric literal too large to be a
@@ -121,7 +122,20 @@ def _tokenize(src: str) -> list[_Token]:
     return toks
 
 
-_FUNCTIONS = {"exp", "abs", "max", "min"}
+#: The operations of each node kind, called exactly as ``a + b``, ``np.exp(a)``,
+#: ...; the keys of _UNARY but neg, and of _CALLS, are the functions a source calls
+_UNARY = {"neg": operator.neg, "abs": np.abs, "exp": np.exp}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": np.true_divide, "^": np.power}
+_CALLS = {"max": np.maximum, "min": np.minimum}
+#: The operations that can turn a non-finite operand finite: exp(-inf),
+#: 1/inf, 1^inf, min(inf, 0). The others keep a non-finite element non-finite.
+_ABSORBING = {"exp", "/", "^", "max", "min"}
+#: The precedence of each binary operator and of unary minus, for parsing and
+#: printing alike; an atom binds tighter than any of them
+_BINARY_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_NEG_PREC = 3
+_ATOM_PREC = 5
 
 
 class _Parser:
@@ -166,30 +180,30 @@ class _Parser:
         self.fail(f"'{op}'")
 
     def parse(self) -> Node:
-        node = self.additive()
+        node = self.binary(1)
         if self.cur.kind != "end":
             self.fail("end of input")
         return node
 
-    def additive(self) -> Node:
-        node = self.multiplicative()
-        while self.cur.kind == "op" and self.cur.text in "+-":
+    def binary(self, prec: int) -> Node:
+        """The operators of precedence ``prec`` and above, each level
+        left-associative; an operand is a unary at or below _NEG_PREC, an atom
+        above it."""
+        node = self.unary() if prec <= _NEG_PREC else self.atom()
+        while _BINARY_PREC.get(self.cur.text, 0) >= prec:
             tok = self.advance()
-            right = self.multiplicative()
-            node = self.join(Binary(tok.text, node, right, span=(node.span[0], right.span[1])),
-                             tok)
-        return node
-
-    def multiplicative(self) -> Node:
-        node = self.unary()
-        while self.cur.kind == "op" and self.cur.text in "*/":
-            tok = self.advance()
-            right = self.unary()
+            right = (self.exponent() if tok.text == "^"
+                     else self.binary(_BINARY_PREC[tok.text] + 1))
+            if tok.text == "^" and self.cur.text == "^":
+                self.fail("a single numeric exponent")
             node = self.join(Binary(tok.text, node, right, span=(node.span[0], right.span[1])),
                              tok)
         return node
 
     def unary(self) -> Node:
+        # signs are read in a loop, not by recursion: depth is checked as nodes
+        # are joined, after the operand, so a long run of them would exhaust
+        # Python's stack first
         signs = []
         while self.cur.kind == "op" and self.cur.text == "-":
             signs.append(self.advance())
@@ -200,21 +214,10 @@ class _Parser:
             self.advance()
             node = Number(-float(tok.text), span=(signs.pop().pos, tok.pos + len(tok.text)))
         else:
-            node = self.power()
+            node = self.binary(_NEG_PREC + 1)
         for tok in reversed(signs):
             node = self.join(Unary("neg", node, span=(tok.pos, node.span[1])), tok)
         return node
-
-    def power(self) -> Node:
-        base = self.atom()
-        if not (self.cur.kind == "op" and self.cur.text == "^"):
-            return base
-        tok = self.advance()
-        exponent = self.exponent()
-        if self.cur.kind == "op" and self.cur.text == "^":
-            self.fail("a single numeric exponent")
-        return self.join(Binary("^", base, exponent, span=(base.span[0], exponent.span[1])),
-                         tok)
 
     def exponent(self) -> Number:
         # exponents are numeric literals, optionally signed
@@ -239,22 +242,22 @@ class _Parser:
             if tok.text in ("x", "y"):
                 self.advance()
                 return Var(tok.text, span=(tok.pos, tok.pos + len(tok.text)))
-            if tok.text in _FUNCTIONS:
+            if tok.text in _CALLS or (tok.text in _UNARY and tok.text != "neg"):
                 return self.call(self.advance())
             self.fail("x, y, a number, or a function name")
         if tok.kind == "op" and tok.text == "(":
             self.advance()
-            node = self.additive()
+            node = self.binary(1)
             self.expect_op(")")
             return node
         self.fail("an expression")
 
     def call(self, name: _Token) -> Node:
         self.expect_op("(")
-        first = self.additive()
-        if name.text in ("max", "min"):
+        first = self.binary(1)
+        if name.text in _CALLS:
             self.expect_op(",")
-            second = self.additive()
+            second = self.binary(1)
             close = self.expect_op(")")
             return self.join(Call(name.text, (first, second), span=(name.pos, close.pos + 1)),
                              name)
@@ -273,16 +276,6 @@ def _where(node: Node) -> str:
     if node.span is not None:
         return f"at offsets {node.span[0]}..{node.span[1]}"
     return "in subexpression"
-
-
-#: The operations of each node kind, called exactly as ``a + b``, ``np.exp(a)``, ...
-_UNARY = {"neg": operator.neg, "abs": np.abs, "exp": np.exp}
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": np.true_divide, "^": np.power}
-_CALLS = {"max": np.maximum, "min": np.minimum}
-#: The operations that can turn a non-finite operand finite: exp(-inf),
-#: 1/inf, 1^inf, min(inf, 0). The others keep a non-finite element non-finite.
-_ABSORBING = {"exp", "/", "^", "max", "min"}
 
 
 class _Rerun(Exception):
@@ -304,7 +297,7 @@ def eval_ast(node: Node, x, y):
     broadcast to nothing (where a non-finite scalar can vanish), the strict
     program runs instead.
     """
-    fast, strict = _programs(node)
+    fast, strict = _compiled(node, False), _compiled(node, True)
     with np.errstate(all="ignore"):
         if np.size(x) and np.size(y):
             try:
@@ -319,22 +312,20 @@ def program(node: Node) -> Callable:
     check the values themselves: :func:`eval_ast`'s operations in its order,
     so its values bit for bit where that returns, and what the arithmetic
     gives (inf, or 0 for ``exp(-inf)``) where it raises. numpy's error state
-    is the caller's. Compiled once, apart from :func:`eval_ast`'s programs,
-    and kept on ``node``."""
-    run = node.__dict__.get("_program")
-    if run is None:
-        run = _compile(node, strict=None)
-        object.__setattr__(node, "_program", run)
-    return run
+    is the caller's. Compiled once and kept on ``node``, in the one cache
+    that holds every compiled program of a tree, :func:`eval_ast`'s too."""
+    return _compiled(node, None)
 
 
-def _programs(node: Node) -> tuple[Callable, Callable]:
-    """The fast and the strict program of ``node``, compiled on first use."""
-    programs = node.__dict__.get("_programs")
-    if programs is None:
-        programs = (_compile(node, strict=False), _compile(node, strict=True))
-        object.__setattr__(node, "_programs", programs)
-    return programs
+def _compiled(node: Node, strict: bool | None) -> Callable:
+    """``node``'s program in mode ``strict`` (see :func:`_compile`), compiled
+    on first use and kept on ``node`` by mode."""
+    try:
+        return node.__dict__["_compiled"][strict]
+    except KeyError:
+        programs = node.__dict__.setdefault("_compiled", {})
+        programs[strict] = run = _compile(node, strict)
+        return run
 
 
 def _compile(root: Node, strict: bool | None) -> Callable:
@@ -384,11 +375,6 @@ def _compile(root: Node, strict: bool | None) -> Callable:
         return check
 
     return build(root, strict is not None)
-
-
-_BINARY_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-_ATOM_PREC = 5
-_NEG_PREC = 3
 
 
 def _prec(node: Node) -> int:

@@ -119,6 +119,28 @@ CORPUS = [
      fmax(absn(sub(X, num(0.5))), absn(sub(Y, num(0.5))))),
     ("exp(x)*exp(y)", mul(expn(X), expn(Y))),
     ("1+abs(x*y-0.25)", add(num(1), absn(sub(mul(X, Y), num(0.25))))),
+    # x op1 y op2 2 over the ordered pairs of + - * / (x+y*2 and x*y*2 are
+    # above): equal precedence groups to the left, a tighter op2 to the right
+    ("x+y+2", add(add(X, Y), num(2))),
+    ("x+y-2", sub(add(X, Y), num(2))),
+    ("x+y/2", add(X, div(Y, num(2)))),
+    ("x-y+2", add(sub(X, Y), num(2))),
+    ("x-y-2", sub(sub(X, Y), num(2))),
+    ("x-y*2", sub(X, mul(Y, num(2)))),
+    ("x-y/2", sub(X, div(Y, num(2)))),
+    ("x*y+2", add(mul(X, Y), num(2))),
+    ("x*y-2", sub(mul(X, Y), num(2))),
+    ("x*y/2", div(mul(X, Y), num(2))),
+    ("x/y+2", add(div(X, Y), num(2))),
+    ("x/y-2", sub(div(X, Y), num(2))),
+    ("x/y*2", mul(div(X, Y), num(2))),
+    ("x/y/2", div(div(X, Y), num(2))),
+    # unary minus binds looser than ^ and tighter than * and /
+    ("-x^2*y", mul(neg(pow_(X, num(2))), Y)),
+    ("x*-y^2", mul(X, neg(pow_(Y, num(2))))),
+    ("-2^2", neg(pow_(num(2), num(2)))),
+    ("--2", neg(num(-2))),
+    ("x^-2/y", div(pow_(X, num(-2)), Y)),
 ]
 
 # (source, (lo, hi)) where the reported position must satisfy lo <= pos <= hi,

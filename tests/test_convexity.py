@@ -151,7 +151,7 @@ class TestRoundoffAllowance:
             rep = check_coordinate_convexity(Fn2D(eval=lambda x, y: eval_ast(ast, x, y)), r)
             assert rep.passed == (rep.max_violation >= -GATE_TOL), src
             rejected += not rep.passed
-        assert rejected == (2 if r == UNIT2 else 8)
+        assert rejected == (4 if r == UNIT2 else 15)
 
 
 class TestGenerator2D:
@@ -303,7 +303,7 @@ class TestProof:
             proved += 1
             rep = check_coordinate_convexity(dataclasses.replace(f, expr=None), r, seed=1)
             assert rep.max_violation >= -GATE_TOL, src
-        assert proved >= 40  # of 51
+        assert proved >= 49  # of 70
 
     def test_every_proved_generated_instance_passes_the_sampler(self):
         proved = 0
@@ -355,7 +355,7 @@ class TestGeneratorsEvaluateTheirTrees:
         for seed in range(60):
             fn = random_convex_1d(seed, iv, seed % 6, ensure_positive=bool(seed % 2))
             tree = trees[-1]
-            assert tree.__dict__.get("_programs") is None  # eval_ast never compiled it
+            assert tree.__dict__["_compiled"].keys() == {None}  # eval_ast never compiled it
             for t, _ in _inputs(iv.lo, iv.hi, 0.0, 1.0):
                 assert _bits(fn.eval(t)) == _bits(eval_ast(tree, t, 0.0)), seed
 
@@ -519,12 +519,14 @@ class TestClosedFormLift:
 #: axes, the third lies left of 0 in y.
 SHAPE_GOLDEN = Path(__file__).resolve().parent / "data" / "proof_shapes.json"
 SHAPE_RECTS = (UNIT2, Rect(-1.0, 0.5, -0.75, 1.25), Rect(0.5, 3.0, -2.0, -0.25))
+#: The corpus entries the golden was recorded on; the later ones pin the parser
+SHAPE_CORPUS = 51
 
 
 def shape_records() -> dict[str, str]:
-    """The proof's shape of every corpus tree on :data:`SHAPE_RECTS`, and of
-    ``case_instance(s, i)`` for s = 1-3, i < 200, on its own rectangle and
-    on :data:`SHAPE_RECTS`."""
+    """The proof's shape of the first :data:`SHAPE_CORPUS` corpus trees on
+    :data:`SHAPE_RECTS`, and of ``case_instance(s, i)`` for s = 1-3, i < 200,
+    on its own rectangle and on :data:`SHAPE_RECTS`."""
     def shape(node, r):
         try:
             cx, cy, lo, hi = _shape(node, r)
@@ -533,7 +535,7 @@ def shape_records() -> dict[str, str]:
         return f"{cx} {cy} {float(lo).hex()} {float(hi).hex()}"
 
     out = {}
-    for k, (src, _) in enumerate(CORPUS):
+    for k, (src, _) in enumerate(CORPUS[:SHAPE_CORPUS]):
         for j, r in enumerate(SHAPE_RECTS):
             out[f"corpus {k} {src!r} rect={j}"] = shape(parse(src), r)
     for seed in (1, 2, 3):
@@ -549,8 +551,3 @@ def test_proof_shapes_match_golden():
     got = shape_records()
     assert got.keys() == want.keys()
     assert [k for k in want if got[k] != want[k]] == []
-
-
-if __name__ == "__main__":
-    # records a new golden: only for a change meant to move the proof's output
-    SHAPE_GOLDEN.write_text(json.dumps(shape_records(), indent=1) + "\n", encoding="utf-8")

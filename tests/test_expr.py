@@ -232,7 +232,7 @@ def _outcome(run, x, y):
 @settings(max_examples=300, deadline=None)
 @given(tree=_trees.map(_spanned))
 def test_fast_program_matches_the_strict_one(tree):
-    strict = expr._programs(tree)[1]
+    strict = expr._compiled(tree, True)
     for x, y in _INPUTS:
         with np.errstate(all="ignore"):
             want = _outcome(strict, x, y)

@@ -15,10 +15,11 @@ its weighted points, the same sum taken over |f|, and every count, key,
 verdict and gate report stays identical. An oracle's error estimate is the
 difference of two such sums over 15, so it may move by their two
 allowances over 15. A generated function's value may only rise, by at most
-1e-15 times its magnitude: a linear atom's intercept is lifted by ulps
-until the atom is nonnegative in exact rationals.
-``python tests/test_goldens.py`` rewrites all three golden files from the
-current code; do so only for a change meant to alter the numbers, and say so.
+1e-15 times its magnitude: a linear atom p*t + q on [lo, hi] has its
+intercept q raised, in closed form, to at least the least float at or above
+the exact -min(p*lo, p*hi), so that the atom is nonnegative in exact
+rationals. A change meant to alter the numbers adds a new golden file beside
+these.
 """
 
 import dataclasses
@@ -256,10 +257,3 @@ def _generated_rise(k: str, i: int, old: float, new: float) -> bool:
 
 def test_convexity_values_match_goldens():
     _check(CONVEXITY_GOLDEN, convexity_records(), _generated_rise)
-
-
-if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(records(), indent=1) + "\n", encoding="utf-8")
-    SCALAR_GOLDEN.write_text(json.dumps(scalar_records(), indent=1) + "\n", encoding="utf-8")
-    CONVEXITY_GOLDEN.write_text(json.dumps(convexity_records(), indent=1) + "\n",
-                                encoding="utf-8")
