@@ -4,10 +4,13 @@ Subcommands: ``bounds`` (certified enclosure of a double integral), ``chain``
 (both five-term inequality chains), ``converge`` (gap decay over a dyadic
 sweep of the partition size), ``verify`` (the random-instance property
 suite). Output formats: human, json, csv; json and csv are byte-stable for
-identical invocations. The convexity gate runs with its library defaults.
+identical invocations. Each command states its result once in all three
+forms, and ``_emit`` is the one place that reads ``--output`` and writes a
+command's output. The convexity gate runs with its library defaults.
 
 Exit codes: 0 ok, 1 property violation, 2 usage, parse or size error (past
-``bounds1d.MAX_POINTS``), 3 gate or positivity rejection, 4 evaluation error.
+``bounds1d.MAX_POINTS``, or a rectangle too small to weight), 3 gate or
+positivity rejection, 4 evaluation error.
 """
 
 from __future__ import annotations
@@ -55,8 +58,9 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
-def _f17(v: float) -> str:
-    return format(v, ".17g")
+def _f17(v: float | None) -> str:
+    """``v`` to 17 significant digits, and None as the empty string."""
+    return "" if v is None else format(v, ".17g")
 
 
 def _add_common(p: argparse.ArgumentParser, needs_fn: bool = True) -> None:
@@ -128,48 +132,40 @@ def _prepare(args) -> tuple:
     return rect, fn
 
 
-def _print_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-
-
-def _print_csv(header, rows) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+def _emit(output: str, payload, header, rows, lines) -> None:
+    """Write a command's result in the ``--output`` form, with one write:
+    ``payload`` as indented JSON, ``header`` and ``rows`` as CSV, or
+    ``lines`` as text. Each handler states its result in all three forms."""
+    if output == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    elif output == "csv":
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+        text = buf.getvalue()
+    else:
+        text = "".join(line + "\n" for line in lines)
+    sys.stdout.write(text)
 
 
 def cmd_bounds(args) -> int:
     rect, fn = _prepare(args)
     bp = discrete_enclosure(fn, rect, args.n, args.m)
     oracle = reference_integral_2d(fn, rect, args.grid)
-    payload = {
-        "function": args.function,
-        "rect": list(args.rect),
-        "n": args.n,
-        "m": args.m,
-        "lower": bp.lower,
-        "upper": bp.upper,
-        "gap": bp.gap,
-        "oracle": oracle.value,
-        "oracle_error": oracle.error_estimate,
-    }
-    if args.output == "json":
-        _print_json(payload)
-    elif args.output == "csv":
-        header = list(payload)
-        row = [payload["function"], " ".join(_f17(v) for v in args.rect),
-               args.n, args.m] + [_f17(payload[k]) for k in header[4:]]
-        _print_csv(header, [row])
-    else:
-        print(f"function: {args.function}")
-        print(f"rect: [{args.rect[0]:g}, {args.rect[1]:g}] x [{args.rect[2]:g}, {args.rect[3]:g}]")
-        print(f"n={args.n} m={args.m} evaluations={bp.evals}")
-        print(f"lower  = {_f17(bp.lower)}")
-        print(f"upper  = {_f17(bp.upper)}")
-        print(f"gap    = {_f17(bp.gap)}")
-        print(f"oracle = {_f17(oracle.value)} (error estimate {_f17(oracle.error_estimate)})")
+    values = {"lower": bp.lower, "upper": bp.upper, "gap": bp.gap,
+              "oracle": oracle.value, "oracle_error": oracle.error_estimate}
+    payload = {"function": args.function, "rect": list(args.rect), "n": args.n, "m": args.m,
+               **values}
+    a, b, c, d = args.rect
+    _emit(args.output, payload, list(payload),
+          [[args.function, " ".join(map(_f17, args.rect)), args.n, args.m,
+            *map(_f17, values.values())]],
+          [f"function: {args.function}",
+           f"rect: [{a:g}, {b:g}] x [{c:g}, {d:g}]",
+           f"n={args.n} m={args.m} evaluations={bp.evals}",
+           *(f"{k:<6} = {_f17(values[k])}" for k in ("lower", "upper", "gap")),
+           f"oracle = {_f17(oracle.value)} (error estimate {_f17(oracle.error_estimate)})"])
     return EXIT_OK
 
 
@@ -182,13 +178,11 @@ def _chain_payload(report) -> dict:
     }
 
 
-def _chain_human(label: str, report) -> None:
-    print(f"{label} chain (tolerance {_f17(report.tolerance)}):")
-    for name, value in report.terms:
-        print(f"  {name:<22} {_f17(value)}")
-    for o in report.orderings:
-        verdict = "ok" if o.satisfied else "VIOLATED"
-        print(f"  term{o.i} <= term{o.j}: {verdict} (slack {_f17(o.slack)})")
+def _chain_lines(label: str, report) -> list[str]:
+    return [f"{label} chain (tolerance {_f17(report.tolerance)}):",
+            *(f"  {name:<22} {_f17(value)}" for name, value in report.terms),
+            *(f"  term{o.i} <= term{o.j}: {'ok' if o.satisfied else 'VIOLATED'} "
+              f"(slack {_f17(o.slack)})" for o in report.orderings)]
 
 
 def cmd_chain(args) -> int:
@@ -196,29 +190,20 @@ def cmd_chain(args) -> int:
     # a bad --m or --quad-tol is reported before a bad --grid
     scheme = NestedDiscrete(args.m) if args.scheme == "nested" else Quadrature(args.quad_tol)
     integral = reference_integral_2d(fn, rect, args.grid).value
-    classic, refined = five_term_chains(fn, rect, scheme, integral=integral)
+    chains = dict(zip(("classic", "refined"),
+                      five_term_chains(fn, rect, scheme, integral=integral)))
     scheme_label = (f"nested:{args.m}" if args.scheme == "nested"
                     else f"quadrature:{args.quad_tol:g} (diagnostic, not certified)")
-    if args.output == "json":
-        _print_json({
-            "function": args.function,
-            "rect": list(args.rect),
-            "scheme": scheme_label,
-            "classic": _chain_payload(classic),
-            "refined": _chain_payload(refined),
-        })
-    elif args.output == "csv":
-        rows = []
-        for label, rep in (("classic", classic), ("refined", refined)):
-            for name, value in rep.terms:
-                rows.append([label, name, _f17(value)])
-        _print_csv(["chain", "term", "value"], rows)
-    else:
-        print(f"function: {args.function}   scheme: {scheme_label}")
-        _chain_human("classic", classic)
-        _chain_human("refined", refined)
-        ok = classic.all_satisfied and refined.all_satisfied
-        print("all orderings satisfied" if ok else "ORDERING VIOLATIONS PRESENT")
+    ok = all(rep.all_satisfied for rep in chains.values())
+    _emit(args.output,
+          {"function": args.function, "rect": list(args.rect), "scheme": scheme_label,
+           **{label: _chain_payload(rep) for label, rep in chains.items()}},
+          ["chain", "term", "value"],
+          [[label, name, _f17(value)] for label, rep in chains.items()
+           for name, value in rep.terms],
+          [f"function: {args.function}   scheme: {scheme_label}",
+           *(line for label, rep in chains.items() for line in _chain_lines(label, rep)),
+           "all orderings satisfied" if ok else "ORDERING VIOLATIONS PRESENT"])
     return EXIT_OK
 
 
@@ -247,33 +232,35 @@ def cmd_converge(args) -> int:
     rect, fn = _prepare(args)
     ns = _parse_n_range(args.n)
     enclosure_points(ns[-1], args.m)  # a sweep past the budget fails before its first row
-    rows = []
-    prev_gap = None
+    rows, prev_gap = [], None
+    lines = [f"function: {args.function}   m={args.m}",
+             f"{'n':>6} {'lower':>24} {'upper':>24} {'gap':>24} {'ratio':>10}"]
     for n in ns:
         bp = discrete_enclosure(fn, rect, n, args.m)
         ratio = bp.gap / prev_gap if prev_gap else None
-        rows.append({"n": n, "lower": bp.lower, "upper": bp.upper,
-                     "gap": bp.gap, "ratio": ratio})
+        rows.append({"n": n, "lower": bp.lower, "upper": bp.upper, "gap": bp.gap, "ratio": ratio})
+        lines.append(f"{n:>6} {_f17(bp.lower):>24} {_f17(bp.upper):>24} {_f17(bp.gap):>24} "
+                     f"{'' if ratio is None else format(ratio, '.4f'):>10}")
         prev_gap = bp.gap
-    if args.output == "json":
-        _print_json({"function": args.function, "rect": list(args.rect),
-                     "m": args.m, "rows": rows})
-    elif args.output == "csv":
-        out = [[r["n"], _f17(r["lower"]), _f17(r["upper"]), _f17(r["gap"]),
-                "" if r["ratio"] is None else _f17(r["ratio"])] for r in rows]
-        _print_csv(["n", "lower", "upper", "gap", "ratio"], out)
-    else:
-        print(f"function: {args.function}   m={args.m}")
-        print(f"{'n':>6} {'lower':>24} {'upper':>24} {'gap':>24} {'ratio':>10}")
-        for r in rows:
-            ratio = "" if r["ratio"] is None else f"{r['ratio']:.4f}"
-            print(f"{r['n']:>6} {_f17(r['lower']):>24} {_f17(r['upper']):>24} "
-                  f"{_f17(r['gap']):>24} {ratio:>10}")
+    _emit(args.output,
+          {"function": args.function, "rect": list(args.rect), "m": args.m, "rows": rows},
+          list(rows[0]), [[r["n"], *map(_f17, list(r.values())[1:])] for r in rows], lines)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     summary = run_verification(args.cases, args.seed)
+    props = [(p, None if math.isinf(p.worst_slack) else p.worst_slack)
+             for p in summary.properties]
+    lines = [f"verify: cases={summary.cases} seed={summary.seed}"]
+    for p, worst in props:
+        lines.append(f"  {p.name:<24} checked={p.checked:<5} violations={p.violations:<3} "
+                     f"worst_slack={_f17(worst) or 'n/a'}")
+        if p.first_failure:
+            lines.append(f"    first failure: {p.first_failure}")
+    lines += [f"equality cases (n=1 gap ~ 0): {summary.equality_cases}",
+              f"oracle-too-coarse skips: {summary.skipped_oracle_checks}",
+              "ALL PROPERTIES PASS" if summary.all_pass else "PROPERTY VIOLATIONS FOUND"]
     payload = {
         "command": "verify",
         "cases": summary.cases,
@@ -281,35 +268,12 @@ def cmd_verify(args) -> int:
         "all_pass": summary.all_pass,
         "equality_cases": summary.equality_cases,
         "skipped_oracle_checks": summary.skipped_oracle_checks,
-        "properties": [
-            {
-                "name": p.name,
-                "checked": p.checked,
-                "violations": p.violations,
-                "worst_slack": None if math.isinf(p.worst_slack) else p.worst_slack,
-                "first_failure": p.first_failure,
-            }
-            for p in summary.properties
-        ],
+        "properties": [{"name": p.name, "checked": p.checked, "violations": p.violations,
+                        "worst_slack": worst, "first_failure": p.first_failure}
+                       for p, worst in props],
     }
-    if args.output == "json":
-        _print_json(payload)
-    elif args.output == "csv":
-        rows = [[p.name, p.checked, p.violations,
-                 "" if math.isinf(p.worst_slack) else _f17(p.worst_slack)]
-                for p in summary.properties]
-        _print_csv(["property", "checked", "violations", "worst_slack"], rows)
-    else:
-        print(f"verify: cases={summary.cases} seed={summary.seed}")
-        for p in summary.properties:
-            ws = "n/a" if math.isinf(p.worst_slack) else _f17(p.worst_slack)
-            print(f"  {p.name:<24} checked={p.checked:<5} violations={p.violations:<3} "
-                  f"worst_slack={ws}")
-            if p.first_failure:
-                print(f"    first failure: {p.first_failure}")
-        print(f"equality cases (n=1 gap ~ 0): {summary.equality_cases}")
-        print(f"oracle-too-coarse skips: {summary.skipped_oracle_checks}")
-        print("ALL PROPERTIES PASS" if summary.all_pass else "PROPERTY VIOLATIONS FOUND")
+    _emit(args.output, payload, ["property", "checked", "violations", "worst_slack"],
+          [[p.name, p.checked, p.violations, _f17(worst)] for p, worst in props], lines)
     return EXIT_OK if summary.all_pass else EXIT_VIOLATION
 
 

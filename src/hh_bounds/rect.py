@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -83,8 +84,10 @@ PACK_POINTS = 1 << 12
 @dataclass(frozen=True)
 class Rect:
     """The integration domain [a, b] x [c, d], nondegenerate and finite,
-    with finite widths and area, and corners that stay finite when doubled
-    (so every midpoint, the center included, is finite)."""
+    with finite widths and area, an area of at least the smallest normal
+    float (``sys.float_info.min``, so that the area neither underflows to 0
+    nor loses bits), and corners that stay finite when doubled (so every
+    midpoint, the center included, is finite)."""
 
     a: float
     b: float
@@ -100,6 +103,9 @@ class Rect:
         # a non-finite width makes the area non-finite too
         if not math.isfinite(self.area):
             raise DomainError(f"rectangle widths and area must be finite, got {self}")
+        if self.area < sys.float_info.min:
+            raise DomainError("rectangle area must be at least the smallest normal float, "
+                              f"{sys.float_info.min!r}, got {self.area!r} for {self}")
         if not all(math.isfinite(2.0 * v) for v in (self.a, self.b, self.c, self.d)):
             raise DomainError("rectangle corners must be at most half the largest float "
                               f"in magnitude, got {self}")
@@ -388,6 +394,8 @@ class PointPlan:
         self._starts = np.cumsum([0] + sizes[:-1])
         scale, by_area = zip(*self._scales)
         self._scale, self._by_area = np.array(scale), np.array(by_area)
+        # the smallest weight of a by-area output is this times the area
+        self._area_scale = min((s for s, area in self._scales if area), default=math.inf)
         self._sides = sides
 
     def resolve(self, f: Fn2D, r: Rect) -> _Values:
@@ -404,11 +412,18 @@ class PointPlan:
         nodes, and among the quadrature lines the first failing line's, in
         the order of their first request. An output that overflows comes
         out infinite, without a warning. The plan's size is checked against
-        ``bounds1d.MAX_POINTS`` again first.
+        ``bounds1d.MAX_POINTS`` again first, and a by-area output whose
+        scale times the area is below the smallest normal float, a weight
+        that would lose bits or vanish, is a :class:`DomainError` before
+        ``f`` is called.
         """
         check_points("a point plan", self._points)
         if self._sides is None:
             self._compile()
+        if self._area_scale * r.area < sys.float_info.min:
+            raise DomainError(f"rectangle area {r.area!r} is too small for these bounds: its "
+                              f"weights, down to {self._area_scale * r.area!r}, fall below the "
+                              f"smallest normal float, {sys.float_info.min!r}")
         ivs = {"x": r.x_interval, "y": r.y_interval}
         nodes = {s: side.nodes(ivs[s]) for s, side in self._sides.items()}
 

@@ -267,6 +267,24 @@ class TestBounds:
         assert err.startswith("error: rectangle widths and area must be finite")
 
 
+@pytest.mark.parametrize("argv, err", [
+    # the area underflows to 0; without the check, a ZeroDivisionError
+    # traceback, and exit 0 with lower = upper = 0
+    (["chain", "--f", "1e300+x^2", "--rect", "0", "1e-300", "0", "1e-300"],
+     "error: rectangle area must be at least the smallest normal float"),
+    (["bounds", "--f", "1e300+0*x", "--rect", "0", "1e-300", "0", "1e-300", "--n", "1",
+      "--m", "1"], "error: rectangle area must be at least the smallest normal float"),
+    # a normal area whose by-area weights are subnormal
+    (["bounds", "--f", "1e300", "--rect", "0", "1.5e-154", "0", "1.5e-154", "--n", "256",
+      "--output", "json"], "error: rectangle area 2.2500000000000005e-308 is too small"),
+])
+def test_tiny_rectangle_exit_2(argv, err):
+    cp = run_cli(*argv)
+    assert (cp.returncode, cp.stdout) == (2, "")
+    assert cp.stderr.startswith(err)
+    assert "Traceback" not in cp.stderr and len(cp.stderr.splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv, name", [
     (["bounds", "--f", "1e300+0*x", "--rect", "0", "1e5", "0", "1e5", "--n", "1", "--m", "1",
       "--output", "json"], "enclosure lower"),
@@ -407,6 +425,66 @@ def _assert_chain_golden(out: str, golden: str, src: str) -> None:
     assert _json_moves(json.loads(out), want, _chain_bound(want)) == []
 
 
+def _bounds_moves(want: dict) -> dict[str, float]:
+    """The moves of a bounds payload's fields of a nonnegative f; a field
+    not named may not move. The oracle's estimate is |full - half| / 15 of
+    two Simpson sums of f, the half-grid one at most oracle + 15 * oracle_error."""
+    return {"lower": EPS * abs(want["lower"]),
+            "upper": EPS * abs(want["upper"]),
+            "gap": EPS * (abs(want["lower"]) + abs(want["upper"])),
+            "oracle_error": EPS * (2.0 * want["oracle"] + 15.0 * want["oracle_error"]) / 15.0}
+
+
+def _bounds_text_bound(want: str):
+    """A bounds command's text or CSV output of a nonnegative f: each field
+    moves as in its JSON output (:func:`_bounds_moves`), the rest stay. A
+    field's numbers end their line: the CSV header names its row's last
+    five, and a text line is named by its first word."""
+    lines = want.splitlines()
+    if lines[0].startswith("function,"):
+        names = {1: lines[0].split(",")[-5:]}
+    else:
+        names = {i: ["oracle", "oracle_error"] if line.startswith("oracle") else line.split()[:1]
+                 for i, line in enumerate(lines)
+                 if line.split()[0] in ("lower", "upper", "gap", "oracle")}
+    numbers = [[float(t) for t in NUMBER.findall(line)] for line in lines]
+    moves = _bounds_moves({name: v for i, ns in names.items()
+                           for name, v in zip(ns, numbers[i][-len(ns):])})
+
+    def bound(numbers, i, k):
+        ns = names.get(i, [])
+        at = k - (len(numbers[i]) - len(ns))
+        return moves.get(ns[at], 0.0) if at >= 0 else 0.0
+    return bound
+
+
+def _chain_text_bound(want: str):
+    """A chain's text output of a nonnegative f: each tolerance, term and
+    slack moves as its field of the JSON output may (:func:`_chain_bound`),
+    every other number stays."""
+    payload, paths = {}, {}
+    for i, line in enumerate(want.splitlines()):
+        nums = [float(t) for t in NUMBER.findall(line)]
+        if " chain (tolerance " in line:
+            label = line.split()[0]
+            payload[label] = {"tolerance": nums[0], "terms": [], "orderings": []}
+            paths[i] = {0: (label, "tolerance")}
+        elif line.startswith("  term"):
+            orderings = payload[label]["orderings"]
+            paths[i] = {2: (label, "orderings", len(orderings), "slack")}
+            orderings.append({"i": int(nums[0]), "j": int(nums[1]), "slack": nums[2]})
+        elif line.startswith("  "):
+            terms = payload[label]["terms"]
+            paths[i] = {0: (label, "terms", len(terms), "value")}
+            terms.append({"value": nums[0]})
+    moves = _chain_bound(payload)
+
+    def bound(numbers, i, k):
+        path = paths.get(i, {}).get(k)
+        return 0.0 if path is None else moves(path, numbers[i][k])
+    return bound
+
+
 @pytest.mark.parametrize("command, n, golden", [
     ("bounds", "8", "bounds_multiterm.json"),
     ("converge", "1:16", "converge_multiterm.json"),
@@ -415,15 +493,8 @@ def test_multiterm_json_matches_golden(command, n, golden, capsys):
     assert main([command, *MULTITERM, "--n", n]) == 0
     want = json.loads((DATA / golden).read_text(encoding="utf-8"))
     _assert_nonnegative(MULTITERM[1], want["rect"])
-    # the oracle's estimate is |full - half| / 15 of two Simpson sums of the
-    # nonnegative f; the half-grid one is at most oracle + 15 * oracle_error
     bound = (_converge_bound(want) if command == "converge" else
-             lambda path, value: {"lower": EPS * abs(want["lower"]),
-                                  "upper": EPS * abs(want["upper"]),
-                                  "gap": EPS * (abs(want["lower"]) + abs(want["upper"])),
-                                  "oracle_error": EPS * (2.0 * want["oracle"]
-                                                         + 15.0 * want["oracle_error"]) / 15.0,
-                                  }.get(path[-1], 0.0))
+             lambda path, value: _bounds_moves(want).get(path[-1], 0.0))
     assert _json_moves(json.loads(capsys.readouterr().out), want, bound) == []
 
 
@@ -448,6 +519,12 @@ def test_multiterm_quadrature_chain_matches_golden(tol, golden, capsys):
     (["converge", *MULTITERM, "--n", "4", "--output", "csv"], "converge_multiterm_n4.csv"),
     (["verify", "--cases", "20", "--seed", "1", "--output", "csv"], "verify_c20_seed1.csv"),
     (["verify", "--cases", "20", "--seed", "1"], "verify_c20_seed1_human.txt"),
+    (["chain", "--f", "exp(x+y)", "--rect", "0", "1", "0", "1"], "chain_expsum_nested_human.txt"),
+    # the diagnostic scheme says so in its label
+    (["chain", "--f", "exp(x+y)", "--rect", "0", "1", "0", "1", "--scheme", "quadrature"],
+     "chain_expsum_quadrature_human.txt"),
+    (["bounds", *MULTITERM, "--n", "8", "--output", "human"], "bounds_multiterm_human.txt"),
+    (["bounds", *MULTITERM, "--n", "8", "--output", "csv"], "bounds_multiterm_n8.csv"),
 ])
 def test_text_output_matches_golden(argv, golden, capsysbinary):
     assert main(argv) == 0
@@ -461,8 +538,14 @@ def test_text_output_matches_golden(argv, golden, capsysbinary):
     elif argv[0] == "converge":
         _assert_nonnegative(MULTITERM[1], (-0.5, 1.0, 0.0, 1.5))
         bound = _converge_text_bound
+    elif argv[0] == "bounds":
+        _assert_nonnegative(MULTITERM[1], (-0.5, 1.0, 0.0, 1.5))
+        bound = _bounds_text_bound(want)
     elif "--skip-convexity-check" in argv:
         bound = lambda numbers, i, k: 0.0  # noqa: E731
+    elif "--output" not in argv:
+        _assert_nonnegative("exp(x+y)", (0.0, 1.0, 0.0, 1.0))
+        bound = _chain_text_bound(want)
     else:
         _assert_nonnegative("exp(x+y)", (0.0, 1.0, 0.0, 1.0))
         bound = lambda numbers, i, k: EPS * abs(numbers[i][k]) if i else 0.0  # noqa: E731

@@ -85,10 +85,44 @@ class TestRect:
             with pytest.raises(DomainError, match="area"):
                 Rect(0.0, 1e200, 0.0, 1e200)
 
+    @pytest.mark.parametrize("side", [1e-300, 1e-154])
+    def test_rejects_an_area_below_the_smallest_normal_float(self, side):
+        # the area underflows to 0 at 1e-300, and is subnormal at 1e-154
+        with pytest.raises(DomainError, match="area must be at least the smallest normal float"):
+            Rect(0.0, side, 0.0, side)
+
     def test_geometry(self):
         r = Rect(-1.0, 3.0, 0.0, 2.0)
         assert r.area == pytest.approx(8.0)
         assert r.center == (1.0, 1.0)
+
+
+class TestTinyArea:
+    #: A normal area, 2.25e-308 (``sys.float_info.min`` is 2.225e-308),
+    #: whose by-area weights are subnormal.
+    R = Rect(0.0, 1.5e-154, 0.0, 1.5e-154)
+
+    @pytest.mark.parametrize("n, m", [(256, 16), (1, 1)])
+    def test_subnormal_weights_raise_before_f_is_called(self, n, m):
+        # without the check, (256, 16) gives lower = upper = 2.2500000001846823e-08
+        # for the constant 1e300, 8.2e-11 relative above the exact 2.25e-08
+        f, count = counting_fn2d(lambda x, y: np.full(np.broadcast(x, y).shape, 1e300))
+        with pytest.raises(DomainError, match="too small for these bounds"):
+            discrete_enclosure(f, self.R, n, m)
+        with pytest.raises(DomainError, match="too small for these bounds"):
+            partition_chain(f, self.R, n, NestedDiscrete(m), integral=0.0)
+        assert count["n"] == 0
+
+    def test_positive_upper_raises(self):
+        f, _ = counting_fn2d(lambda x, y: np.full(np.broadcast(x, y).shape, 1.0), positive=True)
+        with pytest.raises(DomainError, match="too small for these bounds"):
+            positive_upper(f, self.R, 2)
+
+    def test_normal_weights_are_exact(self):
+        r = Rect(0.0, 1e-150, 0.0, 1e-150)
+        bp = discrete_enclosure(Fn2D(eval=lambda x, y: 2.0 + 0.0 * x * y), r, 4, 4)
+        assert bp.lower == pytest.approx(2.0 * r.area, rel=1e-15)
+        assert bp.upper == pytest.approx(2.0 * r.area, rel=1e-15)
 
 
 class TestChainReport:
