@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -182,8 +183,9 @@ def _distinct(cols) -> tuple[np.ndarray, np.ndarray]:
 class Partition1D:
     """Uniform partition of an interval into ``n`` cells: the nodes of a
     :class:`Lattice` of that one count, computed and checked once, on
-    construction. More than MAX_POINTS nodes is a :class:`DomainError`,
-    raised before any is built.
+    construction. More than MAX_POINTS nodes, or a step ``h`` below the
+    smallest normal float, which would lose bits or vanish, is a
+    :class:`DomainError`, raised before any is built.
     """
 
     interval: Interval
@@ -191,7 +193,12 @@ class Partition1D:
     _nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_nodes", Lattice((self.n,)).nodes(self.interval))
+        lattice = Lattice((self.n,))
+        if self.h < sys.float_info.min:
+            raise DomainError(f"interval [{self.interval.lo!r}, {self.interval.hi!r}] is too "
+                              f"small for {self.n} cells: the step, {self.h!r}, falls below "
+                              f"the smallest normal float, {sys.float_info.min!r}")
+        object.__setattr__(self, "_nodes", lattice.nodes(self.interval))
 
     @property
     def h(self) -> float:

@@ -34,6 +34,7 @@ Numerical Algorithms*, ch. 4).
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,16 @@ def _check_grid(grid: int) -> None:
         raise DomainError(f"oracle grid must be a power of two >= 64, got {grid}")
 
 
+def _check_weight(weight: float, what: str) -> None:
+    """A :class:`DomainError` if the finest level's smallest Simpson weight,
+    ``weight``, is below the smallest normal float: it would lose bits, or
+    vanish, and the value with it."""
+    if weight < sys.float_info.min:
+        raise DomainError(f"{what} is too small for the oracle: its weights, down to "
+                          f"{weight!r}, fall below the smallest normal float, "
+                          f"{sys.float_info.min!r}")
+
+
 def _simpson_1d(vals: np.ndarray, h: float) -> float:
     # vals holds an odd number of equally spaced samples; an overflowing sum
     # comes out infinite, without a warning
@@ -87,13 +98,15 @@ def reference_integral_1d(fn, iv, grid: int = DEFAULT_GRID) -> OracleResult:
     """Composite Simpson on ``grid`` subintervals, error from the grid/2 value.
 
     ``fn`` is an Fn1D or bare callable; evaluation is array-at-once with a
-    scalar fallback. A grid of more than MAX_POINTS points is a
-    :class:`DomainError`, raised before ``fn`` is called.
+    scalar fallback. A grid of more than MAX_POINTS points, or a weight h/3
+    below the smallest normal float, is a :class:`DomainError`, raised
+    before ``fn`` is called.
     """
     _check_grid(grid)
     check_points(f"a 1-D oracle grid of {grid}", grid + 1)
-    vals = evaluate(getattr(fn, "eval", fn), np.linspace(iv.lo, iv.hi, grid + 1))
     h = (iv.hi - iv.lo) / grid
+    _check_weight(h / 3.0, f"interval [{iv.lo!r}, {iv.hi!r}]")
+    vals = evaluate(getattr(fn, "eval", fn), np.linspace(iv.lo, iv.hi, grid + 1))
     v_full = _simpson_1d(vals, h)
     v_half = _simpson_1d(vals[::2], 2.0 * h)
     return OracleResult(value=v_full, error_estimate=abs(v_full - v_half) / 15.0, grid=grid)
@@ -107,10 +120,14 @@ def reference_integral_2d(fn, rect, grid: int = DEFAULT_GRID,
     is ``<= target``; the result's ``grid`` is the level it stopped at.
     ``target=None`` computes the explicit ``grid`` directly. Each row block
     is reduced to class sums as it is evaluated, so memory is one block of
-    about ``BLOCK_POINTS`` points, at any grid.
+    about ``BLOCK_POINTS`` points, at any grid. A grid whose weight
+    hx*hy/9 at ``grid`` is below the smallest normal float is a
+    :class:`DomainError`, raised before ``fn`` is called.
     """
     _check_grid(grid)
     check_points(f"an oracle grid of {grid}", (grid + 1) ** 2)
+    _check_weight((rect.b - rect.a) / grid * ((rect.d - rect.c) / grid) / 9.0,
+                  f"rectangle area {rect.area!r}")
     ev = getattr(fn, "eval", fn)
     xs = np.linspace(rect.a, rect.b, grid + 1)
     ys = np.linspace(rect.c, rect.d, grid + 1)

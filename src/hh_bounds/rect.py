@@ -47,7 +47,8 @@ and its tolerance, so the center lines the two chains share are one line
 each; :func:`schemes.simpson_lines` refines them all together, one call per
 Simpson depth. A plan evaluates its points, then its large line requests in
 declaration order, then its quadrature lines, the order its values are laid
-out in, and a failure is the first one met in that order. A result that
+out in, and a failure is the first one met in that order, among the
+quadrature lines the first met as they are refined. A result that
 ignores one variable, of the block's number of dimensions, is broadcast. A
 scalar-only callback is called once per point instead, from a C-level loop
 over per-chunk lists of Python floats: a point costs the call plus about
@@ -408,14 +409,15 @@ class PointPlan:
         each large line request in declaration order, in row blocks; the
         distinct quadrature lines, all refined together by
         :func:`schemes.simpson_lines`. A failure is the first one met in
-        that order, among the points the first in the order of their twin
-        nodes, and among the quadrature lines the first failing line's, in
-        the order of their first request. An output that overflows comes
-        out infinite, without a warning. The plan's size is checked against
-        ``bounds1d.MAX_POINTS`` again first, and a by-area output whose
-        scale times the area is below the smallest normal float, a weight
-        that would lose bits or vanish, is a :class:`DomainError` before
-        ``f`` is called.
+        that order: among the points the first in the order of their twin
+        nodes, and among the quadrature lines the first met as
+        :func:`schemes.simpson_lines` refines them, which need not be the
+        first failing line in the order of their first request. An output
+        that overflows comes out infinite, without a warning. The plan's
+        size is checked against ``bounds1d.MAX_POINTS`` again first, and a
+        by-area output whose scale times the area is below the smallest
+        normal float, a weight that would lose bits or vanish, is a
+        :class:`DomainError` before ``f`` is called.
         """
         check_points("a point plan", self._points)
         if self._sides is None:
@@ -450,9 +452,9 @@ class PointPlan:
 
     def _quadrature(self, f: Fn2D, r: Rect, nodes: dict[str, np.ndarray]) -> np.ndarray:
         """The mean of ``f`` along each distinct quadrature line. A failure
-        is the first failing line's error, named by the line when the error
-        names no point. The lines' points come to ``f`` as two flat arrays
-        that mix both directions."""
+        is the first failure met, named by its line when the error names no
+        point. The lines' points come to ``f`` as two flat arrays that mix
+        both directions."""
         along_x, lo, hi, tol = self._quad
         ends = np.concatenate([nodes["x"], nodes["y"]])
         t = 0.5 * (ends[lo] + ends[hi])

@@ -12,9 +12,23 @@ error is not one-sided, so this mode is diagnostic, not certified.
 :func:`simpson_lines` refines many lines together, one depth at a time:
 each depth's new points, on all the lines still open there, are evaluated
 in one call, so a plan's lines cost one call per depth, not one per line
-and depth. Each line gets the bits, and a failing line the error, that
-:func:`adaptive_simpson`, its one-line case, gives it alone.
-"""
+and depth. Lines are started ``_LEVEL_NODES`` at a time, each group refined
+to the end before the next starts, and a deeper level wider than
+``_LEVEL_NODES`` subintervals is refined in two parts, each to the end
+before the next, cut so that every line meets its subintervals in the
+pieces and order it does alone (:func:`_cut`). Each subinterval's
+arithmetic, the halving of the tolerance per depth, the depth cap, and the
+tree in which a split subinterval's value is the sum of its halves, are
+those of the depth-first recursion, so each line that succeeds gets the
+bits :func:`adaptive_simpson`, its one-line case, gives it alone.
+
+Refining stops at the first failure met in that order, and the failing
+line reports the error it meets refined alone: a part whose line runs out
+of subintervals fails when the part is counted, before its points are
+evaluated, and a call that raises is evaluated again line by line, the
+first line that raises alone failing. Among several failing lines the one
+reported is the first met, not the first in line order, so it can depend
+on how the lines are grouped."""
 
 from __future__ import annotations
 
@@ -62,13 +76,10 @@ MAX_SUBINTERVALS = 1 << 18
 def adaptive_simpson(fn, lo: float, hi: float, tol: float) -> float:
     """Adaptive Simpson with the standard |S2 - S1|/15 acceptance test: the
     one-line case of :func:`simpson_lines`, with ``fn`` evaluated through
-    :func:`evaluate`.
-
-    Depth is capped; a subinterval that still disagrees at the cap keeps its
-    refined estimate, which is adequate for this diagnostic use. Refining
-    more than ``MAX_SUBINTERVALS`` subintervals in all is an
-    :class:`EvaluationError`, raised before their points are evaluated.
-    """
+    :func:`evaluate`. Depth is capped; a subinterval that still disagrees at
+    the cap keeps its refined estimate, adequate for this diagnostic use.
+    Refining more than ``MAX_SUBINTERVALS`` subintervals in all is an
+    :class:`EvaluationError`, raised before their points are evaluated."""
     values, failure = simpson_lines(lambda line, s: evaluate(fn, s), np.array([lo], float),
                                     np.array([hi], float), tol)
     if failure is not None:
@@ -76,91 +87,56 @@ def adaptive_simpson(fn, lo: float, hi: float, tol: float) -> float:
     return float(values[0])
 
 
-class _Refinement:
-    """What the lines of one batch still may do: ``budget[i]`` counts the
-    subintervals line i may still refine, and lines from ``stop`` on, the
-    first failed line and those after it, no longer refine."""
+class _Failed(Exception):
+    """The first failure met: its ``args`` are the failing line and its error."""
 
-    def __init__(self, count: int):
-        self.budget = np.full(count, MAX_SUBINTERVALS)
-        self.stop = count
-        self.error = None
 
-    def rows(self, line: np.ndarray) -> int:
-        """How many of the rows of ``line`` (sorted) belong to lines before ``stop``."""
-        return len(line) if self.stop == len(self.budget) else int(
-            np.searchsorted(line, self.stop))
-
-    def fail(self, line: int, exc: EvaluationError) -> None:
-        self.stop, self.error = line, exc
-
-    def evaluate(self, fn, line: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """``fn(line, s)`` in one call. If that raises an
-        :class:`EvaluationError`, the points are evaluated again line by
-        line up to the first line that raises, which fails; the values of
-        the lines before it are returned. No points, no call."""
-        if not line.size:
-            return s
+def _evaluate(fn, line: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``fn(line, s)``; if that raises an :class:`EvaluationError`, the
+    points line by line, up to the first line that raises, which fails."""
+    try:
+        return fn(line, s)
+    except EvaluationError as exc:
+        if line[0] == line[-1]:
+            raise _Failed(int(line[0]), exc)
+    values = []
+    for run in np.split(np.arange(len(line)), np.flatnonzero(np.diff(line)) + 1):
         try:
-            return fn(line, s)
+            values.append(fn(line[run], s[run]))
         except EvaluationError as exc:
-            if line[0] == line[-1]:
-                self.fail(int(line[0]), exc)
-                return s[:0]
-            values = []
-            for run in np.split(np.arange(len(line)), np.flatnonzero(np.diff(line)) + 1):
-                try:
-                    values.append(fn(line[run], s[run]))
-                except EvaluationError as exc:
-                    self.fail(int(line[run[0]]), exc)
-                    break
-            return np.concatenate(values) if values else s[:0]
+            raise _Failed(int(line[run[0]]), exc)
+    return np.concatenate(values)
 
 
 def simpson_lines(fn, lo: np.ndarray, hi: np.ndarray, tol
                   ) -> tuple[np.ndarray, tuple[int, EvaluationError] | None]:
-    """Adaptive Simpson on many lines at once: line i over [lo[i], hi[i]]
-    to ``tol`` (one for all, or one per line).
-
-    ``fn(line, s)`` returns the values of the lines ``line`` at the points
-    ``s``, two flat arrays of the same shape, as a float array of that shape
-    (through :func:`evaluate`). The refinement runs level by level: ``fn`` is
-    called once at every line's lo end, hi end and midpoint, in that order,
-    then once per depth at the two quarter points of every subinterval of
-    every line still open there, the points in line order. The first level
-    starts ``_LEVEL_NODES`` lines at a time, each group refined to the end
-    before the next starts; a deeper level wider than ``_LEVEL_NODES``
-    subintervals is refined in two parts, cut so that every line meets its
-    subintervals in the order it does alone (:func:`_cut`). Each
-    subinterval's arithmetic, the halving of the tolerance per depth, the
-    depth cap, and the tree in which a split subinterval's value is the sum
-    of its halves, are those of the depth-first recursion.
-
-    Returns the lines' values and None, or, if a line fails, an array of no
-    use and ``(i, error)`` for the first line i that fails, with the error
-    it raises when refined alone: the first failure it meets, in that order.
-    A line fails when ``fn`` raises an :class:`EvaluationError` at its
-    points, or when it would refine more than ``MAX_SUBINTERVALS``
-    subintervals in all, checked before their points are evaluated. Once
-    line i fails, only the lines before it keep refining, and no group of
-    lines after it starts, so the lines after the first failing one are not
-    refined to the end, and no line is refined twice.
+    """Adaptive Simpson on many lines at once, refined as the module
+    docstring says: line i over [lo[i], hi[i]] to ``tol`` (one for all, or
+    one per line). ``fn(line, s)`` returns the values of the lines ``line``
+    at the points ``s``, two flat arrays of one shape, as a float array of
+    that shape. It is called at every line's lo end, hi end and midpoint,
+    in that order, then per depth at the two quarter points of each open
+    subinterval, the points in line order. Returns the lines' values and
+    None, or, at the first failure met, an array of no use and
+    ``(i, error)``: line i raised an :class:`EvaluationError`, or would
+    refine more than ``MAX_SUBINTERVALS`` subintervals in all.
     """
     tol = np.broadcast_to(np.asarray(tol, dtype=float), lo.shape)
-    state = _Refinement(len(lo))
+    budget = np.full(len(lo), MAX_SUBINTERVALS)
     values = np.zeros(len(lo))
-    for i in range(0, len(lo), _LEVEL_NODES):
-        if i >= state.stop:
-            break
-        a, b = lo[i:i + _LEVEL_NODES], hi[i:i + _LEVEL_NODES]
-        line, m = np.arange(i, i + len(a)), 0.5 * (a + b)
-        ends = state.evaluate(fn, np.repeat(line, 3), np.stack([a, b, m], axis=1).ravel())
-        k = ends.size // 3
-        fa, fb, fm = ends.reshape(k, 3).T
-        whole = (b[:k] - a[:k]) / 6.0 * (fa + 4.0 * fm + fb)
-        values[i:i + k] = _refine(fn, line[:k], np.stack([a, m, b], axis=1)[:k],
-                                  np.stack([fa, fm, fb], axis=1), whole, tol[i:i + k], 0, state)
-    return values, None if state.error is None else (state.stop, state.error)
+    try:
+        for i in range(0, len(lo), _LEVEL_NODES):
+            a, b = lo[i:i + _LEVEL_NODES], hi[i:i + _LEVEL_NODES]
+            line, m = np.arange(i, i + len(a)), 0.5 * (a + b)
+            ends = _evaluate(fn, np.repeat(line, 3), np.stack([a, b, m], axis=1).ravel())
+            fa, fb, fm = ends.reshape(-1, 3).T
+            whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+            values[i:i + len(a)] = _refine(fn, line, np.stack([a, m, b], axis=1),
+                                           np.stack([fa, fm, fb], axis=1), whole,
+                                           tol[i:i + len(a)], 0, budget)
+    except _Failed as failed:
+        return values, failed.args
+    return values, None
 
 
 def _cut(line: np.ndarray) -> int:
@@ -176,47 +152,38 @@ def _cut(line: np.ndarray) -> int:
 
 
 def _refine(fn, line: np.ndarray, t: np.ndarray, ft: np.ndarray, whole: np.ndarray,
-            tol: np.ndarray, depth: int, state: _Refinement) -> np.ndarray:
-    """Values of the subintervals of one depth, one per row.
-
-    Row i of ``t`` holds a subinterval's ends and midpoint (a, m, b), of
-    ``ft`` the values there, ``whole[i]`` its Simpson value, ``tol[i]`` its
-    tolerance and ``line[i]`` its line, the rows sorted by line. The rows of
-    failed lines come out 0.
-    """
-    out = np.zeros(len(t))
-    k = state.rows(line)
-    if k > _LEVEL_NODES:
-        h = _cut(line[:k])
-        out[:h] = _refine(fn, line[:h], t[:h], ft[:h], whole[:h], tol[:h], depth, state)
-        out[h:k] = _refine(fn, line[h:k], t[h:k], ft[h:k], whole[h:k], tol[h:k], depth, state)
-        return out
-    line = line[:k]
-    np.subtract.at(state.budget, line, 1)
-    over = line[state.budget[line] < 0]
+            tol: np.ndarray, depth: int, budget: np.ndarray) -> np.ndarray:
+    """Values of the subintervals of one depth, one per row: row i of ``t``
+    holds a subinterval's ends and midpoint (a, m, b), of ``ft`` the values
+    there, ``whole[i]`` its Simpson value, ``tol[i]`` its tolerance and
+    ``line[i]`` its line, the rows sorted by line. ``budget[j]`` counts the
+    subintervals line j may still refine; the first failure met raises
+    :class:`_Failed`."""
+    if len(line) > _LEVEL_NODES:
+        h = _cut(line)
+        return np.concatenate([
+            _refine(fn, line[:h], t[:h], ft[:h], whole[:h], tol[:h], depth, budget),
+            _refine(fn, line[h:], t[h:], ft[h:], whole[h:], tol[h:], depth, budget)])
+    np.subtract.at(budget, line, 1)
+    over = line[budget[line] < 0]
     if over.size:
-        state.fail(int(over[0]), EvaluationError(
+        raise _Failed(int(over[0]), EvaluationError(
             f"adaptive Simpson needs more than {MAX_SUBINTERVALS} subintervals "
             "for this tolerance"))
-        line = line[:state.rows(line)]
     # column 0 is the left half [a, m], column 1 the right half [m, b]
-    q = 0.5 * (t[:len(line), :2] + t[:len(line), 1:])
-    fq = state.evaluate(fn, np.repeat(line, 2), q.ravel())
-    k = fq.size // 2
-    if not k:
-        return out
-    line, q, fq = line[:k], q[:k], fq.reshape(k, 2)
-    lo, hi, flo, fhi = t[:k, :2], t[:k, 1:], ft[:k, :2], ft[:k, 1:]
+    lo, hi, flo, fhi = t[:, :2], t[:, 1:], ft[:, :2], ft[:, 1:]
+    q = 0.5 * (lo + hi)
+    fq = _evaluate(fn, np.repeat(line, 2), q.ravel()).reshape(-1, 2)
     half = (hi - lo) / 6.0 * (flo + 4.0 * fq + fhi)
     left, right = half[:, 0], half[:, 1]
-    delta = left + right - whole[:k]
-    out[:k] = left + right + delta / 15.0
+    delta = left + right - whole
+    out = left + right + delta / 15.0
     if depth < _MAX_DEPTH:
-        s = np.flatnonzero(~(np.abs(delta) <= 15.0 * tol[:k]))
+        s = np.flatnonzero(~(np.abs(delta) <= 15.0 * tol))
         if s.size:
             sub = _refine(fn, np.repeat(line[s], 2),
                           np.stack([lo, q, hi], axis=2)[s].reshape(-1, 3),
                           np.stack([flo, fq, fhi], axis=2)[s].reshape(-1, 3),
-                          half[s].ravel(), np.repeat(0.5 * tol[s], 2), depth + 1, state)
+                          half[s].ravel(), np.repeat(0.5 * tol[s], 2), depth + 1, budget)
             out[s] = sub[0::2] + sub[1::2]
     return out

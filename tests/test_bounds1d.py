@@ -6,6 +6,7 @@ import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -65,6 +66,23 @@ class TestIntervalPartition:
                 Interval(0.0, 1e308)
         part.nodes()[1] = 1.0
         assert part.nodes()[1] == 0.0
+
+    @pytest.mark.parametrize("rule", [
+        midpoint_lower, trapezoid_upper, integral_enclosure,
+        lambda fn, iv, n: deficit_upper(fn, iv, iv.lo, n)],
+        ids=["midpoint_lower", "trapezoid_upper", "integral_enclosure", "deficit_upper"])
+    def test_subnormal_step_raises_before_f_is_called(self, rule):
+        # without the check, integral_enclosure of the constant 1e300 on
+        # [0, 1e-310] at n = 4 gives lower = upper = 1.0000000000000464e-10,
+        # 4.9e-14 relative above the exact product
+        fn, count = counting_fn1d(lambda t: 1e300 + 0.0 * t, positive=True)
+        with pytest.raises(DomainError, match="step, 2.5e-311, falls below the smallest normal"):
+            rule(fn, Interval(0.0, 1e-310), 4)
+        assert count["n"] == 0
+        # a normal step on a short interval keeps the exact value
+        iv = Interval(0.0, 1e-300)
+        exact = float(Fraction(1e300) * Fraction(iv.hi))
+        assert integral_enclosure(fn, iv, 4) == BoundPair(exact, exact, 4, 9)
 
     def test_lattice_keeps_no_array_per_node(self):
         # a kept plan holds its lattices, which compute each node's k and n
@@ -671,17 +689,54 @@ class TestSimpsonLines:
             monkeypatch.setattr(hh_bounds.schemes, "_LEVEL_NODES", level_nodes)
         shapes = (lambda t: _kinked(t), lambda t: np.cos(40.0 * t),
                   lambda t: np.sqrt(np.abs(t)), lambda t: t * t)
+        points = []
 
         def g(line, t):
+            points.append(t.size)
             return np.choose(line, [fn(t) for fn in shapes])
 
         fn, alone = _lines_fn(g)
         lo, hi = np.array([0.0, 0.0, -1.3, 0.5]), np.array([1.0, 1.0, 2.1, 0.75])
         tol = np.array([1e-12, 1e-10, 1e-10, 1e-9])
         values, failure = simpson_lines(fn, lo, hi, tol)
+        together = sum(points)
+        points.clear()
         assert failure is None
         assert [v.hex() for v in values.tolist()] == [
             adaptive_simpson(alone(i), lo[i], hi[i], tol[i]).hex() for i in range(4)]
+        assert together == sum(points)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), level_nodes=st.sampled_from([1, 2, 3, 1024]))
+    def test_each_drawn_line_as_alone(self, data, level_nodes):
+        # a batch of lines of four shapes gets each line's bits, and
+        # evaluates as many points, as the lines refined one by one
+        shapes = (lambda t: _kinked(t), lambda t: np.cos(40.0 * t),
+                  lambda t: np.sqrt(np.abs(t)), lambda t: t * t)
+        count = data.draw(st.integers(1, 12))
+        kinds = np.array(data.draw(st.lists(st.integers(0, 3), min_size=count,
+                                            max_size=count)))
+        lo = np.array(data.draw(st.lists(st.floats(-2.0, 1.0), min_size=count,
+                                         max_size=count)))
+        hi = lo + data.draw(st.lists(st.floats(0.1, 1.5), min_size=count, max_size=count))
+        tol = 10.0 ** np.array(data.draw(st.lists(st.floats(-12.0, -6.0), min_size=count,
+                                                  max_size=count)))
+        points = []
+
+        def g(line, t):
+            points.append(t.size)
+            return np.choose(kinds[line], [fn(t) for fn in shapes])
+
+        fn, alone = _lines_fn(g)
+        with mock.patch.object(hh_bounds.schemes, "_LEVEL_NODES", level_nodes):
+            values, failure = simpson_lines(fn, lo, hi, tol)
+            together = sum(points)
+            points.clear()
+            by_line = [adaptive_simpson(alone(i), lo[i], hi[i], tol[i]).hex()
+                       for i in range(count)]
+        assert failure is None
+        assert [v.hex() for v in values.tolist()] == by_line
+        assert together == sum(points)
 
     def test_one_call_per_depth_for_all_lines(self):
         sizes = []
@@ -705,8 +760,11 @@ class TestSimpsonLines:
     @pytest.mark.parametrize("level_nodes", [None, 1, 3])
     @pytest.mark.parametrize("case", ["deep", "budget"])
     def test_first_failing_line_in_order_is_reported(self, case, level_nodes, monkeypatch):
-        # line 1 fails at depth 4 or runs out of subintervals; lines 2 and 3
-        # fail at once, at their midpoint and at a depth-0 quarter point
+        # the order is that of evaluation: line 1 fails at depth 4 or runs
+        # out of subintervals, line 2 fails at a depth-0 quarter point and
+        # line 3 at its midpoint, so the first failure met is line 3's in
+        # one group of all four lines, line 2's in groups of three (line 3
+        # starts once lines 0-2 are refined) and line 1's in groups of one
         if level_nodes is not None:
             monkeypatch.setattr(hh_bounds.schemes, "_LEVEL_NODES", level_nodes)
         if case == "budget":
@@ -715,27 +773,21 @@ class TestSimpsonLines:
         def g(line, t):
             one = np.exp(3.0 * t) if case == "deep" else np.sin(1e3 * t)
             bad = (((line == 1) & (t == 3.0 / 64.0) & (case == "deep"))
-                   | ((line == 2) & (t == 0.5)) | ((line == 3) & (t == 0.25)))
-            return np.where(bad, np.nan, np.where(line == 1, one, t * t))
+                   | ((line == 2) & (t == 0.75)) | ((line == 3) & (t == 0.5)))
+            return np.where(bad, np.nan, np.where(line == 1, one,
+                                                  np.where(line == 0, t * t, np.exp(3.0 * t))))
 
         fn, alone = _lines_fn(g)
-        first = None
-        for i in range(4):
-            try:
-                adaptive_simpson(alone(i), 0.0, 1.0, 1e-10)
-            except EvaluationError as exc:
-                first = (i, str(exc), exc.where)
-                break
-        assert first is not None and first[0] == 1
-        _, failure = simpson_lines(fn, np.zeros(4), np.ones(4), 1e-10)
-        i, exc = failure
-        assert (i, str(exc), exc.where) == first
-        if case == "deep":
-            assert exc.where == (3.0 / 64.0,)
-        else:
-            assert str(exc) == ("adaptive Simpson needs more than 64 subintervals "
+        first = {None: 3, 3: 2, 1: 1}[level_nodes]
+        with pytest.raises(EvaluationError) as exc:
+            adaptive_simpson(alone(first), 0.0, 1.0, 1e-10)
+        _, (i, err) = simpson_lines(fn, np.zeros(4), np.ones(4), 1e-10)
+        assert (i, str(err), err.where) == (first, str(exc.value), exc.value.where)
+        if first == 1 and case == "budget":
+            assert str(err) == ("adaptive Simpson needs more than 64 subintervals "
                                 "for this tolerance")
-
+        else:
+            assert err.where == {3: (0.5,), 2: (0.75,), 1: (3.0 / 64.0,)}[first]
 
     @pytest.mark.parametrize("level_nodes", [1, 3])
     def test_a_line_meets_its_hi_end_before_its_midpoint(self, level_nodes, monkeypatch):

@@ -277,6 +277,10 @@ class TestBounds:
     # a normal area whose by-area weights are subnormal
     (["bounds", "--f", "1e300", "--rect", "0", "1.5e-154", "0", "1.5e-154", "--n", "256",
       "--output", "json"], "error: rectangle area 2.2500000000000005e-308 is too small"),
+    # the oracle's weights are subnormal: without its check, exit 0 with a
+    # mean term 8.4e-10 below the true mean, every ordering passing
+    (["chain", "--f", "1e300+0*x", "--rect", "0", "1.5e-154", "0", "1.5e-154"],
+     "error: rectangle area 2.2500000000000005e-308 is too small for the oracle"),
 ])
 def test_tiny_rectangle_exit_2(argv, err):
     cp = run_cli(*argv)

@@ -31,6 +31,31 @@ def test_oversized_grid_fails_before_evaluating():
     assert count["n"] == 0
 
 
+@pytest.mark.parametrize("oracle, domain, grid", [
+    # without the check: 2.2500000000065966e-08, 2.9e-12 relative high
+    (reference_integral_2d, Rect(0.0, 1.5e-154, 0.0, 1.5e-154), 64),
+    # without the check: 7.4e-11 relative off, with an estimate of 5.1e-22
+    (reference_integral_1d, Interval(0.0, 1e-310), 1024),
+])
+def test_subnormal_weights_fail_before_evaluating(oracle, domain, grid):
+    count = {"n": 0}
+
+    def ev(*args):
+        count["n"] += 1
+        return np.full(np.broadcast(*args).shape, 1e300)
+
+    with pytest.raises(DomainError, match="too small for the oracle: its weights, down to"):
+        oracle(ev, domain, grid)
+    assert count["n"] == 0
+
+
+def test_normal_weights_on_a_tiny_rectangle_are_exact():
+    # hx*hy/9 is about 2.7e-305 here, a normal float
+    r = Rect(0.0, 1e-150, 0.0, 1e-150)
+    res = reference_integral_2d(lambda x, y: 2.0 + 0.0 * x * y, r, 64)
+    assert res.value == pytest.approx(2.0 * r.area, rel=1e-15)
+
+
 def test_square_exact():
     res = reference_integral_1d(Fn1D(eval=lambda t: t * t), UNIT, 64)
     assert res.value == pytest.approx(1.0 / 3.0, abs=1e-14)

@@ -756,25 +756,30 @@ class TestQuadratureLines:
         assert max(sizes) <= 3 * hh_bounds.schemes._LEVEL_NODES
 
     @pytest.mark.parametrize("case", ["deep", "budget"])
-    def test_failure_names_the_first_failing_line_in_declaration_order(self, case,
-                                                                      monkeypatch):
+    def test_failure_is_the_first_met(self, case, monkeypatch):
         # the center line along x, the first declared, fails at depth 4 or
-        # runs out of subintervals; the boundary line y = 0 fails at depth 1
+        # runs out of subintervals; the boundary line y = 0, declared after
+        # it, refines and fails at a depth-1 quarter point, which comes first
         monkeypatch.setattr(hh_bounds.schemes, "MAX_SUBINTERVALS", 64)
+        bad = [(0.125, 0.0)] + [(3.0 / 64.0, 0.5)] * (case == "deep")
+        seen = []
 
         def ev(x, y):
-            center = np.exp(3.0 * x) if case == "deep" else np.sin(1e3 * x)
-            bad = (((y == 0.5) & (x == 3.0 / 64.0) & (case == "deep"))
-                   | ((y == 0.0) & (x == 0.125)))
-            return np.where(bad, np.nan, np.where(y == 0.5, center, x * x + y * y))
+            x, y = np.broadcast_arrays(x, y)
+            out = np.exp(3.0 * x) + y * y
+            if case == "budget":
+                # 1,000 periods on the center line, 0 at x = 0, 0.5, 1
+                out = out + np.where(y == 0.5, np.sin(2e3 * np.pi * x), 0.0)
+            for bx, by in bad:
+                met = (x == bx) & (y == by)
+                if met.any():
+                    seen.append((bx, by))
+                out = np.where(met, np.nan, out)
+            return out
 
         with pytest.raises(EvaluationError) as exc:
             five_term_chains(Fn2D(eval=ev), UNIT2, Quadrature(1e-10), integral=1.0)
-        if case == "deep":
-            assert exc.value.where == (3.0 / 64.0, 0.5)
-        else:
-            assert str(exc.value) == ("line along x at y=0.5: adaptive Simpson needs more "
-                                      "than 64 subintervals for this tolerance")
+        assert exc.value.where == (0.125, 0.0) == seen[0]
 
     @pytest.mark.parametrize("n, bad, where", [
         # the large line request along x at y = 0.5 fails, and so does the
