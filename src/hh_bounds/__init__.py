@@ -7,7 +7,7 @@ from .convexity import (ConvexityRejection, ConvexityReport, Witness,
                         check_coordinate_convexity, random_convex_1d,
                         random_coordinate_convex)
 from .errors import DomainError, EvaluationError, HHBoundsError, PreconditionError
-from .expr import ParseError, eval_ast, parse, to_string
+from .expr import Evaluator, ParseError, eval_ast, parse, to_string
 from .oracle import OracleResult, reference_integral_1d, reference_integral_2d
 from .rect import (ChainReport, Fn2D, Ordering, Rect, assemble_classic_terms,
                    boundary_bound, centerline_bound, classic_chain, discrete_enclosure,
@@ -18,7 +18,7 @@ from .verify import VerifySummary, run_verification
 
 __all__ = [
     "BoundPair", "ChainReport", "ConvexityRejection", "ConvexityReport",
-    "DomainError", "EvaluationError", "Fn1D", "Fn2D", "HHBoundsError",
+    "DomainError", "EvaluationError", "Evaluator", "Fn1D", "Fn2D", "HHBoundsError",
     "InnerScheme", "Interval", "NestedDiscrete", "OracleResult", "Ordering",
     "ParseError", "Partition1D", "PreconditionError", "Quadrature", "Rect",
     "VerifySummary", "Witness", "adaptive_simpson", "assemble_classic_terms",

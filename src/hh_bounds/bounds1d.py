@@ -19,6 +19,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import DomainError, EvaluationError, PreconditionError
+from .expr import Evaluator
 
 #: Relative scale of the roundoff allowance used in enclosure invariants.
 MACHINE_TOL = 1e-12
@@ -264,27 +265,34 @@ class BoundPair:
 def evaluate(ev: Callable, *args) -> np.ndarray:
     """Values of ``ev`` at the broadcast of ``args``, insisting on finite results.
 
-    The only evaluator in the package. ``ev`` is called once, array-at-once,
-    with ``args`` as given. A result with as many dimensions as the
-    broadcast shape that broadcasts to it, such as that of ``x * x`` on a
-    row block, which ignores ``y``, is broadcast. A result that is 0-d, has
-    another number of dimensions or does not broadcast may be a reduction,
-    so its callback is taken for a scalar-only one and called once per
-    point instead, with Python floats in row-major order, fed from
-    per-chunk lists of SCALAR_CHUNK points so that the loop over a chunk
-    runs in C and a point costs little more than the call itself. A
+    Every function the package evaluates goes through here. ``ev`` is called
+    once, array-at-once, with ``args`` as given. A result with as many
+    dimensions as the broadcast shape that broadcasts to it, such as that of
+    ``x * x`` on a row block, which ignores ``y``, is broadcast. A result
+    that is 0-d, has another number of dimensions or does not broadcast may
+    be a reduction, so its callback is taken for a scalar-only one and
+    called once per point instead, with Python floats in row-major order,
+    fed from per-chunk lists of SCALAR_CHUNK points so that the loop over a
+    chunk runs in C and a point costs little more than the call itself. A
     failure of such a call (``ArithmeticError`` or ``ValueError``) and a
     non-finite value both raise :class:`EvaluationError` whose ``where`` is
     the full point. So does an :class:`EvaluationError` the array call
-    raises without a point, such as an expression's: the first failing
-    point of the block is located by bisection and named, and the original
-    message is kept. The result is a C-contiguous float array of the
-    broadcast shape.
+    raises without a point, such as an expression's: the first failing point
+    of the block is located by bisection and named, and the original message
+    is kept. The result is a C-contiguous float array of the broadcast
+    shape.
+
+    An :class:`expr.Evaluator`, a parsed expression, is told by its type:
+    its values are finite and of the broadcast shape already, so they are
+    taken as they are, with no shape fallback and no second finiteness
+    scan. Its errors take the paths above.
     """
-    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    shape = np.broadcast(*args).shape
     with np.errstate(all="ignore"):
         try:
             out = np.asarray(ev(*args), dtype=float, order="C")
+            if isinstance(ev, Evaluator):
+                return out
             if out.shape != shape:
                 if out.ndim != len(shape):
                     raise TypeError("scalar-only callback")

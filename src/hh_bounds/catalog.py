@@ -3,15 +3,17 @@
 A named entry is shorthand for the source of an expression, so a name and
 its expression resolve to the same function, with the same bits. Like any
 parsed expression it carries no tree for now, so the convexity gate samples
-it. The positive flag of a resolved function is decided per rectangle from
-the sample-grid minimum.
+it. It evaluates through :class:`expr.Evaluator`, whose values
+``bounds1d.evaluate`` takes as they are, already broadcast and checked for
+non-finite values. The positive flag of a resolved function is decided per
+rectangle from the sample-grid minimum.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .expr import Node, eval_ast, parse
+from .expr import Evaluator, Node, parse
+# still importable from here, as before (bench/test_bench.py relies on it)
+from .expr import eval_ast  # noqa: F401
 from .rect import Fn2D, Rect, with_positivity
 
 _NAMED = {
@@ -26,11 +28,9 @@ NAMED_FUNCTIONS = tuple(sorted(_NAMED))
 
 
 def function_from_ast(ast: Node, rect: Rect) -> Fn2D:
-    """The parsed expression as a function; values always take the shape of
-    the broadcast of (x, y), so a constant expression is not mistaken
-    for a scalar-only callback."""
-    return with_positivity(
-        lambda x, y: np.broadcast_to(eval_ast(ast, x, y), np.broadcast(x, y).shape), rect)
+    """The parsed expression as a function, evaluated by its
+    :class:`expr.Evaluator`."""
+    return with_positivity(Evaluator(ast), rect)
 
 
 def resolve_function(name_or_expr: str, rect: Rect) -> Fn2D:

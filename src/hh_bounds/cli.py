@@ -50,12 +50,16 @@ FAILURES = (
 
 
 class _Parser(argparse.ArgumentParser):
-    """Takes negative numbers in exponent notation, such as ``-1.5e-05``, for
-    values; argparse's own pattern knows only ``-1`` and ``-1.5``."""
+    """Takes any argument that starts with a single ``-`` and is no option
+    for a value: a negative number in exponent notation, such as
+    ``-1.5e-05``, and an expression such as ``-x+y^2``. argparse's own
+    pattern knows only ``-1`` and ``-1.5``. An option, such as ``-h``, is
+    matched before this pattern is tried, and no option is added after it
+    is set but those starting with ``--``, which it does not match."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(r"^-[^-]")
 
 
 def _f17(v: float | None) -> str:

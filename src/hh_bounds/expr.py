@@ -21,9 +21,12 @@ with the source span of the failing subexpression.
 Evaluation compiles a tree once, on its first :func:`eval_ast`, into closures
 that call numpy directly. Finiteness is checked at the root and wherever an
 operation could hide a non-finite operand; only when such a check fires is the
-tree rerun with every node checked, to name the failing one. :func:`program`
-gives the same closures with no check at all, for callers that check the
-values themselves, such as ``bounds1d.evaluate``.
+tree rerun with every node checked, to name the failing one. :class:`Evaluator`
+is a tree as a callback of (x, y) whose values have the broadcast shape and
+are checked already, so ``bounds1d.evaluate`` takes them as they are.
+:func:`program` gives the same closures with no check at all, for callers
+that check the values themselves, as ``bounds1d.evaluate`` does for any
+other callback.
 """
 
 from __future__ import annotations
@@ -288,14 +291,14 @@ def eval_ast(node: Node, x, y):
     The tree is compiled on the first call into two programs of closures,
     kept on ``node`` itself (by identity, never by equality: ``Number(0.0) ==
     Number(-0.0)``). Both call the same numpy functions and operators in the
-    same order, so they give the same values. The strict one checks every
-    non-leaf node for non-finite values and raises :class:`EvaluationError`
-    with the span of the first that has one. The fast one checks only the
-    root and the non-leaf operands of ``exp``, ``/``, ``^``, ``max`` and
-    ``min``; any other operation keeps a non-finite element non-finite, so a
-    failing node always reaches a check. When a check fires, or the inputs
-    broadcast to nothing (where a non-finite scalar can vanish), the strict
-    program runs instead.
+    same order, so they give the same values. The strict one checks the root,
+    a leaf root too, and every non-leaf node for non-finite values and raises
+    :class:`EvaluationError` with the span of the first that has one. The
+    fast one checks only the root and the non-leaf operands of ``exp``,
+    ``/``, ``^``, ``max`` and ``min``; any other operation keeps a non-finite
+    element non-finite, so a failing node always reaches a check. When a
+    check fires, or the inputs broadcast to nothing (where a non-finite
+    scalar can vanish), the strict program runs instead.
     """
     fast, strict = _compiled(node, False), _compiled(node, True)
     with np.errstate(all="ignore"):
@@ -305,6 +308,28 @@ def eval_ast(node: Node, x, y):
             except _Rerun:
                 pass
         return strict(x, y)
+
+
+@dataclass(frozen=True, eq=False)
+class Evaluator:
+    """``tree`` as a callback of (x, y): :func:`eval_ast`'s values broadcast
+    to the broadcast shape of (x, y), a constant's included.
+
+    So a call returns finite floats of that shape, or raises eval_ast's
+    :class:`EvaluationError`, which names no point. ``bounds1d.evaluate``
+    tells an Evaluator by its type and takes its values as they are, with
+    no shape fallback and no second finiteness scan. ``eval_ast`` is looked
+    up in this module at each call, so a wrapper put in its place sees
+    every evaluation. Equal only to itself, as equal trees may give other
+    bits (``Number(0.0) == Number(-0.0)``).
+    """
+
+    tree: Node
+
+    def __call__(self, x, y):
+        out = eval_ast(self.tree, x, y)
+        shape = np.broadcast(x, y).shape
+        return out if np.shape(out) == shape else np.broadcast_to(out, shape)
 
 
 def program(node: Node) -> Callable:
@@ -329,9 +354,9 @@ def _compiled(node: Node, strict: bool | None) -> Callable:
 
 
 def _compile(root: Node, strict: bool | None) -> Callable:
-    """``root`` as a function of (x, y), checking each non-leaf node when
-    ``strict``, only the root and the non-leaf operands of _ABSORBING when
-    ``strict`` is False, and nothing when it is None."""
+    """``root`` as a function of (x, y), checking the root and each non-leaf
+    node when ``strict``, only the root and the non-leaf operands of
+    _ABSORBING when ``strict`` is False, and nothing when it is None."""
     absorbing = () if strict is None else _ABSORBING
 
     def pair(fn: Callable, a: Node, b: Node, checked: bool) -> Callable:
@@ -363,18 +388,24 @@ def _compile(root: Node, strict: bool | None) -> Callable:
             run = pair(_CALLS[node.fn], *node.args, strict or node.fn in absorbing)
         else:
             raise EvaluationError(f"malformed syntax tree node {node!r}")
-        if not checked:
-            return run
+        return check(node, run) if checked else run
+
+    def check(node: Node, run: Callable) -> Callable:
         fail = (lambda: EvaluationError(f"non-finite result {_where(node)}")) if strict else _Rerun
 
-        def check(x, y):
+        def checked(x, y):
             out = run(x, y)
             if not np.isfinite(out).all():
                 raise fail()
             return out
-        return check
+        return checked
 
-    return build(root, strict is not None)
+    run = build(root, strict is not None)
+    # build leaves a leaf unchecked, which a leaf root must not be: it passes
+    # a non-finite input, or a non-finite number, through unchanged
+    if strict is not None and isinstance(root, (Number, Var)):
+        run = check(root, run)
+    return run
 
 
 def _prec(node: Node) -> int:

@@ -150,7 +150,9 @@ class Fn2D:
     called once per point. A row block runs with a ufunc buffer of at most
     one line (see :func:`bounds1d.line_blocks`): elementwise values do not
     depend on it, but a callback that reduces within a block may see the
-    other buffer.
+    other buffer. An ``eval`` that is an :class:`expr.Evaluator`, as a
+    parsed expression's is, is no black box: its values have the block's
+    shape and were checked by ``eval_ast``, so they are taken as they are.
     ``positive`` asserts the range is >= 0 and gates :func:`positive_upper`.
     ``expr``, when given, is an expression tree that computes the same
     function; the convexity gate tries to prove coordinate convexity from it

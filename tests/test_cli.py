@@ -12,6 +12,7 @@ import pytest
 
 import hh_bounds.catalog
 import hh_bounds.cli
+import hh_bounds.expr
 import hh_bounds.rect
 import hh_bounds.verify
 from hh_bounds import Fn2D, Rect
@@ -716,6 +717,41 @@ def test_negative_rect_endpoints_in_exponent_notation():
                  "--output", "json")
     assert cp.returncode == 0, cp.stderr
     assert json.loads(cp.stdout)["rect"] == [-0.5, 1.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("src", ["-x+y^2", "-(x-1)+y^2", "-2*x+y^2"])
+def test_expression_with_a_leading_minus_is_a_value(src, capsys):
+    # an argument that starts with a single "-" and is no option is a value
+    rect = ["--rect", "0", "1", "0", "1", "--output", "json"]
+    assert main(["bounds", "--f", src, *rect]) == 0
+    spaced = capsys.readouterr()
+    assert main(["bounds", f"--f={src}", *rect]) == 0
+    assert spaced == capsys.readouterr()
+    assert json.loads(spaced.out)["function"] == src
+
+
+def test_help_option_wins_over_a_leading_minus_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hh-bounds bounds")
+
+
+def test_cli_evaluates_expressions_through_eval_ast(monkeypatch, capsys):
+    # a tracer counts the CLI's evaluations by putting a wrapper in place of
+    # eval_ast under every name the package holds it by
+    assert hh_bounds.catalog.eval_ast is hh_bounds.expr.eval_ast
+    original, points = hh_bounds.expr.eval_ast, []
+
+    def counting(tree, x, y):
+        out = original(tree, x, y)
+        points.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(hh_bounds.expr, "eval_ast", counting)
+    monkeypatch.setattr(hh_bounds.catalog, "eval_ast", counting)
+    assert main(["bounds", "--f", "x^2+y^2", "--rect", "0", "1", "0", "1"]) == 0
+    assert sum(points) > 0
 
 
 def test_bounds_and_converge_byte_stable():

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hh_bounds import EvaluationError, Rect, expr
-from hh_bounds.catalog import resolve_function
+from hh_bounds.bounds1d import evaluate
+from hh_bounds.catalog import _NAMED, NAMED_FUNCTIONS, resolve_function
 from hh_bounds.convexity import random_coordinate_convex
-from hh_bounds.expr import (MAX_DEPTH, Binary, Call, Number, ParseError, Unary, Var,
-                            eval_ast, parse, program, to_string)
+from hh_bounds.expr import (MAX_DEPTH, Binary, Call, Evaluator, Number, ParseError, Unary,
+                            Var, eval_ast, parse, program, to_string)
 from hh_bounds.rect import with_positivity
 
 from expr_corpus import CORPUS, MALFORMED, depth
@@ -90,6 +91,7 @@ class TestEval:
 def test_resolved_expression_values_take_the_broadcast_shape(src):
     # constant and one-variable expressions are not scalar-only callbacks
     fn = resolve_function(src, Rect(0.0, 1.0, 0.0, 1.0))
+    assert isinstance(fn.eval, Evaluator) and fn.expr is None
     xs, ys = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 3)
     out = fn.eval(xs[:, None], ys[None, :])
     assert out.shape == (len(xs), len(ys))
@@ -123,6 +125,68 @@ def test_named_entries_are_their_lambdas_bit_for_bit(name, rect):
         got, expected = (np.broadcast_to(np.asarray(g(x, y), dtype=float), shape).tobytes()
                          for g in (fn.eval, want))
         assert got == expected
+
+
+def _broadcast_lambda(tree):
+    """The reference path: ``eval_ast`` broadcast by a lambda, which
+    :func:`evaluate` takes for a black box, shape fallback and scan and all."""
+    return lambda x, y: np.broadcast_to(eval_ast(tree, x, y), np.broadcast(x, y).shape)
+
+
+def _evaluated(ev, x, y):
+    """:func:`evaluate`'s array, as dtype, shape, layout and bytes, or its
+    error, as type, message and point."""
+    try:
+        out = evaluate(ev, x, y)
+    except EvaluationError as exc:
+        return type(exc), str(exc), exc.where
+    return out.dtype, out.shape, out.flags.c_contiguous, out.tobytes()
+
+
+_XS, _YS = np.linspace(-1.5, 1.5, 13), np.linspace(-1.0, 2.0, 7)
+_TYPED_INPUTS = [
+    tuple(a.ravel() for a in np.broadcast_arrays(_XS[:, None], _YS[None, :])),  # flat
+    (_XS[None, :], _YS[:, None]), (_YS[:, None], _XS[None, :]),  # row blocks, both ways
+    (0.5, _YS), (_XS, -0.25),  # a scalar against an array
+    (np.float64(0.75), np.float64(-0.5)), (np.array(0.25), np.array(1.5)), (0.5, 2.0),  # 0-d
+]
+
+
+@pytest.mark.parametrize("src", [src for src, _ in CORPUS] + list(NAMED_FUNCTIONS))
+def test_evaluator_keeps_the_bits_and_errors_of_the_broadcast_lambda(src):
+    # evaluate takes an Evaluator's values as they are: they must be those
+    # the broadcast lambda's path gives, and so must its errors
+    tree = parse(_NAMED.get(src, src))
+    for x, y in _TYPED_INPUTS:
+        assert _evaluated(Evaluator(tree), x, y) == _evaluated(_broadcast_lambda(tree), x, y)
+
+
+@pytest.mark.parametrize("tree, x, y, want", [
+    (parse("1/(x-0.25)+y"), np.linspace(0.0, 1.0, 9), 0.5,
+     ("evaluation failed at (0.25, 0.5): non-finite result at offsets 0..9", (0.25, 0.5))),
+    (parse("exp(-1/(x-0.5)^2)"), np.linspace(0.0, 1.0, 9)[None, :], np.array([[0.0], [1.0]]),
+     ("evaluation failed at (0.5, 0.0): non-finite result at offsets 4..16", (0.5, 0.0))),
+    (parse("x"), np.array([0.5, np.inf, 0.75]), np.array([0.5, 0.5, 0.5]),
+     ("evaluation failed at (inf, 0.5): non-finite result at offsets 0..1", (math.inf, 0.5))),
+], ids=["root", "absorbed-operand", "leaf-root"])
+def test_evaluator_errors_name_the_point_as_before(tree, x, y, want):
+    got = _evaluated(Evaluator(tree), x, y)
+    assert got == (EvaluationError, *want)
+    assert got == _evaluated(_broadcast_lambda(tree), x, y)
+
+
+@pytest.mark.parametrize("tree, x, y", [
+    (Var("x"), np.array([0.5, np.inf]), np.array([0.5, 0.5])),
+    (Var("y", span=(0, 1)), 0.5, math.nan),
+    (Number(math.inf), 0.5, 0.5),
+])
+def test_a_leaf_root_is_checked_too(tree, x, y):
+    # a leaf is compiled unchecked; at the root that would pass a
+    # non-finite input, or number, through
+    with pytest.raises(EvaluationError, match="^non-finite result"):
+        eval_ast(tree, x, y)
+    with np.errstate(all="ignore"), pytest.raises(EvaluationError, match="^non-finite result"):
+        expr._compiled(tree, True)(x, y)
 
 
 class TestGrammarDetails:
