@@ -1,10 +1,17 @@
-"""Composite midpoint / trapezoid bounds for convex functions of one variable.
+"""Composite midpoint / trapezoid bounds for convex functions of one variable,
+and the evaluation layer every bound of the package stands on.
 
 For a convex integrand the composite midpoint rule underestimates the integral
 and the composite trapezoid rule overestimates it, so the pair is a certified
 enclosure (up to floating-point roundoff; no directed rounding is attempted).
 Convexity is a caller-side precondition, checked on demand by the convexity
 module, never inside these routines.
+
+The module also holds what the 2-D bounds, the oracle and the gate share:
+:func:`evaluate`, the one path by which any function is evaluated, with
+:func:`line_blocks` for lines in row blocks; the :class:`Lattice` of node
+partitions a point is known by; and the size caps: MAX_POINTS, checked by
+:func:`check_points`, and the smallest-normal step of :class:`Partition1D`.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ import numpy as np
 from .bounds1d import Fn1D, Interval, check_points, evaluate
 from .errors import DomainError, PreconditionError
 from .expr import MAX_DEPTH, Binary, Call, Node, Number, Unary, Var, program
-from .rect import Fn2D, Rect, with_positivity
+from .rect import Fn2D, Rect, spot_minimum
 
 #: Chord draws per axis, and the absolute floor of each chord's allowance.
 GATE_SAMPLES = 10_000
@@ -433,7 +433,8 @@ def random_coordinate_convex(seed: int, r: Rect, atom_count: int) -> Fn2D:
     partial mapping is a nonnegative combination of convex functions. It is
     drawn as the tree ``expr`` and evaluated by ``program(expr)``, so its
     values are ``eval_ast(f.expr, x, y)`` bit for bit. The positive flag is
-    set when the minimum over the sample grid is strictly positive.
+    set when the minimum over the spot grid (:func:`rect.spot_minimum`) is
+    strictly positive.
     """
     _check_atom_count(atom_count)
     rng = np.random.default_rng(seed)
@@ -447,7 +448,8 @@ def random_coordinate_convex(seed: int, r: Rect, atom_count: int) -> Fn2D:
         coeff = float(rng.uniform(0.0, 2.0))
         g, h = _draw_atom(rng, r.x_interval, x), _draw_atom(rng, r.y_interval, y)
         expr = Binary("+", expr, Binary("*", Binary("*", Number(coeff), g), h))
-    return with_positivity(program(expr), r, expr)
+    ev = program(expr)
+    return Fn2D(eval=ev, positive=spot_minimum(Fn2D(eval=ev), r) > 0.0, expr=expr)
 
 
 def random_convex_1d(seed: int, iv: Interval, atom_count: int,

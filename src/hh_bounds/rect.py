@@ -67,7 +67,8 @@ import numpy as np
 
 from .bounds1d import (Interval, Lattice, BoundPair, _distinct, check_points, evaluate,
                        line_blocks, midpoint_sum, require_finite, trapezoid_sum)
-# still importable from here, as before (bench/test_bench.py and the tests rely on them)
+# still importable from here, as before: tests/test_rect.py and tests/test_oracle.py
+# import BLOCK_POINTS, and bench/test_bench.py pins midpoint_lower
 from .bounds1d import BLOCK_POINTS, midpoint_lower, trapezoid_upper  # noqa: F401
 from .errors import DomainError, EvaluationError, PreconditionError
 from .expr import Node
@@ -500,12 +501,6 @@ def spot_minimum(f: Fn2D, r: Rect) -> float:
     return float(evaluate(f.eval, xs.ravel(), ys.ravel()).min())
 
 
-def with_positivity(ev: Callable, r: Rect, expr: Node | None = None) -> Fn2D:
-    """``ev`` as an Fn2D carrying ``expr``, flagged positive when its
-    minimum over the spot grid of ``r`` is strictly positive."""
-    return Fn2D(eval=ev, positive=spot_minimum(Fn2D(eval=ev), r) > 0.0, expr=expr)
-
-
 def _line_count(scheme: InnerScheme, cells: int) -> int:
     """What a line's value is divided by to give its mean: a NestedDiscrete
     line's subintervals (its rule is at unit spacing), or 1 (Quadrature).
@@ -691,9 +686,10 @@ def positive_upper(f: Fn2D, r: Rect, n: int,
 def declare_positive_upper(plan: PointPlan, n: int,
                            scheme: InnerScheme) -> Callable[[_Values], float]:
     """:func:`positive_upper` on ``plan``, for a function the caller has
-    checked as it does: flagged positive and nonnegative on the spot grid,
-    as a function whose flag :func:`with_positivity` set is on its
-    rectangle. The finishing function takes the plan's values."""
+    checked as it does: flagged positive and nonnegative on the spot grid
+    of its rectangle, as :func:`convexity.random_coordinate_convex` flags a
+    function on the rectangle it draws it for. The finishing function takes
+    the plan's values."""
     bound = plan.output(1.0 / (4 * n * _line_count(scheme, n)), area=True)
     for along in "yx":
         _lines(plan, bound, along, _nodes(n), True, scheme, n, _ends(n, n + 1.0, 2.0))

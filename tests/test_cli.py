@@ -240,15 +240,25 @@ class TestBounds:
     def test_evaluation_error_exit_4(self):
         cp = run_cli("bounds", "--f", "1/x", "--rect", "0", "1", "0", "1")
         assert cp.returncode == 4
-        assert "evaluation" in cp.stderr.lower() or "non-finite" in cp.stderr.lower()
+        assert cp.stderr == ("evaluation error: evaluation failed at (0.0, 0.0): "
+                             "non-finite result at offsets 0..3\n")
 
     def test_expression_error_names_point_and_span(self, capsys):
         assert main(["bounds", "--f", "1/(x-0.5)^0.5+y", "--rect", "0", "1", "0", "1"]) == 4
-        out, err = capsys.readouterr()
-        assert out == ""
-        # the positivity spot grid is evaluated first, from the corner (0, 0)
-        assert err == ("evaluation error: evaluation failed at (0.0, 0.0): "
-                       "non-finite result at offsets 3..13\n")
+        # the gate's sampler evaluates f first, so the point named is the
+        # first of its points with x < 0.5
+        assert capsys.readouterr() == ("", (
+            "evaluation error: evaluation failed at (0.26593742808038556, 0.7294965609839984): "
+            "non-finite result at offsets 3..13\n"))
+
+    def test_pole_the_sampler_misses_is_a_gate_rejection(self, capsys):
+        # no chord's points land on x = 0.5, and the chords across the pole
+        # are not convex
+        assert main(["bounds", "--f", "1/(x-0.5)+y", "--rect", "0", "1", "0", "1"]) == 3
+        assert capsys.readouterr() == ("", (
+            "convexity gate: convexity gate rejected the function: worst slack "
+            "-12666.923477954 near (0.4941420985251105, 0.9718374166111121) "
+            "lam=0.8892460695402885 axis=x [function '1/(x-0.5)+y']\n"))
 
     def test_usage_error_exit_2(self):
         cp = run_cli("bounds", "--f", "x*y")
@@ -420,8 +430,8 @@ MULTITERM = ("--f", "exp(x+y)+0.5*abs(x-0.3)*y^2+x*y", "--rect", "-0.5", "1", "0
 
 def _assert_nonnegative(src: str, rect: tuple) -> None:
     """Where f >= 0 every sum's weighted points have the sum's own magnitude."""
-    f = hh_bounds.catalog.resolve_function(src, Rect(*rect))
-    assert f.positive
+    r = Rect(*rect)
+    assert hh_bounds.rect.spot_minimum(hh_bounds.catalog.resolve_function(src, r), r) > 0.0
 
 
 def _assert_chain_golden(out: str, golden: str, src: str) -> None:
@@ -752,6 +762,31 @@ def test_cli_evaluates_expressions_through_eval_ast(monkeypatch, capsys):
     monkeypatch.setattr(hh_bounds.catalog, "eval_ast", counting)
     assert main(["bounds", "--f", "x^2+y^2", "--rect", "0", "1", "0", "1"]) == 0
     assert sum(points) > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--n", "3"],
+    ["chain", "--scheme", "quadrature"],
+    ["converge", "--n", "1:4"],
+    ["bounds", "--skip-convexity-check"],
+])
+def test_cli_makes_no_positivity_spot_check(argv, monkeypatch, capsys):
+    # no command reads a parsed function's positive flag, so none samples
+    # the spot grid for it
+    original, calls = hh_bounds.rect.spot_minimum, []
+
+    def counting(f, r):
+        calls.append(r)
+        return original(f, r)
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "hh_bounds"]:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counting)
+    assert hh_bounds.rect.spot_minimum is counting
+    assert main([*argv, "--f", "exp(x+y)+x^2", "--rect", "0", "1", "0", "1"]) == 0
+    assert capsys.readouterr().out
+    assert calls == []
 
 
 def test_bounds_and_converge_byte_stable():

@@ -117,13 +117,18 @@ class TestChecker:
         assert rejections == 100
 
 
+def _sampled(src: str, r: Rect) -> Fn2D:
+    """The parsed ``src`` without a tree, so that the gate samples it even
+    once parsed functions carry theirs."""
+    return dataclasses.replace(resolve_function(src, r), expr=None)
+
+
 class TestRoundoffAllowance:
     # each chord may fall below 0 by the rounding error of its slack, so a
-    # valid function is not rejected for its scale; expressions from
-    # resolve_function carry no tree, so the gate samples them
+    # valid function is not rejected for its scale
     @pytest.mark.parametrize("r", [UNIT2, Rect(-0.4, 1.3, -0.2, 1.1)])
     def test_steep_exponential_passes(self, r):
-        rep = check_coordinate_convexity(resolve_function("exp(50*x)", r), r, seed=1)
+        rep = check_coordinate_convexity(_sampled("exp(50*x)", r), r, seed=1)
         assert rep.passed
         assert rep.max_violation < -1e5  # far below GATE_TOL: the allowance passes it
 
@@ -131,13 +136,13 @@ class TestRoundoffAllowance:
         # a large-magnitude input of the benchmark's cli-expr stream (seed 1)
         src = ("10000000.670434713+0.3173020560680859*x+0.0964289816704319*y"
                "+1.1997552885440075*x^2*y^2")
-        rep = check_coordinate_convexity(resolve_function(src, UNIT2), UNIT2)
+        rep = check_coordinate_convexity(_sampled(src, UNIT2), UNIT2)
         assert rep.passed
         assert rep.max_violation < -GATE_TOL
 
     def test_concavity_at_large_offset_is_rejected(self):
         # worst slack about -0.24 against an allowance of about 2e-8
-        rep = check_coordinate_convexity(resolve_function("1e7-x^2", UNIT2), UNIT2)
+        rep = check_coordinate_convexity(_sampled("1e7-x^2", UNIT2), UNIT2)
         assert not rep.passed
         assert rep.witness.axis == "x"
 

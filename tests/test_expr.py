@@ -13,7 +13,6 @@ from hh_bounds.catalog import _NAMED, NAMED_FUNCTIONS, resolve_function
 from hh_bounds.convexity import random_coordinate_convex
 from hh_bounds.expr import (MAX_DEPTH, Binary, Call, Evaluator, Number, ParseError, Unary,
                             Var, eval_ast, parse, program, to_string)
-from hh_bounds.rect import with_positivity
 
 from expr_corpus import CORPUS, MALFORMED, depth
 
@@ -115,7 +114,7 @@ _NAMED_LAMBDAS = {
 def test_named_entries_are_their_lambdas_bit_for_bit(name, rect):
     fn, want = resolve_function(name, rect), _NAMED_LAMBDAS[name]
     assert fn.expr is None  # no tree yet: the gate samples them
-    assert fn.positive == with_positivity(want, rect).positive
+    assert fn.positive is False  # a parsed function makes no positivity claim
     xs, ys = np.linspace(rect.a, rect.b, 9), np.linspace(rect.c, rect.d, 5)
     flat = [a.ravel() for a in np.broadcast_arrays(xs[:, None], ys[None, :])]
     # row blocks both ways, a flat call and Python floats

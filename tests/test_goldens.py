@@ -142,18 +142,20 @@ def _every_third_call():
 def convexity_records() -> dict[str, list[str]]:
     out = {}
     # the generated instances carry an expression tree; without it the gate
-    # samples them, so these records pin the sampler
+    # samples them, so these records pin the sampler. Parsed functions are
+    # stripped of a tree alike, so that their records pin it too
     for seed in range(8):
         f = dataclasses.replace(random_coordinate_convex(seed, RECT, 1 + seed % 4), expr=None)
         out[f"random seed={seed}"] = _report(check_coordinate_convexity(f, RECT, seed=seed))
     for src in GATE_EXPRESSIONS:
         for label, r in SCALAR_RECTS.items():
-            f = resolve_function(src, r)
+            f = dataclasses.replace(resolve_function(src, r), expr=None)
             out[f"expr {src} {label}"] = _report(check_coordinate_convexity(f, r, seed=1))
     f = dataclasses.replace(random_coordinate_convex(3, RECT, 2), expr=None)
     out["samples=1"] = _report(check_coordinate_convexity(f, RECT, samples=1, seed=5))
     out["samples=1 concave"] = _report(check_coordinate_convexity(
-        resolve_function("0-x^2-y^2", UNIT), UNIT, samples=1, seed=5))
+        dataclasses.replace(resolve_function("0-x^2-y^2", UNIT), expr=None), UNIT, samples=1,
+        seed=5))
     for name, ev in SCALAR_FUNCTIONS.items():
         out[f"scalar {name}"] = _report(check_coordinate_convexity(
             Fn2D(eval=ev), RECT, samples=300, seed=2))
