@@ -8,10 +8,12 @@ Convexity is a caller-side precondition, checked on demand by the convexity
 module, never inside these routines.
 
 The module also holds what the 2-D bounds, the oracle and the gate share:
-:func:`evaluate`, the one path by which any function is evaluated, with
-:func:`line_blocks` for lines in row blocks; the :class:`Lattice` of node
-partitions a point is known by; and the size caps: MAX_POINTS, checked by
-:func:`check_points`, and the smallest-normal step of :class:`Partition1D`.
+:func:`evaluate`, the path by which a function is evaluated at points, with
+:func:`line_blocks` for lines in row blocks, and :func:`line_sums`, which
+sums lines of a separable expression from its factors' values instead,
+without the grid; the :class:`Lattice` of node partitions a point is known
+by; and the size caps: MAX_POINTS, checked by :func:`check_points`, and the
+smallest-normal step of :class:`Partition1D`.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from . import expr
 from .errors import DomainError, EvaluationError, PreconditionError
 from .expr import Evaluator
 
@@ -52,6 +55,11 @@ np.empty(HEAP_RESERVE)
 #: Points per chunk a scalar-only callback is fed from, as lists of floats.
 #: The loop over a chunk runs in C; much larger chunks only add memory.
 SCALAR_CHUNK = 1024
+#: Largest sum over a separable expression's terms of the product of each
+#: factor's max(1, max|value|) for which :func:`line_sums` sums by factors:
+#: far enough below the largest float that no product or partial sum of the
+#: terms, nor any rounding of one, can overflow.
+SEPARABLE_LIMIT = 2.0 ** 1000
 #: Most points an enclosure, a point plan or an oracle grid may have, checked
 #: before anything is built; the benchmark's largest (n=1024, m=16) is 4.0x below.
 MAX_POINTS = 1 << 28
@@ -272,8 +280,9 @@ class BoundPair:
 def evaluate(ev: Callable, *args) -> np.ndarray:
     """Values of ``ev`` at the broadcast of ``args``, insisting on finite results.
 
-    Every function the package evaluates goes through here. ``ev`` is called
-    once, array-at-once, with ``args`` as given. A result with as many
+    Every function the package evaluates at points goes through here;
+    :func:`line_sums` evaluates the factors of an expression instead. ``ev``
+    is called once, array-at-once, with ``args`` as given. A result with as many
     dimensions as the broadcast shape that broadcasts to it, such as that of
     ``x * x`` on a row block, which ignores ``y``, is broadcast. A result
     that is 0-d, has another number of dimensions or does not broadcast may
@@ -351,6 +360,51 @@ def line_blocks(ev: Callable, along: str, at: np.ndarray,
         finally:
             np.setbufsize(caller)
         yield block
+
+
+def line_sums(ev: Callable, along: str, at: np.ndarray, pts: np.ndarray,
+              weights: np.ndarray) -> np.ndarray | None:
+    """``F @ weights`` for ``F[i, j]`` = f on line i of :func:`line_blocks`
+    at ``pts[j]``, summed by the factors of a separable expression, or None.
+
+    When ``ev`` is an :class:`expr.Evaluator` whose tree
+    :func:`expr.separated` writes as ``sum_k s_k * prod a_k(at) * prod
+    b_k(pts)`` (a constant factor counted in ``a_k``), the result is ``sum_k
+    s_k a_k outer (b_k @ weights)``: each distinct factor is evaluated once,
+    at the points of its variable, through ``expr.eval_ast``, looked up at
+    each call as :class:`expr.Evaluator` does. The sums are added in
+    another order than the grid's, so the value moves by rounding only.
+
+    None, for the caller to evaluate the grid, when ``ev`` is anything else,
+    when a factor raises :class:`EvaluationError`, or when the sum over the
+    terms of the product of ``max(1, max|factor|)`` exceeds SEPARABLE_LIMIT.
+    Below that limit no product or sum of the grid's evaluation of the tree
+    can overflow, and its factors are the ones evaluated here, so a result
+    means that the grid would have been evaluated without an error.
+    """
+    parts = expr.separated(ev.tree) if isinstance(ev, Evaluator) else None
+    if parts is None:
+        return None
+    factors, terms = parts
+    values = []
+    try:
+        for name, node in factors:
+            t = pts if name == along else 0.0 if name is None else at
+            values.append(expr.eval_ast(node, t, t))
+    except EvaluationError:
+        return None
+    size = [max(1.0, float(np.abs(v).max())) for v in values]
+    if sum(math.prod(size[i] for i in idx) for _, idx in terms) > SEPARABLE_LIMIT:
+        return None
+    a, b = np.empty((len(terms), at.size)), np.empty((len(terms), pts.size))
+    for k, (sign, idx) in enumerate(terms):
+        a[k], b[k] = sign, 1.0
+        for i in idx:
+            if factors[i][0] == along:
+                b[k] *= values[i]
+            else:
+                a[k] *= values[i]
+    return a.T @ (b @ weights)
 
 
 def _per_point(ev: Callable, cols: list[np.ndarray]) -> np.ndarray:

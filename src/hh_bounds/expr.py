@@ -169,9 +169,7 @@ class _Parser:
 
     def join(self, node: Unary | Binary | Call, tok: _Token) -> Node:
         """``node``, built at ``tok``, unless it is deeper than MAX_DEPTH."""
-        children = ((node.arg,) if isinstance(node, Unary) else
-                    (node.left, node.right) if isinstance(node, Binary) else node.args)
-        depth = 1 + max(self.depths.get(id(child), 1) for child in children)
+        depth = 1 + max(self.depths.get(id(child), 1) for child in _children(node))
         if depth > MAX_DEPTH:
             self.fail(f"an expression at most {MAX_DEPTH} levels deep", tok)
         self.depths[id(node)] = depth
@@ -340,6 +338,83 @@ def program(node: Node) -> Callable:
     is the caller's. Compiled once and kept on ``node``, in the one cache
     that holds every compiled program of a tree, :func:`eval_ast`'s too."""
     return _compiled(node, None)
+
+
+def separated(node: Node) -> tuple[tuple, tuple] | None:
+    """``node`` as signed terms, each a product of factors in one variable at
+    most, or None if it is not one.
+
+    A term is a product (``*``, unary ``neg``) of the largest subtrees that
+    each mention at most one variable; terms are joined by ``+``, ``-`` and
+    ``neg``. The tree is never rewritten, so ``exp(x+y)``, ``(x+y)^2``,
+    ``max(x, y)`` and ``x*y/3`` give None. The result is ``(factors,
+    terms)``: the distinct factors, each a pair ``(variable, subtree)`` with
+    the variable "x", "y", or None for a constant, a subtree met twice
+    (equal bits, as :func:`to_string` writes them) listed once; and per
+    term its sign, 1.0 or -1.0, and the indices of its factors. In exact
+    arithmetic ``node`` is the sum of each term's sign times the product of
+    its factors. Worked out once and kept on ``node``, as its programs are.
+    """
+    try:
+        return node.__dict__["_separated"]
+    except KeyError:
+        out = node.__dict__["_separated"] = _separate(node)
+        return out
+
+
+def _separate(root: Node) -> tuple[tuple, tuple] | None:
+    mentions: dict[int, frozenset] = {}  # the variables of each subtree, by id
+
+    def mention(node: Node) -> frozenset:
+        if id(node) not in mentions:
+            if isinstance(node, Var):
+                names = frozenset((node.name,))
+            else:
+                names = frozenset().union(*map(mention, _children(node)))
+            mentions[id(node)] = names
+        return mentions[id(node)]
+
+    keys: dict[str, int] = {}
+    factors, terms = [], []
+
+    def product(node: Node, sign: float, into: list) -> float | None:
+        """The sign of ``node`` as a product, its factors appended to ``into``."""
+        if len(mention(node)) < 2:
+            key = to_string(node)
+            if key not in keys:
+                keys[key] = len(factors)
+                factors.append((next(iter(mention(node)), None), node))
+            into.append(keys[key])
+            return sign
+        if isinstance(node, Binary) and node.op == "*":
+            sign = product(node.left, sign, into)
+            return None if sign is None else product(node.right, sign, into)
+        if isinstance(node, Unary) and node.op == "neg":
+            return product(node.arg, -sign, into)
+        return None
+
+    def add(node: Node, sign: float) -> bool:
+        """Whether ``node``, times ``sign``, is a sum of terms, added to ``terms``."""
+        if isinstance(node, Binary) and node.op in ("+", "-") and len(mention(node)) > 1:
+            return add(node.left, sign) and add(node.right, -sign if node.op == "-" else sign)
+        if isinstance(node, Unary) and node.op == "neg" and len(mention(node)) > 1:
+            return add(node.arg, -sign)
+        into: list[int] = []
+        sign = product(node, sign, into)
+        if sign is None:
+            return False
+        terms.append((sign, tuple(into)))
+        return True
+
+    return (tuple(factors), tuple(terms)) if add(root, 1.0) else None
+
+
+def _children(node: Node) -> tuple:
+    if isinstance(node, Unary):
+        return (node.arg,)
+    if isinstance(node, Binary):
+        return (node.left, node.right)
+    return node.args if isinstance(node, Call) else ()
 
 
 def _compiled(node: Node, strict: bool | None) -> Callable:

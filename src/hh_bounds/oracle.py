@@ -3,14 +3,15 @@
 Composite Simpson with a Richardson error estimate, deliberately a different
 rule (and separate summation code) from the midpoint/trapezoid bounds under
 test, so enclosure checks are never self-referential. It shares only the
-evaluator, :func:`bounds1d.evaluate`, and its row-block loop with them.
+evaluation layer with them: :func:`bounds1d.evaluate` with its row-block
+loop, and :func:`bounds1d.line_sums`.
 
 The 2-D oracle refines on nested dyadic levels 64, 128, ..., ``grid``. Every
 level's nodes are a stride of the finest ``grid + 1`` nodes per axis, so a
-new level evaluates only the points the coarser levels lack and no point is
-evaluated twice. Each level's Richardson estimate compares it with the level
-below; refinement stops at the first level whose estimate is ``<= target``,
-or at ``grid``. ``target=None`` asks for the explicit grid: a ladder that
+new level adds only the points the coarser levels lack, and the grid
+evaluates no point twice. Each level's Richardson estimate compares it with
+the level below; refinement stops at the first level whose estimate is
+``<= target``, or at ``grid``. ``target=None`` asks for the explicit grid: a ladder that
 starts and stops at level ``grid``.
 
 No level keeps its values. Per axis, a node's index at a level falls into one
@@ -29,6 +30,14 @@ columns, so the first failing point is that of those passes evaluated whole.
 The sums are added in another order than one full-grid ``w @ F @ w``, which
 moves the value by rounding only (Higham, *Accuracy and Stability of
 Numerical Algorithms*, ch. 4).
+
+A separable expression is not evaluated on the grid at all. Each pass's
+class sums are :func:`bounds1d.line_sums` of its rows against the one-hot
+classes of its columns, from its factors evaluated at the pass's rows and
+columns alone: a few thousand values where the grid has about a million
+points at the default grid. Where a factor fails or a product of factors
+could overflow, the pass runs in row blocks as above, so a failure names the
+point the grid names. The sums move by rounding only, again.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds1d import check_points, evaluate, line_blocks, require_finite
+from .bounds1d import check_points, evaluate, line_blocks, line_sums, require_finite
 from .errors import DomainError
 
 DEFAULT_GRID = 1024
@@ -120,7 +129,8 @@ def reference_integral_2d(fn, rect, grid: int = DEFAULT_GRID,
     is ``<= target``; the result's ``grid`` is the level it stopped at.
     ``target=None`` computes the explicit ``grid`` directly. Each row block
     is reduced to class sums as it is evaluated, so memory is one block of
-    about ``BLOCK_POINTS`` points, at any grid. A grid whose weight
+    about ``BLOCK_POINTS`` points, at any grid; a separable expression's
+    class sums come from its factors instead. A grid whose weight
     hx*hy/9 at ``grid`` is below the smallest normal float is a
     :class:`DomainError`, raised before ``fn`` is called.
     """
@@ -156,17 +166,22 @@ def reference_integral_2d(fn, rect, grid: int = DEFAULT_GRID,
 def _class_sums(ev, xs: np.ndarray, ys: np.ndarray, rows: slice,
                 odd_columns: bool) -> np.ndarray:
     """The 4 x 4 class sums of f at a level's nodes ``xs[rows]`` by ``ys``,
-    or by its odd nodes. Each row block times its columns' one-hot classes
-    gives its rows' sums by column class, which are then added up by the
-    rows' classes. Sums that overflow warn unless the caller ignores it."""
+    or by its odd nodes. Its rows' sums by column class, those of
+    :func:`bounds1d.line_sums` or else of each row block times its columns'
+    one-hot classes, are then added up by the rows' classes. Sums that
+    overflow warn unless the caller ignores it."""
     every, odd, order, starts = _classes(xs.size - 1)
     columns, at = (odd, ys[1::2]) if odd_columns else (every, ys)
     per_row = np.zeros((xs.size, 4))
     out = per_row[rows]
-    i = 0
-    for block in line_blocks(ev, "y", xs[rows], at):
-        out[i:i + len(block)] = block @ columns
-        i += len(block)
+    factored = line_sums(ev, "y", xs[rows], at, columns)
+    if factored is not None:
+        out[:] = factored
+    else:
+        i = 0
+        for block in line_blocks(ev, "y", xs[rows], at):
+            out[i:i + len(block)] = block @ columns
+            i += len(block)
     return np.add.reduceat(per_row[order], starts)
 
 

@@ -41,6 +41,11 @@ a line. A larger line request is evaluated in broadcast
 line values enter the same sums.
 Each block runs with a numpy ufunc buffer of at most one line, which changes
 speed only: an elementwise callback gives the same bits at any buffer size.
+A parsed expression that is a sum of products of one-variable factors is
+not evaluated on those blocks: :func:`bounds1d.line_sums` sums its lines
+from its factors' values at the request's lines and points, and the blocks
+run only where a factor fails or a product could overflow, so a failure is
+the grid's. Its line values move by rounding only.
 Under Quadrature a plan's line requests become one list of distinct lines, a
 line known by its direction, its point on the other side by construction
 and its tolerance, so the center lines the two chains share are one line
@@ -66,7 +71,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bounds1d import (Interval, Lattice, BoundPair, _distinct, check_points, evaluate,
-                       line_blocks, midpoint_sum, require_finite, trapezoid_sum)
+                       line_blocks, line_sums, midpoint_sum, require_finite, trapezoid_sum)
 # still importable from here, as before: tests/test_rect.py and tests/test_oracle.py
 # import BLOCK_POINTS, and bench/test_bench.py pins midpoint_lower
 from .bounds1d import BLOCK_POINTS, midpoint_lower, trapezoid_upper  # noqa: F401
@@ -153,11 +158,15 @@ class Fn2D:
     depend on it, but a callback that reduces within a block may see the
     other buffer. An ``eval`` that is an :class:`expr.Evaluator`, as a
     parsed expression's is, is no black box: its values have the block's
-    shape and were checked by ``eval_ast``, so they are taken as they are.
+    shape and were checked by ``eval_ast``, so they are taken as they are,
+    and when its tree is a sum of products of one-variable factors, a large
+    line request and the oracle's grid are summed from the factors' values
+    (:func:`bounds1d.line_sums`), not evaluated point by point.
     ``positive`` asserts the range is >= 0 and gates :func:`positive_upper`.
     ``expr``, when given, is an expression tree that computes the same
     function; the convexity gate tries to prove coordinate convexity from it
-    before it samples. Evaluation always goes through ``eval``.
+    before it samples. Evaluation always goes through ``eval``; ``expr``
+    never selects the factored sums, which only an Evaluator's tree does.
     """
 
     eval: Callable
@@ -245,6 +254,13 @@ class _Lines(NamedTuple):
     @property
     def size(self) -> int:
         return len(self.at[1]) * len(self.pts[1])
+
+    def rule(self) -> np.ndarray:
+        """The weight of each sample within a line."""
+        rule = np.ones(len(self.pts[1]))
+        if self.trap:
+            rule[[0, -1]] = 0.5
+        return rule
 
 
 class _QuadratureLines(NamedTuple):
@@ -365,9 +381,7 @@ class PointPlan:
                     for p in sides[s].pairs(*(req.pts if along else req.at)):
                         cols.append(np.tile(twins[s][p], len(req.at[1])) if along
                                     else np.repeat(twins[s][p], len(req.pts[1])))
-                rule[req] = np.ones(len(req.pts[1]))
-                if req.trap:
-                    rule[req][[0, -1]] = 0.5
+                rule[req] = req.rule()
             else:
                 self._lines.append(req)
         source, self._pairs, distinct = {}, None, 0
@@ -409,8 +423,9 @@ class PointPlan:
         :class:`bounds1d.Lattice`'s checks, and every point is the mean of
         its two nodes. Then the values are evaluated in the order they are
         laid out: the points, each point by construction once, in one call;
-        each large line request in declaration order, in row blocks; the
-        distinct quadrature lines, all refined together by
+        each large line request in declaration order, summed by the factors
+        of a separable expression (:func:`bounds1d.line_sums`) or else in
+        row blocks; the distinct quadrature lines, all refined together by
         :func:`schemes.simpson_lines`. A failure is the first one met in
         that order: among the points the first in the order of their twin
         nodes, and among the quadrature lines the first met as
@@ -443,8 +458,12 @@ class PointPlan:
             s = _OTHER[req.along]
             at = mean(s, self._sides[s].pairs(*req.at))
             run = mean(req.along, self._sides[req.along].pairs(*req.pts))
-            rule = trapezoid_sum if req.trap else midpoint_sum
-            values += [rule(block, 1.0) for block in line_blocks(f.eval, req.along, at, run)]
+            factored = line_sums(f.eval, req.along, at, run, req.rule()[:, None])
+            if factored is not None:
+                values.append(factored[:, 0])
+            else:
+                rule = trapezoid_sum if req.trap else midpoint_sum
+                values += [rule(block, 1.0) for block in line_blocks(f.eval, req.along, at, run)]
         if self._quad:
             values.append(self._quadrature(f, r, nodes))
         values = np.concatenate(values) if len(values) > 1 else values[0]

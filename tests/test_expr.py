@@ -408,3 +408,63 @@ def test_literal_too_large_for_a_float_fails_to_parse_at_it(src, position):
     assert exc.value.position == position
     assert str(exc.value).endswith("expected a finite number, found "
                                    f"{src[position:].split()[0].split('*')[0]!r}")
+
+
+def _terms(src):
+    factors, terms = expr.separated(parse(src))
+    return [(sign, [(factors[i][0], to_string(factors[i][1])) for i in idx])
+            for sign, idx in terms]
+
+
+@pytest.mark.parametrize("src,terms", [
+    ("x^2+y^2", [(1.0, [("x", "x^2.0")]), (1.0, [("y", "y^2.0")])]),
+    ("x-y-1", [(1.0, [("x", "x")]), (-1.0, [("y", "y")]), (-1.0, [(None, "1.0")])]),
+    ("x-(y-1)", [(1.0, [("x", "x")]), (-1.0, [("y", "y-1.0")])]),
+    ("-(x*y)", [(-1.0, [("x", "x"), ("y", "y")])]),
+    ("-(x+y)", [(-1.0, [("x", "x")]), (-1.0, [("y", "y")])]),
+    ("x*-y", [(1.0, [("x", "x"), ("y", "-y")])]),
+    ("x*-(y*x)", [(-1.0, [("x", "x"), ("y", "y"), ("x", "x")])]),
+    ("-x^2*y", [(1.0, [("x", "-x^2.0"), ("y", "y")])]),
+    ("x*y*2", [(1.0, [("x", "x"), ("y", "y"), (None, "2.0")])]),
+    ("x*(y+2)", [(1.0, [("x", "x"), ("y", "y+2.0")])]),
+    ("1+2*x+x^2*exp(3*y)",
+     [(1.0, [("x", "1.0+2.0*x")]), (1.0, [("x", "x^2.0"), ("y", "exp(3.0*y)")])]),
+    ("2+3*4^2", [(1.0, [(None, "2.0+3.0*4.0^2.0")])]),
+    ("y", [(1.0, [("y", "y")])]),
+])
+def test_separated_terms(src, terms):
+    assert _terms(src) == terms
+
+
+def test_separated_factors_are_listed_once_by_their_bits():
+    factors, terms = expr.separated(parse("x^2*y+x^2*y^2"))
+    assert [to_string(node) for _, node in factors] == ["x^2.0", "y", "y^2.0"]
+    assert terms == ((1.0, (0, 1)), (1.0, (0, 2)))
+    # 0.0 and -0.0 are equal numbers, but other bits: two factors
+    factors, terms = expr.separated(parse("x*y*0.0+x*y*(-0.0)"))
+    assert [to_string(node) for _, node in factors] == ["x", "y", "0.0", "-0.0"]
+
+
+@pytest.mark.parametrize("src", ["exp(x+y)", "(x+y)^2", "max(x,y)", "min(x+y,x*y)", "x*y/3",
+                                 "x/y+2", "(x+y)*2", "1+abs(x*y-0.25)", "x^2+exp(x*y)"])
+def test_non_separable_trees_are_none(src):
+    assert expr.separated(parse(src)) is None
+
+
+def test_separated_is_worked_out_once_per_tree():
+    tree = parse("x*y+1")
+    assert expr.separated(tree) is expr.separated(tree)
+    assert expr.separated(parse("x*y+1")) == expr.separated(tree)
+
+
+@pytest.mark.parametrize("src,tree", CORPUS, ids=[s or "<empty>" for s, _ in CORPUS])
+def test_separated_terms_add_up_to_the_tree(src, tree):
+    parts = expr.separated(tree)
+    if parts is None:
+        return
+    factors, terms = parts
+    x, y = np.meshgrid(np.linspace(0.3, 1.7, 7), np.linspace(0.2, 1.3, 5))
+    values = [eval_ast(node, x, y) for _, node in factors]
+    products = [sign * math.prod(values[i] for i in idx) for sign, idx in terms]
+    size = sum(np.abs(p) for p in products)
+    assert (np.abs(sum(products) - eval_ast(tree, x, y)) <= 1e-14 * size).all()

@@ -1,9 +1,10 @@
-"""Exact witnesses for the certified enclosures.
+"""Exact witnesses for the certified bounds.
 
 Polynomial trees with float coefficients on float rectangles have exact
 rational integrals: every float is a dyadic rational, so the integral over
 the float rectangle is a :class:`Fraction`. Each enclosure is held to it
-with no tolerance, ``Fraction(lower) <= exact <= Fraction(upper)``.
+with no tolerance, ``Fraction(lower) <= exact <= Fraction(upper)``, and a
+one-sided bound on its own side alone.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hh_bounds import Fn1D, Fn2D, Interval, Rect, discrete_enclosure, integral_enclosure
+from hh_bounds import (Fn1D, Fn2D, Interval, Rect, discrete_enclosure, integral_enclosure,
+                       midpoint_lower, trapezoid_upper)
 from hh_bounds.expr import Binary, Evaluator, Number, Var
 
 X, Y = Var("x"), Var("y")
@@ -99,21 +101,42 @@ def draw_polynomials(seed: int, count: int, squares: bool, axes: str):
     return out
 
 
+#: The sizes (n, m) a discrete enclosure is tried at: up to (8, 4), whose
+#: line requests are all evaluated as flat points, and (64, 16), whose line
+#: requests reach PACK_POINTS and are summed by the tree's factors.
+DISCRETE_SIZES = [(n, m) for n in (1, 2, 3, 5, 8) for m in (1, 2, 3, 4)] + [(64, 16)]
+
+
 def _discrete_enclosures(tree, sides):
     f, r = Fn2D(eval=Evaluator(tree)), Rect(*sides[0], *sides[1])
-    return [discrete_enclosure(f, r, n, m) for n in (1, 2, 3, 5, 8) for m in (1, 2, 3, 4)]
+    return [(bp.lower, bp.upper) for bp in
+            (discrete_enclosure(f, r, n, m) for n, m in DISCRETE_SIZES)]
+
+
+def _along_x(tree, sides, rule):
+    ev = Evaluator(tree)
+    return [rule(Fn1D(eval=lambda t: ev(t, 0.0)), Interval(*sides[0]), n) for n in range(1, 9)]
 
 
 def _integral_enclosures(tree, sides):
-    ev = Evaluator(tree)
-    fn, iv = Fn1D(eval=lambda t: ev(t, 0.0)), Interval(*sides[0])
-    return [integral_enclosure(fn, iv, n) for n in range(1, 9)]
+    return [(bp.lower, bp.upper) for bp in _along_x(tree, sides, integral_enclosure)]
 
 
-#: Each certified enclosure: the variables of its trees and its pairs at every
-#: size tried, (n, m) up to (8, 4) in two dimensions and n up to 8 in one.
+def _midpoint_lowers(tree, sides):
+    return [(lower, None) for lower in _along_x(tree, sides, midpoint_lower)]
+
+
+def _trapezoid_uppers(tree, sides):
+    return [(None, upper) for upper in _along_x(tree, sides, trapezoid_upper)]
+
+
+#: Each certified bound: the variables of its trees and its (lower, upper)
+#: pairs at every size tried, None for the side a one-sided bound lacks:
+#: DISCRETE_SIZES in two dimensions and n up to 8 in one.
 ENCLOSURES = {"discrete_enclosure": ("xy", _discrete_enclosures),
-              "integral_enclosure": ("x", _integral_enclosures)}
+              "integral_enclosure": ("x", _integral_enclosures),
+              "midpoint_lower": ("x", _midpoint_lowers),
+              "trapezoid_upper": ("x", _trapezoid_uppers)}
 
 
 def _misses(name: str, squares: bool) -> list[str]:
@@ -121,8 +144,9 @@ def _misses(name: str, squares: bool) -> list[str]:
     misses = []
     for index, (tree, sides) in enumerate(draw_polynomials(7, 60, squares, axes)):
         exact = exact_integral(tree, *sides)
-        for k, bp in enumerate(enclosures(tree, sides)):
-            if not Fraction(bp.lower) <= exact <= Fraction(bp.upper):
+        for k, (lower, upper) in enumerate(enclosures(tree, sides)):
+            if not ((lower is None or Fraction(lower) <= exact)
+                    and (upper is None or exact <= Fraction(upper))):
                 misses.append(f"tree {index} size {k}")
     return misses
 
@@ -136,9 +160,11 @@ def test_square_terms_enclose_the_exact_integral(name):
 @pytest.mark.parametrize("name", sorted(ENCLOSURES))
 def test_bilinear_enclosures_hold_the_exact_integral(name):
     # both rules are exact on these in exact arithmetic, so rounding alone
-    # puts the pair on one side of the integral: 1,006 of the 1,200
-    # discrete_enclosure pairs and 430 of the 480 integral_enclosure pairs
-    # exclude it, by up to 9.4e-16 and 3.3e-16 of max(1, |integral|)
+    # puts the pair on one side of the integral: 1,044 of the 1,260
+    # discrete_enclosure pairs (38 of the 60 at (64, 16)), 430 of the 480
+    # integral_enclosure pairs, and 240 and 244 of the 480 values of
+    # midpoint_lower and trapezoid_upper miss it, by up to 1.7e-15, 3.3e-16,
+    # 3.0e-16 and 3.3e-16 of max(1, |integral|)
     assert _misses(name, squares=False) == []
 
 
