@@ -8,10 +8,10 @@ Convexity is a caller-side precondition, checked on demand by the convexity
 module, never inside these routines.
 
 The module also holds what the 2-D bounds, the oracle and the gate share:
-:func:`evaluate`, the path by which a function is evaluated at points, with
-:func:`line_blocks` for lines in row blocks, and :func:`line_sums`, which
-sums lines of a separable expression from its factors' values instead,
-without the grid; the :class:`Lattice` of node partitions a point is known
+:func:`evaluate`, the path by which a function is evaluated at points, and
+:func:`line_sums`, by which it is summed along lines, the one place that
+picks between an expression's factors and the row blocks of
+:func:`line_blocks`; the :class:`Lattice` of node partitions a point is known
 by; and the size caps: MAX_POINTS, checked by :func:`check_points`, and the
 smallest-normal step of :class:`Partition1D`.
 """
@@ -280,8 +280,8 @@ class BoundPair:
 def evaluate(ev: Callable, *args) -> np.ndarray:
     """Values of ``ev`` at the broadcast of ``args``, insisting on finite results.
 
-    Every function the package evaluates at points goes through here;
-    :func:`line_sums` evaluates the factors of an expression instead. ``ev``
+    Every function the package evaluates at points goes through here, but
+    for the factors :func:`line_sums` may sum an expression by. ``ev``
     is called once, array-at-once, with ``args`` as given. A result with as many
     dimensions as the broadcast shape that broadcasts to it, such as that of
     ``x * x`` on a row block, which ignores ``y``, is broadcast. A result
@@ -363,25 +363,41 @@ def line_blocks(ev: Callable, along: str, at: np.ndarray,
 
 
 def line_sums(ev: Callable, along: str, at: np.ndarray, pts: np.ndarray,
-              weights: np.ndarray) -> np.ndarray | None:
+              weights: np.ndarray) -> np.ndarray:
     """``F @ weights`` for ``F[i, j]`` = f on line i of :func:`line_blocks`
-    at ``pts[j]``, summed by the factors of a separable expression, or None.
+    at ``pts[j]``: the one routine by which the package sums f along lines,
+    and the one place that picks how. A line whose sum overflows comes out
+    infinite, without a warning.
 
-    When ``ev`` is an :class:`expr.Evaluator` whose tree
+    By factors, when ``ev`` is an :class:`expr.Evaluator` whose tree
     :func:`expr.separated` writes as ``sum_k s_k * prod a_k(at) * prod
-    b_k(pts)`` (a constant factor counted in ``a_k``), the result is ``sum_k
-    s_k a_k outer (b_k @ weights)``: each distinct factor is evaluated once,
-    at the points of its variable, through ``expr.eval_ast``, looked up at
-    each call as :class:`expr.Evaluator` does. The sums are added in
-    another order than the grid's, so the value moves by rounding only.
+    b_k(pts)`` (a constant factor counted in ``a_k``): the result is ``sum_k
+    s_k a_k outer (b_k @ weights)``, each distinct factor evaluated once, at
+    the points of its variable, through ``expr.eval_ast``, looked up at each
+    call as :class:`expr.Evaluator` does.
 
-    None, for the caller to evaluate the grid, when ``ev`` is anything else,
-    when a factor raises :class:`EvaluationError`, or when the sum over the
-    terms of the product of ``max(1, max|factor|)`` exceeds SEPARABLE_LIMIT.
-    Below that limit no product or sum of the grid's evaluation of the tree
-    can overflow, and its factors are the ones evaluated here, so a result
-    means that the grid would have been evaluated without an error.
+    By blocks otherwise: for any other callback, when a factor raises
+    :class:`EvaluationError`, or when the sum over the terms of the product
+    of ``max(1, max|factor|)`` exceeds SEPARABLE_LIMIT. Each block of
+    :func:`line_blocks` is reduced as ``block @ weights`` as it arrives, so
+    no more than one block is held. Below that limit no product or sum of
+    the grid's evaluation of the tree can overflow, and its factors are the
+    ones evaluated here, so a factored sum means that the grid would have
+    been evaluated without an error: a failure is always the grid's, point
+    and message. The two paths add in other orders, so their values differ
+    by rounding only.
     """
+    factored = _factored_sums(ev, along, at, pts, weights)
+    if factored is not None:
+        return factored
+    with np.errstate(all="ignore"):
+        return np.concatenate([block @ weights for block in line_blocks(ev, along, at, pts)])
+
+
+def _factored_sums(ev: Callable, along: str, at: np.ndarray, pts: np.ndarray,
+                   weights: np.ndarray) -> np.ndarray | None:
+    """:func:`line_sums` by the factors of a separable expression, or None
+    where it sums by blocks."""
     parts = expr.separated(ev.tree) if isinstance(ev, Evaluator) else None
     if parts is None:
         return None
@@ -454,31 +470,16 @@ def _locate(ev: Callable, flat: list[np.ndarray]) -> None:
         _per_point(ev, [a[lo:lo + 1] for a in flat])
 
 
-def midpoint_sum(v: np.ndarray, h: float):
-    """Composite midpoint value of each row of ``v`` (values at the cell midpoints).
-
-    A row whose value overflows comes out infinite, without a warning.
-    """
-    with np.errstate(all="ignore"):
-        return h * v.sum(-1)
-
-
-def trapezoid_sum(v: np.ndarray, h: float):
-    """Composite trapezoid value of each row of ``v`` (values at the nodes).
-
-    A row whose value overflows comes out infinite, without a warning.
-    """
-    with np.errstate(all="ignore"):
-        return h * (0.5 * (v[..., 0] + v[..., -1]) + v[..., 1:-1].sum(-1))
-
-
 def midpoint_lower(fn: Fn1D, iv: Interval, n: int) -> float:
     """Composite midpoint value h * sum of F at the n cell midpoints.
 
     For F convex on ``iv`` this is a lower bound on the integral of F.
     """
     part = Partition1D(iv, n)
-    return float(midpoint_sum(evaluate(fn.eval, part.midpoints()), part.h))
+    v = evaluate(fn.eval, part.midpoints())
+    # a sum that overflows comes out infinite, without a warning
+    with np.errstate(all="ignore"):
+        return float(part.h * v.sum())
 
 
 def trapezoid_upper(fn: Fn1D, iv: Interval, n: int) -> float:
@@ -487,7 +488,10 @@ def trapezoid_upper(fn: Fn1D, iv: Interval, n: int) -> float:
     For F convex on ``iv`` this is an upper bound on the integral of F.
     """
     part = Partition1D(iv, n)
-    return float(trapezoid_sum(evaluate(fn.eval, part.nodes()), part.h))
+    v = evaluate(fn.eval, part.nodes())
+    # a sum that overflows comes out infinite, without a warning
+    with np.errstate(all="ignore"):
+        return float(part.h * (0.5 * (v[0] + v[-1]) + v[1:-1].sum()))
 
 
 def integral_enclosure(fn: Fn1D, iv: Interval, n: int) -> BoundPair:

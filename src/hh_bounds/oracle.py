@@ -3,8 +3,8 @@
 Composite Simpson with a Richardson error estimate, deliberately a different
 rule (and separate summation code) from the midpoint/trapezoid bounds under
 test, so enclosure checks are never self-referential. It shares only the
-evaluation layer with them: :func:`bounds1d.evaluate` with its row-block
-loop, and :func:`bounds1d.line_sums`.
+evaluation layer with them: :func:`bounds1d.evaluate` and
+:func:`bounds1d.line_sums`.
 
 The 2-D oracle refines on nested dyadic levels 64, 128, ..., ``grid``. Every
 level's nodes are a stride of the finest ``grid + 1`` nodes per axis, so a
@@ -17,27 +17,19 @@ starts and stops at level ``grid``.
 No level keeps its values. Per axis, a node's index at a level falls into one
 of four classes: an end, odd, 2 mod 4, or an interior 0 mod 4. Both Simpson
 sums of a level, its own and the half grid's on its even nodes, weight f by
-class alone, so a level keeps only a 4 x 4 array of class sums. Each row
-block of :func:`bounds1d.line_blocks` (row i holds f along the line x = x_i)
-is reduced as it arrives: ``block @`` the one-hot classes of its columns,
-then its rows are added up by class. Doubling the level takes index i to 2i:
-an end stays an end, an odd index becomes 2 mod 4 and both even classes
-become 0 mod 4, and the new points' class sums are added. So an evaluation
-holds a block of about ``BLOCK_POINTS`` points and its temporaries, whatever
-the grid. The blocks run in the order of one row-major pass over the first
-level, then per refinement the odd rows and then the even rows by the odd
-columns, so the first failing point is that of those passes evaluated whole.
-The sums are added in another order than one full-grid ``w @ F @ w``, which
-moves the value by rounding only (Higham, *Accuracy and Stability of
-Numerical Algorithms*, ch. 4).
-
-A separable expression is not evaluated on the grid at all. Each pass's
-class sums are :func:`bounds1d.line_sums` of its rows against the one-hot
-classes of its columns, from its factors evaluated at the pass's rows and
-columns alone: a few thousand values where the grid has about a million
-points at the default grid. Where a factor fails or a product of factors
-could overflow, the pass runs in row blocks as above, so a failure names the
-point the grid names. The sums move by rounding only, again.
+class alone, so a level keeps only a 4 x 4 array of class sums. Each pass's
+lines x = x_i are summed against the one-hot classes of its columns by
+:func:`bounds1d.line_sums`, which says how, then its rows are added up by
+class. Doubling the level takes index i to 2i: an end stays an end, an odd
+index becomes 2 mod 4 and both even classes become 0 mod 4, and the new
+points' class sums are added. So an evaluation holds one row block of about
+``BLOCK_POINTS`` points and its temporaries at most, whatever the grid. The
+passes run in the order of one row-major pass over the first level, then
+per refinement the odd rows and then the even rows by the odd columns, so
+the first failing point is that of those passes evaluated whole. The sums
+are added in another order than one full-grid ``w @ F @ w``, which moves the
+value by rounding only (Higham, *Accuracy and Stability of Numerical
+Algorithms*, ch. 4).
 """
 
 from __future__ import annotations
@@ -48,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds1d import check_points, evaluate, line_blocks, line_sums, require_finite
+from .bounds1d import check_points, evaluate, line_sums, require_finite
 from .errors import DomainError
 
 DEFAULT_GRID = 1024
@@ -127,12 +119,11 @@ def reference_integral_2d(fn, rect, grid: int = DEFAULT_GRID,
 
     Refines on nested levels 64, 128, ..., ``grid`` until the error estimate
     is ``<= target``; the result's ``grid`` is the level it stopped at.
-    ``target=None`` computes the explicit ``grid`` directly. Each row block
-    is reduced to class sums as it is evaluated, so memory is one block of
-    about ``BLOCK_POINTS`` points, at any grid; a separable expression's
-    class sums come from its factors instead. A grid whose weight
-    hx*hy/9 at ``grid`` is below the smallest normal float is a
-    :class:`DomainError`, raised before ``fn`` is called.
+    ``target=None`` computes the explicit ``grid`` directly. The lines are
+    reduced to class sums by :func:`bounds1d.line_sums`, so memory is one
+    row block of about ``BLOCK_POINTS`` points at most, at any grid. A grid
+    whose weight hx*hy/9 at ``grid`` is below the smallest normal float is
+    a :class:`DomainError`, raised before ``fn`` is called.
     """
     _check_grid(grid)
     check_points(f"an oracle grid of {grid}", (grid + 1) ** 2)
@@ -166,22 +157,13 @@ def reference_integral_2d(fn, rect, grid: int = DEFAULT_GRID,
 def _class_sums(ev, xs: np.ndarray, ys: np.ndarray, rows: slice,
                 odd_columns: bool) -> np.ndarray:
     """The 4 x 4 class sums of f at a level's nodes ``xs[rows]`` by ``ys``,
-    or by its odd nodes. Its rows' sums by column class, those of
-    :func:`bounds1d.line_sums` or else of each row block times its columns'
-    one-hot classes, are then added up by the rows' classes. Sums that
-    overflow warn unless the caller ignores it."""
+    or by its odd nodes. Its rows' sums by column class,
+    :func:`bounds1d.line_sums` against its columns' one-hot classes, are
+    then added up by the rows' classes."""
     every, odd, order, starts = _classes(xs.size - 1)
     columns, at = (odd, ys[1::2]) if odd_columns else (every, ys)
     per_row = np.zeros((xs.size, 4))
-    out = per_row[rows]
-    factored = line_sums(ev, "y", xs[rows], at, columns)
-    if factored is not None:
-        out[:] = factored
-    else:
-        i = 0
-        for block in line_blocks(ev, "y", xs[rows], at):
-            out[i:i + len(block)] = block @ columns
-            i += len(block)
+    per_row[rows] = line_sums(ev, "y", xs[rows], at, columns)
     return np.add.reduceat(per_row[order], starts)
 
 

@@ -35,17 +35,9 @@ points, each point once (a midpoint and a finer node with the same bits
 are two points), in the order of their nodes, and each output is one
 weighted sum of their values: a plan compiles each request to one source,
 the positions of its values, and one rule, the weight of each value within
-a line. A larger line request is evaluated in broadcast
-``lines x points per line`` blocks of about BLOCK_POINTS points by
-:func:`bounds1d.line_blocks` (BLOCK_POINTS is re-exported here), and its
-line values enter the same sums.
-Each block runs with a numpy ufunc buffer of at most one line, which changes
-speed only: an elementwise callback gives the same bits at any buffer size.
-A parsed expression that is a sum of products of one-variable factors is
-not evaluated on those blocks: :func:`bounds1d.line_sums` sums its lines
-from its factors' values at the request's lines and points, and the blocks
-run only where a factor fails or a product could overflow, so a failure is
-the grid's. Its line values move by rounding only.
+a line. A larger line request is summed line by line by
+:func:`bounds1d.line_sums`, which says how, and its line values enter the
+same sums.
 Under Quadrature a plan's line requests become one list of distinct lines, a
 line known by its direction, its point on the other side by construction
 and its tolerance, so the center lines the two chains share are one line
@@ -71,10 +63,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bounds1d import (Interval, Lattice, BoundPair, _distinct, check_points, evaluate,
-                       line_blocks, line_sums, midpoint_sum, require_finite, trapezoid_sum)
-# still importable from here, as before: tests/test_rect.py and tests/test_oracle.py
-# import BLOCK_POINTS, and bench/test_bench.py pins midpoint_lower
-from .bounds1d import BLOCK_POINTS, midpoint_lower, trapezoid_upper  # noqa: F401
+                       line_sums, require_finite)
+# not used here: still importable from here, as the benchmark's tests read
+# rect.midpoint_lower
+from .bounds1d import midpoint_lower  # noqa: F401
 from .errors import DomainError, EvaluationError, PreconditionError
 from .expr import Node
 from .oracle import reference_integral_2d
@@ -159,9 +151,8 @@ class Fn2D:
     other buffer. An ``eval`` that is an :class:`expr.Evaluator`, as a
     parsed expression's is, is no black box: its values have the block's
     shape and were checked by ``eval_ast``, so they are taken as they are,
-    and when its tree is a sum of products of one-variable factors, a large
-    line request and the oracle's grid are summed from the factors' values
-    (:func:`bounds1d.line_sums`), not evaluated point by point.
+    and its lines may be summed by its tree's factors (see
+    :func:`bounds1d.line_sums`).
     ``positive`` asserts the range is >= 0 and gates :func:`positive_upper`.
     ``expr``, when given, is an expression tree that computes the same
     function; the convexity gate tries to prove coordinate convexity from it
@@ -423,19 +414,18 @@ class PointPlan:
         :class:`bounds1d.Lattice`'s checks, and every point is the mean of
         its two nodes. Then the values are evaluated in the order they are
         laid out: the points, each point by construction once, in one call;
-        each large line request in declaration order, summed by the factors
-        of a separable expression (:func:`bounds1d.line_sums`) or else in
-        row blocks; the distinct quadrature lines, all refined together by
-        :func:`schemes.simpson_lines`. A failure is the first one met in
-        that order: among the points the first in the order of their twin
-        nodes, and among the quadrature lines the first met as
-        :func:`schemes.simpson_lines` refines them, which need not be the
-        first failing line in the order of their first request. An output
-        that overflows comes out infinite, without a warning. The plan's
-        size is checked against ``bounds1d.MAX_POINTS`` again first, and a
-        by-area output whose scale times the area is below the smallest
-        normal float, a weight that would lose bits or vanish, is a
-        :class:`DomainError` before ``f`` is called.
+        each large line request in declaration order, by
+        :func:`bounds1d.line_sums`; the distinct quadrature lines, all
+        refined together by :func:`schemes.simpson_lines`. A failure is the
+        first one met in that order: among the points the first in the
+        order of their twin nodes, and among the quadrature lines the first
+        met as :func:`schemes.simpson_lines` refines them, which need not be
+        the first failing line in the order of their first request. An
+        output that overflows comes out infinite, without a warning. The
+        plan's size is checked against ``bounds1d.MAX_POINTS`` again first,
+        and a by-area output whose scale times the area is below the
+        smallest normal float, a weight that would lose bits or vanish, is
+        a :class:`DomainError` before ``f`` is called.
         """
         check_points("a point plan", self._points)
         if self._sides is None:
@@ -458,12 +448,7 @@ class PointPlan:
             s = _OTHER[req.along]
             at = mean(s, self._sides[s].pairs(*req.at))
             run = mean(req.along, self._sides[req.along].pairs(*req.pts))
-            factored = line_sums(f.eval, req.along, at, run, req.rule()[:, None])
-            if factored is not None:
-                values.append(factored[:, 0])
-            else:
-                rule = trapezoid_sum if req.trap else midpoint_sum
-                values += [rule(block, 1.0) for block in line_blocks(f.eval, req.along, at, run)]
+            values.append(line_sums(f.eval, req.along, at, run, req.rule()))
         if self._quad:
             values.append(self._quadrature(f, r, nodes))
         values = np.concatenate(values) if len(values) > 1 else values[0]

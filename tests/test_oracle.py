@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from hh_bounds import DomainError, EvaluationError, Fn1D, Fn2D, Interval, Rect
-from hh_bounds.bounds1d import evaluate
+from hh_bounds.bounds1d import BLOCK_POINTS, evaluate
 from hh_bounds.catalog import resolve_function
 from hh_bounds.convexity import random_coordinate_convex
 from hh_bounds.expr import eval_ast, parse
 from hh_bounds.oracle import reference_integral_1d, reference_integral_2d
-from hh_bounds.rect import BLOCK_POINTS
 
 from conftest import counting_fn2d
 

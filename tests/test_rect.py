@@ -14,8 +14,8 @@ from hh_bounds.convexity import random_coordinate_convex
 from hh_bounds.oracle import reference_integral_2d
 import hh_bounds.rect
 from hh_bounds import Partition1D
-from hh_bounds.bounds1d import MAX_POINTS, Lattice
-from hh_bounds.rect import (BLOCK_POINTS, PointPlan, chain_report, declare_boundary_bound,
+from hh_bounds.bounds1d import BLOCK_POINTS, MAX_POINTS, Lattice
+from hh_bounds.rect import (PointPlan, chain_report, declare_boundary_bound,
                             declare_centerline_bound, declare_enclosure,
                             declare_five_term_chains, declare_positive_upper, enclosure_points)
 from hh_bounds.schemes import adaptive_simpson, simpson_lines
@@ -556,6 +556,33 @@ class TestPointPlan:
         magnitude = boundary_bound(Fn2D(eval=lambda x, y: np.abs(ev(x, y))), r, 2048,
                                    NestedDiscrete(1))
         for got, want, size in zip(flat, blocks, magnitude):
+            assert abs(got - want) <= 1e-15 * size
+
+    def test_midpoint_request_above_the_threshold_is_evaluated_in_row_blocks(self, monkeypatch):
+        # at (64, 16) the enclosure's lower sum is midpoint lines, 64 lines of
+        # 1024 points per direction, requests of at least PACK_POINTS, each
+        # evaluated as one broadcast row block; the trapezoid lines of the
+        # upper sum, 65 of 1025 points, take two blocks each
+        shapes = []
+
+        def ev(x, y):
+            shapes.append(np.broadcast_shapes(np.shape(x), np.shape(y)))
+            return np.exp(x - y) + x * x
+
+        f, r = Fn2D(eval=ev), Rect(-0.5, 1.5, 0.25, 2.0)
+        blocks = discrete_enclosure(f, r, 64, 16)
+        assert shapes == [(64, 1024)] * 2 + [(63, 1025), (2, 1025)] * 2
+        # with a higher threshold, one flat call at the distinct points gives
+        # the same values up to the order of the sums
+        shapes.clear()
+        monkeypatch.setattr(hh_bounds.rect, "PACK_POINTS", 1 << 20)
+        plan = PointPlan()
+        flat = declare_enclosure(plan, 64, 16)(plan.resolve(f, r))
+        # the 65 x 65 nodes are on a trapezoid line of each direction
+        assert shapes == [(enclosure_points(64, 16) - 65 * 65,)]
+        magnitude = discrete_enclosure(Fn2D(eval=lambda x, y: np.abs(ev(x, y))), r, 64, 16)
+        for got, want, size in ((flat.lower, blocks.lower, magnitude.lower),
+                                (flat.upper, blocks.upper, magnitude.upper)):
             assert abs(got - want) <= 1e-15 * size
 
 

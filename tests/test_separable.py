@@ -4,11 +4,13 @@ A parsed expression whose tree :func:`expr.separated` writes as signed
 products of one-variable factors is summed by :func:`bounds1d.line_sums`
 from its factors' values, in the oracle and in a plan's large line
 requests. The same tree wrapped in a lambda is a black box, which takes the
-grid path, so every check here compares the two. Values may move by
-rounding only: per weighted point, 2*gamma_N times the sum of the
-magnitudes of the tree's terms, plus 2*N*eta times the sum over the terms of
-the product of max(1, |factor|) for products that underflow. Both are added
-up through the grid path itself, with the weights of the sum they bound.
+grid path, so every check here compares the two. Which path ran is told by
+patching ``bounds1d.line_blocks``, the one place the grid is reached.
+Values may move by rounding only: per weighted point, 2*gamma_N times the
+sum of the magnitudes of the tree's terms, plus 2*N*eta times the sum over
+the terms of the product of max(1, |factor|) for products that underflow.
+Both are added up through the grid path itself, with the weights of the sum
+they bound.
 Failures stay those of the grid path, point and message.
 """
 
@@ -19,8 +21,7 @@ import math
 import numpy as np
 import pytest
 
-import hh_bounds.oracle
-import hh_bounds.rect
+import hh_bounds.bounds1d
 from hh_bounds import EvaluationError, Fn2D, NestedDiscrete, Rect, expr
 from hh_bounds.bounds1d import line_blocks, line_sums
 from hh_bounds.convexity import random_coordinate_convex
@@ -73,6 +74,20 @@ def _no_grid(*args):
     raise AssertionError("a separable tree was evaluated on the grid")
 
 
+def _grid_calls(monkeypatch) -> list:
+    """Record each call of ``bounds1d.line_blocks``, by which
+    :func:`bounds1d.line_sums` reaches the grid."""
+    calls = []
+    original = hh_bounds.bounds1d.line_blocks
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(hh_bounds.bounds1d, "line_blocks", counting)
+    return calls
+
+
 def _sizes(tree) -> tuple[Fn2D, Fn2D]:
     """Per point, the sum over the terms of the product of |factor| and of
     max(1, |factor|): the magnitudes rounding and underflow are bounded by."""
@@ -104,14 +119,16 @@ def _allowance(tree, points: int, weigh) -> float:
 
 @pytest.mark.parametrize("src", SOURCES)
 @pytest.mark.parametrize("along", "xy")
-def test_line_sums_match_the_grid(src, along):
+def test_line_sums_match_the_grid(src, along, monkeypatch):
     tree = parse(src)
     rng = np.random.default_rng(len(src))
     lo, hi = (RECT.a, RECT.b) if along == "x" else (RECT.c, RECT.d)
     olo, ohi = (RECT.c, RECT.d) if along == "x" else (RECT.a, RECT.b)
     pts, at = np.linspace(lo, hi, 129), np.linspace(olo, ohi, 37)
     weights = rng.uniform(-1.0, 1.0, (pts.size, 3))
-    got = line_sums(Evaluator(tree), along, at, pts, weights)
+    with monkeypatch.context() as patch:
+        patch.setattr(hh_bounds.bounds1d, "line_blocks", _no_grid)
+        got = line_sums(Evaluator(tree), along, at, pts, weights)
     want = np.concatenate([block @ weights for block in
                            line_blocks(_grid(tree).eval, along, at, pts)])
 
@@ -127,7 +144,7 @@ def test_line_sums_match_the_grid(src, along):
 def test_oracle_matches_the_grid(src, monkeypatch):
     tree = parse(src)
     with monkeypatch.context() as patch:
-        patch.setattr(hh_bounds.oracle, "line_blocks", _no_grid)
+        patch.setattr(hh_bounds.bounds1d, "line_blocks", _no_grid)
         got = reference_integral_2d(Fn2D(eval=Evaluator(tree)), RECT, 128)
     want = reference_integral_2d(_grid(tree), RECT, 128)
     allow = {g: _allowance(tree, g + 1, lambda fn: reference_integral_2d(fn, RECT, g).value)
@@ -150,7 +167,7 @@ def test_large_line_requests_match_the_grid(src, monkeypatch):
     assert n * (n * m) >= PACK_POINTS
     tree = parse(src)
     with monkeypatch.context() as patch:
-        patch.setattr(hh_bounds.rect, "line_blocks", _no_grid)
+        patch.setattr(hh_bounds.bounds1d, "line_blocks", _no_grid)
         got = _partition_sums(Fn2D(eval=Evaluator(tree)), n, m)
     want = _partition_sums(_grid(tree), n, m)
     allow = _allowance(tree, n * m + 1, lambda fn: np.array(_partition_sums(fn, n, m)))
@@ -170,11 +187,15 @@ def _failure(run) -> tuple[str, tuple | None]:
 
 
 @pytest.mark.parametrize("src", FAILING)
-def test_failures_are_those_of_the_grid(src):
+def test_failures_are_those_of_the_grid(src, monkeypatch):
     tree = parse(src)
     assert separated(tree) is not None
     pts = np.linspace(0.0, 1.0, 65)
-    assert line_sums(Evaluator(tree), "y", pts, pts, np.ones((65, 1))) is None
+    with monkeypatch.context() as patch:
+        calls = _grid_calls(patch)
+        with pytest.raises(EvaluationError):
+            line_sums(Evaluator(tree), "y", pts, pts, np.ones((65, 1)))
+    assert len(calls) == 1
     for run in (lambda f: reference_integral_2d(f, UNIT, 64),
                 lambda f: _plan().resolve(f, UNIT)):
         got = _failure(lambda: run(Fn2D(eval=Evaluator(tree))))
@@ -216,14 +237,19 @@ def test_a_non_separable_tree_takes_the_grid_path(src, monkeypatch):
     tree = parse(src)
     assert separated(tree) is None
     pts = np.linspace(0.0, 1.0, 65)
-    assert line_sums(Evaluator(tree), "y", pts, pts, np.ones((65, 1))) is None
+    with monkeypatch.context() as patch:
+        calls = _grid_calls(patch)
+        assert line_sums(Evaluator(tree), "y", pts, pts, np.ones((65, 1))).shape == (65, 1)
+    assert len(calls) == 1
     seen = _counted(monkeypatch)
     reference_integral_2d(Fn2D(eval=Evaluator(tree)), UNIT, 64)
     assert seen["points"] == 65 * 65
 
 
-def test_black_boxes_take_the_grid_path():
+def test_black_boxes_take_the_grid_path(monkeypatch):
     pts = np.linspace(0.0, 1.0, 65)
     generated = random_coordinate_convex(0, UNIT, 2)
-    for f in (_grid(parse("x*y")), generated, Fn2D(eval=lambda x, y: x * y)):
-        assert line_sums(f.eval, "y", pts, pts, np.ones((65, 1))) is None
+    calls = _grid_calls(monkeypatch)
+    for k, f in enumerate((_grid(parse("x*y")), generated, Fn2D(eval=lambda x, y: x * y))):
+        assert line_sums(f.eval, "y", pts, pts, np.ones((65, 1))).shape == (65, 1)
+        assert len(calls) == k + 1

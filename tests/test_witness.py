@@ -4,7 +4,8 @@ Polynomial trees with float coefficients on float rectangles have exact
 rational integrals: every float is a dyadic rational, so the integral over
 the float rectangle is a :class:`Fraction`. Each enclosure is held to it
 with no tolerance, ``Fraction(lower) <= exact <= Fraction(upper)``, and a
-one-sided bound on its own side alone.
+one-sided bound on its own side alone. A bound that requires a positive
+function is held to it on trees that are nonnegative by construction.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hh_bounds import (Fn1D, Fn2D, Interval, Rect, discrete_enclosure, integral_enclosure,
-                       midpoint_lower, trapezoid_upper)
+from hh_bounds import (Fn1D, Fn2D, Interval, NestedDiscrete, Rect, discrete_enclosure,
+                       integral_enclosure, midpoint_lower, positive_upper, trapezoid_upper)
 from hh_bounds.expr import Binary, Evaluator, Number, Var
 
 X, Y = Var("x"), Var("y")
@@ -74,12 +75,14 @@ def exact_integral(node, *sides: tuple[float, float]) -> Fraction:
                for powers, c in polynomial(node).items())
 
 
-def draw_polynomials(seed: int, count: int, squares: bool, axes: str):
+def draw_polynomials(seed: int, count: int, squares: bool, axes: str, positive: bool = False):
     """``count`` coordinate-convex polynomial trees of degree <= 2 per axis,
     each with a float side per variable in ``axes``, reproducible from
     ``seed``: ``a+b*x+c*y+d*x*y`` (``a+b*x`` in x alone), plus with
     ``squares`` nonnegative multiples of ``(x-s)^2``, ``(y-t)^2`` and
-    ``(x-s)^2*(y-t)^2``."""
+    ``(x-s)^2*(y-t)^2``. With ``positive`` the first part is ``|a|`` alone,
+    so that a tree with ``squares`` is nonnegative by construction; the
+    draws are the same either way."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
@@ -87,6 +90,8 @@ def draw_polynomials(seed: int, count: int, squares: bool, axes: str):
         terms = [_num(a), Binary("*", _num(b), X)]
         if axes == "xy":
             terms += [Binary("*", _num(c), Y), Binary("*", _num(d), Binary("*", X, Y))]
+        if positive:
+            terms = [_num(abs(a))]
         if squares:
             s, t = rng.uniform(-1.0, 2.0, 2)
             p, q, w = rng.uniform(0.0, 2.0, 3)
@@ -113,6 +118,19 @@ def _discrete_enclosures(tree, sides):
             (discrete_enclosure(f, r, n, m) for n, m in DISCRETE_SIZES)]
 
 
+def _black_box_enclosures(tree, sides):
+    # the tree as a black box at (64, 16): its line requests are summed by
+    # row blocks, each reduced as block @ rule
+    ev = Evaluator(tree)
+    bp = discrete_enclosure(Fn2D(eval=lambda x, y: ev(x, y)), Rect(*sides[0], *sides[1]), 64, 16)
+    return [(bp.lower, bp.upper)]
+
+
+def _positive_uppers(tree, sides):
+    f, r = Fn2D(eval=Evaluator(tree), positive=True), Rect(*sides[0], *sides[1])
+    return [(None, positive_upper(f, r, n, NestedDiscrete(m))) for n, m in DISCRETE_SIZES]
+
+
 def _along_x(tree, sides, rule):
     ev = Evaluator(tree)
     return [rule(Fn1D(eval=lambda t: ev(t, 0.0)), Interval(*sides[0]), n) for n in range(1, 9)]
@@ -132,17 +150,24 @@ def _trapezoid_uppers(tree, sides):
 
 #: Each certified bound: the variables of its trees and its (lower, upper)
 #: pairs at every size tried, None for the side a one-sided bound lacks:
-#: DISCRETE_SIZES in two dimensions and n up to 8 in one.
+#: DISCRETE_SIZES in two dimensions, or (64, 16) alone for a black box, and
+#: n up to 8 in one.
 ENCLOSURES = {"discrete_enclosure": ("xy", _discrete_enclosures),
+              "discrete_enclosure_black_box": ("xy", _black_box_enclosures),
               "integral_enclosure": ("x", _integral_enclosures),
               "midpoint_lower": ("x", _midpoint_lowers),
+              "positive_upper": ("xy", _positive_uppers),
               "trapezoid_upper": ("x", _trapezoid_uppers)}
+#: The bounds that require a positive function, held to nonnegative trees,
+#: which have square terms.
+POSITIVE = {"positive_upper"}
 
 
 def _misses(name: str, squares: bool) -> list[str]:
     axes, enclosures = ENCLOSURES[name]
     misses = []
-    for index, (tree, sides) in enumerate(draw_polynomials(7, 60, squares, axes)):
+    draws = draw_polynomials(7, 60, squares, axes, positive=name in POSITIVE)
+    for index, (tree, sides) in enumerate(draws):
         exact = exact_integral(tree, *sides)
         for k, (lower, upper) in enumerate(enclosures(tree, sides)):
             if not ((lower is None or Fraction(lower) <= exact)
@@ -157,14 +182,15 @@ def test_square_terms_enclose_the_exact_integral(name):
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP items 1 and 8")
-@pytest.mark.parametrize("name", sorted(ENCLOSURES))
+@pytest.mark.parametrize("name", sorted(set(ENCLOSURES) - POSITIVE))
 def test_bilinear_enclosures_hold_the_exact_integral(name):
     # both rules are exact on these in exact arithmetic, so rounding alone
     # puts the pair on one side of the integral: 1,044 of the 1,260
-    # discrete_enclosure pairs (38 of the 60 at (64, 16)), 430 of the 480
-    # integral_enclosure pairs, and 240 and 244 of the 480 values of
-    # midpoint_lower and trapezoid_upper miss it, by up to 1.7e-15, 3.3e-16,
-    # 3.0e-16 and 3.3e-16 of max(1, |integral|)
+    # discrete_enclosure pairs (38 of the 60 at (64, 16)), 52 of the 60
+    # black-box pairs at (64, 16), 430 of the 480 integral_enclosure pairs,
+    # and 240 and 244 of the 480 values of midpoint_lower and trapezoid_upper
+    # miss it, by up to 1.7e-15, 4.2e-16, 3.3e-16, 3.0e-16 and 3.3e-16 of
+    # max(1, |integral|)
     assert _misses(name, squares=False) == []
 
 
