@@ -110,8 +110,7 @@ def check_coordinate_convexity(f: Fn2D, r: Rect, samples: int = GATE_SAMPLES,
     check_points(f"a convexity gate with samples={samples}", 6 * samples)
     if not tol >= 0.0:
         raise DomainError(f"tol must be >= 0, got {tol}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    _check_seed(seed)
     if f.expr is not None and _proves(f.expr, r):
         return ConvexityReport(samples=0, max_violation=math.inf, witness=None, passed=True)
     rng = np.random.default_rng(seed)
@@ -425,6 +424,11 @@ def _check_atom_count(atom_count: int) -> None:
         raise DomainError(f"atom_count must be in [0, {MAX_DEPTH - 5}], got {atom_count}")
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+
+
 def random_coordinate_convex(seed: int, r: Rect, atom_count: int) -> Fn2D:
     """A random function convex on the coordinates, reproducible from ``seed``.
 
@@ -434,9 +438,12 @@ def random_coordinate_convex(seed: int, r: Rect, atom_count: int) -> Fn2D:
     drawn as the tree ``expr`` and evaluated by ``program(expr)``, so its
     values are ``eval_ast(f.expr, x, y)`` bit for bit. The positive flag is
     set when the minimum over the spot grid (:func:`rect.spot_minimum`) is
-    strictly positive.
+    strictly positive. A negative ``seed``, or an ``atom_count`` outside
+    [0, MAX_DEPTH - 5], is a :class:`DomainError`, raised before anything
+    is drawn.
     """
     _check_atom_count(atom_count)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     beta = float(rng.uniform(-0.5, 1.5))
     px = float(rng.uniform(-0.75, 0.75))
@@ -460,9 +467,12 @@ def random_convex_1d(seed: int, iv: Interval, atom_count: int,
     drawn as a tree in ``x`` and evaluated by its ``program``. The atoms are
     nonnegative, so F >= beta + min(p*lo, p*hi); with ``ensure_positive``
     beta is lifted until that floor clears 0.05, which makes positivity a
-    construction guarantee rather than a sampling claim.
+    construction guarantee rather than a sampling claim. ``seed`` and
+    ``atom_count`` are checked as :func:`random_coordinate_convex` checks
+    them.
     """
     _check_atom_count(atom_count)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     beta = float(rng.uniform(-0.5, 1.5))
     slope = float(rng.uniform(-1.0, 1.0))

@@ -20,10 +20,11 @@ with the source span of the failing subexpression.
 
 Evaluation compiles a tree once, on its first :func:`eval_ast`, into closures
 that call numpy directly. Finiteness is checked at the root and wherever an
-operation could hide a non-finite operand; only when such a check fires is the
-tree rerun with every node checked, to name the failing one. :class:`Evaluator`
-is a tree as a callback of (x, y) whose values have the broadcast shape and
-are checked already, so ``bounds1d.evaluate`` takes them as they are.
+operation could hide a non-finite operand; only when such a check fires is a
+second program, with every node checked, compiled and run, to name the
+failing one. :class:`Evaluator` is a tree as a callback of (x, y) whose
+values have the broadcast shape and are checked already, so
+``bounds1d.evaluate`` takes them as they are.
 :func:`program` gives the same closures with no check at all, for callers
 that check the values themselves, as ``bounds1d.evaluate`` does for any
 other callback.
@@ -279,33 +280,30 @@ def _where(node: Node) -> str:
     return "in subexpression"
 
 
-class _Rerun(Exception):
-    """A check of the fast program fired: the strict program names the node."""
-
-
 def eval_ast(node: Node, x, y):
     """Evaluate at scalars or numpy arrays (elementwise); non-finite results raise.
 
-    The tree is compiled on the first call into two programs of closures,
-    kept on ``node`` itself (by identity, never by equality: ``Number(0.0) ==
-    Number(-0.0)``). Both call the same numpy functions and operators in the
-    same order, so they give the same values. The strict one checks the root,
-    a leaf root too, and every non-leaf node for non-finite values and raises
-    :class:`EvaluationError` with the span of the first that has one. The
-    fast one checks only the root and the non-leaf operands of ``exp``,
-    ``/``, ``^``, ``max`` and ``min``; any other operation keeps a non-finite
-    element non-finite, so a failing node always reaches a check. When a
-    check fires, or the inputs broadcast to nothing (where a non-finite
-    scalar can vanish), the strict program runs instead.
+    The tree is compiled into two programs of closures, each on its first
+    use, kept on ``node`` itself (by identity, never by equality:
+    ``Number(0.0) == Number(-0.0)``). Both call the same numpy functions and
+    operators in the same order, so they give the same values. The fast
+    one, compiled on the first call, checks only the root and the non-leaf
+    operands of ``exp``, ``/``, ``^``, ``max`` and ``min``; any other
+    operation keeps a non-finite element non-finite, so a failing node always
+    reaches a check. When a check fires, or the inputs broadcast to nothing
+    (where a non-finite scalar can vanish), the strict one is compiled, if
+    it is not yet, and runs instead. It checks the root, a leaf root too,
+    and every non-leaf node, and raises :class:`EvaluationError` with the
+    span of the first that has a non-finite value.
     """
-    fast, strict = _compiled(node, False), _compiled(node, True)
+    fast = _compiled(node, False)
     with np.errstate(all="ignore"):
         if np.size(x) and np.size(y):
             try:
                 return fast(x, y)
-            except _Rerun:
+            except EvaluationError:
                 pass
-        return strict(x, y)
+        return _compiled(node, True)(x, y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,12 +464,10 @@ def _compile(root: Node, strict: bool | None) -> Callable:
         return check(node, run) if checked else run
 
     def check(node: Node, run: Callable) -> Callable:
-        fail = (lambda: EvaluationError(f"non-finite result {_where(node)}")) if strict else _Rerun
-
         def checked(x, y):
             out = run(x, y)
             if not np.isfinite(out).all():
-                raise fail()
+                raise EvaluationError(f"non-finite result {_where(node)}")
             return out
         return checked
 

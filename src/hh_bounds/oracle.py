@@ -122,10 +122,13 @@ def reference_integral_2d(fn, rect, grid: int = DEFAULT_GRID,
     ``target=None`` computes the explicit ``grid`` directly. The lines are
     reduced to class sums by :func:`bounds1d.line_sums`, so memory is one
     row block of about ``BLOCK_POINTS`` points at most, at any grid. A grid
-    whose weight hx*hy/9 at ``grid`` is below the smallest normal float is
-    a :class:`DomainError`, raised before ``fn`` is called.
+    whose weight hx*hy/9 at ``grid`` is below the smallest normal float, or
+    a ``target`` that is not ``>= 0`` (NaN included), is a
+    :class:`DomainError`, raised before ``fn`` is called.
     """
     _check_grid(grid)
+    if target is not None and not target >= 0.0:
+        raise DomainError(f"target must be >= 0, got {target}")
     check_points(f"an oracle grid of {grid}", (grid + 1) ** 2)
     _check_weight((rect.b - rect.a) / grid * ((rect.d - rect.c) / grid) / 9.0,
                   f"rectangle area {rect.area!r}")

@@ -79,7 +79,11 @@ def adaptive_simpson(fn, lo: float, hi: float, tol: float) -> float:
     :func:`evaluate`. Depth is capped; a subinterval that still disagrees at
     the cap keeps its refined estimate, adequate for this diagnostic use.
     Refining more than ``MAX_SUBINTERVALS`` subintervals in all is an
-    :class:`EvaluationError`, raised before their points are evaluated."""
+    :class:`EvaluationError`, raised before their points are evaluated. A
+    ``tol`` that is not ``> 0`` (NaN included) is a :class:`DomainError`,
+    raised before ``fn`` is called, as for :class:`Quadrature`."""
+    if not tol > 0.0:
+        raise DomainError(f"tol must be > 0, got {tol}")
     values, failure = simpson_lines(lambda line, s: evaluate(fn, s), np.array([lo], float),
                                     np.array([hi], float), tol)
     if failure is not None:

@@ -652,6 +652,14 @@ class TestAdaptiveSimpson:
             adaptive_simpson(math.log, -1.0, 1.0, 1e-9)
         assert exc.value.where is not None and exc.value.where[0] <= 0.0
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, -math.inf])
+    def test_tolerance_not_above_zero_fails_before_evaluating(self, tol):
+        # as Quadrature.tol does; -1.0 and nan would refine to the budget
+        calls = []
+        with pytest.raises(DomainError, match=f"^tol must be > 0, got {tol}$"):
+            adaptive_simpson(lambda t: calls.append(t) or t, 0.0, 1.0, tol)
+        assert calls == []
+
     @pytest.mark.parametrize("fn, lo, hi, tol", [
         (_kinked, 0.0, 1.0, 1e-12),
         (lambda t: np.cos(40.0 * t), 0.0, 1.0, 1e-10),

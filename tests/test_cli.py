@@ -764,6 +764,47 @@ def test_cli_evaluates_expressions_through_eval_ast(monkeypatch, capsys):
     assert sum(points) > 0
 
 
+def _record_compiles(monkeypatch) -> list:
+    """The (tree, mode) of each program ``expr`` compiles from now on; the
+    trees are kept, so no two of them share an id."""
+    compiled, compile_ = [], hh_bounds.expr._compile
+    monkeypatch.setattr(hh_bounds.expr, "_compile",
+                        lambda node, strict: compiled.append((node, strict)) or compile_(node, strict))
+    return compiled
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds"],
+    ["chain", "--scheme", "nested"],
+    ["chain", "--scheme", "quadrature"],
+    ["converge", "--n", "1:64"],
+], ids=["bounds", "chain-nested", "chain-quadrature", "converge"])
+@pytest.mark.parametrize("src, trees", [("x^2*exp(y)+x*y", 5), ("exp(x+y)", 1)])
+def test_a_successful_run_compiles_no_strict_program(argv, src, trees, monkeypatch, capsys):
+    # a separable tree's factors are compiled too: x^2, exp(y), x and y
+    compiled = _record_compiles(monkeypatch)
+    assert main([argv[0], "--f", src, "--rect", "0", "1", "0", "1", *argv[1:]]) == 0
+    assert capsys.readouterr().out
+    assert {strict for _, strict in compiled} == {False}
+    assert len({id(tree) for tree, _ in compiled}) == trees
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["bounds"], "(0.875, 0.0078125)"),
+    (["chain"], "(0.80078125, 0.0)"),
+    (["converge", "--n", "1:64"], "(0.8125, 0.0)"),
+])
+def test_a_failing_run_compiles_each_strict_program_once(argv, err, monkeypatch, capsys):
+    compiled = _record_compiles(monkeypatch)
+    assert main([argv[0], "--f", "(0.8-x)^0.5+y", "--rect", "0", "1", "0", "1",
+                 "--skip-convexity-check", *argv[1:]]) == 4
+    assert capsys.readouterr() == ("", f"evaluation error: evaluation failed at {err}: "
+                                       "non-finite result at offsets 1..11\n")
+    strict = [id(tree) for tree, mode in compiled if mode]
+    assert strict and len(strict) == len(set(strict))
+    assert set(strict) <= {id(tree) for tree, mode in compiled if mode is False}
+
+
 @pytest.mark.parametrize("argv", [
     ["bounds", "--n", "3"],
     ["chain", "--scheme", "quadrature"],

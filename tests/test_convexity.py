@@ -386,6 +386,14 @@ class TestGeneratorsEvaluateTheirTrees:
         with pytest.raises(DomainError, match="atom_count"):
             random_convex_1d(1, Interval(0.0, 1.0), atoms)
 
+    @pytest.mark.parametrize("seed", [-1, -(2 ** 40)])
+    def test_negative_seed_fails_before_anything_is_drawn(self, seed, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", None)  # nothing is drawn
+        with pytest.raises(DomainError, match=f"^seed must be >= 0, got {seed}$"):
+            random_coordinate_convex(seed, UNIT2, 2)
+        with pytest.raises(DomainError, match=f"^seed must be >= 0, got {seed}$"):
+            random_convex_1d(seed, Interval(0.0, 1.0), 2)
+
     def test_most_atoms_stay_within_the_depth_cap(self):
         deepest = 0
         for seed in range(20):

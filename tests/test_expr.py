@@ -325,14 +325,29 @@ def test_a_tree_is_compiled_once(monkeypatch):
     monkeypatch.setattr(expr, "_compile",
                         lambda node, strict: compiled.append(strict) or compile_(node, strict))
     tree = parse("exp(x)*y+1/x")
-    for x in (0.5, np.linspace(0.5, 1.0, 5), np.empty(0), 0.0):
+    for x in (0.5, np.linspace(0.5, 1.0, 5)):
+        eval_ast(tree, x, 0.5)
+    assert compiled == [False]  # the strict program waits for a check to fire
+    for x in (np.empty(0), 0.0, 0.0):
         try:
             eval_ast(tree, x, 0.5)
         except EvaluationError:
             pass
     assert compiled == [False, True]
     eval_ast(parse("exp(x)*y+1/x"), 0.5, 0.5)  # an equal tree is another object
-    assert compiled == [False, True, False, True]
+    assert compiled == [False, True, False]
+
+
+def test_a_failed_check_compiles_the_strict_program_once(monkeypatch):
+    compiled = []
+    compile_ = expr._compile
+    monkeypatch.setattr(expr, "_compile",
+                        lambda node, strict: compiled.append(strict) or compile_(node, strict))
+    tree = parse("exp(x)*y+1/x")
+    for _ in range(3):
+        with pytest.raises(EvaluationError, match="^non-finite result at offsets 9..12$"):
+            eval_ast(tree, np.array([0.5, 0.0]), 0.5)
+    assert compiled == [False, True]
 
 
 @settings(max_examples=300, deadline=None)

@@ -184,6 +184,20 @@ def test_target_zero_reaches_grid_and_matches_explicit():
     assert nested.grid == 256
 
 
+@pytest.mark.parametrize("target", [-1.0, math.nan, -math.inf])
+def test_target_below_zero_fails_before_evaluating(target):
+    # a target no estimate can meet would refine to the full grid
+    f, count = counting_fn2d(lambda x, y: x * y)
+    with pytest.raises(DomainError, match=f"^target must be >= 0, got {target}$"):
+        reference_integral_2d(f, UNIT2, 1024, target)
+    assert count["n"] == 0
+
+
+def test_target_infinity_stops_at_the_first_level():
+    res = reference_integral_2d(Fn2D(eval=lambda x, y: np.exp(x + y)), UNIT2, 1024, math.inf)
+    assert res.grid == 64
+
+
 def test_scalar_only_callback_through_levels():
     ev, points = _recording(lambda x, y: math.exp(x) * y)
     res = reference_integral_2d(ev, UNIT2, 256, target=1e-12)
